@@ -136,66 +136,68 @@ def brute_force_rumor_centrality(tree: Snapshot | TreeAdjacency, root: int) -> i
     return ways(1 << index[root])
 
 
-def _bfs_order_and_tree(adj: TreeAdjacency, root: int) -> tuple[list[int], dict[int, int]]:
-    """BFS discovery order and parent map; neighbor ties by ascending id."""
-    parent = {root: -1}
-    order = [root]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                order.append(v)
-    return order, parent
-
-
 def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
     """Source scores for snapshots whose infected set may contain cycles.
 
     For each candidate root ``v``: take the BFS tree over the infected set
-    (discovery order sigma), score it as log P(sigma | v) plus the tree
-    ordering-count score of the BFS tree.  P(sigma | v) is the spreading
-    likelihood of that order: at each step, (edges from the current
-    infected prefix to the next node) / (all boundary edges of the prefix
-    in the underlying graph).
+    (discovery order sigma, neighbour ties by ascending id), score it as
+    log P(sigma | v) plus the tree ordering-count score of the BFS tree.
+    P(sigma | v) is the spreading likelihood of that order: at each step,
+    (edges from the current infected prefix to the next node) / (all
+    boundary edges of the prefix in the underlying graph).  Costs
+    O(N * (N + E_induced)); reads only the induced subgraph and degrees.
     """
     if snapshot.graph is None:
         raise InvalidInputError("general-graph scoring needs the underlying graph")
-    adj = snapshot.induced_adjacency
-    graph = snapshot.graph
-    members = snapshot.infected_set
-    n = snapshot.n
-    targets = sorted(members) if nodes is None else sorted(set(nodes))
+    induced = snapshot.induced_adjacency
+    ids = sorted(induced)  # local ids by ascending global id keep BFS ties
+    local = {v: i for i, v in enumerate(ids)}
+    targets = ids if nodes is None else sorted(set(nodes))
     for v in targets:
-        if v not in members:
+        if v not in local:
             raise InvalidInputError(f"node {v} is not infected")
+
+    n = len(ids)
+    adj = [[local[w] for w in induced[v]] for v in ids]
+    deg = [snapshot.graph.degree(v) for v in ids]
+    induced_edges = sum(map(len, adj)) // 2
+    b_total = sum(deg) - 2 * induced_edges  # boundary of the whole infected set
+    # A prefix's boundary edges leave the infected set or reach a later
+    # infected node, so no count below runs past the table.
+    log_of = [0.0, *map(math.log, range(1, max(n, b_total + induced_edges) + 1))].__getitem__
 
     scores: dict[int, float] = {}
     for v in targets:
-        order, parent = _bfs_order_and_tree(adj, v)
+        pos, parent, links = [-1] * n, [0] * n, [0] * n
+        root = local[v]
+        pos[root] = 0
+        order = [root]
+        # links[w] counts w's neighbours earlier in the order: each edge is
+        # counted once, from the scan of its earlier endpoint.
+        for u in order:
+            pu = pos[u]
+            for x in adj[u]:
+                px = pos[x]
+                if px < 0:
+                    pos[x] = len(order)
+                    parent[x] = u
+                    links[x] = 1
+                    order.append(x)
+                elif px > pu:
+                    links[x] += 1
         if len(order) < n:
             raise InvalidInputError("infected set is disconnected")
-        if n == 1:
-            scores[v] = 0.0
-            continue
 
-        tree_adj: dict[int, list[int]] = {u: [] for u in order}
-        for u in order[1:]:
-            tree_adj[u].append(parent[u])
-            tree_adj[parent[u]].append(u)
-        log_r = log_score_at_root(tree_adj, v)
-
-        log_p = 0.0
-        in_prefix = {v}
-        boundary = graph.degree(v)
-        for w in order[1:]:
-            links = sum(1 for x in graph.neighbors(w) if x in in_prefix)
-            log_p += math.log(links) - math.log(boundary)
-            boundary += graph.degree(w) - 2 * links
-            in_prefix.add(w)
-        scores[v] = log_p + log_r
+        # One reverse sweep yields BFS-tree subtree sizes and prefix boundaries.
+        size, bounds, boundary = [1] * n, [], b_total
+        for w in order[:0:-1]:
+            boundary -= deg[w] - 2 * links[w]
+            bounds.append(boundary)
+            size[parent[w]] += size[w]
+        # fsum does not depend on term order, so roots with equal counts tie
+        # exactly and the lowest id wins, as on the tree path.
+        denominator = math.fsum(map(log_of, bounds + size))
+        scores[v] = math.lgamma(n + 1) + math.fsum(map(log_of, links)) - denominator
     return scores
 
 

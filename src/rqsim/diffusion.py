@@ -44,14 +44,6 @@ class Snapshot:
         return frozenset(self.infected)
 
     @cached_property
-    def children(self) -> dict[int, list[int]]:
-        """Children lists of the parent-edge tree (infection order)."""
-        out: dict[int, list[int]] = {v: [] for v in self.infected}
-        for child, par in self.parent.items():
-            out[par].append(child)
-        return out
-
-    @cached_property
     def tree_adjacency(self) -> dict[int, list[int]]:
         """Adjacency of the parent-edge tree, neighbor lists sorted."""
         adj: dict[int, list[int]] = {v: [] for v in self.infected}

@@ -32,3 +32,7 @@ class ParseError(RQSimError, ValueError):
 
 class InfeasibleTargetError(RQSimError, ValueError):
     """The requested infection size exceeds the reachable component."""
+
+
+class TrialError(RQSimError, RuntimeError):
+    """A sweep trial raised an unexpected exception; the message names the trial."""

@@ -15,7 +15,6 @@ a given seed.
 from __future__ import annotations
 
 import math
-import threading
 from typing import IO, Callable, Iterable
 
 import numpy as np
@@ -89,12 +88,11 @@ class Graph:
 class RegularTree:
     """Infinite regular tree of degree ``d``, rooted at node 0.
 
-    Children are materialized on first access to ``neighbors``.  Growth is
-    guarded by a lock so concurrent trials may share one instance, though
-    by default each trial owns a private tree.
+    Children are materialized on first access to ``neighbors``.  Growth
+    mutates the instance, so each trial owns a private tree.
     """
 
-    __slots__ = ("d", "kind", "_adj", "_parents", "_next_id", "_lock")
+    __slots__ = ("d", "kind", "_adj", "_parents", "_next_id")
 
     def __init__(self, d: int):
         if d < 3:
@@ -104,15 +102,10 @@ class RegularTree:
         self._adj: dict[int, tuple[int, ...]] = {}
         self._parents: dict[int, int] = {}
         self._next_id = 1
-        self._lock = threading.Lock()
 
     @property
     def is_finite(self) -> bool:
         return False
-
-    @property
-    def materialized_nodes(self) -> int:
-        return self._next_id
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         nbrs = self._adj.get(v)
@@ -121,26 +114,22 @@ class RegularTree:
         return self._expand(v)
 
     def _expand(self, v: int) -> tuple[int, ...]:
-        with self._lock:
-            nbrs = self._adj.get(v)
-            if nbrs is not None:
-                return nbrs
-            if v >= self._next_id:
-                raise InvalidInputError(f"node {v} has not been materialized")
-            if v == 0:
-                children = tuple(range(self._next_id, self._next_id + self.d))
-                nbrs = children
-            else:
-                # Every non-root node was created as somebody's child, so
-                # its parent is already on record.
-                parent = self._parents[v]
-                children = tuple(range(self._next_id, self._next_id + self.d - 1))
-                nbrs = (parent,) + children
-            self._next_id += len(children)
-            self._adj[v] = nbrs
-            for c in children:
-                self._parents[c] = v
-            return nbrs
+        if v >= self._next_id:
+            raise InvalidInputError(f"node {v} has not been materialized")
+        if v == 0:
+            children = tuple(range(self._next_id, self._next_id + self.d))
+            nbrs = children
+        else:
+            # Every non-root node was created as somebody's child, so
+            # its parent is already on record.
+            parent = self._parents[v]
+            children = tuple(range(self._next_id, self._next_id + self.d - 1))
+            nbrs = (parent,) + children
+        self._next_id += len(children)
+        self._adj[v] = nbrs
+        for c in children:
+            self._parents[c] = v
+        return nbrs
 
     def degree(self, v: int) -> int:
         return self.d

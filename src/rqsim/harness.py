@@ -29,7 +29,7 @@ import numpy as np
 from . import graphs as _graphs
 from .centrality import likelihood_table, pick_best
 from .diffusion import simulate_si
-from .errors import InvalidParameterError, RQSimError
+from .errors import InvalidParameterError, RQSimError, TrialError
 from .estimators import ADConfig, NAConfig, choose_r_star, run_mvad, run_mvna
 from .respondent import TruthModel
 
@@ -234,20 +234,23 @@ def _build_graph(spec: GraphSpec, n_infected: int, rng: np.random.Generator):
     return _graphs.load_edge_list(spec.path)
 
 
+def _pinned_graph(text: str, spec: GraphSpec, master_seed: int, n_infected: int):
+    """The one graph instance a pinned or edge-list sweep uses, built once per process."""
+    key = (text, master_seed, n_infected)
+    cached = _graph_cache.get(key)
+    if cached is None:
+        pin_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=_GRAPH_SPAWN_KEY)
+        )
+        cached = _build_graph(spec, n_infected, pin_rng)
+        _graph_cache[key] = cached
+    return cached
+
+
 def _graph_for_trial(rp: _RowParams, rng: np.random.Generator):
     spec = parse_graph_spec(rp.graph)
-    if spec.family == "regular":
-        return _build_graph(spec, rp.n_infected, rng), spec
-    if spec.family == "edgelist" or rp.fixed_graph:
-        key = (rp.graph, rp.master_seed, rp.n_infected)
-        cached = _graph_cache.get(key)
-        if cached is None:
-            pin_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=rp.master_seed, spawn_key=_GRAPH_SPAWN_KEY)
-            )
-            cached = _build_graph(spec, rp.n_infected, pin_rng)
-            _graph_cache[key] = cached
-        return cached, spec
+    if spec.family == "edgelist" or (rp.fixed_graph and spec.family != "regular"):
+        return _pinned_graph(rp.graph, spec, rp.master_seed, rp.n_infected), spec
     return _build_graph(spec, rp.n_infected, rng), spec
 
 
@@ -287,7 +290,13 @@ def _run_single_trial(rp: _RowParams, trial_index: int) -> tuple[int, int]:
 
 
 def _trial_star(args: tuple[_RowParams, int]) -> tuple[int, int]:
-    return _run_single_trial(*args)
+    try:
+        return _run_single_trial(*args)
+    except RQSimError:
+        raise
+    except Exception as exc:
+        # The seed (master, row, trial) replays exactly this trial.
+        raise TrialError(f"trial {args[1]} raised {type(exc).__name__}: {exc}") from exc
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -315,11 +324,14 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep; rows follow (budget, p, q) nesting order.
 
     A combination that fails (for example an infection target larger than
-    the graph) produces a row carrying an error marker instead of
-    aborting the sweep.
+    the graph, or a trial raising an unexpected exception) produces a row
+    carrying an error marker instead of aborting the sweep.
     """
     spec = parse_graph_spec(config.graph)
-    d_eff = effective_degree(spec)
+    graph = None
+    if spec.family == "edgelist":  # its degree is measured; the trials reuse the load
+        graph = _pinned_graph(config.graph, spec, config.master_seed, config.n_infected)
+    d_eff = effective_degree(spec, graph)
     workers = _resolve_workers(config)
     combos = list(product(config.budgets, config.p_values, config.q_values))
 
@@ -379,7 +391,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     mean_budget=mean_budget,
                 )
             except RQSimError as exc:
-                logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, exc)
+                logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, exc,
+                             exc_info=isinstance(exc, TrialError))
                 base = replace(base, error=str(exc))
             base = replace(base, wall_time_ms=(time.perf_counter() - t0) * 1000.0)
             rows.append(base)

@@ -1,6 +1,7 @@
 """Experiment runner: seeding, aggregation, output formats."""
 
 import json
+import logging
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqsim.errors import InvalidParameterError
+from rqsim.estimators import choose_r_star
 from rqsim.harness import (
     ExperimentConfig,
     GraphSpec,
@@ -141,6 +143,56 @@ class TestRunExperiment:
         cfg = small_config(graph="er:120:4", n_infected=30, trials=6, fixed_graph=True)
         rows = run_experiment(cfg)
         assert rows[0].error is None
+
+    def test_edgelist_sweep_uses_file_degree(self, tmp_path, monkeypatch):
+        import rqsim.graphs
+
+        # Ring of 300 nodes, each joined to its 6 nearest on either side.
+        n = 300
+        path = tmp_path / "ring.txt"
+        path.write_text("".join(f"{u} {(u + k) % n}\n" for u in range(n) for k in range(1, 7)))
+        loads = []
+        real_load = rqsim.graphs.load_edge_list
+
+        def counting_load(source):
+            if isinstance(source, str):  # it re-enters itself with the open file
+                loads.append(source)
+            return real_load(source)
+
+        monkeypatch.setattr(rqsim.graphs, "load_edge_list", counting_load)
+        cfg = small_config(graph=f"edgelist:{path}", n_infected=30, trials=2)
+        rows = run_experiment(cfg)
+        assert rows[0].error is None
+        assert rows[0].d == 12
+        assert rows[0].r == choose_r_star("na", "sufficient", 20, 12, 0.8, 0.8)
+        assert len(loads) == 1
+
+    def test_unexpected_trial_exception_yields_error_row(self, monkeypatch, caplog):
+        import rqsim.harness
+
+        cfg = small_config(budgets=(10, 20, 30), trials=3)
+        clean = run_experiment(cfg)
+        real_simulate = rqsim.harness.simulate_si
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 5:  # row 1, trial 1
+                raise RuntimeError("boom")
+            return real_simulate(*args)
+
+        monkeypatch.setattr(rqsim.harness, "simulate_si", flaky)
+        with caplog.at_level(logging.ERROR, logger="rqsim.harness"):
+            rows = run_experiment(cfg)
+        assert [row.error is None for row in rows] == [True, False, True]
+        assert "trial 1" in rows[1].error and "RuntimeError" in rows[1].error
+        assert math.isnan(rows[1].p_hat)
+        for i in (0, 2):
+            assert (rows[i].detections, rows[i].mean_budget) == (
+                clean[i].detections,
+                clean[i].mean_budget,
+            )
+        assert sum(1 for rec in caplog.records if rec.exc_info) == 1
 
     def test_gw_and_sf_families_run(self):
         for graph in ("gw:6", "sf:200:1.5", "er:200:4"):
