@@ -11,6 +11,7 @@ from .budget import (
     ad_necessary,
     ad_sufficient,
     adaptivity_gap_bounds,
+    choose_r_star,
     detection_lb_mvad,
     detection_lb_mvna,
     entropies,
@@ -43,7 +44,6 @@ from .estimators import (
     ADConfig,
     EstimationOutcome,
     NAConfig,
-    choose_r_star,
     run_mvad,
     run_mvna,
     select_candidates_na,

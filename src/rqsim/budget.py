@@ -208,6 +208,46 @@ def ad_necessary(inputs: BudgetInputs, r: int | None = None) -> float:
     return _necessary(inputs, r, "ad")
 
 
+#: (scheme, kind) -> (budget threshold, repetition-count formula).
+_FORMULAS = {
+    ("na", "necessary"): (na_necessary, rstar_na_necessary),
+    ("na", "sufficient"): (na_sufficient, rstar_na_sufficient),
+    ("ad", "necessary"): (ad_necessary, rstar_ad_necessary),
+    ("ad", "sufficient"): (ad_sufficient, rstar_ad_sufficient),
+}
+
+
+def _formulas(scheme: str, kind: str) -> tuple:
+    try:
+        return _FORMULAS[(scheme, kind)]
+    except KeyError:
+        raise InvalidParameterError(f"unknown scheme/kind {scheme!r}/{kind!r}") from None
+
+
+def budget_threshold(scheme: str, kind: str, inputs: BudgetInputs, r: int | None = None) -> float:
+    """The budget threshold of ``scheme`` ("na" or "ad") and ``kind``.
+
+    ``r`` is passed to the necessary thresholds only (see ``na_necessary``).
+    """
+    threshold = _formulas(scheme, kind)[0]
+    return threshold(inputs, r) if kind == "necessary" else threshold(inputs)
+
+
+def choose_r_star(scheme: str, kind: str, K: int, d: int, p: float, q: float) -> int:
+    """Closed-form repetition count, floored and clamped to [1, K].
+
+    ``scheme`` is "na" or "ad"; ``kind`` picks the necessary- or
+    sufficient-budget variant of the formula.  Natural logarithms
+    throughout, so K must be at least 3 for the iterated log.
+    """
+    if K < 3:
+        raise InvalidParameterError(f"K must be >= 3, got {K}")
+    if d < 3:
+        raise InvalidParameterError(f"d must be >= 3, got {d}")
+    formula = _formulas(scheme, kind)[1]
+    return max(1, min(K, math.floor(formula(K, d, p, q))))
+
+
 def adaptivity_gap_bounds(inputs: BudgetInputs) -> tuple[float, float]:
     """Lower and upper bounds on K_na(delta) / K_ad(delta)."""
     if inputs.delta >= math.exp(-2):

@@ -18,31 +18,24 @@ import sys
 from . import budget as _budget
 from .centrality import brute_force_rumor_centrality, log_rumor_centralities
 from .diffusion import Snapshot, distance_distribution
-from .errors import RQSimError
-from .estimators import choose_r_star
+from .errors import InvalidParameterError, RQSimError
 from .harness import ExperimentConfig, rows_to_csv, rows_to_json, run_experiment
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
-
-
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
 def _add_simulate(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("simulate", help="run a Monte Carlo detection sweep")
+    # Unset flags stay out of the namespace, so that they do not override the config file.
+    p = sub.add_parser("simulate", help="run a Monte Carlo detection sweep",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", help="JSON file of flat key/value options (flags override)")
     p.add_argument("--graph", help="graph spec, e.g. regular:3, gw:10, er:2000:4, sf:2000:1.5, edgelist:PATH")
     p.add_argument("--n", type=int, help="number of infected nodes (default 400)")
     p.add_argument("--scheme", choices=("na", "ad"), help="querying scheme")
-    p.add_argument("--k", type=_csv_ints, help="budget value or comma list; 0 = no-query baseline")
+    p.add_argument("--k", help="budget value or comma list; 0 = no-query baseline")
     p.add_argument("--r", type=int, help="fixed repetition count (overrides --rstar)")
     p.add_argument("--rstar", choices=("necessary", "sufficient"),
                    help="derive r from the closed form (default: sufficient)")
-    p.add_argument("--p", type=_csv_floats, help="identity truth probability, value or comma list")
-    p.add_argument("--q", type=_csv_floats, help="direction truth probability, value or comma list")
+    p.add_argument("--p", help="identity truth probability, value or comma list")
+    p.add_argument("--q", help="direction truth probability, value or comma list")
     p.add_argument("--trials", type=int, help="trials per combination (default 200)")
     p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--candidate-order", choices=("hop", "centrality"),
@@ -50,68 +43,40 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--fixed-graph", action="store_true",
                    help="pin one random graph instance instead of regenerating per trial")
     p.add_argument("--threads", type=int, help="worker processes (default: all cores; env RQS_THREADS)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.add_argument("--zero-timing", action="store_true",
                    help="blank the wall_time_ms column for byte-reproducible output")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    opts: dict = {}
-    if args.config:
+    flags = {key: value for key, value in vars(args).items() if key not in ("command", "config")}
+    opts = {}
+    if "config" in args:
         with open(args.config, "r", encoding="utf-8") as fh:
-            opts.update(json.load(fh))
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else opts.get(key, default)
-
-    graph = pick(args.graph, "graph")
-    scheme = pick(args.scheme, "scheme")
-    budgets = pick(args.k, "k")
-    p_values = pick(args.p, "p")
-    q_values = pick(args.q, "q")
-    if graph is None or scheme is None or budgets is None or p_values is None or q_values is None:
+            opts = json.load(fh)
+        if not isinstance(opts, dict):
+            raise InvalidParameterError(f"{args.config}: the config must be a JSON object")
+    if "r" in flags or "rstar" in flags:  # a flag's r rule replaces the file's
+        for key in ("r", "rstar", "r_mode"):
+            opts.pop(key, None)
+    opts.update(flags)
+    if any(key not in opts for key in ("graph", "scheme", "k", "p", "q")):
         print("simulate: --graph, --scheme, --k, --p and --q are required", file=sys.stderr)
         return 2
-    if isinstance(budgets, (int, float)):
-        budgets = (int(budgets),)
-    if isinstance(p_values, (int, float)):
-        p_values = (float(p_values),)
-    if isinstance(q_values, (int, float)):
-        q_values = (float(q_values),)
-    if isinstance(budgets, str):
-        budgets = _csv_ints(budgets)
-    if isinstance(p_values, str):
-        p_values = _csv_floats(p_values)
-    if isinstance(q_values, str):
-        q_values = _csv_floats(q_values)
-
-    if args.r is not None:
-        r_mode = f"fixed:{args.r}"
-    elif args.rstar is not None:
-        r_mode = f"rstar:{args.rstar}"
-    else:
-        r_mode = str(opts.get("r_mode", "rstar:sufficient"))
-
-    config = ExperimentConfig(
-        graph=str(graph),
-        scheme=str(scheme),
-        budgets=tuple(int(k) for k in budgets),
-        p_values=tuple(float(x) for x in p_values),
-        q_values=tuple(float(x) for x in q_values),
-        n_infected=int(pick(args.n, "n", 400)),
-        r_mode=r_mode,
-        trials=int(pick(args.trials, "trials", 200)),
-        master_seed=int(pick(args.seed, "seed", 0)),
-        fixed_graph=bool(args.fixed_graph or opts.get("fixed_graph", False)),
-        candidate_order=str(pick(args.candidate_order, "candidate_order", "hop")),
-        threads=pick(args.threads, "threads"),
-    )
-    rows = run_experiment(config)
-    fmt = args.format or opts.get("format", "csv")
-    text = rows_to_json(rows, args.zero_timing) if fmt == "json" else rows_to_csv(rows, args.zero_timing)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    fmt = opts.pop("format", "csv")
+    output = opts.pop("output", None)
+    zero_timing = opts.pop("zero_timing", False)
+    if fmt not in ("csv", "json") or not isinstance(output, (str, type(None))) or (
+        type(zero_timing) is not bool
+    ):
+        raise InvalidParameterError(
+            f"bad format, output or zero_timing option: {fmt!r}, {output!r}, {zero_timing!r}"
+        )
+    rows = run_experiment(ExperimentConfig.from_mapping(opts))
+    text = (rows_to_json if fmt == "json" else rows_to_csv)(rows, zero_timing)
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -138,13 +103,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
         delta=args.delta, d=args.d, p=args.p, q=args.q,
         h_t=args.ht, c_const=args.c, u1=args.u1, u2=args.u2,
     )
-    fns = {
-        ("na", "necessary"): lambda: _budget.na_necessary(inputs, args.r),
-        ("na", "sufficient"): lambda: _budget.na_sufficient(inputs),
-        ("ad", "necessary"): lambda: _budget.ad_necessary(inputs, args.r),
-        ("ad", "sufficient"): lambda: _budget.ad_sufficient(inputs),
-    }
-    value = fns[(args.scheme, args.kind)]()
+    value = _budget.budget_threshold(args.scheme, args.kind, inputs, args.r)
     print("scheme,kind,delta,d,p,q,K")
     print(f"{args.scheme},{args.kind},{args.delta:g},{args.d},{args.p:g},{args.q:g},{value:.6g}")
     return 0
@@ -161,7 +120,7 @@ def _add_rstar(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_rstar(args: argparse.Namespace) -> int:
-    print(choose_r_star(args.scheme, args.kind, args.k, args.d, args.p, args.q))
+    print(_budget.choose_r_star(args.scheme, args.kind, args.k, args.d, args.p, args.q))
     return 0
 
 
@@ -174,7 +133,9 @@ def _add_centrality(sub: argparse._SubParsersAction) -> None:
 def _cmd_centrality(args: argparse.Namespace) -> int:
     with open(args.snapshot, "r", encoding="utf-8") as fh:
         snap = Snapshot.from_json(fh)
-    table = log_rumor_centralities(snap.tree_adjacency)
+    print("note: the snapshot file carries no graph; scores are those of its parent-edge tree",
+          file=sys.stderr)
+    table = log_rumor_centralities(snap)
     ranked = sorted(table.log_r.items(), key=lambda kv: (-kv[1], kv[0]))
     print("rank,node,log_score,is_center")
     for rank, (node, score) in enumerate(ranked[: args.top], start=1):
@@ -208,7 +169,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         snap = Snapshot.from_json(fh)
     print("root,orderings")
     for root in snap.infected:
-        print(f"{root},{brute_force_rumor_centrality(snap.tree_adjacency, root)}")
+        print(f"{root},{brute_force_rumor_centrality(snap, root)}")
     return 0
 
 
@@ -234,10 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except RQSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RQSimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,21 +44,19 @@ class Snapshot:
         return frozenset(self.infected)
 
     @cached_property
-    def tree_adjacency(self) -> dict[int, list[int]]:
-        """Adjacency of the parent-edge tree, neighbor lists sorted."""
-        adj: dict[int, list[int]] = {v: [] for v in self.infected}
-        for child, par in self.parent.items():
-            adj[child].append(par)
-            adj[par].append(child)
-        for lst in adj.values():
-            lst.sort()
-        return adj
-
-    @cached_property
     def induced_adjacency(self) -> dict[int, list[int]]:
-        """Adjacency of the infected-induced subgraph of ``graph``, sorted."""
+        """Adjacency of the infected-induced subgraph of ``graph``, sorted.
+
+        Without a graph this is the parent-edge tree, the only edges known.
+        """
         if self.graph is None:
-            return self.tree_adjacency
+            adj: dict[int, list[int]] = {v: [] for v in self.infected}
+            for child, par in self.parent.items():
+                adj[child].append(par)
+                adj[par].append(child)
+            for lst in adj.values():
+                lst.sort()
+            return adj
         members = self.infected_set
         return {
             v: sorted(w for w in self.graph.neighbors(v) if w in members)

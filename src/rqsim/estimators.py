@@ -19,13 +19,12 @@ and ultimately the full candidate pool.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from . import budget as _budget
+from .budget import choose_r_star  # noqa: F401  (also importable from here)
 from .centrality import likelihood_table, pick_best
 from .diffusion import Snapshot
 from .errors import InvalidParameterError
@@ -308,29 +307,3 @@ def run_mvad(
         budget_used=budget_used,
         eta=eta,
     )
-
-
-_RSTAR_FORMULAS = {
-    ("na", "necessary"): _budget.rstar_na_necessary,
-    ("na", "sufficient"): _budget.rstar_na_sufficient,
-    ("ad", "necessary"): _budget.rstar_ad_necessary,
-    ("ad", "sufficient"): _budget.rstar_ad_sufficient,
-}
-
-
-def choose_r_star(scheme: str, kind: str, K: int, d: int, p: float, q: float) -> int:
-    """Closed-form repetition count, floored and clamped to [1, K].
-
-    ``scheme`` is "na" or "ad"; ``kind`` picks the necessary- or
-    sufficient-budget variant of the formula.  Natural logarithms
-    throughout, so K must be at least 3 for the iterated log.
-    """
-    if K < 3:
-        raise InvalidParameterError(f"K must be >= 3, got {K}")
-    if d < 3:
-        raise InvalidParameterError(f"d must be >= 3, got {d}")
-    try:
-        formula = _RSTAR_FORMULAS[(scheme, kind)]
-    except KeyError:
-        raise InvalidParameterError(f"unknown scheme/kind {scheme!r}/{kind!r}") from None
-    return max(1, min(K, math.floor(formula(K, d, p, q))))

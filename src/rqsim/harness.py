@@ -14,23 +14,25 @@ Edge-list graphs are always loaded once.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from functools import cached_property, lru_cache
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 
 from . import graphs as _graphs
+from .budget import choose_r_star
 from .centrality import likelihood_table, pick_best
 from .diffusion import simulate_si
 from .errors import InvalidParameterError, RQSimError, TrialError
-from .estimators import ADConfig, NAConfig, choose_r_star, run_mvad, run_mvna
+from .estimators import ADConfig, NAConfig, run_mvad, run_mvna
 from .respondent import TruthModel
 
 logger = logging.getLogger(__name__)
@@ -42,10 +44,6 @@ _GRAPH_SPAWN_KEY = (0x67726166,)
 #: Default tree size multiple for branching-process graphs, relative to
 #: the infection target, so the diffusion rarely hits the truncated rim.
 _GW_SIZE_FACTOR = 4
-
-CSV_COLUMNS = (
-    "scheme,graph,d,n,K,r,p,q,trials,detections,p_hat,ci_lo,ci_hi,mean_budget,wall_time_ms"
-)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -130,6 +128,48 @@ class ExperimentConfig:
     candidate_order: str = "hop"
     threads: int | None = None
 
+    @classmethod
+    def from_mapping(cls, options: Mapping[str, object]) -> "ExperimentConfig":
+        """A sweep from ``simulate``'s options, keyed by flag name (``k`` for
+        ``--k``, ``candidate_order`` for ``--candidate-order``).
+
+        ``k``, ``p`` and ``q`` take a number, a list, or the flags'
+        comma-separated text.  ``r`` (a fixed count) beats ``rstar`` (a
+        closed form), which beats ``r_mode``.  An unknown key or a value of
+        the wrong type raises InvalidParameterError; a missing ``graph``,
+        ``scheme``, ``k``, ``p`` or ``q`` raises TypeError, as the constructor does.
+        """
+        unknown = sorted(set(options) - set(_OPTIONS))
+        if unknown:
+            raise InvalidParameterError(f"unknown option(s): {', '.join(unknown)}")
+        # In _OPTIONS order, so that r beats rstar beats r_mode.
+        return cls(**{
+            _OPTIONS[key][0]: _option(key, options[key]) for key in _OPTIONS if key in options
+        })
+
+    @cached_property
+    def spec(self) -> GraphSpec:
+        """``graph``, parsed."""
+        return parse_graph_spec(self.graph)
+
+    @cached_property
+    def r_rule(self) -> tuple[str, str | int]:
+        """``r_mode``, parsed: ("fixed", r) or ("rstar", kind)."""
+        parts = self.r_mode.split(":")
+        if len(parts) == 2 and parts[0] == "rstar" and parts[1] in ("necessary", "sufficient"):
+            return "rstar", parts[1]
+        if len(parts) == 2 and parts[0] == "fixed":
+            try:
+                r = int(parts[1])
+            except ValueError:
+                raise InvalidParameterError(f"bad r mode {self.r_mode!r}") from None
+            if r < 1:
+                raise InvalidParameterError(f"fixed r must be >= 1, got {r}")
+            return "fixed", r
+        raise InvalidParameterError(
+            f"bad r mode {self.r_mode!r} (use 'fixed:<r>' or 'rstar:<kind>')"
+        )
+
     def __post_init__(self):
         if self.scheme not in ("na", "ad"):
             raise InvalidParameterError(f"scheme must be 'na' or 'ad', got {self.scheme!r}")
@@ -141,23 +181,49 @@ class ExperimentConfig:
             raise InvalidParameterError("at least one budget value is required")
         if any(k < 0 for k in self.budgets):
             raise InvalidParameterError("budgets must be nonnegative (0 = no-query baseline)")
-        parse_graph_spec(self.graph)
-        _parse_r_mode(self.r_mode)
+        self.spec, self.r_rule  # parse and check both once; later reads hit the cache
 
 
-def _parse_r_mode(text: str) -> tuple[str, str | int]:
-    parts = text.split(":")
-    if len(parts) == 2 and parts[0] == "rstar" and parts[1] in ("necessary", "sufficient"):
-        return "rstar", parts[1]
-    if len(parts) == 2 and parts[0] == "fixed":
+#: ``simulate``'s options by flag name: the config field each one sets and
+#: its value type (of each element for ``k``, ``p`` and ``q``).
+_OPTIONS = {
+    "graph": ("graph", str),
+    "scheme": ("scheme", str),
+    "k": ("budgets", int),
+    "p": ("p_values", float),
+    "q": ("q_values", float),
+    "n": ("n_infected", int),
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "candidate_order": ("candidate_order", str),
+    "fixed_graph": ("fixed_graph", bool),
+    "threads": ("threads", int),
+    "r_mode": ("r_mode", str),
+    "rstar": ("r_mode", str),
+    "r": ("r_mode", int),
+}
+
+
+def _typed(key: str, value, kind: type):
+    # JSON and argparse hand over typed values; only an int widens, to a float.
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise InvalidParameterError(f"option {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
+def _option(key: str, value):
+    """The config field value of option ``key``."""
+    kind = _OPTIONS[key][1]
+    if key not in ("k", "p", "q"):
+        value = _typed(key, value, kind)
+        return {"r": f"fixed:{value}", "rstar": f"rstar:{value}"}.get(key, value)
+    if isinstance(value, str):  # the flags' comma-separated text
         try:
-            r = int(parts[1])
+            return tuple(kind(x) for x in value.split(","))
         except ValueError:
-            raise InvalidParameterError(f"bad r mode {text!r}") from None
-        if r < 1:
-            raise InvalidParameterError(f"fixed r must be >= 1, got {r}")
-        return "fixed", r
-    raise InvalidParameterError(f"bad r mode {text!r} (use 'fixed:<r>' or 'rstar:<kind>')")
+            raise InvalidParameterError(f"option {key!r}: cannot parse {value!r}") from None
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return tuple(_typed(key, x, kind) for x in items)
 
 
 @dataclass
@@ -182,21 +248,7 @@ class ResultRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class _RowParams:
-    """Everything a worker needs to run one trial of one row."""
-
-    graph: str
-    n_infected: int
-    scheme: str
-    K: int
-    r: int
-    p: float
-    q: float
-    candidate_order: str
-    master_seed: int
-    row_index: int
-    fixed_graph: bool
+CSV_COLUMNS = ",".join(f.name for f in fields(ResultRow) if f.name != "error")
 
 
 def effective_degree(spec: GraphSpec, graph=None) -> int:
@@ -218,9 +270,6 @@ def effective_degree(spec: GraphSpec, graph=None) -> int:
     return 3
 
 
-_graph_cache: dict[tuple, object] = {}
-
-
 def _build_graph(spec: GraphSpec, n_infected: int, rng: np.random.Generator):
     if spec.family == "regular":
         return _graphs.make_regular_tree(spec.d)
@@ -234,69 +283,67 @@ def _build_graph(spec: GraphSpec, n_infected: int, rng: np.random.Generator):
     return _graphs.load_edge_list(spec.path)
 
 
-def _pinned_graph(text: str, spec: GraphSpec, master_seed: int, n_infected: int):
+@lru_cache(maxsize=1)
+def _pinned_graph(spec: GraphSpec, master_seed: int, n_infected: int):
     """The one graph instance a pinned or edge-list sweep uses, built once per process."""
-    key = (text, master_seed, n_infected)
-    cached = _graph_cache.get(key)
-    if cached is None:
-        pin_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=_GRAPH_SPAWN_KEY)
-        )
-        cached = _build_graph(spec, n_infected, pin_rng)
-        _graph_cache[key] = cached
-    return cached
+    pin_rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=_GRAPH_SPAWN_KEY)
+    )
+    return _build_graph(spec, n_infected, pin_rng)
 
 
-def _graph_for_trial(rp: _RowParams, rng: np.random.Generator):
-    spec = parse_graph_spec(rp.graph)
-    if spec.family == "edgelist" or (rp.fixed_graph and spec.family != "regular"):
-        return _pinned_graph(rp.graph, spec, rp.master_seed, rp.n_infected), spec
-    return _build_graph(spec, rp.n_infected, rng), spec
+def _graph_for_trial(config: ExperimentConfig, rng: np.random.Generator):
+    spec = config.spec
+    if spec.family == "edgelist" or (config.fixed_graph and spec.family != "regular"):
+        return _pinned_graph(spec, config.master_seed, config.n_infected)
+    return _build_graph(spec, config.n_infected, rng)
 
 
-def _run_single_trial(rp: _RowParams, trial_index: int) -> tuple[int, int]:
-    """Returns (detected, budget_used) for one trial."""
-    seq = np.random.SeedSequence(entropy=rp.master_seed, spawn_key=(rp.row_index, trial_index))
+def _run_single_trial(
+    config: ExperimentConfig, row_index: int, K: int, r: int, p: float, q: float, trial_index: int
+) -> tuple[int, int]:
+    """Returns (detected, budget_used) for one trial of the row (K, r, p, q)."""
+    seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(row_index, trial_index))
     rng = np.random.default_rng(seq)
-    graph, _ = _graph_for_trial(rp, rng)
+    graph = _graph_for_trial(config, rng)
 
     if graph.is_finite:
-        if graph.n < rp.n_infected:
+        if graph.n < config.n_infected:
             raise RQSimError(
-                f"graph has {graph.n} nodes, cannot infect {rp.n_infected}"
+                f"graph has {graph.n} nodes, cannot infect {config.n_infected}"
             )
         source = int(rng.integers(graph.n))
     else:
         # Uniform choice is equivalent to the root on a vertex-transitive tree.
         source = 0
-    snapshot = simulate_si(graph, source, rp.n_infected, rng)
+    snapshot = simulate_si(graph, source, config.n_infected, rng)
 
-    if rp.K == 0:
+    if K == 0:
         table = likelihood_table(snapshot)
         estimate = pick_best(table, table)
         return int(estimate == source), 0
 
-    model = TruthModel(p=rp.p, q=rp.q)
-    if rp.scheme == "na":
+    model = TruthModel(p=p, q=q)
+    if config.scheme == "na":
         outcome = run_mvna(
             snapshot,
-            NAConfig(budget=rp.K, repetitions=rp.r, candidate_order=rp.candidate_order),
+            NAConfig(budget=K, repetitions=r, candidate_order=config.candidate_order),
             model,
             rng,
         )
     else:
-        outcome = run_mvad(snapshot, ADConfig(budget=rp.K, repetitions=rp.r), model, rng)
+        outcome = run_mvad(snapshot, ADConfig(budget=K, repetitions=r), model, rng)
     return int(outcome.estimate == source), outcome.budget_used
 
 
-def _trial_star(args: tuple[_RowParams, int]) -> tuple[int, int]:
+def _trial_star(args: tuple) -> tuple[int, int]:
     try:
         return _run_single_trial(*args)
     except RQSimError:
         raise
     except Exception as exc:
         # The seed (master, row, trial) replays exactly this trial.
-        raise TrialError(f"trial {args[1]} raised {type(exc).__name__}: {exc}") from exc
+        raise TrialError(f"trial {args[-1]} raised {type(exc).__name__}: {exc}") from exc
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -312,12 +359,12 @@ def _resolve_workers(config: ExperimentConfig) -> int:
 
 
 def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> int:
-    mode, arg = _parse_r_mode(config.r_mode)
+    mode, arg = config.r_rule
     if mode == "fixed":
-        return min(int(arg), K) if K else int(arg)
+        return min(arg, K)
     if K < 3:
         return 1
-    return choose_r_star(config.scheme, str(arg), K, d, p, q)
+    return choose_r_star(config.scheme, arg, K, d, p, q)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -327,10 +374,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     the graph, or a trial raising an unexpected exception) produces a row
     carrying an error marker instead of aborting the sweep.
     """
-    spec = parse_graph_spec(config.graph)
+    spec = config.spec
     graph = None
     if spec.family == "edgelist":  # its degree is measured; the trials reuse the load
-        graph = _pinned_graph(config.graph, spec, config.master_seed, config.n_infected)
+        graph = _pinned_graph(spec, config.master_seed, config.n_infected)
     d_eff = effective_degree(spec, graph)
     workers = _resolve_workers(config)
     combos = list(product(config.budgets, config.p_values, config.q_values))
@@ -340,62 +387,26 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     try:
         for row_index, (K, p, q) in enumerate(combos):
             t0 = time.perf_counter()
-            base = ResultRow(
-                scheme=config.scheme,
-                graph=config.graph,
-                d=d_eff,
-                n=config.n_infected,
-                K=K,
-                r=0,
-                p=p,
-                q=q,
-                trials=config.trials,
-                detections=0,
-                p_hat=math.nan,
-                ci_lo=math.nan,
-                ci_hi=math.nan,
-                mean_budget=math.nan,
-                wall_time_ms=0.0,
-            )
+            r, detections, stats, error = 0, 0, (math.nan,) * 4, None
             try:
                 r = 0 if K == 0 else _resolve_r(config, K, d_eff, p, q)
-                rp = _RowParams(
-                    graph=config.graph,
-                    n_infected=config.n_infected,
-                    scheme=config.scheme,
-                    K=K,
-                    r=r,
-                    p=p,
-                    q=q,
-                    candidate_order=config.candidate_order,
-                    master_seed=config.master_seed,
-                    row_index=row_index,
-                    fixed_graph=config.fixed_graph,
-                )
-                tasks = [(rp, t) for t in range(config.trials)]
+                tasks = [(config, row_index, K, r, p, q, t) for t in range(config.trials)]
                 if pool is None:
                     results = [_trial_star(task) for task in tasks]
                 else:
                     chunk = max(1, config.trials // (4 * workers))
                     results = list(pool.map(_trial_star, tasks, chunksize=chunk))
                 detections = sum(det for det, _ in results)
-                mean_budget = sum(used for _, used in results) / config.trials
                 lo, hi = wilson_interval(detections, config.trials)
-                base = replace(
-                    base,
-                    r=r,
-                    detections=detections,
-                    p_hat=detections / config.trials,
-                    ci_lo=lo,
-                    ci_hi=hi,
-                    mean_budget=mean_budget,
-                )
+                mean_budget = sum(used for _, used in results) / config.trials
+                stats = (detections / config.trials, lo, hi, mean_budget)
             except RQSimError as exc:
                 logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, exc,
                              exc_info=isinstance(exc, TrialError))
-                base = replace(base, error=str(exc))
-            base = replace(base, wall_time_ms=(time.perf_counter() - t0) * 1000.0)
-            rows.append(base)
+                r, error = 0, str(exc)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            rows.append(ResultRow(config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q,
+                                  config.trials, detections, *stats, wall_ms, error))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -408,58 +419,26 @@ def _fmt(x: float, places: int = 6) -> str:
     return f"{x:.{places}f}".rstrip("0").rstrip(".") if isinstance(x, float) else str(x)
 
 
+def _rendered(row: ResultRow, zero_timing: bool) -> ResultRow:
+    return replace(row, wall_time_ms=0 if zero_timing else round(row.wall_time_ms))
+
+
 def rows_to_csv(rows: list[ResultRow], zero_timing: bool = False) -> str:
     """Render rows with the fixed column set; row errors go to the log only.
 
     ``zero_timing`` blanks the wall-clock column so byte-identical output
     can be compared across reruns.
     """
-    out = io.StringIO()
-    out.write(CSV_COLUMNS + "\n")
-    for row in rows:
-        wall = 0 if zero_timing else int(round(row.wall_time_ms))
-        fields = [
-            row.scheme,
-            row.graph,
-            str(row.d),
-            str(row.n),
-            str(row.K),
-            str(row.r),
-            _fmt(row.p),
-            _fmt(row.q),
-            str(row.trials),
-            str(row.detections),
-            _fmt(row.p_hat),
-            _fmt(row.ci_lo),
-            _fmt(row.ci_hi),
-            _fmt(row.mean_budget),
-            str(wall),
-        ]
-        out.write(",".join(fields) + "\n")
-    return out.getvalue()
+    lines = [CSV_COLUMNS]
+    lines += (",".join(map(_fmt, astuple(_rendered(row, zero_timing))[:-1])) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[ResultRow], zero_timing: bool = False) -> str:
     """JSON array mirroring the CSV fields, plus an ``error`` field."""
-    docs = []
-    for row in rows:
-        doc = {
-            "scheme": row.scheme,
-            "graph": row.graph,
-            "d": row.d,
-            "n": row.n,
-            "K": row.K,
-            "r": row.r,
-            "p": row.p,
-            "q": row.q,
-            "trials": row.trials,
-            "detections": row.detections,
-            "p_hat": None if math.isnan(row.p_hat) else row.p_hat,
-            "ci_lo": None if math.isnan(row.ci_lo) else row.ci_lo,
-            "ci_hi": None if math.isnan(row.ci_hi) else row.ci_hi,
-            "mean_budget": None if math.isnan(row.mean_budget) else row.mean_budget,
-            "wall_time_ms": 0 if zero_timing else int(round(row.wall_time_ms)),
-            "error": row.error,
-        }
-        docs.append(doc)
+    docs = [
+        {k: None if isinstance(v, float) and math.isnan(v) else v
+         for k, v in asdict(_rendered(row, zero_timing)).items()}
+        for row in rows
+    ]
     return json.dumps(docs, indent=2)

@@ -112,6 +112,69 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[1].split(",")[0] == "ad"
 
+    @staticmethod
+    def run_config(capsys, tmp_path, doc, *flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        return run_cli(capsys, "simulate", "--config", str(cfg), *flags)
+
+    SWEEP = {"graph": "regular:3", "scheme": "na", "k": 60, "p": 0.7, "q": 0.7, "n": 20,
+             "trials": 1, "threads": 1}
+
+    def test_config_output_keys_are_honoured(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.json"
+        doc = dict(self.SWEEP, format="json", zero_timing=True, output=str(out_path), r=5,
+                   candidate_order="centrality", fixed_graph=False, seed=3)
+        code, out, _ = self.run_config(capsys, tmp_path, doc)
+        assert (code, out) == (0, "")
+        (row,) = json.loads(out_path.read_text())
+        assert (row["r"], row["wall_time_ms"]) == (5, 0)
+
+    @pytest.mark.parametrize("doc, flags, r", [
+        ({"r": 5, "rstar": "necessary", "r_mode": "fixed:4"}, (), 5),
+        ({"rstar": "necessary", "r_mode": "fixed:4"}, (), 8),
+        ({"r_mode": "fixed:4"}, (), 4),
+        ({}, (), 2),
+        ({"r": 5}, ("--rstar", "necessary"), 8),
+        ({"rstar": "necessary"}, ("--r", "3"), 3),
+    ])
+    def test_config_r_precedence(self, capsys, tmp_path, doc, flags, r):
+        # K = 60, d = 3, p = q = 0.7: the batch r* is 8 (necessary), 2 (sufficient).
+        code, out, _ = self.run_config(capsys, tmp_path, dict(self.SWEEP, **doc), *flags)
+        assert code == 0
+        assert int(out.splitlines()[1].split(",")[5]) == r
+
+    @pytest.mark.parametrize("doc", [
+        {"threads": "2"},
+        {"n": "abc"},
+        {"n": 20.0},
+        {"bogus": 1},
+        {"fixed_graph": "false"},
+        {"zero_timing": 1},
+        {"format": "xml"},
+        {"k": "10,x"},
+        {"p": [0.7, True]},
+        {"seed": None},
+    ])
+    def test_bad_config_is_an_error(self, capsys, tmp_path, doc):
+        code, out, err = self.run_config(capsys, tmp_path, dict(self.SWEEP, **doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json", '"regular:3"'])
+    def test_config_must_be_a_json_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_config_missing_required_key(self, capsys, tmp_path):
+        doc = {key: v for key, v in self.SWEEP.items() if key != "q"}
+        code, _, err = self.run_config(capsys, tmp_path, doc)
+        assert code == 2
+        assert "required" in err
+
     def test_missing_required_flags(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--graph", "regular:3")
         assert code == 2
@@ -142,6 +205,12 @@ class TestSnapshotTools:
         assert len(lines) == 4
         scores = [float(line.split(",")[2]) for line in lines[1:]]
         assert scores == sorted(scores, reverse=True)
+
+    def test_centrality_notes_that_the_file_has_no_graph(self, capsys, snapshot_file):
+        path, _ = snapshot_file
+        code, _, err = run_cli(capsys, "centrality", "--snapshot", str(path))
+        assert code == 0
+        assert "carries no graph" in err and "parent-edge tree" in err
 
     def test_oracle_distance(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "distance", "--d", "3", "--k", "4")

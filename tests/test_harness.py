@@ -13,6 +13,7 @@ from rqsim.estimators import choose_r_star
 from rqsim.harness import (
     ExperimentConfig,
     GraphSpec,
+    ResultRow,
     effective_degree,
     parse_graph_spec,
     rows_to_csv,
@@ -242,28 +243,103 @@ class TestOutputFormats:
             small_config(r_mode="sometimes:3")
 
 
+#: Hand-built rows: a plain row, one whose floats exercise the trailing-zero
+#: strip and six-place rounding (1e-7 -> 0, 0.1234565 -> 0.123456, 1.0 -> 1,
+#: half-even wall clock 1234.5 -> 1234), and an error row full of NaN.
+GOLDEN_ROWS = (
+    ResultRow("na", "regular:3", 3, 400, 0, 0, 0.8, 0.8, 200, 37, 0.185, 0.13723456789,
+              0.24594, 0.0, 58.4),
+    ResultRow("ad", "er:2000:4", 4, 400, 200, 3, 2 / 3, 1.0, 8, 8, 1.0, 1e-7, 0.1234565,
+              199.5, 1234.5),
+    ResultRow("na", "er:30:3", 3, 500, 20, 2, 0.75, 0.6, 3, 0, math.nan, math.nan, math.nan,
+              math.nan, 0.4, error="graph has 30 nodes, cannot infect 500"),
+)
+
+GOLDEN_CSV = """\
+scheme,graph,d,n,K,r,p,q,trials,detections,p_hat,ci_lo,ci_hi,mean_budget,wall_time_ms
+na,regular:3,3,400,0,0,0.8,0.8,200,37,0.185,0.137235,0.24594,0,%d
+ad,er:2000:4,4,400,200,3,0.666667,1,8,8,1,0,0.123456,199.5,%d
+na,er:30:3,3,500,20,2,0.75,0.6,3,0,nan,nan,nan,nan,%d
+"""
+
+GOLDEN_JSON = """\
+[
+  {
+    "scheme": "na",
+    "graph": "regular:3",
+    "d": 3,
+    "n": 400,
+    "K": 0,
+    "r": 0,
+    "p": 0.8,
+    "q": 0.8,
+    "trials": 200,
+    "detections": 37,
+    "p_hat": 0.185,
+    "ci_lo": 0.13723456789,
+    "ci_hi": 0.24594,
+    "mean_budget": 0.0,
+    "wall_time_ms": %d,
+    "error": null
+  },
+  {
+    "scheme": "ad",
+    "graph": "er:2000:4",
+    "d": 4,
+    "n": 400,
+    "K": 200,
+    "r": 3,
+    "p": 0.6666666666666666,
+    "q": 1.0,
+    "trials": 8,
+    "detections": 8,
+    "p_hat": 1.0,
+    "ci_lo": 1e-07,
+    "ci_hi": 0.1234565,
+    "mean_budget": 199.5,
+    "wall_time_ms": %d,
+    "error": null
+  },
+  {
+    "scheme": "na",
+    "graph": "er:30:3",
+    "d": 3,
+    "n": 500,
+    "K": 20,
+    "r": 2,
+    "p": 0.75,
+    "q": 0.6,
+    "trials": 3,
+    "detections": 0,
+    "p_hat": null,
+    "ci_lo": null,
+    "ci_hi": null,
+    "mean_budget": null,
+    "wall_time_ms": %d,
+    "error": "graph has 30 nodes, cannot infect 500"
+  }
+]"""
+
+
+@pytest.mark.parametrize("zero_timing, walls", [(False, (58, 1234, 0)), (True, (0, 0, 0))])
+def test_golden_rendering(zero_timing, walls):
+    rows = list(GOLDEN_ROWS)
+    assert rows_to_csv(rows, zero_timing) == GOLDEN_CSV % walls
+    assert rows_to_json(rows, zero_timing) == GOLDEN_JSON % walls
+
+
 def test_row_reproducible_from_derived_seeds():
     # per-trial seeds are position-derived, so replaying the trials of a
     # row one by one must recover the aggregated detection count
-    from rqsim.harness import _RowParams, _run_single_trial
+    from rqsim.harness import _run_single_trial
 
     cfg = small_config(budgets=(15, 30), trials=9)
     rows = run_experiment(cfg)
     for row_index, row in enumerate(rows):
-        rp = _RowParams(
-            graph=cfg.graph,
-            n_infected=cfg.n_infected,
-            scheme=cfg.scheme,
-            K=row.K,
-            r=row.r,
-            p=row.p,
-            q=row.q,
-            candidate_order=cfg.candidate_order,
-            master_seed=cfg.master_seed,
-            row_index=row_index,
-            fixed_graph=cfg.fixed_graph,
+        replayed = sum(
+            _run_single_trial(cfg, row_index, row.K, row.r, row.p, row.q, t)[0]
+            for t in range(cfg.trials)
         )
-        replayed = sum(_run_single_trial(rp, t)[0] for t in range(cfg.trials))
         assert replayed == row.detections
 
 
@@ -294,3 +370,30 @@ def test_env_thread_override(monkeypatch):
     assert _resolve_workers(small_config(threads=None)) >= 1
     monkeypatch.delenv("RQS_THREADS")
     assert _resolve_workers(small_config(threads=2)) == 2
+
+
+def test_config_from_mapping_converts_by_flag_name():
+    cfg = ExperimentConfig.from_mapping({
+        "graph": "regular:3", "scheme": "ad", "k": [10, 20], "p": 1, "q": "0.5,0.75", "n": 30,
+        "seed": 4, "fixed_graph": True, "r_mode": "fixed:2", "rstar": "necessary",
+    })
+    assert cfg == ExperimentConfig(
+        graph="regular:3", scheme="ad", budgets=(10, 20), p_values=(1.0,), q_values=(0.5, 0.75),
+        n_infected=30, master_seed=4, fixed_graph=True, r_mode="rstar:necessary",
+    )
+    assert type(cfg.p_values[0]) is float
+    base = {"graph": "regular:3", "scheme": "na", "k": 10, "p": 0.8, "q": 0.8}
+    for bad in ({"trials": 2.5}, {"threads": "2"}, {"fixed_graph": 0}, {"nodes": 30}):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig.from_mapping({**base, **bad})
+
+
+def test_graph_spec_parsed_once_per_config(monkeypatch):
+    import rqsim.harness
+
+    cfg = small_config(graph="er:120:4", n_infected=20, trials=4)
+    calls = []
+    monkeypatch.setattr(rqsim.harness, "parse_graph_spec", lambda text: calls.append(text))
+    rows = run_experiment(cfg)
+    assert rows[0].error is None
+    assert calls == []
