@@ -107,9 +107,20 @@ def _require_loglog(x: float, label: str) -> float:
     return math.log(math.log(x))
 
 
-def rstar_na_necessary(K: float, d: int, p: float, q: float) -> float:
+def _na_necessary_slope(d: int, p: float, q: float) -> float:
+    """Growth of ``rstar_na_necessary`` per unit of log(K)."""
     hp, hq = entropies(p, q, d)
-    return 1 + 4 * (1 - p) * (7 * hp + 2 * hq) * math.log(K) / (3 * math.e * math.log(d - 1))
+    return 4 * (1 - p) * (7 * hp + 2 * hq) / (3 * math.e * math.log(d - 1))
+
+
+def _ad_necessary_slope(d: int, p: float, q: float) -> float:
+    """Growth of ``rstar_ad_necessary`` per unit of log(log(K))."""
+    hp, hq = entropies(p, q, d)
+    return 7 * d * p * (3 * hp + 2 * d * hq) / (2 * (d - 1))
+
+
+def rstar_na_necessary(K: float, d: int, p: float, q: float) -> float:
+    return 1 + _na_necessary_slope(d, p, q) * math.log(K)
 
 
 def rstar_na_sufficient(K: float, d: int, p: float, q: float) -> float:
@@ -117,8 +128,7 @@ def rstar_na_sufficient(K: float, d: int, p: float, q: float) -> float:
 
 
 def rstar_ad_necessary(K: float, d: int, p: float, q: float) -> float:
-    hp, hq = entropies(p, q, d)
-    return 1 + 7 * d * p * (3 * hp + 2 * d * hq) * math.log(math.log(K)) / (2 * (d - 1))
+    return 1 + _ad_necessary_slope(d, p, q) * math.log(math.log(K))
 
 
 def rstar_ad_sufficient(K: float, d: int, p: float, q: float) -> float:
@@ -182,20 +192,16 @@ def _necessary(inputs: BudgetInputs, r: int | None, scheme: str) -> float:
             raise InvalidParameterError(f"r must be >= 1, got {r}")
         return math.inf if r <= base else 0.0
 
-    # Self-consistent K: r*(K) = base, inverting the r* growth in K.
-    if scheme == "na":
-        hp, hq = entropies(inputs.p, inputs.q, inputs.d)
-        coeff = 4 * (1 - inputs.p) * (7 * hp + 2 * hq) / (3 * math.e * math.log(inputs.d - 1))
-        if coeff < _F_EPS:
-            return math.inf if base >= 1 else 0.0
-        exponent = (base - 1) / coeff
-        return math.inf if exponent > 700 else math.exp(exponent)
-    hp, hq = entropies(inputs.p, inputs.q, inputs.d)
-    coeff = 7 * inputs.d * inputs.p * (3 * hp + 2 * inputs.d * hq) / (2 * (inputs.d - 1))
-    if coeff < _F_EPS:
+    # Self-consistent K: r*(K) = 1 + slope * g(K) = base, solved for K.
+    slope = (_na_necessary_slope if scheme == "na" else _ad_necessary_slope)(
+        inputs.d, inputs.p, inputs.q
+    )
+    if slope < _F_EPS:
         return math.inf if base >= 1 else 0.0
-    inner = (base - 1) / coeff
-    return math.inf if inner > 6.5 else math.exp(math.exp(inner))
+    g = (base - 1) / slope
+    if scheme == "na":  # g(K) = log(K)
+        return math.inf if g > 700 else math.exp(g)
+    return math.inf if g > 6.5 else math.exp(math.exp(g))  # g(K) = log(log(K))
 
 
 def na_necessary(inputs: BudgetInputs, r: int | None = None) -> float:

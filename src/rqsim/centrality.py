@@ -94,8 +94,7 @@ def log_rumor_centralities(tree: Snapshot | TreeAdjacency) -> CentralityTable:
         s = sizes[v]
         log_r[v] = log_r[parent[v]] + math.log(s) - math.log(n - s)
 
-    center = max(log_r, key=lambda v: (log_r[v], -v))
-    return CentralityTable(log_r=log_r, center=center)
+    return CentralityTable(log_r=log_r, center=pick_best(log_r, log_r))
 
 
 def brute_force_rumor_centrality(tree: Snapshot | TreeAdjacency, root: int) -> int:

@@ -80,27 +80,24 @@ class Snapshot:
             hops[v] = hops[self.parent[v]] + 1
         return hops
 
-    def to_json(self, fp: IO[str] | None = None) -> str:
+    def to_json(self) -> str:
         """Serialize to JSON (``source``, ``infected_order``, ``parent_pairs``)."""
         doc = {
             "source": self.source,
             "infected_order": list(self.infected),
             "parent_pairs": sorted((c, p) for c, p in self.parent.items()),
         }
-        text = json.dumps(doc)
-        if fp is not None:
-            fp.write(text)
-        return text
+        return json.dumps(doc)
 
     @staticmethod
-    def from_json(text_or_fp: str | IO[str], graph: object = None) -> "Snapshot":
-        """Rebuild a snapshot from :meth:`to_json` output."""
+    def from_json(text_or_fp: str | IO[str]) -> "Snapshot":
+        """Rebuild a graph-less snapshot from :meth:`to_json` output."""
         if hasattr(text_or_fp, "read"):
             doc = json.load(text_or_fp)
         else:
             doc = json.loads(text_or_fp)
         snap = Snapshot(
-            graph=graph,
+            graph=None,
             source=int(doc["source"]),
             infected=tuple(int(v) for v in doc["infected_order"]),
             parent={int(c): int(p) for c, p in doc["parent_pairs"]},

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -45,10 +45,7 @@ class NAConfig:
 
     def __post_init__(self):
         _check_budget_pair(self.budget, self.repetitions)
-        if self.candidate_order not in CANDIDATE_ORDERS:
-            raise InvalidParameterError(
-                f"candidate_order must be one of {CANDIDATE_ORDERS}, got {self.candidate_order!r}"
-            )
+        check_candidate_order(self.candidate_order)
 
 
 @dataclass(frozen=True)
@@ -60,6 +57,13 @@ class ADConfig:
 
     def __post_init__(self):
         _check_budget_pair(self.budget, self.repetitions)
+
+
+def check_candidate_order(order: str) -> None:
+    if order not in CANDIDATE_ORDERS:
+        raise InvalidParameterError(
+            f"candidate_order must be one of {CANDIDATE_ORDERS}, got {order!r}"
+        )
 
 
 def _check_budget_pair(budget: int, repetitions: int) -> None:
@@ -102,10 +106,6 @@ class EstimationOutcome:
         return doc
 
 
-def _validation_degree(graph) -> int:
-    return graph.d if not graph.is_finite else graph.max_degree()
-
-
 def _majority(counts: Mapping[int, int], rng: np.random.Generator) -> int | None:
     """Key with the largest count; uniform random tie break; None if empty."""
     best = -1
@@ -123,6 +123,19 @@ def _majority(counts: Mapping[int, int], rng: np.random.Generator) -> int | None
     return args[int(rng.integers(len(args)))]
 
 
+def _estimate_pool(
+    s_i: set[int], s_d: set[int], p: float, fallback: Iterable[int]
+) -> Iterable[int]:
+    """Nodes the estimate is picked from: S_I & S_D, else S_I alone when
+    identity answers are perfect, else the union, else ``fallback``."""
+    inter = s_i & s_d
+    if inter:
+        return inter
+    if p == 1.0 and s_i:
+        return s_i
+    return (s_i | s_d) or fallback
+
+
 def select_candidates_na(
     snapshot: Snapshot,
     size: int,
@@ -136,8 +149,7 @@ def select_candidates_na(
     ascending node id.  ``centrality`` mode sorts by descending score.
     Sizes above the infected count are clamped with a warning.
     """
-    if order not in CANDIDATE_ORDERS:
-        raise InvalidParameterError(f"unknown candidate order {order!r}")
+    check_candidate_order(order)
     if size < 1:
         raise InvalidParameterError(f"size must be >= 1, got {size}")
     n = snapshot.n
@@ -179,11 +191,10 @@ def run_mvna(
     descendant counts over the resulting predecessor graph are collected
     with a cycle-safe traversal.
     """
-    model.validate_for_degree(_validation_degree(snapshot.graph))
+    model.validate_for_degree(snapshot.graph.max_degree())
     r, K = config.repetitions, config.budget
     scores = likelihood_table(snapshot)
     candidates = select_candidates_na(snapshot, min(K // r, snapshot.n), config.candidate_order, scores)
-    cand_set = set(candidates)
     graph = snapshot.graph
 
     s_i: set[int] = set()
@@ -217,14 +228,7 @@ def run_mvna(
     max_e = max(e_counts.values())
     s_d = {v for v, c in e_counts.items() if c == max_e}
 
-    inter = s_i & s_d
-    if inter:
-        pool = inter
-    elif model.p == 1.0:
-        pool = s_i or s_d or cand_set
-    else:
-        pool = (s_i | s_d) or cand_set
-    estimate = pick_best(scores, pool)
+    estimate = pick_best(scores, _estimate_pool(s_i, s_d, model.p, candidates))
 
     return EstimationOutcome(
         estimate=estimate,
@@ -253,7 +257,7 @@ def run_mvad(
     neighbor.  Revisits are allowed and accumulate in eta.  With perfect
     identity answers the walk halts the moment it queries the source.
     """
-    model.validate_for_degree(_validation_degree(snapshot.graph))
+    model.validate_for_degree(snapshot.graph.max_degree())
     r, K = config.repetitions, config.budget
     scores = likelihood_table(snapshot)
     infected = snapshot.infected_set
@@ -289,16 +293,15 @@ def run_mvad(
         s = nxt
 
     budget_used = K - remaining
+    # The walk only halts at the source when p = 1, and eta stays empty then.
+    s_d: set[int] = set()
     if estimate is None:
         if eta:
             max_eta = max(eta.values())
             s_d = {v for v, c in eta.items() if c == max_eta}
         else:
             s_d = set(infected)
-        pool = (s_i & s_d) or (s_i | s_d) or infected
-        estimate = pick_best(scores, pool)
-    else:
-        s_d = {v for v, c in eta.items() if c == max(eta.values())} if eta else set()
+        estimate = pick_best(scores, _estimate_pool(s_i, s_d, model.p, infected))
 
     return EstimationOutcome(
         estimate=estimate,

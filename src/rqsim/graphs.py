@@ -15,7 +15,7 @@ a given seed.
 from __future__ import annotations
 
 import math
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .errors import (
     InvalidParameterError,
     ParseError,
 )
-
-#: Retry cap for generators that resample on a failed attempt.
-MAX_GENERATION_ATTEMPTS = 10_000
 
 
 class Graph:
@@ -173,17 +170,13 @@ def _largest_component(adj: list[list[int]]) -> list[int]:
     return best
 
 
-def _restrict_to_component(g: Graph, meta: dict | None = None) -> Graph:
+def _restrict_to_component(g: Graph) -> Graph:
     comp = _largest_component(g._adj)
     relabel = {old: new for new, old in enumerate(comp)}
     adj = [[relabel[v] for v in g._adj[old] if v in relabel] for old in comp]
     for row in adj:
         row.sort()
-    merged = dict(g.meta)
-    if meta:
-        merged.update(meta)
-    merged["component_nodes"] = len(comp)
-    return Graph(adj, kind=g.kind, meta=merged)
+    return Graph(adj, kind=g.kind, meta={**g.meta, "component_nodes": len(comp)})
 
 
 def make_regular_tree(d: int) -> RegularTree:
@@ -191,54 +184,30 @@ def make_regular_tree(d: int) -> RegularTree:
     return RegularTree(d)
 
 
-def make_galton_watson(
-    d_max: int,
-    min_nodes: int,
-    rng: np.random.Generator,
-    offspring: Callable[[np.random.Generator, bool], int] | None = None,
-) -> Graph:
+def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> Graph:
     """Random finite tree from a branching process capped at degree ``d_max``.
 
-    The default offspring law is uniform on ``{1, ..., d_max - 1}`` for
-    non-root nodes (the root draws from ``{1, ..., d_max}``), which keeps
-    every degree at most ``d_max``.  Growth stops once ``min_nodes`` nodes
-    exist; unexpanded frontier nodes become leaves.  A custom ``offspring``
-    law may allow extinction, in which case generation restarts from
-    scratch, up to :data:`MAX_GENERATION_ATTEMPTS` times.
+    Non-root nodes draw their child count uniformly from ``{1, ..., d_max - 1}``
+    (the root from ``{1, ..., d_max}``), which keeps every degree at most
+    ``d_max`` and never lets the process die out.  Nodes are numbered in
+    breadth-first order; growth stops once ``min_nodes`` nodes exist, and
+    unexpanded frontier nodes become leaves.
     """
     if d_max < 2:
         raise InvalidParameterError(f"d_max must be >= 2, got {d_max}")
     if min_nodes < 1:
         raise InvalidParameterError(f"min_nodes must be >= 1, got {min_nodes}")
 
-    def default_offspring(r: np.random.Generator, is_root: bool) -> int:
-        hi = d_max if is_root else d_max - 1
-        return int(r.integers(1, hi + 1))
-
-    draw = offspring or default_offspring
-
-    for _ in range(MAX_GENERATION_ATTEMPTS):
-        edges: list[tuple[int, int]] = []
-        count = 1
-        queue = [0]
-        head = 0
-        while head < len(queue) and count < min_nodes:
-            u = queue[head]
-            head += 1
-            n_children = draw(rng, u == 0)
-            n_children = min(n_children, d_max if u == 0 else d_max - 1)
-            for _ in range(n_children):
-                if count >= min_nodes:
-                    break
-                edges.append((u, count))
-                queue.append(count)
-                count += 1
-        if count >= min_nodes:
-            return _build_finite(count, edges, kind="galton-watson", meta={"d_max": d_max})
-    raise GenerationFailureError(
-        f"branching process went extinct before {min_nodes} nodes in "
-        f"{MAX_GENERATION_ATTEMPTS} attempts"
-    )
+    edges: list[tuple[int, int]] = []
+    count = 1
+    u = 0  # next node to expand; every node has a child, so u < count
+    while count < min_nodes:
+        hi = d_max if u == 0 else d_max - 1
+        n_children = min(int(rng.integers(1, hi + 1)), min_nodes - count)
+        edges.extend((u, c) for c in range(count, count + n_children))
+        count += n_children
+        u += 1
+    return _build_finite(count, edges, kind="galton-watson", meta={"d_max": d_max})
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:

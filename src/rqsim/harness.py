@@ -32,7 +32,7 @@ from .budget import choose_r_star
 from .centrality import likelihood_table, pick_best
 from .diffusion import simulate_si
 from .errors import InvalidParameterError, RQSimError, TrialError
-from .estimators import ADConfig, NAConfig, run_mvad, run_mvna
+from .estimators import ADConfig, NAConfig, check_candidate_order, run_mvad, run_mvna
 from .respondent import TruthModel
 
 logger = logging.getLogger(__name__)
@@ -181,6 +181,11 @@ class ExperimentConfig:
             raise InvalidParameterError("at least one budget value is required")
         if any(k < 0 for k in self.budgets):
             raise InvalidParameterError("budgets must be nonnegative (0 = no-query baseline)")
+        if self.master_seed < 0:
+            raise InvalidParameterError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_candidate_order(self.candidate_order)
+        for p, q in product(self.p_values, self.q_values):
+            TruthModel(p, q)  # its range checks; q > 1/d needs the graph, so each trial checks it
         self.spec, self.r_rule  # parse and check both once; later reads hit the cache
 
 
@@ -255,7 +260,8 @@ def effective_degree(spec: GraphSpec, graph=None) -> int:
     """Degree fed to the closed-form r*/budget formulas.
 
     Exact for regular trees; for other families a representative value:
-    the branching cap, or the (rounded) average degree, floored at 3.
+    the branching cap, or the (rounded) average degree, floored at 3.  An
+    edge-list family is measured on its loaded ``graph``.
     """
     if spec.family == "regular":
         return spec.d
@@ -265,9 +271,7 @@ def effective_degree(spec: GraphSpec, graph=None) -> int:
         return max(3, round(spec.avg_degree))
     if spec.family == "sf":
         return max(3, round(2 * spec.edge_node_ratio))
-    if graph is not None:
-        return max(3, round(graph.avg_degree()))
-    return 3
+    return max(3, round(graph.avg_degree()))
 
 
 def _build_graph(spec: GraphSpec, n_infected: int, rng: np.random.Generator):

@@ -21,6 +21,8 @@ from rqsim.budget import (
     h_t_upper_bound,
     na_necessary,
     na_sufficient,
+    rstar_ad_necessary,
+    rstar_na_necessary,
 )
 from rqsim.errors import InvalidParameterError
 
@@ -136,17 +138,20 @@ class TestNecessaryThresholds:
         assert na_necessary(inputs, r=1) == math.inf
         assert na_necessary(inputs, r=10_000) == 0.0
 
-    def test_default_entropy_self_consistent_k(self):
+    @pytest.mark.parametrize("scheme", ["na", "ad"])
+    def test_default_entropy_self_consistent_k(self, scheme):
         inputs = BudgetInputs(delta=0.05, d=3, p=0.75, q=0.6)
-        val = na_necessary(inputs)
-        assert val > 0
-        # the self-consistent point satisfies r*(K) = base
-        from rqsim.budget import rstar_na_necessary
-
-        x = 2 / inputs.delta
-        base = math.sqrt(x) / (f1(3, 0.75, 0.6) * math.log(math.log(x)))
-        if math.isfinite(val):
-            assert rstar_na_necessary(val, 3, 0.75, 0.6) == pytest.approx(base, rel=1e-9)
+        if scheme == "na":
+            val, rstar = na_necessary(inputs), rstar_na_necessary
+            x = 2 / inputs.delta
+            base = math.sqrt(x) / (f1(3, 0.75, 0.6) * math.log(math.log(x)))
+        else:
+            val, rstar = ad_necessary(inputs), rstar_ad_necessary
+            y = 7 / inputs.delta  # alpha = 2 at p < 1
+            base = math.log(y) / (f3(3, 0.75, 0.6) * math.log(math.log(y)))
+        # the self-consistent point is finite here and satisfies r*(K) = base
+        assert 0 < val < math.inf
+        assert rstar(val, 3, 0.75, 0.6) == pytest.approx(base, rel=1e-9)
 
     def test_ad_necessary_direct(self):
         inputs = BudgetInputs(delta=0.01, d=3, p=0.8, q=0.7, h_t=4.0)

@@ -161,6 +161,22 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, doc", [
+        (("--seed", "-1"), {}),
+        (("--p", "1.5"), {}),
+        (("--p", "1.5", "--k", "0"), {}),
+        ((), {"candidate_order": "x"}),
+    ], ids=["negative-seed", "p-above-1", "p-above-1-no-query", "unknown-order"])
+    def test_bad_sweep_value_fails_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                     flags, doc):
+        import rqsim.harness
+
+        trials = []
+        monkeypatch.setattr(rqsim.harness, "_run_single_trial", lambda *args: trials.append(args))
+        code, out, err = self.run_config(capsys, tmp_path, dict(self.SWEEP, **doc), *flags)
+        assert (code, out, trials) == (1, "", [])
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("text", ["[1, 2]", "{not json", '"regular:3"'])
     def test_config_must_be_a_json_object(self, capsys, tmp_path, text):
         cfg = tmp_path / "run.json"

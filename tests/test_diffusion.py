@@ -1,5 +1,6 @@
 """Spread simulation and the hop-distance law of the k-th infection."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -97,8 +98,14 @@ class TestSnapshotStructure:
         assert back.parent == snap.parent
 
     def test_from_json_validates(self):
-        with pytest.raises(InvalidInputError):
-            Snapshot.from_json('{"source": 0, "infected_order": [0, 2], "parent_pairs": [[2, 1]]}')
+        for order, pairs in (
+            ([0, 2], [[2, 1]]),  # parent not infected earlier
+            ([1, 0], [[1, 0]]),  # order does not start at the source
+            ([0, 1, 1], [[1, 0]]),  # duplicate
+        ):
+            doc = {"source": 0, "infected_order": order, "parent_pairs": pairs}
+            with pytest.raises(InvalidInputError):
+                Snapshot.from_json(json.dumps(doc))
 
 
 def exact_distance_probability(d: int, k: int, l: int) -> Fraction:

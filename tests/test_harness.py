@@ -64,7 +64,8 @@ class TestGraphSpecParsing:
         assert parse_graph_spec("edgelist:/data/fb.txt").path == "/data/fb.txt"
 
     def test_rejects_malformed(self):
-        for bad in ("regular", "regular:2", "er:10", "sf:2", "ring:5", "gw:1"):
+        for bad in ("regular", "regular:2", "er:10", "sf:2", "ring:5", "gw:1",
+                    "er:10:0", "sf:2:1.5"):
             with pytest.raises(InvalidParameterError):
                 parse_graph_spec(bad)
 
@@ -241,6 +242,26 @@ class TestOutputFormats:
             small_config(budgets=())
         with pytest.raises(InvalidParameterError):
             small_config(r_mode="sometimes:3")
+        for r_mode in ("fixed:x", "fixed:0"):
+            with pytest.raises(InvalidParameterError):
+                small_config(r_mode=r_mode)
+        with pytest.raises(InvalidParameterError):
+            small_config(n_infected=0)
+        with pytest.raises(InvalidParameterError):
+            small_config(budgets=(20, -1))
+
+
+@pytest.mark.parametrize("overrides", [
+    {"master_seed": -1},
+    {"p_values": (0.8, 1.5)},
+    {"p_values": (1.5,), "budgets": (0,)},
+    {"q_values": (0.0,)},
+    {"candidate_order": "x"},
+])
+def test_config_rejects_values_every_trial_would_fail_on(overrides):
+    # The constructor raises, so no trial of the sweep can run.
+    with pytest.raises(InvalidParameterError):
+        small_config(**overrides)
 
 
 #: Hand-built rows: a plain row, one whose floats exercise the trailing-zero

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import full_path_snapshot, snapshot_of, star_graph
 from rqsim.diffusion import simulate_si
 from rqsim.errors import InvalidInputError, InvalidParameterError
-from rqsim.graphs import make_regular_tree
+from rqsim.graphs import Graph, make_regular_tree
 from rqsim.respondent import AnswerRecord, TruthModel, answer_dir, answer_id, query_rounds
 
 
@@ -105,6 +105,11 @@ class TestAnswerDir:
         snap = snapshot_of(g, 0, [0, 1], {1: 0})
         with pytest.raises(InvalidInputError):
             answer_dir(2, snap, 0.9, rng)
+
+    def test_rejects_isolated(self, rng):
+        snap = snapshot_of(Graph([[]]), 0, [0], {})
+        with pytest.raises(InvalidInputError):
+            answer_dir(0, snap, 0.9, rng)
 
 
 class TestQueryRounds:
