@@ -96,13 +96,18 @@ class Snapshot:
             doc = json.load(text_or_fp)
         else:
             doc = json.loads(text_or_fp)
+        pairs = doc["parent_pairs"]
         snap = Snapshot(
             graph=None,
             source=int(doc["source"]),
             infected=tuple(int(v) for v in doc["infected_order"]),
-            parent={int(c): int(p) for c, p in doc["parent_pairs"]},
+            parent={int(c): int(p) for c, p in pairs},
         )
         _validate_snapshot(snap)
+        # Every later node has an entry, so one more names the source, a
+        # node outside the order, or a node twice.
+        if len(pairs) != snap.n - 1:
+            raise InvalidInputError("need exactly one parent entry per non-source infected node")
         return snap
 
 

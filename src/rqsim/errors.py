@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import traceback
+
 
 class RQSimError(Exception):
     """Base class for all rqsim errors."""
@@ -35,4 +37,29 @@ class InfeasibleTargetError(RQSimError, ValueError):
 
 
 class TrialError(RQSimError, RuntimeError):
-    """A sweep trial raised an unexpected exception; the message names the trial."""
+    """A sweep trial raised an unexpected exception; the message names the trial.
+
+    A pool worker hands a row's error back by pickle, which drops the
+    cause; the cause's traceback crosses as text, so the log still shows it.
+    """
+
+    def __reduce__(self):
+        cause = self.__cause__
+        text = "" if cause is None else "".join(
+            traceback.format_exception(type(cause), cause, cause.__traceback__)
+        )
+        return _rebuild_trial_error, (self.args, text)
+
+
+class _CauseText(Exception):
+    """A cause that crossed a process boundary as its formatted traceback."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _rebuild_trial_error(args: tuple, text: str) -> TrialError:
+    err = TrialError(*args)
+    if text:
+        err.__cause__ = _CauseText(text)
+    return err

@@ -183,17 +183,21 @@ def run_mvna(
     config: NAConfig,
     model: TruthModel,
     rng: np.random.Generator,
+    *,
+    scores: Mapping[int, float] | None = None,
 ) -> EstimationOutcome:
     """Batch majority-voting estimation; uses exactly r * floor(K/r) budget.
 
     Every candidate gets one predecessor edge (its most-designated
     neighbor, random tie break, even when no direction answer arrived);
     descendant counts over the resulting predecessor graph are collected
-    with a cycle-safe traversal.
+    with a cycle-safe traversal.  ``scores`` is the snapshot's full
+    likelihood table when the caller already has it.
     """
     model.validate_for_degree(snapshot.graph.max_degree())
     r, K = config.repetitions, config.budget
-    scores = likelihood_table(snapshot)
+    if scores is None:
+        scores = likelihood_table(snapshot)
     candidates = select_candidates_na(snapshot, min(K // r, snapshot.n), config.candidate_order, scores)
     graph = snapshot.graph
 
@@ -246,6 +250,8 @@ def run_mvad(
     config: ADConfig,
     model: TruthModel,
     rng: np.random.Generator,
+    *,
+    scores: Mapping[int, float] | None = None,
 ) -> EstimationOutcome:
     """Adaptive majority-voting estimation.
 
@@ -256,10 +262,13 @@ def run_mvad(
     yields no usable designation moves to a uniformly random infected
     neighbor.  Revisits are allowed and accumulate in eta.  With perfect
     identity answers the walk halts the moment it queries the source.
+    ``scores`` is the snapshot's full likelihood table when the caller
+    already has it.
     """
     model.validate_for_degree(snapshot.graph.max_degree())
     r, K = config.repetitions, config.budget
-    scores = likelihood_table(snapshot)
+    if scores is None:
+        scores = likelihood_table(snapshot)
     infected = snapshot.infected_set
     graph = snapshot.graph
 

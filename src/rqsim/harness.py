@@ -1,11 +1,15 @@
 """Seeded Monte Carlo experiment runner with parameter sweeps.
 
-Every trial's random stream is derived from (master seed, row index,
-trial index) via ``numpy.random.SeedSequence`` spawn keys, so results are
-independent of execution order and degree of parallelism: rerunning any
-single trial with its derived seed reproduces it exactly, and sweeps with
-the same master seed share identical snapshots row-for-row (useful for
-paired scheme comparisons).
+Sweeps run trial-major: trial t draws one graph, source and snapshot from
+stream (master seed, 0, t), scores it once, and every (K, p, q) row then
+queries that snapshot.  Row 0 draws its answers from the same stream, row
+i >= 1 from stream (master seed, i, t); streams are
+``numpy.random.SeedSequence`` spawn keys.  So results are independent of
+execution order and degree of parallelism, replaying a trial from its
+streams reproduces it exactly, and comparisons are paired: all rows see
+the same snapshots trial for trial, and so do ``na`` and ``ad`` sweeps
+with the same master seed.  A single-row sweep, and row 0 of any sweep,
+draw exactly what they drew when each row built its own snapshots.
 
 Random graph families are regenerated every trial from the trial stream;
 ``fixed_graph`` pins one instance derived from the master seed instead.
@@ -38,7 +42,7 @@ from .respondent import TruthModel
 logger = logging.getLogger(__name__)
 
 #: Spawn key reserved for deriving a pinned graph instance (length-1 keys
-#: never collide with the length-2 (row, trial) keys).
+#: never collide with the length-2 (row, trial) stream keys).
 _GRAPH_SPAWN_KEY = (0x67726166,)
 
 #: Default tree size multiple for branching-process graphs, relative to
@@ -303,12 +307,33 @@ def _graph_for_trial(config: ExperimentConfig, rng: np.random.Generator):
     return _build_graph(spec, config.n_infected, rng)
 
 
-def _run_single_trial(
-    config: ExperimentConfig, row_index: int, K: int, r: int, p: float, q: float, trial_index: int
-) -> tuple[int, int]:
-    """Returns (detected, budget_used) for one trial of the row (K, r, p, q)."""
+#: A sweep row as a trial sees it: (row index, K, r, p, q).
+SweepRow = tuple[int, int, int, float, float]
+
+#: A row's outcome in one trial: (detected, budget_used, seconds spent on
+#: its queries and estimate), or the RQSimError the row raised.
+RowOutcome = tuple[int, int, float] | RQSimError
+
+
+def _stream(config: ExperimentConfig, row_index: int, trial_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(row_index, trial_index))
-    rng = np.random.default_rng(seq)
+    return np.random.default_rng(seq)
+
+
+def _run_single_trial(
+    config: ExperimentConfig, rows: list[SweepRow], trial_index: int
+) -> tuple[float, list[RowOutcome]]:
+    """One trial of every row in ``rows``, all on one snapshot.
+
+    The graph, source and snapshot are drawn from stream (master, 0,
+    trial) and scored once.  Row 0 goes on drawing its answers from that
+    stream; row i >= 1 draws them from stream (master, i, trial).  Returns
+    the seconds the shared build, simulation and scoring took, and each
+    row's outcome.  A row that raises fails alone (an unexpected exception
+    becomes a TrialError); a failure in the shared part raises.
+    """
+    t0 = time.perf_counter()
+    rng = _stream(config, 0, trial_index)
     graph = _graph_for_trial(config, rng)
 
     if graph.is_finite:
@@ -321,33 +346,54 @@ def _run_single_trial(
         # Uniform choice is equivalent to the root on a vertex-transitive tree.
         source = 0
     snapshot = simulate_si(graph, source, config.n_infected, rng)
+    table = likelihood_table(snapshot)
+    shared_s = time.perf_counter() - t0
 
+    outcomes: list[RowOutcome] = []
+    for row in rows:
+        t1 = time.perf_counter()
+        try:
+            row_rng = rng if row[0] == 0 else _stream(config, row[0], trial_index)
+            estimate, used = _estimate(config, snapshot, table, row, row_rng)
+        except RQSimError as exc:
+            outcomes.append(exc)
+        except Exception as exc:  # the row boundary: the other rows go on
+            outcomes.append(_trial_error(trial_index, exc))
+        else:
+            outcomes.append((int(estimate == source), used, time.perf_counter() - t1))
+    return shared_s, outcomes
+
+
+def _estimate(
+    config: ExperimentConfig, snapshot, table, row: SweepRow, rng: np.random.Generator
+) -> tuple[int, int]:
+    """(estimate, budget_used) of one row's estimator on a scored snapshot."""
+    _, K, r, p, q = row
     if K == 0:
-        table = likelihood_table(snapshot)
-        estimate = pick_best(table, table)
-        return int(estimate == source), 0
-
+        return pick_best(table, table), 0
     model = TruthModel(p=p, q=q)
     if config.scheme == "na":
-        outcome = run_mvna(
-            snapshot,
-            NAConfig(budget=K, repetitions=r, candidate_order=config.candidate_order),
-            model,
-            rng,
-        )
+        na = NAConfig(budget=K, repetitions=r, candidate_order=config.candidate_order)
+        outcome = run_mvna(snapshot, na, model, rng, scores=table)
     else:
-        outcome = run_mvad(snapshot, ADConfig(budget=K, repetitions=r), model, rng)
-    return int(outcome.estimate == source), outcome.budget_used
+        outcome = run_mvad(snapshot, ADConfig(budget=K, repetitions=r), model, rng, scores=table)
+    return outcome.estimate, outcome.budget_used
 
 
-def _trial_star(args: tuple) -> tuple[int, int]:
+def _trial_error(trial_index: int, exc: Exception) -> TrialError:
+    # Streams (master, 0, trial) and (master, row, trial) replay exactly this trial.
+    err = TrialError(f"trial {trial_index} raised {type(exc).__name__}: {exc}")
+    err.__cause__ = exc
+    return err
+
+
+def _trial_star(args: tuple) -> tuple[float, list[RowOutcome]]:
     try:
         return _run_single_trial(*args)
     except RQSimError:
         raise
     except Exception as exc:
-        # The seed (master, row, trial) replays exactly this trial.
-        raise TrialError(f"trial {args[-1]} raised {type(exc).__name__}: {exc}") from exc
+        raise _trial_error(args[-1], exc) from exc
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -371,50 +417,84 @@ def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> 
     return choose_r_star(config.scheme, arg, K, d, p, q)
 
 
+def _run_trials(
+    config: ExperimentConfig, rows: list[SweepRow]
+) -> list[tuple[float, list[RowOutcome]]]:
+    """Every trial of ``rows``, in trial order, one pool task per trial."""
+    tasks = [(config, rows, t) for t in range(config.trials)]
+    workers = _resolve_workers(config)
+    if workers == 1:
+        return [_trial_star(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, config.trials // (4 * workers))
+        return list(pool.map(_trial_star, tasks, chunksize=chunk))
+
+
+def _log_row_error(row_index: int, K: int, p: float, q: float, exc: RQSimError) -> None:
+    logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, exc,
+                 exc_info=exc if isinstance(exc, TrialError) else None)
+
+
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep; rows follow (budget, p, q) nesting order.
 
-    A combination that fails (for example an infection target larger than
-    the graph, or a trial raising an unexpected exception) produces a row
-    carrying an error marker instead of aborting the sweep.
+    Each trial builds one snapshot that every row queries (see
+    ``_run_single_trial``).  A row that fails gets an error marker instead
+    of aborting the sweep: its r* cannot be resolved, or its estimator
+    raised in some trial.  A failure in a trial's shared build, simulation
+    or scoring (for example an infection target larger than the graph)
+    fails every row.
     """
     spec = config.spec
     graph = None
     if spec.family == "edgelist":  # its degree is measured; the trials reuse the load
         graph = _pinned_graph(spec, config.master_seed, config.n_infected)
     d_eff = effective_degree(spec, graph)
-    workers = _resolve_workers(config)
     combos = list(product(config.budgets, config.p_values, config.q_values))
 
-    rows: list[ResultRow] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for row_index, (K, p, q) in enumerate(combos):
-            t0 = time.perf_counter()
-            r, detections, stats, error = 0, 0, (math.nan,) * 4, None
-            try:
-                r = 0 if K == 0 else _resolve_r(config, K, d_eff, p, q)
-                tasks = [(config, row_index, K, r, p, q, t) for t in range(config.trials)]
-                if pool is None:
-                    results = [_trial_star(task) for task in tasks]
-                else:
-                    chunk = max(1, config.trials // (4 * workers))
-                    results = list(pool.map(_trial_star, tasks, chunksize=chunk))
-                detections = sum(det for det, _ in results)
-                lo, hi = wilson_interval(detections, config.trials)
-                mean_budget = sum(used for _, used in results) / config.trials
-                stats = (detections / config.trials, lo, hi, mean_budget)
-            except RQSimError as exc:
-                logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, exc,
-                             exc_info=isinstance(exc, TrialError))
-                r, error = 0, str(exc)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            rows.append(ResultRow(config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q,
-                                  config.trials, detections, *stats, wall_ms, error))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return rows
+    live: list[SweepRow] = []
+    errors: dict[int, RQSimError] = {}
+    for row_index, (K, p, q) in enumerate(combos):
+        try:
+            live.append((row_index, K, 0 if K == 0 else _resolve_r(config, K, d_eff, p, q), p, q))
+        except RQSimError as exc:
+            _log_row_error(row_index, K, p, q, exc)
+            errors[row_index] = exc
+
+    results: list[tuple[float, list[RowOutcome]]] = []
+    if live:
+        try:
+            results = _run_trials(config, live)
+        except RQSimError as exc:
+            logger.error("every row failed: %s", exc, exc_info=isinstance(exc, TrialError))
+            errors.update((row[0], exc) for row in live)
+
+    # A row's wall time is its own query-plus-estimate time plus an equal
+    # share of each trial's shared time, summed over the trials.
+    shared_s = sum(s for s, _ in results) / max(1, len(live))
+    done: dict[int, ResultRow] = {}
+    for pos, (row_index, K, r, p, q) in enumerate(live):
+        outcomes = [trial[pos] for _, trial in results]
+        failure = next((o for o in outcomes if isinstance(o, RQSimError)), None)
+        if failure is not None:
+            _log_row_error(row_index, K, p, q, failure)
+            errors[row_index] = failure
+        elif row_index not in errors:
+            detections = sum(o[0] for o in outcomes)
+            lo, hi = wilson_interval(detections, config.trials)
+            done[row_index] = ResultRow(
+                config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q, config.trials,
+                detections, detections / config.trials, lo, hi,
+                sum(o[1] for o in outcomes) / config.trials,
+                (shared_s + sum(o[2] for o in outcomes)) * 1000.0,
+            )
+    return [
+        done.get(row_index) or ResultRow(
+            config.scheme, config.graph, d_eff, config.n_infected, K, 0, p, q, config.trials,
+            0, math.nan, math.nan, math.nan, math.nan, 0.0, str(errors[row_index]),
+        )
+        for row_index, (K, p, q) in enumerate(combos)
+    ]
 
 
 def _fmt(x: float, places: int = 6) -> str:

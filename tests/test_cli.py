@@ -228,6 +228,14 @@ class TestSnapshotTools:
         assert code == 0
         assert "carries no graph" in err and "parent-edge tree" in err
 
+    @pytest.mark.parametrize("pairs", [[[1, 0], [5, 1]], [[1, 0], [0, 1]]])
+    def test_centrality_rejects_stray_parent_entries(self, capsys, tmp_path, pairs):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"source": 0, "infected_order": [0, 1], "parent_pairs": pairs}))
+        code, _, err = run_cli(capsys, "centrality", "--snapshot", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_oracle_distance(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "distance", "--d", "3", "--k", "4")
         assert code == 0

@@ -107,6 +107,16 @@ class TestSnapshotStructure:
             with pytest.raises(InvalidInputError):
                 Snapshot.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("pairs", [
+        [[1, 0], [5, 1]],  # an entry for a node outside the order
+        [[1, 0], [0, 1]],  # an entry for the source
+        [[1, 0], [1, 0]],  # two entries for one node
+    ])
+    def test_from_json_needs_one_parent_entry_per_non_source_node(self, pairs):
+        doc = {"source": 0, "infected_order": [0, 1], "parent_pairs": pairs}
+        with pytest.raises(InvalidInputError):
+            Snapshot.from_json(json.dumps(doc))
+
 
 def exact_distance_probability(d: int, k: int, l: int) -> Fraction:
     """Independent exact oracle: elementary symmetric sums by enumeration."""

@@ -174,16 +174,17 @@ class TestRunExperiment:
 
         cfg = small_config(budgets=(10, 20, 30), trials=3)
         clean = run_experiment(cfg)
-        real_simulate = rqsim.harness.simulate_si
+        real_run = rqsim.harness.run_mvna
         calls = []
 
-        def flaky(*args):
-            calls.append(args)
-            if len(calls) == 5:  # row 1, trial 1
-                raise RuntimeError("boom")
-            return real_simulate(*args)
+        def flaky(snapshot, config, *args, **kwargs):
+            if config.budget == 20:
+                calls.append(config)
+                if len(calls) == 2:  # row 1, trial 1
+                    raise RuntimeError("boom")
+            return real_run(snapshot, config, *args, **kwargs)
 
-        monkeypatch.setattr(rqsim.harness, "simulate_si", flaky)
+        monkeypatch.setattr(rqsim.harness, "run_mvna", flaky)
         with caplog.at_level(logging.ERROR, logger="rqsim.harness"):
             rows = run_experiment(cfg)
         assert [row.error is None for row in rows] == [True, False, True]
@@ -194,6 +195,26 @@ class TestRunExperiment:
                 clean[i].detections,
                 clean[i].mean_budget,
             )
+        assert sum(1 for rec in caplog.records if rec.exc_info) == 1
+
+        # A fault in the shared build, simulation or scoring fails every row.
+        monkeypatch.setattr(rqsim.harness, "run_mvna", real_run)
+        real_simulate = rqsim.harness.simulate_si
+        sims = []
+
+        def flaky_simulate(*args):
+            sims.append(args)
+            if len(sims) == 2:  # trial 1
+                raise RuntimeError("boom")
+            return real_simulate(*args)
+
+        monkeypatch.setattr(rqsim.harness, "simulate_si", flaky_simulate)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="rqsim.harness"):
+            rows = run_experiment(cfg)
+        for row in rows:
+            assert "trial 1" in row.error and "RuntimeError" in row.error
+            assert math.isnan(row.p_hat)
         assert sum(1 for rec in caplog.records if rec.exc_info) == 1
 
     def test_gw_and_sf_families_run(self):
@@ -358,7 +379,7 @@ def test_row_reproducible_from_derived_seeds():
     rows = run_experiment(cfg)
     for row_index, row in enumerate(rows):
         replayed = sum(
-            _run_single_trial(cfg, row_index, row.K, row.r, row.p, row.q, t)[0]
+            _run_single_trial(cfg, [(row_index, row.K, row.r, row.p, row.q)], t)[1][0][0]
             for t in range(cfg.trials)
         )
         assert replayed == row.detections
