@@ -3,8 +3,9 @@
 For a tree-shaped infected set, the score of node ``v`` is the number of
 infection orderings that start at ``v`` and respect adjacency:
 ``N! * prod(1 / T_u)`` over subtree sizes ``T_u`` with the tree rooted at
-``v``.  Everything is kept in log domain (N = 400 overflows any fixed
-width otherwise).  A subset-DP oracle recounts orderings directly for
+``v``; one pass over a snapshot's parent positions gives every score.
+Everything is kept in log domain (N = 400 overflows any fixed width
+otherwise).  A subset-DP oracle recounts orderings directly for
 small trees, and a sequence-likelihood heuristic covers loopy graphs.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .diffusion import Snapshot
@@ -22,78 +24,84 @@ TreeAdjacency = Mapping[int, Sequence[int]]
 
 @dataclass(frozen=True)
 class CentralityTable:
-    """Log-scores for every infected node plus the argmax node.
-
-    Ties at the maximum break toward the lowest node id so repeated runs
-    agree.
-    """
+    """Log-scores for every infected node plus the argmax node (ties to the lowest id)."""
 
     log_r: dict[int, float]
     center: int
 
 
-def _as_tree_adjacency(tree: Snapshot | TreeAdjacency) -> TreeAdjacency:
-    if isinstance(tree, Snapshot):
-        if not tree.is_tree:
-            raise InvalidInputError("infected subgraph is not a tree")
-        return tree.induced_adjacency
-    return tree
-
-
-def _root_pass(adj: TreeAdjacency, root: int) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """Iterative DFS order, parent map, and subtree sizes rooted at ``root``."""
-    parent = {root: -1}
-    order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
+def _root_pass(adj: TreeAdjacency, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root`` and each node's parent's place in it."""
+    at = {root: 0}
+    order, parent_pos = [root], [-1]
+    for u in order:
         for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
+            if v not in at:
+                at[v] = len(order)
                 order.append(v)
-                stack.append(v)
+                parent_pos.append(at[u])
     if len(order) != len(adj):
         raise InvalidInputError("adjacency is not connected")
-    sizes = {v: 1 for v in order}
-    for v in reversed(order):
-        p = parent[v]
-        if p != -1:
-            sizes[p] += sizes[v]
-    return order, parent, sizes
+    return order, parent_pos
+
+
+def _rooted(tree: Snapshot | TreeAdjacency, root: int | None = None) -> tuple[Sequence[int], Sequence[int]]:
+    """Nodes of ``tree`` parent before child from ``root``, and each one's
+    parent position.  Without a root a snapshot keeps its infection order
+    and a mapping starts from its lowest id."""
+    if not isinstance(tree, Snapshot):
+        if not tree:
+            raise InvalidInputError("empty tree")
+        return _root_pass(tree, min(tree) if root is None else root)
+    if not tree.is_tree:
+        raise InvalidInputError("infected subgraph is not a tree")
+    if root is None:
+        return tree.infected, tree.parent_pos
+    order, parent_pos = _root_pass(tree.local_adjacency, tree.position_of(root))
+    return [tree.infected[i] for i in order], parent_pos
+
+
+def _sizes(parent_pos: Sequence[int]) -> list[int]:
+    """Subtree sizes of a tree listed parent before child, rooted at entry 0."""
+    size = [1] * len(parent_pos)
+    for i in range(len(parent_pos) - 1, 0, -1):
+        size[parent_pos[i]] += size[i]
+    return size
 
 
 def subtree_sizes(tree: Snapshot | TreeAdjacency, root: int) -> dict[int, int]:
     """Size of the subtree hanging below each node when rooted at ``root``."""
-    adj = _as_tree_adjacency(tree)
-    _, _, sizes = _root_pass(adj, root)
-    return sizes
+    order, parent_pos = _rooted(tree, root)
+    return dict(zip(order, _sizes(parent_pos)))
 
 
 def log_score_at_root(tree: Snapshot | TreeAdjacency, root: int) -> float:
     """Direct evaluation log(N!) - sum(log T_u) for a single root."""
-    adj = _as_tree_adjacency(tree)
-    sizes = subtree_sizes(adj, root)
-    return math.lgamma(len(sizes) + 1) - sum(math.log(s) for s in sizes.values())
+    sizes = _sizes(_rooted(tree, root)[1])
+    return math.lgamma(len(sizes) + 1) - sum(math.log(s) for s in sizes)
+
+
+def _tree_scores(parent_pos: Sequence[int]) -> list[float]:
+    """Log score of every node of a tree listed parent before child: the
+    subtree sizes below entry 0 give its score, and rerooting across an
+    edge (parent -> child c) multiplies the score by T_c / (N - T_c)."""
+    n = len(parent_pos)
+    size = _sizes(parent_pos)
+    log = [0.0, *map(math.log, range(1, n + 1))]
+    log_r = [math.lgamma(n + 1) - math.fsum(map(log.__getitem__, size))]
+    for p, s in zip(parent_pos[1:], size[1:]):
+        log_r.append(log_r[p] + log[s] - log[n - s])
+    return log_r
 
 
 def log_rumor_centralities(tree: Snapshot | TreeAdjacency) -> CentralityTable:
     """Log ordering-count score for every node of a tree, in O(N).
 
-    One rooted pass computes subtree sizes; rerooting across an edge
-    (u -> child c) multiplies the score by T_c / (N - T_c).
+    A snapshot is read straight from its parent positions, a mapping from a
+    breadth-first pass from its lowest id.
     """
-    adj = _as_tree_adjacency(tree)
-    n = len(adj)
-    if n == 0:
-        raise InvalidInputError("empty tree")
-    root = min(adj)
-    order, parent, sizes = _root_pass(adj, root)
-
-    log_r = {root: math.lgamma(n + 1) - sum(math.log(s) for s in sizes.values())}
-    for v in order[1:]:
-        s = sizes[v]
-        log_r[v] = log_r[parent[v]] + math.log(s) - math.log(n - s)
-
+    ids, parent_pos = _rooted(tree)
+    log_r = dict(zip(ids, _tree_scores(parent_pos)))
     return CentralityTable(log_r=log_r, center=pick_best(log_r, log_r))
 
 
@@ -104,35 +112,22 @@ def brute_force_rumor_centrality(tree: Snapshot | TreeAdjacency, root: int) -> i
     tree parent; intentionally avoids the product formula so it can serve
     as an independent oracle.  Refuses trees above 10 nodes.
     """
-    adj = _as_tree_adjacency(tree)
-    n = len(adj)
+    _, parent_pos = _rooted(tree, root)
+    n = len(parent_pos)
     if n > 10:
         raise InvalidParameterError(f"brute force limited to 10 nodes, got {n}")
-    order, parent, _ = _root_pass(adj, root)
-    index = {v: i for i, v in enumerate(order)}
-    children_masks = [0] * n
-    for v in order[1:]:
-        children_masks[index[parent[v]]] |= 1 << index[v]
-
     full = (1 << n) - 1
-    memo: dict[int, int] = {full: 1}
 
+    @cache
     def ways(infected_mask: int) -> int:
-        cached = memo.get(infected_mask)
-        if cached is not None:
-            return cached
-        total = 0
-        for i in range(n):
-            bit = 1 << i
-            if infected_mask & bit:
-                continue
-            par = parent[order[i]]
-            if par == -1 or infected_mask & (1 << index[par]):
-                total += ways(infected_mask | bit)
-        memo[infected_mask] = total
-        return total
+        # Orderings of the rest, given the infected set; a node can come
+        # next once its parent is in.  The root is entry 0.
+        if infected_mask == full:
+            return 1
+        return sum(ways(infected_mask | 1 << i) for i in range(1, n)
+                   if not infected_mask >> i & 1 and infected_mask >> parent_pos[i] & 1)
 
-    return ways(1 << index[root])
+    return ways(1)
 
 
 def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
@@ -148,27 +143,19 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     """
     if snapshot.graph is None:
         raise InvalidInputError("general-graph scoring needs the underlying graph")
-    induced = snapshot.induced_adjacency
-    ids = sorted(induced)  # local ids by ascending global id keep BFS ties
-    local = {v: i for i, v in enumerate(ids)}
-    targets = ids if nodes is None else sorted(set(nodes))
-    for v in targets:
-        if v not in local:
-            raise InvalidInputError(f"node {v} is not infected")
-
+    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    targets = _positions(snapshot, nodes)
     n = len(ids)
-    adj = [[local[w] for w in induced[v]] for v in ids]
     deg = [snapshot.graph.degree(v) for v in ids]
-    induced_edges = sum(map(len, adj)) // 2
+    induced_edges = snapshot.induced_edge_count
     b_total = sum(deg) - 2 * induced_edges  # boundary of the whole infected set
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
     log_of = [0.0, *map(math.log, range(1, max(n, b_total + induced_edges) + 1))].__getitem__
 
     scores: dict[int, float] = {}
-    for v in targets:
+    for root in targets:
         pos, parent, links = [-1] * n, [0] * n, [0] * n
-        root = local[v]
         pos[root] = 0
         order = [root]
         # links[w] counts w's neighbours earlier in the order: each edge is
@@ -194,10 +181,15 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
             bounds.append(boundary)
             size[parent[w]] += size[w]
         # fsum does not depend on term order, so roots with equal counts tie
-        # exactly and the lowest id wins, as on the tree path.
+        # exactly and the lowest id wins.
         denominator = math.fsum(map(log_of, bounds + size))
-        scores[v] = math.lgamma(n + 1) + math.fsum(map(log_of, links)) - denominator
+        scores[ids[root]] = math.lgamma(n + 1) + math.fsum(map(log_of, links)) - denominator
     return scores
+
+
+def _positions(snapshot: Snapshot, nodes: Iterable[int] | None) -> list[int]:
+    """Positions of ``nodes`` (default: every infected node) by ascending id."""
+    return [snapshot.position_of(v) for v in sorted(snapshot.infected if nodes is None else set(nodes))]
 
 
 def likelihood_table(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
@@ -206,21 +198,17 @@ def likelihood_table(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> 
     Tree-shaped infected sets get the exact ordering-count score; loopy
     ones fall back to the BFS-tree heuristic.
     """
-    if snapshot.is_tree:
-        table = log_rumor_centralities(snapshot).log_r
-        if nodes is None:
-            return table
-        return {v: table[v] for v in nodes}
-    return general_graph_scores(snapshot, nodes)
+    if not snapshot.is_tree:
+        return general_graph_scores(snapshot, nodes)
+    log_r = _tree_scores(snapshot.parent_pos)
+    if nodes is None:
+        return dict(zip(snapshot.infected, log_r))
+    return {snapshot.infected[i]: log_r[i] for i in _positions(snapshot, nodes)}
 
 
 def pick_best(scores: Mapping[int, float], pool: Iterable[int]) -> int:
     """Highest-scoring node of ``pool``; ties go to the lowest node id."""
-    best = None
-    for v in pool:
-        key = (scores[v], -v)
-        if best is None or key > best[0]:
-            best = (key, v)
+    best = max(pool, key=lambda v: (scores[v], -v), default=None)
     if best is None:
         raise InvalidInputError("empty candidate pool")
-    return best[1]
+    return best

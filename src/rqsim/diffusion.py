@@ -4,7 +4,9 @@ Because the delays are memoryless, drawing the next infected node by
 picking a boundary edge (infected endpoint, susceptible endpoint)
 uniformly at random is exactly equivalent in law to running the race of
 exponential clocks, and costs O(1) amortized per step.  The spreading
-rate is fixed at 1.
+rate is fixed at 1.  A snapshot is laid out on infection positions, and
+this module alone decides that layout; scorers, estimators and
+respondents read it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -23,105 +25,116 @@ from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterEr
 class Snapshot:
     """An observed infection: who is infected, in what order, spread by whom.
 
-    ``infected`` lists nodes in infection order (``infected[0]`` is the
-    source); ``parent`` maps every infected node except the source to the
-    neighbor that infected it.  The parent edges form a tree rooted at the
-    source.  ``graph`` is the underlying graph the diffusion ran on (may
-    be ``None`` for snapshots restored from JSON without their graph).
+    ``infected`` lists node ids by infection position (``infected[0]`` is
+    the source), ``parent_pos[i] < i`` is the position of the node that
+    infected position i (-1 at the source), and ``index`` maps each
+    infected id to its position.  ``graph`` is the graph the diffusion ran
+    on (``None`` for snapshots restored from JSON); when it is acyclic, or
+    absent, the infected subgraph is the parent-edge tree and ``is_tree``
+    holds without reading the graph.
     """
 
     graph: object
-    source: int
     infected: tuple[int, ...]
-    parent: dict[int, int]
+    parent_pos: Sequence[int]
+    index: dict[int, int]
+
+    @staticmethod
+    def from_parents(graph, source: int, infected: Sequence[int], parent: Mapping[int, int]) -> "Snapshot":
+        """Lay out an infection order and a child -> parent map; raises
+        :class:`InvalidInputError` unless the order starts at ``source``,
+        names no node twice and gives every later node an earlier parent."""
+        if not infected or infected[0] != source:
+            raise InvalidInputError("infection order must start at the source")
+        index, parent_pos = {source: 0}, [-1]
+        for i, v in enumerate(infected[1:], 1):
+            if v in index:
+                raise InvalidInputError("infection order contains duplicates")
+            p = index.get(parent.get(v))  # None without a parent or with a later one
+            if p is None:
+                raise InvalidInputError(f"node {v} has no earlier parent in the order")
+            index[v] = i
+            parent_pos.append(p)
+        return Snapshot(graph, tuple(infected), parent_pos, index)
 
     @property
     def n(self) -> int:
         return len(self.infected)
 
-    @cached_property
-    def infected_set(self) -> frozenset[int]:
-        return frozenset(self.infected)
+    @property
+    def source(self) -> int:
+        return self.infected[0]
+
+    def position_of(self, v: int) -> int:
+        """Infection position of node ``v``; raises unless ``v`` is infected."""
+        i = self.index.get(v)
+        if i is None:
+            raise InvalidInputError(f"node {v} is not infected")
+        return i
 
     @cached_property
-    def induced_adjacency(self) -> dict[int, list[int]]:
-        """Adjacency of the infected-induced subgraph of ``graph``, sorted.
-
-        Without a graph this is the parent-edge tree, the only edges known.
-        """
-        if self.graph is None:
-            adj: dict[int, list[int]] = {v: [] for v in self.infected}
-            for child, par in self.parent.items():
-                adj[child].append(par)
-                adj[par].append(child)
-            for lst in adj.values():
-                lst.sort()
-            return adj
-        members = self.infected_set
-        return {
-            v: sorted(w for w in self.graph.neighbors(v) if w in members)
-            for v in self.infected
-        }
-
-    @cached_property
-    def induced_edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.induced_adjacency.values()) // 2
-
-    @cached_property
-    def is_tree(self) -> bool:
-        """True when the infected-induced subgraph is itself a tree."""
-        return self.induced_edge_count == self.n - 1
+    def parent(self) -> dict[int, int]:
+        """Node that infected each non-source node, by id."""
+        return {v: self.infected[p] for v, p in zip(self.infected[1:], self.parent_pos[1:])}
 
     @cached_property
     def hops_from_source(self) -> dict[int, int]:
         """Hop distance to the source along the parent-edge tree."""
-        hops = {self.source: 0}
-        for v in self.infected[1:]:
-            hops[v] = hops[self.parent[v]] + 1
-        return hops
+        hops = [0] * self.n
+        for i, p in enumerate(self.parent_pos[1:], 1):
+            hops[i] = hops[p] + 1
+        return dict(zip(self.infected, hops))
+
+    @cached_property
+    def local_adjacency(self) -> list[list[int]]:
+        """Infected neighbours of each position, as positions by ascending id:
+        the parent edges when the graph is acyclic or absent, otherwise the
+        infected-induced subgraph of ``graph``."""
+        ids, index = self.infected, self.index
+        if self.graph is not None and not self.graph.acyclic:
+            return [[index[w] for w in sorted(w for w in self.graph.neighbors(v) if w in index)]
+                    for v in ids]
+        adj: list[list[int]] = [[] for _ in ids]
+        for i, p in enumerate(self.parent_pos[1:], 1):
+            adj[i].append(p)
+            adj[p].append(i)
+        for nbrs in adj:
+            nbrs.sort(key=ids.__getitem__)
+        return adj
+
+    @property
+    def induced_edge_count(self) -> int:
+        if self.graph is None or self.graph.acyclic:
+            return self.n - 1
+        return sum(map(len, self.local_adjacency)) // 2
+
+    @property
+    def is_tree(self) -> bool:
+        """True when the infected-induced subgraph is itself a tree."""
+        return self.induced_edge_count == self.n - 1
 
     def to_json(self) -> str:
         """Serialize to JSON (``source``, ``infected_order``, ``parent_pairs``)."""
-        doc = {
-            "source": self.source,
-            "infected_order": list(self.infected),
-            "parent_pairs": sorted((c, p) for c, p in self.parent.items()),
-        }
-        return json.dumps(doc)
+        return json.dumps({"source": self.source, "infected_order": list(self.infected),
+                           "parent_pairs": sorted(self.parent.items())})
 
     @staticmethod
     def from_json(text_or_fp: str | IO[str]) -> "Snapshot":
-        """Rebuild a graph-less snapshot from :meth:`to_json` output."""
-        if hasattr(text_or_fp, "read"):
-            doc = json.load(text_or_fp)
-        else:
-            doc = json.loads(text_or_fp)
-        pairs = doc["parent_pairs"]
-        snap = Snapshot(
-            graph=None,
-            source=int(doc["source"]),
-            infected=tuple(int(v) for v in doc["infected_order"]),
-            parent={int(c): int(p) for c, p in pairs},
-        )
-        _validate_snapshot(snap)
+        """Rebuild a graph-less snapshot from :meth:`to_json` output; raises
+        :class:`InvalidInputError` on any document it could not have written."""
+        doc = json.load(text_or_fp) if hasattr(text_or_fp, "read") else json.loads(text_or_fp)
+        try:
+            source = int(doc["source"])
+            order = [int(v) for v in doc["infected_order"]]
+            pairs = [(int(c), int(p)) for c, p in doc["parent_pairs"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed snapshot document: {exc!r}") from None
+        snap = Snapshot.from_parents(None, source, order, dict(pairs))
         # Every later node has an entry, so one more names the source, a
         # node outside the order, or a node twice.
         if len(pairs) != snap.n - 1:
             raise InvalidInputError("need exactly one parent entry per non-source infected node")
         return snap
-
-
-def _validate_snapshot(snap: Snapshot) -> None:
-    if not snap.infected or snap.infected[0] != snap.source:
-        raise InvalidInputError("infection order must start at the source")
-    seen = {snap.source}
-    for v in snap.infected[1:]:
-        par = snap.parent.get(v)
-        if par is None or par not in seen:
-            raise InvalidInputError(f"node {v} has no earlier parent in the order")
-        seen.add(v)
-    if len(seen) != len(snap.infected):
-        raise InvalidInputError("infection order contains duplicates")
 
 
 def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> Snapshot:
@@ -134,12 +147,11 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     """
     if n_target < 1:
         raise InvalidParameterError(f"n_target must be >= 1, got {n_target}")
-    order = [source]
-    infected = {source}
-    parent: dict[int, int] = {}
-    boundary: list[tuple[int, int]] = [(source, w) for w in graph.neighbors(source)]
+    index, parent_pos = {source: 0}, [-1]  # index keeps the infection order
+    # (position of the infected endpoint, susceptible endpoint)
+    boundary: list[tuple[int, int]] = [(0, w) for w in graph.neighbors(source)]
 
-    while len(order) < n_target:
+    while len(index) < n_target:
         # Stale entries (already-infected targets) are discarded lazily;
         # redrawing keeps the pick uniform over the live boundary.
         while boundary:
@@ -147,20 +159,19 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
             u, v = boundary[i]
             boundary[i] = boundary[-1]
             boundary.pop()
-            if v not in infected:
+            if v not in index:
                 break
         else:
             raise InfeasibleTargetError(
-                f"reachable component exhausted at {len(order)} < {n_target} nodes"
+                f"reachable component exhausted at {len(index)} < {n_target} nodes"
             )
-        infected.add(v)
-        order.append(v)
-        parent[v] = u
+        index[v] = pos = len(index)
+        parent_pos.append(u)
         for w in graph.neighbors(v):
-            if w not in infected:
-                boundary.append((v, w))
+            if w not in index:
+                boundary.append((pos, w))
 
-    return Snapshot(graph=graph, source=source, infected=tuple(order), parent=parent)
+    return Snapshot(graph, tuple(index), parent_pos, index)
 
 
 def _symmetric_sums(a: int, b_max: int, d: int) -> list[int]:

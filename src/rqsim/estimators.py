@@ -108,19 +108,11 @@ class EstimationOutcome:
 
 def _majority(counts: Mapping[int, int], rng: np.random.Generator) -> int | None:
     """Key with the largest count; uniform random tie break; None if empty."""
-    best = -1
-    args: list[int] = []
-    for w in sorted(counts):
-        c = counts[w]
-        if c > best:
-            best, args = c, [w]
-        elif c == best:
-            args.append(w)
-    if not args:
+    if not counts:
         return None
-    if len(args) == 1:
-        return args[0]
-    return args[int(rng.integers(len(args)))]
+    top = max(counts.values())
+    args = sorted(w for w, c in counts.items() if c == top)
+    return args[0] if len(args) == 1 else args[int(rng.integers(len(args)))]
 
 
 def _estimate_pool(
@@ -162,20 +154,19 @@ def select_candidates_na(
     if order == "centrality":
         return sorted(scores, key=lambda v: (-scores[v], v))[:size]
 
-    center = pick_best(scores, scores)
-    adj = snapshot.induced_adjacency
-    result = [center]
-    seen = {center}
-    level = [center]
+    ids, adj = snapshot.infected, snapshot.local_adjacency
+    level = [snapshot.index[pick_best(scores, scores)]]
+    result = level[:]
+    seen = set(level)
     while level and len(result) < size:
-        frontier = sorted({w for u in level for w in adj[u] if w not in seen})
+        frontier = sorted({w for u in level for w in adj[u] if w not in seen}, key=ids.__getitem__)
         for w in frontier:
             seen.add(w)
             result.append(w)
             if len(result) == size:
                 break
         level = frontier
-    return result
+    return [ids[i] for i in result]
 
 
 def run_mvna(
@@ -269,7 +260,7 @@ def run_mvad(
     r, K = config.repetitions, config.budget
     if scores is None:
         scores = likelihood_table(snapshot)
-    infected = snapshot.infected_set
+    infected = snapshot.index
     graph = snapshot.graph
 
     s = pick_best(scores, scores)

@@ -30,15 +30,18 @@ from .errors import (
 class Graph:
     """Finite undirected simple graph with nodes ``0..n-1``.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction; safe for concurrent reads.  ``acyclic``
+    is set by generators whose graphs are forests by construction.
     """
 
-    __slots__ = ("_adj", "kind", "meta")
+    __slots__ = ("_adj", "kind", "meta", "acyclic")
 
-    def __init__(self, adjacency: list[list[int]], kind: str = "finite", meta: dict | None = None):
+    def __init__(self, adjacency: list[list[int]], kind: str = "finite", meta: dict | None = None,
+                 acyclic: bool = False):
         self._adj = adjacency
         self.kind = kind
         self.meta = meta or {}
+        self.acyclic = acyclic
         self._check_symmetry()
 
     def _check_symmetry(self) -> None:
@@ -90,6 +93,7 @@ class RegularTree:
     """
 
     __slots__ = ("d", "kind", "_adj", "_parents", "_next_id")
+    acyclic = True
 
     def __init__(self, d: int):
         if d < 3:
@@ -135,7 +139,8 @@ class RegularTree:
         return self.d
 
 
-def _build_finite(n: int, edges: Iterable[tuple[int, int]], kind: str, meta: dict | None = None) -> Graph:
+def _build_finite(n: int, edges: Iterable[tuple[int, int]], kind: str, meta: dict | None = None,
+                  acyclic: bool = False) -> Graph:
     """Assemble a simple undirected graph, deduplicating as needed."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
@@ -143,7 +148,7 @@ def _build_finite(n: int, edges: Iterable[tuple[int, int]], kind: str, meta: dic
             continue
         adj[u].add(v)
         adj[v].add(u)
-    return Graph([sorted(s) for s in adj], kind=kind, meta=meta)
+    return Graph([sorted(s) for s in adj], kind=kind, meta=meta, acyclic=acyclic)
 
 
 def _largest_component(adj: list[list[int]]) -> list[int]:
@@ -207,7 +212,7 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
         edges.extend((u, c) for c in range(count, count + n_children))
         count += n_children
         u += 1
-    return _build_finite(count, edges, kind="galton-watson", meta={"d_max": d_max})
+    return _build_finite(count, edges, kind="galton-watson", meta={"d_max": d_max}, acyclic=True)
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:

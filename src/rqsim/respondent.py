@@ -74,15 +74,14 @@ def answer_dir(v: int, snapshot: Snapshot, q: float, rng: np.random.Generator) -
     parent and names a uniform neighbor.  A degree-1 non-source can only
     name its parent.
     """
-    if v not in snapshot.infected_set:
-        raise InvalidInputError(f"respondent {v} is not infected")
+    at = snapshot.position_of(v)
     nbrs = snapshot.graph.neighbors(v)
     deg = len(nbrs)
     if deg == 0:
         raise InvalidInputError(f"respondent {v} is isolated")
-    if v == snapshot.source:
+    if at == 0:
         return nbrs[int(rng.integers(deg))]
-    parent = snapshot.parent[v]
+    parent = snapshot.infected[snapshot.parent_pos[at]]
     if deg == 1 or rng.random() < q:
         return parent
     i = int(rng.integers(deg - 1))

@@ -26,7 +26,7 @@ def star_graph(n_leaves: int) -> Graph:
 
 
 def snapshot_of(graph, source: int, order: list[int], parent: dict[int, int]) -> Snapshot:
-    return Snapshot(graph=graph, source=source, infected=tuple(order), parent=dict(parent))
+    return Snapshot.from_parents(graph, source, order, parent)
 
 
 def full_path_snapshot(n: int) -> Snapshot:

@@ -1,18 +1,123 @@
-"""The loopy BFS-tree scorer as first written, kept as a differential oracle.
+"""Hot-path implementations as first written, kept as differential oracles.
 
-``general_graph_scores`` in ``rqsim.centrality`` was rewritten on dense
-local ids; this module keeps the original dict-based implementation
-unchanged so the tests can compare the two score by score.
+``rqsim`` rewrote these on infection positions; this module keeps the
+originals unchanged so the tests can compare old and new output:
+
+* the dict-based loopy BFS-tree scorer (``general_graph_scores``);
+* the global-id induced adjacency a snapshot used to cache
+  (``induced_adjacency``);
+* the DFS-and-reroot tree scorer (``log_rumor_centralities``);
+* the hop ordering of batch candidates (``hop_candidates``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
-from rqsim.centrality import TreeAdjacency, log_score_at_root
+from rqsim.centrality import CentralityTable, pick_best
 from rqsim.diffusion import Snapshot
 from rqsim.errors import InvalidInputError
+
+TreeAdjacency = Mapping[int, Sequence[int]]
+
+
+def induced_adjacency(snapshot: Snapshot) -> dict[int, list[int]]:
+    """Adjacency of the infected-induced subgraph of ``graph``, sorted.
+
+    Without a graph this is the parent-edge tree, the only edges known.
+    """
+    if snapshot.graph is None:
+        adj: dict[int, list[int]] = {v: [] for v in snapshot.infected}
+        for child, par in snapshot.parent.items():
+            adj[child].append(par)
+            adj[par].append(child)
+        for lst in adj.values():
+            lst.sort()
+        return adj
+    members = frozenset(snapshot.infected)
+    return {
+        v: sorted(w for w in snapshot.graph.neighbors(v) if w in members)
+        for v in snapshot.infected
+    }
+
+
+def _as_tree_adjacency(tree: Snapshot | TreeAdjacency) -> TreeAdjacency:
+    if isinstance(tree, Snapshot):
+        adj = induced_adjacency(tree)
+        if sum(len(nbrs) for nbrs in adj.values()) // 2 != tree.n - 1:
+            raise InvalidInputError("infected subgraph is not a tree")
+        return adj
+    return tree
+
+
+def _root_pass(adj: TreeAdjacency, root: int) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """Iterative DFS order, parent map, and subtree sizes rooted at ``root``."""
+    parent = {root: -1}
+    order = [root]
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+                stack.append(v)
+    if len(order) != len(adj):
+        raise InvalidInputError("adjacency is not connected")
+    sizes = {v: 1 for v in order}
+    for v in reversed(order):
+        p = parent[v]
+        if p != -1:
+            sizes[p] += sizes[v]
+    return order, parent, sizes
+
+
+def log_score_at_root(tree: Snapshot | TreeAdjacency, root: int) -> float:
+    """Direct evaluation log(N!) - sum(log T_u) for a single root."""
+    adj = _as_tree_adjacency(tree)
+    _, _, sizes = _root_pass(adj, root)
+    return math.lgamma(len(sizes) + 1) - sum(math.log(s) for s in sizes.values())
+
+
+def log_rumor_centralities(tree: Snapshot | TreeAdjacency) -> CentralityTable:
+    """Log ordering-count score for every node of a tree, in O(N).
+
+    One rooted pass computes subtree sizes; rerooting across an edge
+    (u -> child c) multiplies the score by T_c / (N - T_c).
+    """
+    adj = _as_tree_adjacency(tree)
+    n = len(adj)
+    if n == 0:
+        raise InvalidInputError("empty tree")
+    root = min(adj)
+    order, parent, sizes = _root_pass(adj, root)
+
+    log_r = {root: math.lgamma(n + 1) - sum(math.log(s) for s in sizes.values())}
+    for v in order[1:]:
+        s = sizes[v]
+        log_r[v] = log_r[parent[v]] + math.log(s) - math.log(n - s)
+
+    return CentralityTable(log_r=log_r, center=pick_best(log_r, log_r))
+
+
+def hop_candidates(snapshot: Snapshot, size: int, scores: Mapping[int, float]) -> list[int]:
+    """``select_candidates_na``'s hop ordering: from the likelihood center
+    level by level outward, within-level ties by ascending node id."""
+    center = pick_best(scores, scores)
+    adj = induced_adjacency(snapshot)
+    result = [center]
+    seen = {center}
+    level = [center]
+    while level and len(result) < size:
+        frontier = sorted({w for u in level for w in adj[u] if w not in seen})
+        for w in frontier:
+            seen.add(w)
+            result.append(w)
+            if len(result) == size:
+                break
+        level = frontier
+    return result
 
 
 def _bfs_order_and_tree(adj: TreeAdjacency, root: int) -> tuple[list[int], dict[int, int]]:
@@ -42,9 +147,9 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     """
     if snapshot.graph is None:
         raise InvalidInputError("general-graph scoring needs the underlying graph")
-    adj = snapshot.induced_adjacency
+    adj = induced_adjacency(snapshot)
     graph = snapshot.graph
-    members = snapshot.infected_set
+    members = frozenset(snapshot.infected)
     n = snapshot.n
     targets = sorted(members) if nodes is None else sorted(set(nodes))
     for v in targets:

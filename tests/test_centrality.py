@@ -163,6 +163,8 @@ class TestGeneralGraphScores:
         outside = max(snap.infected) + 10_000
         with pytest.raises(InvalidInputError):
             general_graph_scores(snap, nodes=[outside])
+        with pytest.raises(InvalidInputError):
+            likelihood_table(snap, nodes=[outside])
 
 
 class TestLikelihoodTable:

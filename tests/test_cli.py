@@ -228,10 +228,17 @@ class TestSnapshotTools:
         assert code == 0
         assert "carries no graph" in err and "parent-edge tree" in err
 
-    @pytest.mark.parametrize("pairs", [[[1, 0], [5, 1]], [[1, 0], [0, 1]]])
-    def test_centrality_rejects_stray_parent_entries(self, capsys, tmp_path, pairs):
+    @pytest.mark.parametrize("doc", [
+        {"source": 0, "infected_order": [0, 1], "parent_pairs": [[1, 0], [5, 1]]},
+        {"source": 0, "infected_order": [0, 1], "parent_pairs": [[1, 0], [0, 1]]},
+        {"source": 0, "infected_order": [0, 1]},
+        {"source": "a", "infected_order": [0, 1], "parent_pairs": [[1, 0]]},
+        [1, 2],
+        {"source": 0, "infected_order": [0, 1], "parent_pairs": [[1]]},
+    ])
+    def test_centrality_rejects_stray_parent_entries(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"source": 0, "infected_order": [0, 1], "parent_pairs": pairs}))
+        path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "centrality", "--snapshot", str(path))
         assert code == 1
         assert err.startswith("error:")

@@ -98,12 +98,15 @@ class TestSnapshotStructure:
         assert back.parent == snap.parent
 
     def test_from_json_validates(self):
-        for order, pairs in (
-            ([0, 2], [[2, 1]]),  # parent not infected earlier
-            ([1, 0], [[1, 0]]),  # order does not start at the source
-            ([0, 1, 1], [[1, 0]]),  # duplicate
+        for doc in (
+            {"source": 0, "infected_order": [0, 2], "parent_pairs": [[2, 1]]},  # parent not infected earlier
+            {"source": 0, "infected_order": [1, 0], "parent_pairs": [[1, 0]]},  # order does not start at the source
+            {"source": 0, "infected_order": [0, 1, 1], "parent_pairs": [[1, 0]]},  # duplicate
+            {"source": 0, "infected_order": [0, 1]},  # no parent entries
+            {"source": "a", "infected_order": [0, 1], "parent_pairs": [[1, 0]]},  # non-integer id
+            [1, 2],  # not an object
+            {"source": 0, "infected_order": [0, 1], "parent_pairs": [[1]]},  # entry is not a pair
         ):
-            doc = {"source": 0, "infected_order": order, "parent_pairs": pairs}
             with pytest.raises(InvalidInputError):
                 Snapshot.from_json(json.dumps(doc))
 

@@ -70,7 +70,8 @@ class TestCandidateSelection:
     def test_hop_levels_sorted_within_level(self):
         snap, _ = tree_snapshot(30, seed=4)
         chosen = select_candidates_na(snap, 30, "hop")
-        adj = snap.induced_adjacency
+        ids = snap.infected
+        adj = {ids[i]: [ids[j] for j in nbrs] for i, nbrs in enumerate(snap.local_adjacency)}
         center = chosen[0]
         # BFS levels from the center
         level = {center: 0}
@@ -122,14 +123,14 @@ class TestMVNA:
         snap = snapshot_of(g, 0, [0, 1, 2], {1: 0, 2: 0})
         model = TruthModel(p=0.51, q=0.51)
         out = run_mvna(snap, NAConfig(budget=30, repetitions=10), model, rng)
-        assert out.estimate in snap.infected_set
+        assert out.estimate in snap.index
 
     def test_estimate_always_infected(self):
         for seed in range(8):
             snap, rng = tree_snapshot(30, seed=seed)
             model = TruthModel(p=0.6, q=0.5)
             out = run_mvna(snap, NAConfig(budget=40, repetitions=4), model, rng)
-            assert out.estimate in snap.infected_set
+            assert out.estimate in snap.index
 
     def test_perfect_id_miss_falls_back_to_s_d(self):
         # source outside the candidate set and p = 1: S_I stays empty
@@ -173,7 +174,7 @@ class TestMVNA:
         out = run_mvna(
             snap, NAConfig(budget=40, repetitions=1, candidate_order="centrality"), model, rng
         )
-        assert out.estimate in snap.infected_set
+        assert out.estimate in snap.index
 
 
 class TestMVAD:
@@ -204,7 +205,7 @@ class TestMVAD:
         out = run_mvad(snap, ADConfig(budget=300, repetitions=1), model, rng)
         assert sum(out.eta.values()) == 300
         assert max(out.eta.values()) > 1  # revisits happen on a 30-node set
-        assert all(v in snap.infected_set for v in out.eta)
+        assert all(v in snap.index for v in out.eta)
 
     def test_all_yes_visit_moves_to_uniform_infected_neighbor(self):
         # star with the source at the center: with p near 1 the center
@@ -230,8 +231,8 @@ class TestMVAD:
             snap, rng = tree_snapshot(25, seed=seed)
             model = TruthModel(p=0.6, q=0.4)
             out = run_mvad(snap, ADConfig(budget=125, repetitions=5), model, rng)
-            assert set(out.eta) <= snap.infected_set
-            assert out.estimate in snap.infected_set
+            assert set(out.eta) <= snap.index.keys()
+            assert out.estimate in snap.index
 
     def test_seeded_determinism(self):
         snap, _ = tree_snapshot(45, seed=14)
@@ -249,7 +250,7 @@ class TestMVAD:
         model = TruthModel(p=1.0, q=1.0)
         out = run_mvad(snap, ADConfig(budget=2, repetitions=1), model, rng)
         assert out.estimate != snap.source  # cannot have reached node 0
-        assert out.estimate in snap.infected_set
+        assert out.estimate in snap.index
 
 
 def _tree_distance(snap, a: int, b: int) -> int:

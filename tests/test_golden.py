@@ -1,0 +1,69 @@
+"""Golden likelihood centres: fixed-seed outputs pinned across rewrites.
+
+The differential oracles share code paths with what they check (the
+reference harness calls the scorer under test), so a scorer rewrite that
+flips an exact tie would pass them.  These literals were captured before
+the tree path moved to parent positions; a change to any of them is a
+change of behaviour.  A K = 0 row estimates with the likelihood centre
+alone, so no change to the respondents or estimators moves it.
+"""
+
+import numpy as np
+import pytest
+
+from rqsim.centrality import likelihood_table, pick_best
+from rqsim.cli import main
+from rqsim.diffusion import simulate_si
+from rqsim.graphs import make_erdos_renyi, make_galton_watson, make_regular_tree, make_scale_free
+
+N = 60
+
+BUILDERS = {
+    "regular:3": lambda rng: make_regular_tree(3),
+    "gw:6": lambda rng: make_galton_watson(6, 4 * N, rng),
+    "er:120:4": lambda rng: make_erdos_renyi(120, 4.0, rng),
+    "sf:120:1.5": lambda rng: make_scale_free(120, 1.5, rng),
+}
+
+#: Likelihood centre of the snapshot drawn from ``default_rng(seed)``, seeds 0..29.
+CENTRES = {
+    "regular:3": [3, 2, 3, 0, 6, 1, 2, 3, 3, 12, 0, 6, 3, 0, 1, 0, 2, 3, 0, 2,
+                  3, 1, 2, 1, 2, 0, 2, 4, 9, 0],
+    "gw:6": [4, 2, 4, 0, 1, 6, 1, 0, 3, 0, 4, 6, 3, 0, 1, 0, 4, 0, 0, 3,
+             4, 4, 4, 3, 5, 1, 0, 9, 4, 6],
+    "er:120:4": [97, 98, 24, 52, 94, 29, 98, 28, 51, 52, 111, 53, 108, 62, 24, 98, 108, 26, 116, 13,
+                 59, 37, 100, 32, 45, 38, 43, 29, 72, 49],
+    "sf:120:1.5": [45, 34, 67, 45, 34, 73, 41, 31, 70, 31, 42, 31, 47, 55, 36, 69, 13, 55, 73, 49,
+                   17, 35, 93, 24, 72, 61, 101, 22, 89, 57],
+}
+
+HEADER = "scheme,graph,d,n,K,r,p,q,trials,detections,p_hat,ci_lo,ci_hi,mean_budget,wall_time_ms"
+
+#: The K = 0 row of ``simulate --n 60 --trials 30 --seed 5 --zero-timing``.
+ROWS = {
+    "regular:3": "na,regular:3,3,60,0,0,0.8,0.8,30,8,0.266667,0.141825,0.444483,0,0",
+    "gw:6": "na,gw:6,6,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+    "er:120:4": "na,er:120:4,4,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+    "sf:120:1.5": "na,sf:120:1.5,3,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+def test_likelihood_centres(family):
+    centres = []
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        graph = BUILDERS[family](rng)
+        source = int(rng.integers(graph.n)) if graph.is_finite else 0
+        table = likelihood_table(simulate_si(graph, source, N, rng))
+        centres.append(pick_best(table, table))
+    assert centres == CENTRES[family]
+
+
+@pytest.mark.parametrize("family", sorted(ROWS))
+def test_no_query_row(capsys, family):
+    code = main(["simulate", "--graph", family, "--n", str(N), "--scheme", "na", "--k", "0",
+                 "--p", "0.8", "--q", "0.8", "--trials", "30", "--seed", "5", "--threads", "1",
+                 "--zero-timing"])
+    assert code == 0
+    assert capsys.readouterr().out == f"{HEADER}\n{ROWS[family]}\n"

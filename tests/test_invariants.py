@@ -42,11 +42,11 @@ def test_budget_spent_and_estimate_infected(family, n, seed, K, r, p, q):
 
     na = run_mvna(snap, NAConfig(budget=K, repetitions=r), model, rng)
     assert na.budget_used == r * min(K // r, snap.n)
-    assert na.estimate in snap.infected_set
+    assert na.estimate in snap.index
 
     ad = run_mvad(snap, ADConfig(budget=K, repetitions=r), model, rng)
     assert ad.budget_used <= K and ad.budget_used % r == 0
-    assert ad.estimate in snap.infected_set
+    assert ad.estimate in snap.index
 
 
 @settings(max_examples=50, deadline=None)

@@ -91,14 +91,14 @@ class TestInvalidInputs:
 
     @pytest.mark.parametrize("scorer", [general_graph_scores, reference_scores])
     def test_no_graph(self, scorer):
-        snap = Snapshot(graph=None, source=0, infected=(0, 1), parent={1: 0})
+        snap = snapshot_of(None, 0, [0, 1], {1: 0})
         with pytest.raises(InvalidInputError):
             scorer(snap)
 
     @pytest.mark.parametrize("scorer", [general_graph_scores, reference_scores])
     def test_uninfected_node(self, scorer):
         snap = _snapshot("er", 200, 4.0, 30, seed=11)
-        outside = next(v for v in range(snap.graph.n) if v not in snap.infected_set)
+        outside = next(v for v in range(snap.graph.n) if v not in snap.index)
         with pytest.raises(InvalidInputError):
             scorer(snap, nodes=[snap.source, outside])
 

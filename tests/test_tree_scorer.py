@@ -1,0 +1,113 @@
+"""Differential tests: the parent-position tree scorer and hop ordering
+against the dict-based originals kept in ``reference_scorer``.
+
+The tree path now reads a snapshot's parent positions instead of
+re-rooting a DFS of its induced adjacency, so scores are summed in a
+different order and agree to rounding; the hop ordering reads position
+lists and must agree exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_scorer as reference
+from rqsim.centrality import general_graph_scores, likelihood_table, log_rumor_centralities, pick_best
+from rqsim.diffusion import Snapshot, simulate_si
+from rqsim.estimators import select_candidates_na
+from rqsim.graphs import make_erdos_renyi, make_galton_watson, make_regular_tree, make_scale_free
+
+TOLERANCE = 1e-9
+
+TREE_FAMILIES = {
+    "regular:3": lambda rng, n: make_regular_tree(3),
+    "regular:4": lambda rng, n: make_regular_tree(4),
+    "gw:6": lambda rng, n: make_galton_watson(6, 4 * n, rng),
+}
+LOOPY_FAMILIES = {
+    "er:120:4": lambda rng, n: make_erdos_renyi(120, 4.0, rng),
+    "sf:120:1.5": lambda rng, n: make_scale_free(120, 1.5, rng),
+}
+
+
+def draw(family: str, n: int, seed: int) -> Snapshot:
+    rng = np.random.default_rng(seed)
+    graph = {**TREE_FAMILIES, **LOOPY_FAMILIES}[family](rng, n)
+    if graph.is_finite:
+        n = min(n, graph.n)
+        source = int(rng.integers(graph.n))
+    else:
+        source = 0
+    return simulate_si(graph, source, n, rng)
+
+
+def assert_scores_match(snap: Snapshot) -> None:
+    want = reference.log_rumor_centralities(snap)
+    got = likelihood_table(snap)
+    assert set(got) == set(want.log_r)
+    for v, s in want.log_r.items():
+        assert abs(got[v] - s) <= TOLERANCE, (v, got[v], s)
+    assert log_rumor_centralities(snap).log_r == got
+    ranked = sorted(want.log_r.values(), reverse=True)
+    if len(ranked) == 1 or ranked[0] - ranked[1] > TOLERANCE:
+        assert pick_best(got, got) == want.center
+
+
+def assert_hop_orders_match(snap: Snapshot) -> None:
+    scores = likelihood_table(snap)
+    for size in range(1, snap.n + 1):
+        got = select_candidates_na(snap, size, "hop", scores)
+        assert got == reference.hop_candidates(snap, size, scores), size
+
+
+snapshots = {
+    "family": st.sampled_from(sorted(TREE_FAMILIES)),
+    "n": st.integers(min_value=1, max_value=60),
+    "seed": st.integers(min_value=0, max_value=2**32 - 1),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(**snapshots)
+@example(family="regular:3", n=400, seed=20240817)
+def test_tree_scores_match_reference(family, n, seed):
+    snap = draw(family, n, seed)
+    assert snap.is_tree
+    assert_scores_match(snap)
+    # The loopy scorer reads the same position lists, so its neighbour
+    # order (and with it the score on an irregular tree) must not move.
+    want = reference.general_graph_scores(snap)
+    got = general_graph_scores(snap)
+    assert list(got) == list(want)
+    assert all(abs(got[v] - s) <= TOLERANCE for v, s in want.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(**snapshots)
+def test_json_round_tripped_scores_match_reference(family, n, seed):
+    back = Snapshot.from_json(draw(family, n, seed).to_json())
+    assert back.graph is None and back.is_tree
+    assert_scores_match(back)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted({**TREE_FAMILIES, **LOOPY_FAMILIES})),
+    n=snapshots["n"], seed=snapshots["seed"], round_trip=st.booleans(),
+)
+@example(family="regular:3", n=400, seed=20240817, round_trip=False)
+def test_hop_candidates_match_reference(family, n, seed, round_trip):
+    snap = draw(family, n, seed)
+    assert_hop_orders_match(Snapshot.from_json(snap.to_json()) if round_trip else snap)
+
+
+@pytest.mark.parametrize("family", ["regular:3", "gw:6", "er:120:4"])
+def test_only_loopy_families_read_the_graph_to_score(monkeypatch, family):
+    snap = draw(family, 60, seed=5)
+    calls = []
+    cls = type(snap.graph)
+    neighbors = cls.neighbors
+    monkeypatch.setattr(cls, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
+    likelihood_table(snap)
+    assert bool(calls) == (family in LOOPY_FAMILIES)
