@@ -65,6 +65,6 @@ from .harness import (
     run_experiment,
     wilson_interval,
 )
-from .respondent import AnswerRecord, TruthModel, answer_dir, answer_id, query_rounds
+from .respondent import AnswerRecord, TruthModel, answer_dir, query_rounds
 
 __version__ = "0.1.0"

@@ -208,7 +208,11 @@ def likelihood_table(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> 
 
 def pick_best(scores: Mapping[int, float], pool: Iterable[int]) -> int:
     """Highest-scoring node of ``pool``; ties go to the lowest node id."""
-    best = max(pool, key=lambda v: (scores[v], -v), default=None)
-    if best is None:
+    nodes = list(pool)
+    values = list(map(scores.__getitem__, nodes))
+    if not values:
         raise InvalidInputError("empty candidate pool")
-    return best
+    top = max(values)
+    if values.count(top) == 1:
+        return nodes[values.index(top)]
+    return min(v for v, s in zip(nodes, values) if s == top)

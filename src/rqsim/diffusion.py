@@ -124,9 +124,9 @@ class Snapshot:
         :class:`InvalidInputError` on any document it could not have written."""
         doc = json.load(text_or_fp) if hasattr(text_or_fp, "read") else json.loads(text_or_fp)
         try:
-            source = int(doc["source"])
-            order = [int(v) for v in doc["infected_order"]]
-            pairs = [(int(c), int(p)) for c, p in doc["parent_pairs"]]
+            source = _node_id(doc["source"])
+            order = [_node_id(v) for v in doc["infected_order"]]
+            pairs = [(_node_id(c), _node_id(p)) for c, p in doc["parent_pairs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed snapshot document: {exc!r}") from None
         snap = Snapshot.from_parents(None, source, order, dict(pairs))
@@ -135,6 +135,13 @@ class Snapshot:
         if len(pairs) != snap.n - 1:
             raise InvalidInputError("need exactly one parent entry per non-source infected node")
         return snap
+
+
+def _node_id(x) -> int:
+    """A node id read from JSON: an integer, not a float, string or boolean."""
+    if type(x) is not int:
+        raise TypeError(f"node id {x!r} is not an integer")
+    return x
 
 
 def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> Snapshot:

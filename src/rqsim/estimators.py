@@ -28,7 +28,8 @@ from .budget import choose_r_star  # noqa: F401  (also importable from here)
 from .centrality import likelihood_table, pick_best
 from .diffusion import Snapshot
 from .errors import InvalidParameterError
-from .respondent import TruthModel, answer_dir, query_rounds
+from .respondent import TruthModel, UniformTape, query_rounds
+from .respondent import answer_dir  # noqa: F401  (perfbench/tracer.py wraps it here)
 
 logger = logging.getLogger(__name__)
 
@@ -106,13 +107,18 @@ class EstimationOutcome:
         return doc
 
 
-def _majority(counts: Mapping[int, int], rng: np.random.Generator) -> int | None:
-    """Key with the largest count; uniform random tie break; None if empty."""
+def _majority(counts: Mapping[int, int], tape: UniformTape) -> int | None:
+    """Key with the largest count; None if empty.  A tie is broken by one
+    uniform u read from ``tape``: the tied keys, in ascending order, at
+    index ``int(u * ties)``."""
     if not counts:
         return None
     top = max(counts.values())
-    args = sorted(w for w, c in counts.items() if c == top)
-    return args[0] if len(args) == 1 else args[int(rng.integers(len(args)))]
+    args = [w for w, c in counts.items() if c == top]
+    if len(args) == 1:
+        return args[0]
+    args.sort()
+    return args[int(tape.random() * len(args))]
 
 
 def _estimate_pool(
@@ -191,16 +197,17 @@ def run_mvna(
         scores = likelihood_table(snapshot)
     candidates = select_candidates_na(snapshot, min(K // r, snapshot.n), config.candidate_order, scores)
     graph = snapshot.graph
+    tape = UniformTape(rng)
 
     s_i: set[int] = set()
     pred: dict[int, int] = {}
     for v in candidates:
-        rec = query_rounds(v, snapshot, r, model, rng)
+        rec = query_rounds(v, snapshot, r, model, tape)
         if 2 * rec.yes_count >= r:
             s_i.add(v)
         counts = dict.fromkeys(graph.neighbors(v), 0)
         counts.update(rec.designations)
-        pred[v] = _majority(counts, rng)
+        pred[v] = _majority(counts, tape)
 
     # Descendants of v are the nodes whose predecessor chains lead to v.
     children: dict[int, list[int]] = {}
@@ -262,6 +269,7 @@ def run_mvad(
         scores = likelihood_table(snapshot)
     infected = snapshot.index
     graph = snapshot.graph
+    tape = UniformTape(rng)
 
     s = pick_best(scores, scores)
     remaining = K
@@ -271,25 +279,19 @@ def run_mvad(
 
     while remaining >= r:
         remaining -= r
-        if model.p == 1.0:
-            if s == snapshot.source:
-                estimate = s
-                break
-            counts: dict[int, int] = {}
-            for _ in range(r):
-                w = answer_dir(s, snapshot, model.q, rng)
-                counts[w] = counts.get(w, 0) + 1
-        else:
+        if model.p == 1.0 and s == snapshot.source:
+            estimate = s
+            break
+        rec = query_rounds(s, snapshot, r, model, tape)
+        if model.p < 1.0:
             eta[s] = eta.get(s, 0) + 1
-            rec = query_rounds(s, snapshot, r, model, rng)
             if 2 * rec.yes_count >= r:
                 s_i.add(s)
-            counts = rec.designations
 
-        nxt = _majority({w: c for w, c in counts.items() if w in infected}, rng)
+        nxt = _majority({w: c for w, c in rec.designations.items() if w in infected}, tape)
         if nxt is None:
             inf_nbrs = [w for w in graph.neighbors(s) if w in infected]
-            nxt = inf_nbrs[int(rng.integers(len(inf_nbrs)))] if inf_nbrs else s
+            nxt = inf_nbrs[int(tape.random() * len(inf_nbrs))] if inf_nbrs else s
         s = nxt
 
     budget_used = K - remaining

@@ -5,16 +5,40 @@ probability ``p``.  Only on a "no" is it asked "which neighbor spread the
 information to you?", answered with the true parent with probability
 ``q`` and otherwise a uniformly random other neighbor.  One id/dir pair
 costs one unit of budget, so an r-round visit costs r.
+
+Answers read nothing but ``rng.random()``.  The estimators pass a
+:class:`UniformTape`, which refills a block of uniforms from the row's
+``Generator`` and hands them out one at a time, in the order scalar
+``Generator.random()`` calls would return them; an integer pick below n
+is ``int(u * n)`` of one uniform u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .diffusion import Snapshot
 from .errors import InvalidInputError, InvalidParameterError
+
+#: Uniforms a :class:`UniformTape` draws from its generator per refill.
+BLOCK = 1024
+
+
+class UniformTape:
+    """Uniforms on [0, 1) from ``rng``, drawn ``BLOCK`` at a time.
+
+    ``random()`` returns the numbers ``rng.random()`` would, in the same
+    order, but the generator advances a whole block at each refill.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
 
 
 @dataclass(frozen=True)
@@ -42,7 +66,7 @@ class TruthModel:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerRecord:
     """Tally of one respondent's answers over ``rounds`` id/dir pairs."""
 
@@ -59,13 +83,30 @@ class AnswerRecord:
         return self.yes_count + sum(self.designations.values()) == self.rounds
 
 
-def answer_id(v: int, source: int, p: float, rng: np.random.Generator) -> bool:
-    """One identity answer: the truth with probability ``p``, else its negation."""
-    truth = v == source
-    return truth if rng.random() < p else not truth
+def _direction(v: int, nbrs, parent: int | None, q: float, random) -> int:
+    """One direction answer of ``v`` (neighbors ``nbrs``; ``parent`` None
+    at the source), reading uniforms from ``random``."""
+    deg = len(nbrs)
+    if deg == 0:
+        raise InvalidInputError(f"respondent {v} is isolated")
+    if parent is None:
+        return nbrs[int(random() * deg)]
+    if deg == 1 or random() < q:
+        return parent
+    w = nbrs[int(random() * (deg - 1))]
+    return nbrs[deg - 1] if w == parent else w
 
 
-def answer_dir(v: int, snapshot: Snapshot, q: float, rng: np.random.Generator) -> int:
+def _respondent(v: int, snapshot: Snapshot) -> tuple:
+    """(neighbors, parent or None at the source) of infected node ``v``."""
+    at = snapshot.position_of(v)
+    parent = snapshot.infected[snapshot.parent_pos[at]] if at else None
+    return snapshot.graph.neighbors(v), parent
+
+
+def answer_dir(
+    v: int, snapshot: Snapshot, q: float, rng: np.random.Generator | UniformTape
+) -> int:
     """One direction answer from infected node ``v``.
 
     A non-source names its true parent with probability ``q`` and a
@@ -74,19 +115,7 @@ def answer_dir(v: int, snapshot: Snapshot, q: float, rng: np.random.Generator) -
     parent and names a uniform neighbor.  A degree-1 non-source can only
     name its parent.
     """
-    at = snapshot.position_of(v)
-    nbrs = snapshot.graph.neighbors(v)
-    deg = len(nbrs)
-    if deg == 0:
-        raise InvalidInputError(f"respondent {v} is isolated")
-    if at == 0:
-        return nbrs[int(rng.integers(deg))]
-    parent = snapshot.infected[snapshot.parent_pos[at]]
-    if deg == 1 or rng.random() < q:
-        return parent
-    i = int(rng.integers(deg - 1))
-    w = nbrs[i]
-    return nbrs[deg - 1] if w == parent else w
+    return _direction(v, *_respondent(v, snapshot), q, rng.random)
 
 
 def query_rounds(
@@ -94,20 +123,25 @@ def query_rounds(
     snapshot: Snapshot,
     r: int,
     model: TruthModel,
-    rng: np.random.Generator,
+    rng: np.random.Generator | UniformTape,
 ) -> AnswerRecord:
-    """Ask ``r`` independent id/dir pairs of node ``v`` (budget cost: r).
+    """Ask ``r`` independent id/dir pairs of infected node ``v`` (budget cost: r).
 
     Each round draws an identity answer; a direction answer is drawn only
     after a "no", so yes_count plus total designations always equals r.
     """
     if r < 1:
         raise InvalidParameterError(f"repetition count must be >= 1, got {r}")
-    rec = AnswerRecord(respondent=v, rounds=r)
+    nbrs, parent = _respondent(v, snapshot)
+    p, q, random = model.p, model.q, rng.random
+    # "Yes" is the truthful answer of the source and the lie of any other node.
+    truthful_yes = parent is None
+    yes = 0
+    designations: dict[int, int] = {}
     for _ in range(r):
-        if answer_id(v, snapshot.source, model.p, rng):
-            rec.yes_count += 1
+        if (random() < p) == truthful_yes:
+            yes += 1
         else:
-            w = answer_dir(v, snapshot, model.q, rng)
-            rec.designations[w] = rec.designations.get(w, 0) + 1
-    return rec
+            w = _direction(v, nbrs, parent, q, random)
+            designations[w] = designations.get(w, 0) + 1
+    return AnswerRecord(v, r, yes, designations)

@@ -1,10 +1,15 @@
 """Command-line entry points."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rqsim
 from rqsim.cli import main
 from rqsim.diffusion import simulate_si
 from rqsim.graphs import make_regular_tree
@@ -24,6 +29,16 @@ class TestRStar:
         )
         assert code == 0
         assert out.strip() == "3"
+
+    def test_runs_as_a_module(self):
+        src = str(Path(rqsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["rstar", "--scheme", "na", "--kind", "sufficient",
+                "--d", "3", "--p", "0.6667", "--q", "0.6667", "--k", "200"]
+        done = subprocess.run([sys.executable, "-m", "rqsim", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "3"
 
     def test_ad_value(self, capsys):
         code, out, _ = run_cli(
@@ -235,6 +250,9 @@ class TestSnapshotTools:
         {"source": "a", "infected_order": [0, 1], "parent_pairs": [[1, 0]]},
         [1, 2],
         {"source": 0, "infected_order": [0, 1], "parent_pairs": [[1]]},
+        {"source": 0.7, "infected_order": [0.2, 1.9, 2.5], "parent_pairs": [[1.9, 0.2], [2.5, 1]]},
+        {"source": True, "infected_order": [1, 0], "parent_pairs": [[0, 1]]},
+        {"source": "0", "infected_order": ["0", "1"], "parent_pairs": [["1", "0"]]},
     ])
     def test_centrality_rejects_stray_parent_entries(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"

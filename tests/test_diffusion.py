@@ -106,6 +106,9 @@ class TestSnapshotStructure:
             {"source": "a", "infected_order": [0, 1], "parent_pairs": [[1, 0]]},  # non-integer id
             [1, 2],  # not an object
             {"source": 0, "infected_order": [0, 1], "parent_pairs": [[1]]},  # entry is not a pair
+            {"source": 0.7, "infected_order": [0.2, 1.9, 2.5], "parent_pairs": [[1.9, 0.2], [2.5, 1]]},  # floats
+            {"source": True, "infected_order": [1, 0], "parent_pairs": [[0, 1]]},  # a boolean id
+            {"source": "0", "infected_order": ["0", "1"], "parent_pairs": [["1", "0"]]},  # string ids
         ):
             with pytest.raises(InvalidInputError):
                 Snapshot.from_json(json.dumps(doc))

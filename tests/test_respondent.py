@@ -11,7 +11,7 @@ from conftest import full_path_snapshot, snapshot_of, star_graph
 from rqsim.diffusion import simulate_si
 from rqsim.errors import InvalidInputError, InvalidParameterError
 from rqsim.graphs import Graph, make_regular_tree
-from rqsim.respondent import AnswerRecord, TruthModel, answer_dir, answer_id, query_rounds
+from rqsim.respondent import AnswerRecord, TruthModel, answer_dir, query_rounds
 
 
 class TestTruthModel:
@@ -34,14 +34,16 @@ class TestTruthModel:
 
 class TestAnswerId:
     def test_perfect_truth(self, rng):
-        for _ in range(50):
-            assert answer_id(3, 3, 1.0, rng) is True
-            assert answer_id(4, 3, 1.0, rng) is False
+        snap = full_path_snapshot(4)
+        model = TruthModel(p=1.0, q=0.8)
+        assert query_rounds(0, snap, 50, model, rng).yes_count == 50
+        assert query_rounds(3, snap, 50, model, rng).yes_count == 0
 
     def test_lie_frequency(self):
         rng = np.random.default_rng(8)
         n = 100_000
-        lies = sum(answer_id(1, 0, 0.7, rng) for _ in range(n))  # truthful answer is False
+        # node 1 is not the source, so each "yes" is a lie
+        lies = query_rounds(1, full_path_snapshot(3), n, TruthModel(p=0.7, q=0.8), rng).yes_count
         assert abs((n - lies) / n - 0.7) < 0.01
 
 
@@ -160,7 +162,7 @@ class TestQueryRounds:
         rng = np.random.default_rng(14)
         snap = full_path_snapshot(3)
         model = TruthModel(p=0.7, q=0.8)
-        stream = [answer_id(1, 0, model.p, rng) for _ in range(6000)]
+        stream = [query_rounds(1, snap, 1, model, rng).yes_count for _ in range(6000)]
         table = [[0, 0], [0, 0]]
         for a, b in zip(stream, stream[1:]):
             table[int(a)][int(b)] += 1
