@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .diffusion import Snapshot
 from .errors import InvalidInputError, InvalidParameterError
@@ -140,51 +143,132 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     (edges from the current infected prefix to the next node) / (all
     boundary edges of the prefix in the underlying graph).  Costs
     O(N * (N + E_induced)); reads only the induced subgraph and degrees.
+
+    Roots are taken in blocks of ``BLOCK_ENTRIES // (2 * E_induced)``, and
+    one level-synchronous BFS serves a whole block (:func:`_bfs_block`).
+    Each root's two sums of logarithms are exact and rounded once
+    (:func:`_log_sums`), so roots with equal counts tie exactly and the
+    lowest id wins.
     """
-    if snapshot.graph is None:
-        raise InvalidInputError("general-graph scoring needs the underlying graph")
+    graph = snapshot.require_graph("general-graph scoring")
     ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
     targets = _positions(snapshot, nodes)
     n = len(ids)
-    deg = [snapshot.graph.degree(v) for v in ids]
-    induced_edges = snapshot.induced_edge_count
-    b_total = sum(deg) - 2 * induced_edges  # boundary of the whole infected set
+    deg = np.array([graph.degree(v) for v in ids], dtype=np.int64)
+    width = np.array(list(map(len, adj)), dtype=np.int64)
+    stop = np.cumsum(width)
+    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(stop[-1]))
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
-    log_of = [0.0, *map(math.log, range(1, max(n, b_total + induced_edges) + 1))].__getitem__
+    table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
+    log_n_factorial = math.lgamma(n + 1)
+    rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
 
     scores: dict[int, float] = {}
-    for root in targets:
-        pos, parent, links = [-1] * n, [0] * n, [0] * n
-        pos[root] = 0
-        order = [root]
-        # links[w] counts w's neighbours earlier in the order: each edge is
-        # counted once, from the scan of its earlier endpoint.
-        for u in order:
-            pu = pos[u]
-            for x in adj[u]:
-                px = pos[x]
-                if px < 0:
-                    pos[x] = len(order)
-                    parent[x] = u
-                    links[x] = 1
-                    order.append(x)
-                elif px > pu:
-                    links[x] += 1
-        if len(order) < n:
-            raise InvalidInputError("infected set is disconnected")
-
-        # One reverse sweep yields BFS-tree subtree sizes and prefix boundaries.
-        size, bounds, boundary = [1] * n, [], b_total
-        for w in order[:0:-1]:
-            boundary -= deg[w] - 2 * links[w]
-            bounds.append(boundary)
-            size[parent[w]] += size[w]
-        # fsum does not depend on term order, so roots with equal counts tie
-        # exactly and the lowest id wins.
-        denominator = math.fsum(map(log_of, bounds + size))
-        scores[ids[root]] = math.lgamma(n + 1) + math.fsum(map(log_of, links)) - denominator
+    for b in range(0, len(targets), rows):
+        roots = targets[b:b + rows]
+        links, rank, size = _bfs_block(np.array(roots, dtype=np.int64), stop, width, nbr)
+        log_links = _log_sums(table, links)
+        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
+        bounds = np.empty_like(links)
+        np.put_along_axis(bounds, rank, deg - 2 * links, axis=1)
+        del links, rank
+        np.cumsum(bounds, axis=1, out=bounds)
+        log_den = _log_sums(table, bounds[:, :-1], size)
+        del bounds, size
+        for root, num, den in zip(roots, log_links, log_den):
+            scores[ids[root]] = log_n_factorial + num - den
     return scores
+
+
+#: Roots scored together: a block expands at most this many (root,
+#: directed induced edge) entries, or one root's if that is more.
+BLOCK_ENTRIES = 1 << 15
+
+_ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
+_HALF = 28
+_UNREACHED = 1 << 62
+
+
+def _log_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log k`` for 0 < k < size, and 0 at k = 0, as integers in units of
+    ``1 / _ONE``, split into high and low 28-bit halves so that sums of
+    thousands of entries stay inside int64."""
+    scaled = np.array([0.0, *map(math.log, range(1, size))]) * _ONE
+    fixed = scaled.astype(np.int64)
+    if not np.array_equal(fixed, scaled):
+        raise ArithmeticError("a log table entry is not a multiple of 2**-53")
+    return fixed >> _HALF, fixed & ((1 << _HALF) - 1)
+
+
+def _log_sums(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> list[float]:
+    """Per row, the sum of the table entries that ``parts`` index, summed
+    exactly and rounded once: the correctly rounded sum, as ``math.fsum``
+    gives it."""
+    high, low = (sum(half[part].sum(axis=1) for part in parts) for half in table)
+    return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
+
+
+def _bfs_block(roots: np.ndarray, stop: np.ndarray, width: np.ndarray,
+               nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BFS from every root of a block at once over the CSR adjacency
+    (``nbr[stop[u] - width[u]:stop[u]]``, ascending ids), one level at a
+    time over a flat frontier of cells ``row * n + node``, in row order.
+
+    Returns (rows, n) arrays: each node's count of neighbours earlier in
+    its root's BFS order, its place in that order, and its BFS subtree size.
+    """
+    n, r = len(width), len(roots)
+    cells = r * n
+    rank = np.full(cells, _UNREACHED, dtype=np.int64)
+    links = np.zeros(cells, dtype=np.int64)
+    count = np.ones(r, dtype=np.int64)
+    f_row = np.arange(r, dtype=np.int64)
+    f_node, f_rank, f_cell = roots, np.zeros(r, dtype=np.int64), f_row * n + roots
+    rank[f_cell] = 0
+    levels = []
+    while f_node.size:
+        # Expand the frontier in (row, BFS place, neighbour id) order: the
+        # order in which one root's sequential BFS scans these edges.
+        k = width[f_node]
+        ends = np.cumsum(k)
+        src = np.repeat(np.arange(f_node.size, dtype=np.int64), k)
+        e_cell = nbr[np.arange(int(ends[-1]), dtype=np.int64) + (stop[f_node] - ends)[src]]
+        e_cell += (f_row * n)[src]
+        e_rank = rank[e_cell]
+        # Each edge counts once, toward its later endpoint.
+        later = e_rank > f_rank[src]
+        del src  # edge-sized arrays go as soon as used: they set the peak memory
+        fresh = (e_rank == _UNREACHED).nonzero()[0]
+        del e_rank
+        np.add.at(links, e_cell[later], 1)
+        cand = e_cell[fresh]
+        del later, e_cell
+        # An unreached node's first occurrence, the one left holding the
+        # smallest stamp, discovers it: that fixes its parent and its place,
+        # so ties go to the lowest id as in a sequential BFS.
+        stamp = np.arange(_UNREACHED - cand.size, _UNREACHED, dtype=np.int64)
+        np.minimum.at(rank, cand, stamp)
+        hit = rank[cand] == stamp
+        new_cell = cand[hit]
+        parent = np.searchsorted(ends, fresh[hit], side="right")  # the frontier entry that found it
+        del fresh, cand, stamp, hit
+        new_row = f_row[parent]
+        # Places continue each row's count; the new cells are sorted by row.
+        per_row = np.bincount(new_row, minlength=r)
+        count += per_row
+        new_rank = np.arange(new_cell.size, dtype=np.int64) + (count - np.cumsum(per_row))[new_row]
+        rank[new_cell] = new_rank
+        levels.append((new_cell, f_cell[parent]))
+        f_row, f_node, f_rank, f_cell = new_row, new_cell - new_row * n, new_rank, new_cell
+    if count.min() < n:
+        raise InvalidInputError("infected set is disconnected")
+    # Subtree sizes, deepest level first.
+    size = np.ones(cells, dtype=np.int64)
+    while levels:
+        cell, parent = levels.pop()
+        np.add.at(size, parent, size[cell])
+    return links.reshape(r, n), rank.reshape(r, n), size.reshape(r, n)
 
 
 def _positions(snapshot: Snapshot, nodes: Iterable[int] | None) -> list[int]:

@@ -65,6 +65,13 @@ class Snapshot:
     def source(self) -> int:
         return self.infected[0]
 
+    def require_graph(self, purpose: str):
+        """``graph``; raises :class:`InvalidInputError` naming ``purpose``
+        when the snapshot has none, as after :meth:`from_json`."""
+        if self.graph is None:
+            raise InvalidInputError(f"{purpose} needs the underlying graph, which this snapshot lacks")
+        return self.graph
+
     def position_of(self, v: int) -> int:
         """Infection position of node ``v``; raises unless ``v`` is infected."""
         i = self.index.get(v)

@@ -191,12 +191,12 @@ def run_mvna(
     with a cycle-safe traversal.  ``scores`` is the snapshot's full
     likelihood table when the caller already has it.
     """
-    model.validate_for_degree(snapshot.graph.max_degree())
+    graph = snapshot.require_graph("batch querying")
+    model.validate_for_degree(graph.max_degree())
     r, K = config.repetitions, config.budget
     if scores is None:
         scores = likelihood_table(snapshot)
     candidates = select_candidates_na(snapshot, min(K // r, snapshot.n), config.candidate_order, scores)
-    graph = snapshot.graph
     tape = UniformTape(rng)
 
     s_i: set[int] = set()
@@ -263,12 +263,12 @@ def run_mvad(
     ``scores`` is the snapshot's full likelihood table when the caller
     already has it.
     """
-    model.validate_for_degree(snapshot.graph.max_degree())
+    graph = snapshot.require_graph("adaptive querying")
+    model.validate_for_degree(graph.max_degree())
     r, K = config.repetitions, config.budget
     if scores is None:
         scores = likelihood_table(snapshot)
     infected = snapshot.index
-    graph = snapshot.graph
     tape = UniformTape(rng)
 
     s = pick_best(scores, scores)

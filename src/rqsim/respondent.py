@@ -99,9 +99,10 @@ def _direction(v: int, nbrs, parent: int | None, q: float, random) -> int:
 
 def _respondent(v: int, snapshot: Snapshot) -> tuple:
     """(neighbors, parent or None at the source) of infected node ``v``."""
+    graph = snapshot.require_graph("answering")
     at = snapshot.position_of(v)
     parent = snapshot.infected[snapshot.parent_pos[at]] if at else None
-    return snapshot.graph.neighbors(v), parent
+    return graph.neighbors(v), parent
 
 
 def answer_dir(

@@ -4,6 +4,8 @@
 originals unchanged so the tests can compare old and new output:
 
 * the dict-based loopy BFS-tree scorer (``general_graph_scores``);
+* its successor on infection positions, one sequential BFS and one
+  ``math.fsum`` per root (``per_root_general_graph_scores``);
 * the global-id induced adjacency a snapshot used to cache
   (``induced_adjacency``);
 * the DFS-and-reroot tree scorer (``log_rumor_centralities``);
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
-from rqsim.centrality import CentralityTable, pick_best
+from rqsim.centrality import CentralityTable, _positions, pick_best
 from rqsim.diffusion import Snapshot
 from rqsim.errors import InvalidInputError
 
@@ -180,4 +182,61 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
             boundary += graph.degree(w) - 2 * links
             in_prefix.add(w)
         scores[v] = log_p + log_r
+    return scores
+
+
+def per_root_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
+    """Source scores for snapshots whose infected set may contain cycles.
+
+    For each candidate root ``v``: take the BFS tree over the infected set
+    (discovery order sigma, neighbour ties by ascending id), score it as
+    log P(sigma | v) plus the tree ordering-count score of the BFS tree.
+    P(sigma | v) is the spreading likelihood of that order: at each step,
+    (edges from the current infected prefix to the next node) / (all
+    boundary edges of the prefix in the underlying graph).  Costs
+    O(N * (N + E_induced)); reads only the induced subgraph and degrees.
+    """
+    if snapshot.graph is None:
+        raise InvalidInputError("general-graph scoring needs the underlying graph")
+    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    targets = _positions(snapshot, nodes)
+    n = len(ids)
+    deg = [snapshot.graph.degree(v) for v in ids]
+    induced_edges = snapshot.induced_edge_count
+    b_total = sum(deg) - 2 * induced_edges  # boundary of the whole infected set
+    # A prefix's boundary edges leave the infected set or reach a later
+    # infected node, so no count below runs past the table.
+    log_of = [0.0, *map(math.log, range(1, max(n, b_total + induced_edges) + 1))].__getitem__
+
+    scores: dict[int, float] = {}
+    for root in targets:
+        pos, parent, links = [-1] * n, [0] * n, [0] * n
+        pos[root] = 0
+        order = [root]
+        # links[w] counts w's neighbours earlier in the order: each edge is
+        # counted once, from the scan of its earlier endpoint.
+        for u in order:
+            pu = pos[u]
+            for x in adj[u]:
+                px = pos[x]
+                if px < 0:
+                    pos[x] = len(order)
+                    parent[x] = u
+                    links[x] = 1
+                    order.append(x)
+                elif px > pu:
+                    links[x] += 1
+        if len(order) < n:
+            raise InvalidInputError("infected set is disconnected")
+
+        # One reverse sweep yields BFS-tree subtree sizes and prefix boundaries.
+        size, bounds, boundary = [1] * n, [], b_total
+        for w in order[:0:-1]:
+            boundary -= deg[w] - 2 * links[w]
+            bounds.append(boundary)
+            size[parent[w]] += size[w]
+        # fsum does not depend on term order, so roots with equal counts tie
+        # exactly and the lowest id wins.
+        denominator = math.fsum(map(log_of, bounds + size))
+        scores[ids[root]] = math.lgamma(n + 1) + math.fsum(map(log_of, links)) - denominator
     return scores

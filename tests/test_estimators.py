@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import full_path_snapshot, snapshot_of, star_graph
-from rqsim.diffusion import simulate_si
-from rqsim.errors import InvalidParameterError
+from rqsim.diffusion import Snapshot, simulate_si
+from rqsim.errors import InvalidInputError, InvalidParameterError
 from rqsim.estimators import (
     ADConfig,
     NAConfig,
@@ -302,3 +302,14 @@ class TestChooseRStar:
         low = choose_r_star("na", "sufficient", 10**6, 3, 0.95, 0.95)
         high = choose_r_star("na", "sufficient", 10**6, 3, 0.55, 0.4)
         assert high > low
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda snap, rng: run_mvna(snap, NAConfig(budget=10, repetitions=2), TruthModel(0.8, 0.8), rng),
+    lambda snap, rng: run_mvad(snap, ADConfig(budget=10, repetitions=2), TruthModel(0.8, 0.8), rng),
+], ids=["na", "ad"])
+def test_graphless_snapshot_is_invalid_input(estimate, rng):
+    """A snapshot restored from JSON has no graph to query."""
+    snap = Snapshot.from_json(simulate_si(make_regular_tree(3), 0, 20, rng).to_json())
+    with pytest.raises(InvalidInputError, match="graph"):
+        estimate(snap, rng)

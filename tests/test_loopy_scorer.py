@@ -1,10 +1,18 @@
-"""Differential tests: the array-indexed loopy scorer against its original.
+"""Differential tests: the block loopy scorer against its two predecessors.
 
-``reference_scorer.general_graph_scores`` is the dict-based BFS-tree
-scorer that ``rqsim.centrality.general_graph_scores`` replaced. Both sum
-the same logarithms in different orders, so scores agree to rounding,
-well inside ``TOLERANCE``.
+``reference_scorer.per_root_general_graph_scores`` is the scorer that
+``rqsim.centrality.general_graph_scores`` replaced: one sequential BFS and
+one ``math.fsum`` per root.  The block scorer sums the same logarithms
+exactly and rounds once, as ``math.fsum`` does, so its scores are equal
+(``==``) to that oracle's, however the roots fall into blocks.
+
+``reference_scorer.general_graph_scores`` is the older dict-based scorer.
+It adds the logarithms one at a time in another order, so scores agree
+with it to rounding, well inside ``TOLERANCE``.
 """
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +21,9 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_edges, snapshot_of
 from reference_scorer import general_graph_scores as reference_scores
-from rqsim.centrality import general_graph_scores
+from reference_scorer import per_root_general_graph_scores as per_root_scores
+from rqsim import centrality
+from rqsim.centrality import _log_sums, _log_table, general_graph_scores
 from rqsim.diffusion import Snapshot, simulate_si
 from rqsim.errors import GenerationFailureError, InvalidInputError
 from rqsim.graphs import make_erdos_renyi, make_regular_tree, make_scale_free
@@ -86,25 +96,126 @@ def test_single_node_scores_zero():
     assert general_graph_scores(snap) == {snap.source: 0.0}
 
 
-class TestInvalidInputs:
-    """Both scorers reject the same inputs with InvalidInputError."""
+def block_rows(snap: Snapshot, rows: int):
+    """Make the block scorer take ``rows`` roots per block on ``snap``."""
+    return mock.patch.object(centrality, "BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count)
 
-    @pytest.mark.parametrize("scorer", [general_graph_scores, reference_scores])
+
+def assert_equals_per_root(snap: Snapshot, nodes=None) -> None:
+    want = per_root_scores(snap, nodes)
+    got = general_graph_scores(snap, nodes)
+    assert list(got) == list(want)
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["er", "sf", "regular"]),
+    size=st.integers(min_value=4, max_value=150),
+    density=st.floats(min_value=1.0, max_value=6.0),
+    n_infected=st.integers(min_value=3, max_value=90),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_blocks_equal_per_root_scorer(family, size, density, n_infected, seed, data):
+    """Several blocks, the last one short, give the per-root scores bit for
+    bit, for every root and for a subset of roots."""
+    snap = _snapshot(family, size, density, n_infected, seed)
+    assume(snap.n >= 3)
+    rows = data.draw(st.integers(min_value=1, max_value=snap.n - 1).filter(lambda r: snap.n % r), label="rows")
+    subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
+    with block_rows(snap, rows):
+        assert_equals_per_root(snap)
+        assert_equals_per_root(snap, subset)
+
+
+@pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
+                         ids=["er:2000:4", "sf:4039:22"])
+def test_n400_snapshot_equals_per_root_scorer(family, size, density):
+    """The benchmark's graphs at the default block size, all roots and every
+    seventh one (a subset that crosses block boundaries)."""
+    snap = _snapshot(family, size, density, 400, seed=20240817)
+    assert snap.n == 400 and not snap.is_tree
+    rows = centrality.BLOCK_ENTRIES // (2 * snap.induced_edge_count)
+    assert 1 < rows < snap.n
+    assert_equals_per_root(snap)
+    assert_equals_per_root(snap, sorted(snap.infected)[::7])
+
+
+@pytest.mark.parametrize("n_infected", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_tiny_snapshots_equal_per_root_scorer(n_infected, rows):
+    snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
+    assert snap.n == n_infected
+    with block_rows(snap, rows):
+        assert_equals_per_root(snap)
+
+
+class TestExactLogSums:
+    """The fixed-point sum behind each score is exact and rounded once."""
+
+    SIZE = 2 * 10**5
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return _log_table(self.SIZE)
+
+    def test_log_entries_are_multiples_of_two_to_the_minus_53(self, table):
+        assert all((math.log(k) * 2.0**53).is_integer() for k in range(2, self.SIZE))
+        high, low = table
+        assert high[0] == low[0] == high[1] == low[1] == 0
+        fixed = [(h << 28) + lo for h, lo in zip(high.tolist(), low.tolist())]
+        assert fixed[2:] == [int(math.log(k) * 2.0**53) for k in range(2, self.SIZE)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=SIZE),
+        count=st.integers(min_value=1, max_value=10**4),
+        rows=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(size=SIZE, count=10**4, rows=1, seed=0)
+    def test_equals_fsum(self, table, size, count, rows, seed):
+        rng = np.random.default_rng(seed)
+        # Mix a uniform draw with heavy repeats of a few values.
+        picks = np.where(rng.random((rows, count)) < 0.5, rng.integers(0, size, (rows, count)),
+                         rng.integers(0, size, (rows, 1)))
+        split = int(rng.integers(0, count + 1))
+        want = [math.fsum(math.log(k) if k else 0.0 for k in row) for row in picks.tolist()]
+        assert _log_sums(table, picks) == want
+        assert _log_sums(table, picks[:, :split], picks[:, split:]) == want
+
+    def test_largest_entries_at_the_largest_count(self, table):
+        picks = np.full((1, 10**4), self.SIZE - 1)
+        assert _log_sums(table, picks) == [math.fsum([math.log(self.SIZE - 1)] * 10**4)]
+
+
+class TestInvalidInputs:
+    """All three scorers reject the same inputs with InvalidInputError."""
+
+    @pytest.mark.parametrize("scorer", [general_graph_scores, per_root_scores, reference_scores])
     def test_no_graph(self, scorer):
         snap = snapshot_of(None, 0, [0, 1], {1: 0})
         with pytest.raises(InvalidInputError):
             scorer(snap)
 
-    @pytest.mark.parametrize("scorer", [general_graph_scores, reference_scores])
+    @pytest.mark.parametrize("scorer", [general_graph_scores, per_root_scores, reference_scores])
     def test_uninfected_node(self, scorer):
         snap = _snapshot("er", 200, 4.0, 30, seed=11)
         outside = next(v for v in range(snap.graph.n) if v not in snap.index)
         with pytest.raises(InvalidInputError):
             scorer(snap, nodes=[snap.source, outside])
 
-    @pytest.mark.parametrize("scorer", [general_graph_scores, reference_scores])
+    @pytest.mark.parametrize("scorer", [general_graph_scores, per_root_scores, reference_scores])
     def test_disconnected_infected_set(self, scorer):
         path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         snap = snapshot_of(path, 0, [0, 1, 3], {1: 0, 3: 1})
         with pytest.raises(InvalidInputError):
             scorer(snap)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_disconnected_with_small_blocks(self, rows):
+        path = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        snap = snapshot_of(path, 0, [0, 1, 3, 4], {1: 0, 3: 1, 4: 3})
+        with block_rows(snap, rows), pytest.raises(InvalidInputError):
+            general_graph_scores(snap)

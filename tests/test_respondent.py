@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_path_snapshot, snapshot_of, star_graph
-from rqsim.diffusion import simulate_si
+from rqsim.diffusion import Snapshot, simulate_si
 from rqsim.errors import InvalidInputError, InvalidParameterError
 from rqsim.graphs import Graph, make_regular_tree
 from rqsim.respondent import AnswerRecord, TruthModel, answer_dir, query_rounds
@@ -197,3 +197,14 @@ def test_answer_record_fields():
     rec = AnswerRecord(respondent=7, rounds=4, yes_count=1, designations={2: 3})
     assert rec.yes_fraction == 0.25
     assert rec.check_conservation()
+
+
+@pytest.mark.parametrize("ask", [
+    lambda snap, rng: query_rounds(snap.source, snap, 3, TruthModel(0.8, 0.8), rng),
+    lambda snap, rng: answer_dir(snap.infected[1], snap, 0.8, rng),
+], ids=["query_rounds", "answer_dir"])
+def test_graphless_snapshot_is_invalid_input(ask, rng):
+    """A snapshot restored from JSON has no graph to answer from."""
+    snap = Snapshot.from_json(simulate_si(make_regular_tree(3), 0, 20, rng).to_json())
+    with pytest.raises(InvalidInputError, match="graph"):
+        ask(snap, rng)
