@@ -30,32 +30,17 @@ from .errors import (
 class Graph:
     """Finite undirected simple graph with nodes ``0..n-1``.
 
-    Immutable after construction; safe for concurrent reads.  ``acyclic``
-    is set by generators whose graphs are forests by construction.
+    ``adjacency[u]`` lists ``u``'s neighbours in strictly ascending order,
+    each edge in both lists.  Immutable; safe for concurrent reads.
+    ``acyclic`` is set by generators whose graphs are forests by construction.
     """
 
-    __slots__ = ("_adj", "kind", "meta", "acyclic")
+    __slots__ = ("_adj", "acyclic")
 
-    def __init__(self, adjacency: list[list[int]], kind: str = "finite", meta: dict | None = None,
-                 acyclic: bool = False):
+    def __init__(self, adjacency: list[list[int]], acyclic: bool = False):
+        _check_adjacency(adjacency)
         self._adj = adjacency
-        self.kind = kind
-        self.meta = meta or {}
         self.acyclic = acyclic
-        self._check_symmetry()
-
-    def _check_symmetry(self) -> None:
-        n = len(self._adj)
-        for u, nbrs in enumerate(self._adj):
-            prev = -1
-            for v in nbrs:
-                if v == u:
-                    raise InvalidInputError(f"self-loop at node {u}")
-                if not 0 <= v < n:
-                    raise InvalidInputError(f"neighbor {v} of node {u} out of range")
-                if v == prev:
-                    raise InvalidInputError(f"duplicate edge {u}-{v}")
-                prev = v
 
     @property
     def n(self) -> int:
@@ -81,8 +66,24 @@ class Graph:
     def avg_degree(self) -> float:
         return 2.0 * self.num_edges / self.n if self.n else 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(kind={self.kind!r}, n={self.n}, m={self.num_edges})"
+
+def _check_adjacency(adj: list[list[int]]) -> None:
+    """Raise InvalidInputError unless ``adj`` is sorted, simple and symmetric."""
+    n = len(adj)
+    # met[v] counts the head of adj[v] already matched by smaller nodes' lists
+    # (read in ascending order); the rest must ascend above v, each matched next.
+    met = [0] * n
+    for u, nbrs in enumerate(adj):
+        prev = u
+        for v in nbrs[met[u]:]:
+            if not (prev < v < n and (k := met[v]) < len(adj[v]) and adj[v][k] == u):
+                raise InvalidInputError(
+                    f"self-loop at node {u}" if v == u
+                    else f"neighbor {v} of node {u} out of range" if not 0 <= v < n
+                    else f"neighbors of node {u} not strictly ascending at {v}" if u < v <= prev
+                    else f"edge {u}-{v} is not listed in order at both ends")
+            met[v] = k + 1
+            prev = v
 
 
 class RegularTree:
@@ -92,14 +93,13 @@ class RegularTree:
     mutates the instance, so each trial owns a private tree.
     """
 
-    __slots__ = ("d", "kind", "_adj", "_parents", "_next_id")
+    __slots__ = ("d", "_adj", "_parents", "_next_id")
     acyclic = True
 
     def __init__(self, d: int):
         if d < 3:
             raise InvalidParameterError(f"regular tree degree must be >= 3, got {d}")
         self.d = d
-        self.kind = "regular-tree"
         self._adj: dict[int, tuple[int, ...]] = {}
         self._parents: dict[int, int] = {}
         self._next_id = 1
@@ -139,16 +139,25 @@ class RegularTree:
         return self.d
 
 
-def _build_finite(n: int, edges: Iterable[tuple[int, int]], kind: str, meta: dict | None = None,
-                  acyclic: bool = False) -> Graph:
-    """Assemble a simple undirected graph, deduplicating as needed."""
+def _build_finite(n: int, edges: Iterable[tuple[int, int]], acyclic: bool = False,
+                  largest_component: bool = False) -> Graph:
+    """A simple graph on ``0..n-1`` from ``edges``, less self-loops and repeats.
+
+    ``largest_component`` keeps only the largest component (the lowest id's
+    on a tie), renumbered in ascending order, which keeps each list sorted.
+    """
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph([sorted(s) for s in adj], kind=kind, meta=meta, acyclic=acyclic)
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    rows = [sorted(s) for s in adj]
+    del adj  # peak memory: the sets go before a renumbered copy is built
+    if largest_component:
+        comp = _largest_component(rows)
+        new_id = {old: new for new, old in enumerate(comp)}
+        rows = [[new_id[v] for v in rows[old]] for old in comp]
+    return Graph(rows, acyclic=acyclic)
 
 
 def _largest_component(adj: list[list[int]]) -> list[int]:
@@ -161,10 +170,7 @@ def _largest_component(adj: list[list[int]]) -> list[int]:
             continue
         comp = [start]
         seen[start] = True
-        head = 0
-        while head < len(comp):
-            u = comp[head]
-            head += 1
+        for u in comp:  # a breadth-first search: comp grows while it is read
             for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
@@ -173,15 +179,6 @@ def _largest_component(adj: list[list[int]]) -> list[int]:
             best = comp
     best.sort()
     return best
-
-
-def _restrict_to_component(g: Graph) -> Graph:
-    comp = _largest_component(g._adj)
-    relabel = {old: new for new, old in enumerate(comp)}
-    adj = [[relabel[v] for v in g._adj[old] if v in relabel] for old in comp]
-    for row in adj:
-        row.sort()
-    return Graph(adj, kind=g.kind, meta={**g.meta, "component_nodes": len(comp)})
 
 
 def make_regular_tree(d: int) -> RegularTree:
@@ -198,11 +195,7 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
     breadth-first order; growth stops once ``min_nodes`` nodes exist, and
     unexpanded frontier nodes become leaves.
     """
-    if d_max < 2:
-        raise InvalidParameterError(f"d_max must be >= 2, got {d_max}")
-    if min_nodes < 1:
-        raise InvalidParameterError(f"min_nodes must be >= 1, got {min_nodes}")
-
+    check_galton_watson(d_max, min_nodes)
     edges: list[tuple[int, int]] = []
     count = 1
     u = 0  # next node to expand; every node has a child, so u < count
@@ -212,15 +205,20 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
         edges.extend((u, c) for c in range(count, count + n_children))
         count += n_children
         u += 1
-    return _build_finite(count, edges, kind="galton-watson", meta={"d_max": d_max}, acyclic=True)
+    return _build_finite(count, edges, acyclic=True)
+
+
+def check_galton_watson(d_max: int, min_nodes: int) -> None:
+    """Raise InvalidParameterError unless ``make_galton_watson`` takes these."""
+    if d_max < 2:
+        raise InvalidParameterError(f"d_max must be >= 2, got {d_max}")
+    if min_nodes < 1:
+        raise InvalidParameterError(f"min_nodes must be >= 1, got {min_nodes}")
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:
     """G(n, p) with ``p = avg_degree / (n - 1)``; largest component, renumbered."""
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
-    if not 0 < avg_degree <= n - 1:
-        raise InvalidParameterError(f"avg_degree must be in (0, {n - 1}], got {avg_degree}")
+    check_erdos_renyi(n, avg_degree)
     p = avg_degree / (n - 1)
 
     edges: list[tuple[int, int]] = []
@@ -239,11 +237,18 @@ def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Gra
             if v < n:
                 edges.append((v, w))
 
-    g = _build_finite(n, edges, kind="erdos-renyi", meta={"requested_nodes": n})
-    g = _restrict_to_component(g)
+    g = _build_finite(n, edges, largest_component=True)
     if g.n < 2:
         raise GenerationFailureError("largest component has fewer than 2 nodes")
     return g
+
+
+def check_erdos_renyi(n: int, avg_degree: float) -> None:
+    """Raise InvalidParameterError unless ``make_erdos_renyi`` takes these."""
+    if n < 2:
+        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    if not 0 < avg_degree <= n - 1:
+        raise InvalidParameterError(f"avg_degree must be in (0, {n - 1}], got {avg_degree}")
 
 
 def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) -> Graph:
@@ -253,11 +258,7 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
     alternating 1/2 pattern at ratio 1.5), attached to existing nodes with
     probability proportional to degree.  Connected by construction.
     """
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
-    if edge_node_ratio <= 0:
-        raise InvalidParameterError(f"edge_node_ratio must be positive, got {edge_node_ratio}")
-
+    check_scale_free(n, edge_node_ratio)
     edges: list[tuple[int, int]] = [(0, 1)]
     # One endpoint entry per unit of degree; uniform draws from this pool
     # realize degree-proportional attachment.
@@ -274,7 +275,15 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
             pool.append(u)
             pool.append(i)
         built += m
-    return _build_finite(n, edges, kind="scale-free", meta={"edge_node_ratio": edge_node_ratio})
+    return _build_finite(n, edges)
+
+
+def check_scale_free(n: int, edge_node_ratio: float) -> None:
+    """Raise InvalidParameterError unless ``make_scale_free`` takes these."""
+    if n < 3:
+        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    if not 0 < edge_node_ratio < math.inf:
+        raise InvalidParameterError(f"edge_node_ratio must be in (0, inf), got {edge_node_ratio}")
 
 
 def load_edge_list(stream: IO[str] | str) -> Graph:
@@ -282,15 +291,14 @@ def load_edge_list(stream: IO[str] | str) -> Graph:
 
     Lines starting with ``#`` are comments; every other line must hold two
     whitespace-separated integer node ids.  Directed inputs are
-    symmetrized; duplicate edges and self-loops are dropped.  The returned
-    graph's ``meta`` records the pre-component node and edge counts.
+    symmetrized; duplicate edges and self-loops are dropped.  File ids are
+    renumbered densely in ascending order.
     """
     if isinstance(stream, str):
         with open(stream, "r", encoding="utf-8") as fh:
             return load_edge_list(fh)
 
-    pairs: set[tuple[int, int]] = set()
-    ids: set[int] = set()
+    edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -304,16 +312,11 @@ def load_edge_list(stream: IO[str] | str) -> Graph:
             raise ParseError(f"non-integer node id in {raw.strip()!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative node id in {raw.strip()!r}", lineno)
-        ids.add(u)
-        ids.add(v)
-        if u != v:
-            pairs.add((u, v) if u < v else (v, u))
+        edges.append((u, v))
 
-    if not ids:
+    if not edges:
         raise InvalidInputError("edge list is empty")
 
-    relabel = {old: new for new, old in enumerate(sorted(ids))}
-    edges = [(relabel[u], relabel[v]) for u, v in pairs]
-    meta = {"file_nodes": len(ids), "file_edges": len(pairs)}
-    g = _build_finite(len(ids), edges, kind="edge-list", meta=meta)
-    return _restrict_to_component(g)
+    relabel = {old: new for new, old in enumerate(sorted({x for edge in edges for x in edge}))}
+    edges = [(relabel[u], relabel[v]) for u, v in edges]
+    return _build_finite(len(relabel), edges, largest_component=True)

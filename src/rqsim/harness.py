@@ -83,30 +83,26 @@ class GraphSpec:
 
 def parse_graph_spec(text: str) -> GraphSpec:
     """Parse ``regular:3``, ``gw:10[:min_nodes]``, ``er:n:avg_deg``,
-    ``sf:n:ratio``, or ``edgelist:path``."""
+    ``sf:n:ratio``, or ``edgelist:path``, with their generators' checks."""
     parts = text.split(":")
     family = parts[0]
     try:
         if family == "regular" and len(parts) == 2:
             d = int(parts[1])
-            if d < 3:
-                raise InvalidParameterError(f"regular tree degree must be >= 3, got {d}")
+            _graphs.RegularTree(d)  # its degree check
             return GraphSpec(family="regular", d=d, label=text)
         if family == "gw" and len(parts) in (2, 3):
             d_max = int(parts[1])
-            min_nodes = int(parts[2]) if len(parts) == 3 else 0
-            if d_max < 2 or min_nodes < 0:
-                raise InvalidParameterError(f"bad branching-tree parameters in {text!r}")
+            min_nodes = int(parts[2]) if len(parts) == 3 else 0  # 0: sized from n_infected
+            _graphs.check_galton_watson(d_max, min_nodes or 1)
             return GraphSpec(family="gw", d_max=d_max, min_nodes=min_nodes, label=text)
         if family == "er" and len(parts) == 3:
             n, avg = int(parts[1]), float(parts[2])
-            if n < 2 or avg <= 0:
-                raise InvalidParameterError(f"bad ER parameters in {text!r}")
+            _graphs.check_erdos_renyi(n, avg)
             return GraphSpec(family="er", n_nodes=n, avg_degree=avg, label=text)
         if family == "sf" and len(parts) == 3:
             n, ratio = int(parts[1]), float(parts[2])
-            if n < 3 or ratio <= 0:
-                raise InvalidParameterError(f"bad scale-free parameters in {text!r}")
+            _graphs.check_scale_free(n, ratio)
             return GraphSpec(family="sf", n_nodes=n, edge_node_ratio=ratio, label=text)
         if family == "edgelist" and len(parts) >= 2:
             return GraphSpec(family="edgelist", path=text.split(":", 1)[1], label=text)

@@ -9,12 +9,12 @@ from rqsim.diffusion import Snapshot
 from rqsim.graphs import Graph
 
 
-def graph_from_edges(n: int, edges: list[tuple[int, int]], kind: str = "finite") -> Graph:
+def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return Graph([sorted(s) for s in adj], kind=kind)
+    return Graph([sorted(s) for s in adj])
 
 
 def path_graph(n: int) -> Graph:

@@ -181,7 +181,11 @@ class TestSimulate:
         (("--p", "1.5"), {}),
         (("--p", "1.5", "--k", "0"), {}),
         ((), {"candidate_order": "x"}),
-    ], ids=["negative-seed", "p-above-1", "p-above-1-no-query", "unknown-order"])
+        (("--graph", "er:10:20"), {}),
+        (("--graph", "er:10:nan"), {}),
+        (("--graph", "sf:50:inf"), {}),
+    ], ids=["negative-seed", "p-above-1", "p-above-1-no-query", "unknown-order",
+            "er-degree-above-n-1", "er-degree-nan", "sf-ratio-inf"])
     def test_bad_sweep_value_fails_before_any_trial(self, capsys, tmp_path, monkeypatch,
                                                      flags, doc):
         import rqsim.harness

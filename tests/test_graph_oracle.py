@@ -1,0 +1,144 @@
+"""The one-pass graph builder against the two-pass builder it replaced, and
+the constructor check against a plain statement of what it accepts."""
+
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_graphs as ref
+from rqsim.errors import GenerationFailureError, InvalidInputError
+from rqsim.graphs import Graph, load_edge_list, make_erdos_renyi
+
+
+def edge_list_text(pairs: list[tuple[int, int]]) -> str:
+    return "# drawn edge list\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+
+
+def assert_same_load(pairs: list[tuple[int, int]]):
+    text = edge_list_text(pairs)
+    g = load_edge_list(io.StringIO(text))
+    expected = ref.load_edge_list(io.StringIO(text))
+    assert g._adj == expected._adj
+    return g
+
+
+@st.composite
+def messy_edge_lists(draw) -> list[tuple[int, int]]:
+    """Sparse ids with self-loops, repeated and reversed pairs, and ids
+    named only by a self-loop (isolated nodes)."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=20, unique=True))
+    node = st.sampled_from(ids)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=40))
+    again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=10))
+    pairs += [(v, u) if flip else (u, v) for (u, v), flip in again]
+    pairs += [(x, x) for x in draw(st.lists(node, max_size=3))]
+    return draw(st.permutations(pairs))
+
+
+@st.composite
+def tied_edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    """Several components of one size (each its own random tree plus chords,
+    on interleaved ids) and smaller ones; returns (tied size, pairs)."""
+    size = draw(st.integers(1, 6))
+    sizes = [size] * draw(st.integers(2, 4)) + draw(st.lists(st.integers(1, size), max_size=3))
+    ids = draw(st.permutations(range(sum(sizes))))
+    pairs: list[tuple[int, int]] = []
+    start = 0
+    for m in sizes:
+        nodes = ids[start:start + m]
+        start += m
+        if m == 1:
+            pairs.append((nodes[0], nodes[0]))  # a node named only by its self-loop
+        for i in range(1, m):
+            pairs.append((nodes[draw(st.integers(0, i - 1))], nodes[i]))
+        if m > 2:
+            chord = st.sampled_from(nodes)
+            pairs += draw(st.lists(st.tuples(chord, chord), max_size=3))
+    return size, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=messy_edge_lists())
+def test_load_edge_list_matches_two_pass_builder(pairs):
+    assert_same_load(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=tied_edge_lists())
+def test_tied_largest_components_match_two_pass_builder(drawn):
+    size, pairs = drawn
+    g = assert_same_load(pairs)
+    assert g.n == size
+
+
+def test_tie_goes_to_the_component_with_the_lowest_id():
+    # Components {2, 5, 9} (a path) and {0, 7, 8} (a star at 8): the second holds id 0.
+    g = assert_same_load([(2, 5), (5, 9), (8, 0), (8, 7)])
+    assert g._adj == [[2], [2], [0, 1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    avg=st.floats(min_value=0.1, max_value=5.0),
+    complete=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_erdos_renyi_matches_two_pass_builder(n, avg, complete, seed):
+    avg = n - 1 if complete else min(avg, n - 1)
+    try:
+        expected = ref.make_erdos_renyi(n, avg, np.random.default_rng(seed))
+    except GenerationFailureError:
+        with pytest.raises(GenerationFailureError):
+            make_erdos_renyi(n, avg, np.random.default_rng(seed))
+        return
+    assert make_erdos_renyi(n, avg, np.random.default_rng(seed))._adj == expected._adj
+
+
+def is_sorted_simple_symmetric(adj: list[list[int]]) -> bool:
+    n = len(adj)
+    return all(
+        nbrs == sorted(set(nbrs)) and all(0 <= v < n and v != u and u in adj[v] for v in nbrs)
+        for u, nbrs in enumerate(adj)
+    )
+
+
+@st.composite
+def nearly_valid_adjacency(draw) -> list[list[int]]:
+    """A valid adjacency, then maybe one entry added, dropped, repeated or moved."""
+    n = draw(st.integers(0, 7))
+    adj = [[] for _ in range(n)]
+    if n > 1:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            if u != v and v not in adj[u]:
+                adj[u].append(v)
+                adj[v].append(u)
+    adj = [sorted(nbrs) for nbrs in adj]
+    rows = [u for u in range(n) if adj[u]]
+    fault = draw(st.sampled_from(["none", "add", "drop", "repeat", "swap"]))
+    if fault == "add" and n:
+        row = adj[draw(st.integers(0, n - 1))]
+        row.insert(draw(st.integers(0, len(row))), draw(st.integers(-1, n)))
+    elif rows and fault != "none":
+        row = adj[draw(st.sampled_from(rows))]
+        i = draw(st.integers(0, len(row) - 1))
+        if fault == "drop":
+            del row[i]
+        elif fault == "repeat":
+            row.insert(draw(st.integers(0, len(row))), row[i])
+        else:
+            row.insert(draw(st.integers(0, len(row) - 1)), row.pop(i))
+    return adj
+
+
+@settings(max_examples=400, deadline=None)
+@given(adj=nearly_valid_adjacency())
+def test_constructor_accepts_exactly_sorted_simple_symmetric_lists(adj):
+    if is_sorted_simple_symmetric(adj):
+        assert Graph(adj).n == len(adj)
+    else:
+        with pytest.raises(InvalidInputError):
+            Graph(adj)

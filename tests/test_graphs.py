@@ -43,6 +43,9 @@ def assert_tree(g: Graph):
     [[0]],  # self-loop
     [[1], [0, 2]],  # neighbour 2 out of range
     [[1, 1], [0, 0]],  # duplicate edge
+    [[1], []],  # asymmetric: 0-1 missing from node 1
+    [[2, 1], [0], [0]],  # unsorted
+    [[1, 2, 1], [0], [0]],  # non-adjacent duplicate
 ])
 def test_graph_rejects_malformed_adjacency(adjacency):
     with pytest.raises(InvalidInputError):
@@ -200,9 +203,7 @@ class TestEdgeList:
         text = "0 1\n1 2\n2 0\n5 6\n"
         g = load_edge_list(io.StringIO(text))
         assert g.n == 3
-        assert g.meta["file_nodes"] == 5
-        assert g.meta["file_edges"] == 4
-        assert g.meta["component_nodes"] == 3
+        assert g.num_edges == 3
 
     def test_parse_error_carries_line_number(self):
         for bad_line in ("bogus line here", "1 x", "1 -2"):
