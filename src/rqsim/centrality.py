@@ -193,12 +193,24 @@ _UNREACHED = 1 << 62
 def _log_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     """``log k`` for 0 < k < size, and 0 at k = 0, as integers in units of
     ``1 / _ONE``, split into high and low 28-bit halves so that sums of
-    thousands of entries stay inside int64."""
-    scaled = np.array([0.0, *map(math.log, range(1, size))]) * _ONE
-    fixed = scaled.astype(np.int64)
-    if not np.array_equal(fixed, scaled):
-        raise ArithmeticError("a log table entry is not a multiple of 2**-53")
-    return fixed >> _HALF, fixed & ((1 << _HALF) - 1)
+    thousands of entries stay inside int64.
+
+    One table is kept per process and grown by doubling; the result is a
+    view of its first ``size`` entries."""
+    global _LOG_TABLE
+    have = _LOG_TABLE[0].size
+    if have < size:
+        scaled = np.array([*map(math.log, range(have, max(size, 2 * have)))]) * _ONE
+        fixed = scaled.astype(np.int64)
+        if not np.array_equal(fixed, scaled):
+            raise ArithmeticError("a log table entry is not a multiple of 2**-53")
+        _LOG_TABLE = tuple(np.concatenate((old, new)) for old, new in
+                           zip(_LOG_TABLE, (fixed >> _HALF, fixed & ((1 << _HALF) - 1))))
+    return _LOG_TABLE[0][:size], _LOG_TABLE[1][:size]
+
+
+#: The (high, low) halves of every ``log k`` computed so far; entry 0 is 0.
+_LOG_TABLE = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
 def _log_sums(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> list[float]:

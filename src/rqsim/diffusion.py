@@ -99,8 +99,8 @@ class Snapshot:
         infected-induced subgraph of ``graph``."""
         ids, index = self.infected, self.index
         if self.graph is not None and not self.graph.acyclic:
-            return [[index[w] for w in sorted(w for w in self.graph.neighbors(v) if w in index)]
-                    for v in ids]
+            # A Graph's lists ascend, so the filtered ones keep id order.
+            return [[index[w] for w in self.graph.neighbors(v) if w in index] for v in ids]
         adj: list[list[int]] = [[] for _ in ids]
         for i, p in enumerate(self.parent_pos[1:], 1):
             adj[i].append(p)

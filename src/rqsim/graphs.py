@@ -15,7 +15,8 @@ a given seed.
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable
+from itertools import chain
+from typing import IO
 
 import numpy as np
 
@@ -35,12 +36,13 @@ class Graph:
     ``acyclic`` is set by generators whose graphs are forests by construction.
     """
 
-    __slots__ = ("_adj", "acyclic")
+    __slots__ = ("_adj", "acyclic", "_max_degree")
 
     def __init__(self, adjacency: list[list[int]], acyclic: bool = False):
         _check_adjacency(adjacency)
         self._adj = adjacency
         self.acyclic = acyclic
+        self._max_degree = max(map(len, adjacency), default=0)
 
     @property
     def n(self) -> int:
@@ -61,14 +63,18 @@ class Graph:
         return len(self._adj[v])
 
     def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._adj), default=0)
+        return self._max_degree
 
     def avg_degree(self) -> float:
         return 2.0 * self.num_edges / self.n if self.n else 0.0
 
 
 def _check_adjacency(adj: list[list[int]]) -> None:
-    """Raise InvalidInputError unless ``adj`` is sorted, simple and symmetric."""
+    """Raise InvalidInputError unless ``adj`` holds ints and is sorted,
+    simple and symmetric."""
+    stray = set(map(type, chain.from_iterable(adj))) - {int}
+    if stray:
+        raise InvalidInputError(f"neighbor ids must be int, got {sorted(t.__name__ for t in stray)}")
     n = len(adj)
     # met[v] counts the head of adj[v] already matched by smaller nodes' lists
     # (read in ascending order); the rest must ascend above v, each matched next.
@@ -139,25 +145,38 @@ class RegularTree:
         return self.d
 
 
-def _build_finite(n: int, edges: Iterable[tuple[int, int]], acyclic: bool = False,
+def _build_finite(n: int, edges: np.ndarray, acyclic: bool = False,
                   largest_component: bool = False) -> Graph:
-    """A simple graph on ``0..n-1`` from ``edges``, less self-loops and repeats.
+    """A simple graph on ``0..n-1`` from an ``(m, 2)`` int64 array of edges,
+    less self-loops and repeats.
 
-    ``largest_component`` keeps only the largest component (the lowest id's
-    on a tie), renumbered in ascending order, which keeps each list sorted.
+    Each edge is coded ``u * n + v`` in both directions, and one sort gives
+    every list in ascending order.  ``largest_component`` keeps only the
+    largest component (the lowest id's on a tie), renumbered in ascending
+    order, which keeps each list sorted.
     """
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    rows = [sorted(s) for s in adj]
-    del adj  # peak memory: the sets go before a renumbered copy is built
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    codes = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]))
+    codes.sort()
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:codes.size]]
+    rows = _rows(n, codes)
     if largest_component:
-        comp = _largest_component(rows)
-        new_id = {old: new for new, old in enumerate(comp)}
-        rows = [[new_id[v] for v in rows[old]] for old in comp]
+        inside = np.zeros(n, dtype=bool)
+        inside[_largest_component(rows)] = True
+        new_id = np.cumsum(inside) - 1
+        head, tail = np.divmod(codes, n)
+        keep = inside[head]
+        n = int(new_id[-1]) + 1
+        rows = _rows(n, new_id[head[keep]] * n + new_id[tail[keep]])
     return Graph(rows, acyclic=acyclic)
+
+
+def _rows(n: int, codes: np.ndarray) -> list[list[int]]:
+    """Adjacency lists from sorted, distinct codes ``u * n + v``."""
+    head, tail = np.divmod(codes, n)
+    stop = np.searchsorted(head, np.arange(n), side="right").tolist()
+    flat = tail.tolist()
+    return [flat[a:b] for a, b in zip([0, *stop], stop)]
 
 
 def _largest_component(adj: list[list[int]]) -> list[int]:
@@ -196,15 +215,14 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
     unexpanded frontier nodes become leaves.
     """
     check_galton_watson(d_max, min_nodes)
-    edges: list[tuple[int, int]] = []
+    sizes: list[int] = []  # child counts of the expanded nodes, in order
     count = 1
-    u = 0  # next node to expand; every node has a child, so u < count
     while count < min_nodes:
-        hi = d_max if u == 0 else d_max - 1
-        n_children = min(int(rng.integers(1, hi + 1)), min_nodes - count)
-        edges.extend((u, c) for c in range(count, count + n_children))
-        count += n_children
-        u += 1
+        hi = d_max if not sizes else d_max - 1
+        sizes.append(min(int(rng.integers(1, hi + 1)), min_nodes - count))
+        count += sizes[-1]
+    parents = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    edges = np.stack((parents, np.arange(1, count, dtype=np.int64)), axis=1)
     return _build_finite(count, edges, acyclic=True)
 
 
@@ -217,30 +235,55 @@ def check_galton_watson(d_max: int, min_nodes: int) -> None:
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:
-    """G(n, p) with ``p = avg_degree / (n - 1)``; largest component, renumbered."""
+    """G(n, p) with ``p = avg_degree / (n - 1)``; largest component, renumbered.
+
+    Pairs ``(v, w)``, ``w < v``, are taken in the order ``t = v(v-1)/2 + w``;
+    the kept ones are found by skip lengths (Batagelj & Brandes), O(|E|) draws.
+    """
     check_erdos_renyi(n, avg_degree)
     p = avg_degree / (n - 1)
-
-    edges: list[tuple[int, int]] = []
-    if p >= 1.0:
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    else:
-        # Skip-length sampling over the ordered pair sequence: O(|E|) draws.
-        log_1p = math.log1p(-p)
-        v, w = 1, -1
-        while v < n:
-            r = rng.random()
-            w += 1 + int(math.log1p(-r) / log_1p)
-            while w >= v and v < n:
-                w -= v
-                v += 1
-            if v < n:
-                edges.append((v, w))
-
-    g = _build_finite(n, edges, largest_component=True)
+    pairs = n * (n - 1) // 2
+    at = np.arange(pairs, dtype=np.int64) if p >= 1.0 else _skip_positions(pairs, p, rng)
+    first = np.arange(n + 1, dtype=np.int64) * np.arange(-1, n, dtype=np.int64) // 2  # v(v-1)/2
+    v = np.searchsorted(first, at, side="right") - 1
+    g = _build_finite(n, np.stack((v, at - first[v]), axis=1), largest_component=True)
     if g.n < 2:
         raise GenerationFailureError("largest component has fewer than 2 nodes")
     return g
+
+
+def _skip_positions(pairs: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Places in ``0..pairs-1`` kept with probability ``p``, each found from
+    the last by a skip of ``int(log1p(-u) / log1p(-p))`` for one uniform ``u``.
+
+    Uniforms come from ``rng.random(block)``, and ``rng`` is left where one
+    ``rng.random()`` per skip would leave it, the draw that runs past the
+    last pair included: the block's state is restored and just the used
+    draws are taken again.
+    """
+    log_q = math.log1p(-p)
+    found = []
+    last = -1
+    while True:
+        expect = p * (pairs - 1 - last)
+        block = min(_SKIP_BLOCK, int(expect + 4 * math.sqrt(expect)) + 16)
+        saved = rng.bit_generator.state
+        u = rng.random(block)
+        # math.log1p, as the per-skip formula uses; np.log1p may round differently.
+        q = np.fromiter(map(math.log1p, (-u).tolist()), dtype=np.float64, count=block) / log_q
+        at = last + np.cumsum(np.minimum(q, pairs).astype(np.int64) + 1)
+        end = int(np.searchsorted(at, pairs))
+        if end < block:
+            rng.bit_generator.state = saved
+            rng.random(end + 1)
+            found.append(at[:end])
+            return np.concatenate(found)
+        found.append(at)
+        last = int(at[-1])
+
+
+#: Most uniforms one ``rng.random`` call of :func:`_skip_positions` draws.
+_SKIP_BLOCK = 1 << 16
 
 
 def check_erdos_renyi(n: int, avg_degree: float) -> None:
@@ -259,23 +302,24 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
     probability proportional to degree.  Connected by construction.
     """
     check_scale_free(n, edge_node_ratio)
-    edges: list[tuple[int, int]] = [(0, 1)]
-    # One endpoint entry per unit of degree; uniform draws from this pool
-    # realize degree-proportional attachment.
+    # One endpoint entry per unit of degree, the edges read off in pairs;
+    # uniform picks from this pool realize degree-proportional attachment.
     pool: list[int] = [0, 1]
     built = 1
     for i in range(2, n):
-        target = math.floor(edge_node_ratio * (i + 1))
-        m = max(1, min(i, target - built))
+        m = max(1, min(i, math.floor(edge_node_ratio * (i + 1)) - built))
+        built += m
+        # Picks go on until they are m distinct nodes, so the first m are
+        # always drawn: one sized call draws what m scalar calls would, and
+        # costs about what three or four do.
         chosen: set[int] = set()
+        if m > 3:
+            chosen.update(map(pool.__getitem__, rng.integers(0, len(pool), size=m).tolist()))
         while len(chosen) < m:
             chosen.add(pool[int(rng.integers(len(pool)))])
         for u in chosen:
-            edges.append((u, i))
-            pool.append(u)
-            pool.append(i)
-        built += m
-    return _build_finite(n, edges)
+            pool += (u, i)
+    return _build_finite(n, np.array(pool, dtype=np.int64).reshape(-1, 2))
 
 
 def check_scale_free(n: int, edge_node_ratio: float) -> None:
@@ -318,5 +362,5 @@ def load_edge_list(stream: IO[str] | str) -> Graph:
         raise InvalidInputError("edge list is empty")
 
     relabel = {old: new for new, old in enumerate(sorted({x for edge in edges for x in edge}))}
-    edges = [(relabel[u], relabel[v]) for u, v in edges]
+    edges = np.array([(relabel[u], relabel[v]) for u, v in edges], dtype=np.int64)
     return _build_finite(len(relabel), edges, largest_component=True)

@@ -78,7 +78,6 @@ class GraphSpec:
     edge_node_ratio: float = 0.0
     min_nodes: int = 0
     path: str = ""
-    label: str = ""
 
 
 def parse_graph_spec(text: str) -> GraphSpec:
@@ -90,22 +89,22 @@ def parse_graph_spec(text: str) -> GraphSpec:
         if family == "regular" and len(parts) == 2:
             d = int(parts[1])
             _graphs.RegularTree(d)  # its degree check
-            return GraphSpec(family="regular", d=d, label=text)
+            return GraphSpec(family="regular", d=d)
         if family == "gw" and len(parts) in (2, 3):
             d_max = int(parts[1])
             min_nodes = int(parts[2]) if len(parts) == 3 else 0  # 0: sized from n_infected
             _graphs.check_galton_watson(d_max, min_nodes or 1)
-            return GraphSpec(family="gw", d_max=d_max, min_nodes=min_nodes, label=text)
+            return GraphSpec(family="gw", d_max=d_max, min_nodes=min_nodes)
         if family == "er" and len(parts) == 3:
             n, avg = int(parts[1]), float(parts[2])
             _graphs.check_erdos_renyi(n, avg)
-            return GraphSpec(family="er", n_nodes=n, avg_degree=avg, label=text)
+            return GraphSpec(family="er", n_nodes=n, avg_degree=avg)
         if family == "sf" and len(parts) == 3:
             n, ratio = int(parts[1]), float(parts[2])
             _graphs.check_scale_free(n, ratio)
-            return GraphSpec(family="sf", n_nodes=n, edge_node_ratio=ratio, label=text)
+            return GraphSpec(family="sf", n_nodes=n, edge_node_ratio=ratio)
         if family == "edgelist" and len(parts) >= 2:
-            return GraphSpec(family="edgelist", path=text.split(":", 1)[1], label=text)
+            return GraphSpec(family="edgelist", path=text.split(":", 1)[1])
     except ValueError as exc:
         raise InvalidParameterError(f"cannot parse graph spec {text!r}: {exc}") from None
     raise InvalidParameterError(f"cannot parse graph spec {text!r}")

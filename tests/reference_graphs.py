@@ -1,98 +1,45 @@
-"""The graph builder as first written, kept as a differential oracle.
+"""The graph generators and one-pass builder as they were before block
+drawing, kept as a differential oracle.
 
-``rqsim.graphs`` now deduplicates, keeps the largest component and
-renumbers it in one pass, and builds one ``Graph``.  This module keeps
-the original two-pass build unchanged: a ``Graph`` from per-node sets,
-then ``_restrict_to_component`` builds a second one from the largest
-component.  Its ``Graph`` is the original class too (with the ``kind``
-and ``meta`` attributes the package no longer has), so the builder code
-below runs verbatim.  Tests require both builders to give ``==``
-adjacency lists and to fail alike.
+``rqsim.graphs`` now draws its scale-free picks and Erdős–Rényi skips in
+blocks and builds every graph from an int64 edge array by one sort.  The
+functions below are the scalar code it replaced, unchanged: one
+``Generator`` call per pick or skip and per-node sets, ending in the
+package's ``Graph`` and using its parameter checks.  Tests require both
+versions to give ``==`` adjacency lists and to leave the generator in
+``==`` states.
 """
 
 from __future__ import annotations
 
 import math
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
-from rqsim.errors import (
-    GenerationFailureError,
-    InvalidInputError,
-    InvalidParameterError,
-    ParseError,
-)
+from rqsim.errors import GenerationFailureError
+from rqsim.graphs import Graph, check_erdos_renyi, check_galton_watson, check_scale_free
 
 
-class Graph:
-    """Finite undirected simple graph with nodes ``0..n-1``.
+def _build_finite(n: int, edges: Iterable[tuple[int, int]], acyclic: bool = False,
+                  largest_component: bool = False) -> Graph:
+    """A simple graph on ``0..n-1`` from ``edges``, less self-loops and repeats.
 
-    Immutable after construction; safe for concurrent reads.  ``acyclic``
-    is set by generators whose graphs are forests by construction.
+    ``largest_component`` keeps only the largest component (the lowest id's
+    on a tie), renumbered in ascending order, which keeps each list sorted.
     """
-
-    __slots__ = ("_adj", "kind", "meta", "acyclic")
-
-    def __init__(self, adjacency: list[list[int]], kind: str = "finite", meta: dict | None = None,
-                 acyclic: bool = False):
-        self._adj = adjacency
-        self.kind = kind
-        self.meta = meta or {}
-        self.acyclic = acyclic
-        self._check_symmetry()
-
-    def _check_symmetry(self) -> None:
-        n = len(self._adj)
-        for u, nbrs in enumerate(self._adj):
-            prev = -1
-            for v in nbrs:
-                if v == u:
-                    raise InvalidInputError(f"self-loop at node {u}")
-                if not 0 <= v < n:
-                    raise InvalidInputError(f"neighbor {v} of node {u} out of range")
-                if v == prev:
-                    raise InvalidInputError(f"duplicate edge {u}-{v}")
-                prev = v
-
-    @property
-    def n(self) -> int:
-        return len(self._adj)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj) // 2
-
-    @property
-    def is_finite(self) -> bool:
-        return True
-
-    def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
-    def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._adj), default=0)
-
-    def avg_degree(self) -> float:
-        return 2.0 * self.num_edges / self.n if self.n else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Graph(kind={self.kind!r}, n={self.n}, m={self.num_edges})"
-
-
-def _build_finite(n: int, edges: Iterable[tuple[int, int]], kind: str, meta: dict | None = None,
-                  acyclic: bool = False) -> Graph:
-    """Assemble a simple undirected graph, deduplicating as needed."""
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph([sorted(s) for s in adj], kind=kind, meta=meta, acyclic=acyclic)
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    rows = [sorted(s) for s in adj]
+    del adj  # peak memory: the sets go before a renumbered copy is built
+    if largest_component:
+        comp = _largest_component(rows)
+        new_id = {old: new for new, old in enumerate(comp)}
+        rows = [[new_id[v] for v in rows[old]] for old in comp]
+    return Graph(rows, acyclic=acyclic)
 
 
 def _largest_component(adj: list[list[int]]) -> list[int]:
@@ -105,10 +52,7 @@ def _largest_component(adj: list[list[int]]) -> list[int]:
             continue
         comp = [start]
         seen[start] = True
-        head = 0
-        while head < len(comp):
-            u = comp[head]
-            head += 1
+        for u in comp:  # a breadth-first search: comp grows while it is read
             for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
@@ -119,21 +63,31 @@ def _largest_component(adj: list[list[int]]) -> list[int]:
     return best
 
 
-def _restrict_to_component(g: Graph) -> Graph:
-    comp = _largest_component(g._adj)
-    relabel = {old: new for new, old in enumerate(comp)}
-    adj = [[relabel[v] for v in g._adj[old] if v in relabel] for old in comp]
-    for row in adj:
-        row.sort()
-    return Graph(adj, kind=g.kind, meta={**g.meta, "component_nodes": len(comp)})
+def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> Graph:
+    """Random finite tree from a branching process capped at degree ``d_max``.
+
+    Non-root nodes draw their child count uniformly from ``{1, ..., d_max - 1}``
+    (the root from ``{1, ..., d_max}``), which keeps every degree at most
+    ``d_max`` and never lets the process die out.  Nodes are numbered in
+    breadth-first order; growth stops once ``min_nodes`` nodes exist, and
+    unexpanded frontier nodes become leaves.
+    """
+    check_galton_watson(d_max, min_nodes)
+    edges: list[tuple[int, int]] = []
+    count = 1
+    u = 0  # next node to expand; every node has a child, so u < count
+    while count < min_nodes:
+        hi = d_max if u == 0 else d_max - 1
+        n_children = min(int(rng.integers(1, hi + 1)), min_nodes - count)
+        edges.extend((u, c) for c in range(count, count + n_children))
+        count += n_children
+        u += 1
+    return _build_finite(count, edges, acyclic=True)
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:
     """G(n, p) with ``p = avg_degree / (n - 1)``; largest component, renumbered."""
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
-    if not 0 < avg_degree <= n - 1:
-        raise InvalidParameterError(f"avg_degree must be in (0, {n - 1}], got {avg_degree}")
+    check_erdos_renyi(n, avg_degree)
     p = avg_degree / (n - 1)
 
     edges: list[tuple[int, int]] = []
@@ -152,50 +106,34 @@ def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Gra
             if v < n:
                 edges.append((v, w))
 
-    g = _build_finite(n, edges, kind="erdos-renyi", meta={"requested_nodes": n})
-    g = _restrict_to_component(g)
+    g = _build_finite(n, edges, largest_component=True)
     if g.n < 2:
         raise GenerationFailureError("largest component has fewer than 2 nodes")
     return g
 
 
-def load_edge_list(stream: IO[str] | str) -> Graph:
-    """Parse a SNAP-style edge list into the largest connected component.
+def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) -> Graph:
+    """Preferential-attachment graph with ``|E|/|V|`` close to ``edge_node_ratio``.
 
-    Lines starting with ``#`` are comments; every other line must hold two
-    whitespace-separated integer node ids.  Directed inputs are
-    symmetrized; duplicate edges and self-loops are dropped.  The returned
-    graph's ``meta`` records the pre-component node and edge counts.
+    Node ``i`` brings ``floor(ratio*(i+1)) - floor(ratio*i)`` edges (an
+    alternating 1/2 pattern at ratio 1.5), attached to existing nodes with
+    probability proportional to degree.  Connected by construction.
     """
-    if isinstance(stream, str):
-        with open(stream, "r", encoding="utf-8") as fh:
-            return load_edge_list(fh)
-
-    pairs: set[tuple[int, int]] = set()
-    ids: set[int] = set()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two node ids, got {raw.strip()!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {raw.strip()!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"negative node id in {raw.strip()!r}", lineno)
-        ids.add(u)
-        ids.add(v)
-        if u != v:
-            pairs.add((u, v) if u < v else (v, u))
-
-    if not ids:
-        raise InvalidInputError("edge list is empty")
-
-    relabel = {old: new for new, old in enumerate(sorted(ids))}
-    edges = [(relabel[u], relabel[v]) for u, v in pairs]
-    meta = {"file_nodes": len(ids), "file_edges": len(pairs)}
-    g = _build_finite(len(ids), edges, kind="edge-list", meta=meta)
-    return _restrict_to_component(g)
+    check_scale_free(n, edge_node_ratio)
+    edges: list[tuple[int, int]] = [(0, 1)]
+    # One endpoint entry per unit of degree; uniform draws from this pool
+    # realize degree-proportional attachment.
+    pool: list[int] = [0, 1]
+    built = 1
+    for i in range(2, n):
+        target = math.floor(edge_node_ratio * (i + 1))
+        m = max(1, min(i, target - built))
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(pool[int(rng.integers(len(pool)))])
+        for u in chosen:
+            edges.append((u, i))
+            pool.append(u)
+            pool.append(i)
+        built += m
+    return _build_finite(n, edges)

@@ -8,6 +8,8 @@ change of behaviour.  A K = 0 row estimates with the likelihood centre
 alone, so no change to the respondents or estimators moves it.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,15 @@ def test_no_query_row(capsys, family):
                  "--zero-timing"])
     assert code == 0
     assert capsys.readouterr().out == f"{HEADER}\n{ROWS[family]}\n"
+
+
+#: sha256 of ``repr`` of the adjacency lists of ``make_scale_free(300, 8.0,
+#: default_rng(7))``, captured from the scalar generator (one
+#: ``rng.integers`` call per pick).
+SF_300_8_SEED_7 = "04243c21e096ca21d2fa557d909f3e3f3efd8bfcae6cc3dbdfa1109a9ab9a8cc"
+
+
+def test_dense_scale_free_adjacency():
+    g = make_scale_free(300, 8.0, np.random.default_rng(7))
+    adjacency = [g.neighbors(v) for v in range(g.n)]
+    assert hashlib.sha256(repr(adjacency).encode()).hexdigest() == SF_300_8_SEED_7

@@ -1,14 +1,17 @@
-"""The one-pass graph builder against the two-pass builder it replaced, and
-the constructor check against a plain statement of what it accepts."""
+"""The graph builder against the two-pass builder it replaced, the
+block-drawing generators against the scalar ones they replaced, and the
+constructor check against a plain statement of what it accepts."""
 
 import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import reference_graphs as ref
+import reference_graphs as scalar
+import reference_two_pass_graphs as ref
+from rqsim import graphs
 from rqsim.errors import GenerationFailureError, InvalidInputError
 from rqsim.graphs import Graph, load_edge_list, make_erdos_renyi
 
@@ -96,6 +99,59 @@ def test_erdos_renyi_matches_two_pass_builder(n, avg, complete, seed):
             make_erdos_renyi(n, avg, np.random.default_rng(seed))
         return
     assert make_erdos_renyi(n, avg, np.random.default_rng(seed))._adj == expected._adj
+
+
+def assert_same_draw(name: str, *args, seed: int) -> None:
+    """``graphs.<name>`` and its scalar version give ``==`` adjacency (or
+    the same failure) and leave ``==`` generator states."""
+    outcomes = []
+    for module in (graphs, scalar):
+        rng = np.random.default_rng(seed)
+        try:
+            g = getattr(module, name)(*args, rng)
+            outcome = (g._adj, g.acyclic)
+        except GenerationFailureError:
+            outcome = "GenerationFailureError"
+        outcomes.append((outcome, rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 300), ratio=st.floats(0.05, 12.0), seed=seeds)
+@example(n=300, ratio=8.0, seed=7)  # dense: about 90 nodes repeat a pick
+@example(n=3, ratio=0.2, seed=0)
+def test_scale_free_matches_scalar_draws(n, ratio, seed):
+    assert_same_draw("make_scale_free", n, ratio, seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 80), avg=st.floats(0.01, 8.0), complete=st.booleans(), seed=seeds)
+@example(n=2, avg=0.5, seed=2, complete=False)  # the one pair kept
+@example(n=40, avg=39.0, seed=0, complete=False)  # complete, no draws
+def test_erdos_renyi_matches_scalar_draws(n, avg, complete, seed):
+    assert_same_draw("make_erdos_renyi", n, n - 1 if complete else min(avg, n - 1), seed=seed)
+
+
+def test_erdos_renyi_fails_alike_without_an_edge():
+    with pytest.raises(GenerationFailureError):
+        make_erdos_renyi(2, 0.5, np.random.default_rng(0))
+    assert_same_draw("make_erdos_renyi", 2, 0.5, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d_max=st.integers(2, 8), min_nodes=st.integers(1, 400), seed=seeds)
+def test_galton_watson_matches_scalar_draws(d_max, min_nodes, seed):
+    assert_same_draw("make_galton_watson", d_max, min_nodes, seed=seed)
+
+
+def test_skip_blocks_span_several_draws(monkeypatch):
+    # Blocks of 8 uniforms: a draw of about 600 skips refills many times.
+    monkeypatch.setattr(graphs, "_SKIP_BLOCK", 8)
+    for seed in range(5):
+        assert_same_draw("make_erdos_renyi", 300, 4.0, seed=seed)
 
 
 def is_sorted_simple_symmetric(adj: list[list[int]]) -> bool:

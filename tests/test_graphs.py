@@ -46,6 +46,9 @@ def assert_tree(g: Graph):
     [[1], []],  # asymmetric: 0-1 missing from node 1
     [[2, 1], [0], [0]],  # unsorted
     [[1, 2, 1], [0], [0]],  # non-adjacent duplicate
+    [[1.0], [0]],  # a float id
+    [[True], [False]],  # bools, though True == 1 and False == 0
+    [[np.int64(1)], [np.int64(0)]],  # numpy ints, as list(arr) gives
 ])
 def test_graph_rejects_malformed_adjacency(adjacency):
     with pytest.raises(InvalidInputError):

@@ -54,7 +54,7 @@ class TestWilsonInterval:
 
 class TestGraphSpecParsing:
     def test_families(self):
-        assert parse_graph_spec("regular:3") == GraphSpec(family="regular", d=3, label="regular:3")
+        assert parse_graph_spec("regular:3") == GraphSpec(family="regular", d=3)
         assert parse_graph_spec("gw:10").d_max == 10
         assert parse_graph_spec("gw:10:900").min_nodes == 900
         spec = parse_graph_spec("er:2000:4")

@@ -185,6 +185,21 @@ class TestExactLogSums:
         assert _log_sums(table, picks) == want
         assert _log_sums(table, picks[:, :split], picks[:, split:]) == want
 
+    def test_table_kept_per_process_and_grown_by_doubling(self, monkeypatch):
+        # A fresh table, put back afterwards, so no other test's calls count.
+        monkeypatch.setattr(centrality, "_LOG_TABLE", (np.zeros(1, np.int64), np.zeros(1, np.int64)))
+        assert _log_table(10)[0].size == 10
+        kept = centrality._LOG_TABLE
+        small = _log_table(5)
+        assert centrality._LOG_TABLE is kept  # served from the kept table
+        assert np.shares_memory(small[0], kept[0]) and np.shares_memory(small[1], kept[1])
+        assert _log_table(15)[0].size == 15
+        assert centrality._LOG_TABLE[0].size == 20  # doubled, not grown to 15
+        high, low = _log_table(50)  # past double: grown to what is asked
+        assert centrality._LOG_TABLE[0].size == high.size == low.size == 50
+        fixed = [(h << 28) + lo for h, lo in zip(high.tolist(), low.tolist())]
+        assert fixed == [0] + [int(math.log(k) * 2.0**53) for k in range(1, 50)]
+
     def test_largest_entries_at_the_largest_count(self, table):
         picks = np.full((1, 10**4), self.SIZE - 1)
         assert _log_sums(table, picks) == [math.fsum([math.log(self.SIZE - 1)] * 10**4)]
