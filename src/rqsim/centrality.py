@@ -78,12 +78,6 @@ def subtree_sizes(tree: Snapshot | TreeAdjacency, root: int) -> dict[int, int]:
     return dict(zip(order, _sizes(parent_pos)))
 
 
-def log_score_at_root(tree: Snapshot | TreeAdjacency, root: int) -> float:
-    """Direct evaluation log(N!) - sum(log T_u) for a single root."""
-    sizes = _sizes(_rooted(tree, root)[1])
-    return math.lgamma(len(sizes) + 1) - sum(math.log(s) for s in sizes)
-
-
 def _tree_scores(parent_pos: Sequence[int]) -> list[float]:
     """Log score of every node of a tree listed parent before child: the
     subtree sizes below entry 0 give its score, and rerooting across an

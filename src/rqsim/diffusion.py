@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
+from .graphs import RegularTree
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +159,14 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     Each step selects one boundary edge uniformly at random; its infected
     endpoint becomes the new node's parent.  Raises
     :class:`InfeasibleTargetError` when the reachable component is smaller
-    than ``n_target``.
+    than ``n_target``.  A fresh :class:`RegularTree` spread from its root
+    takes :func:`_spread_on_fresh_tree`, which draws the same numbers and
+    returns the same snapshot and tree.
     """
     if n_target < 1:
         raise InvalidParameterError(f"n_target must be >= 1, got {n_target}")
+    if isinstance(graph, RegularTree) and source == 0 and graph.is_fresh:
+        return _spread_on_fresh_tree(graph, n_target, rng)
     index, parent_pos = {source: 0}, [-1]  # index keeps the infection order
     # (position of the infected endpoint, susceptible endpoint)
     boundary: list[tuple[int, int]] = [(0, w) for w in graph.neighbors(source)]
@@ -186,6 +192,33 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
                 boundary.append((pos, w))
 
     return Snapshot(graph, tuple(index), parent_pos, index)
+
+
+def _spread_on_fresh_tree(tree: RegularTree, n_target: int, rng: np.random.Generator) -> Snapshot:
+    """:func:`simulate_si` from the root of a fresh regular tree, all picks
+    drawn at once.
+
+    On a tree each susceptible node has one infected neighbour, so no
+    boundary entry goes stale and the k-th pick is uniform over
+    ``d + (k - 1)(d - 2)`` edges.  One broadcast ``rng.integers`` call draws
+    every pick and leaves ``rng`` where the scalar calls would.  The
+    boundary holds bare child ids, numbered as the tree numbers them when
+    expanded in infection order: position k >= 1 owns the ids
+    ``d + 1 + (k - 1)(d - 1)`` onwards, so child v has the parent position
+    0 if ``v <= d``, else ``(v - 2) // (d - 1)``.
+    """
+    d = tree.d
+    picks = rng.integers(0, d + (d - 2) * np.arange(n_target - 1, dtype=np.int64))
+    boundary, infected = list(range(1, d + 1)), [0]
+    for new, i in zip(count(d + 1, d - 1), picks.tolist()):
+        v = boundary[i]
+        boundary[i] = boundary[-1]
+        boundary.pop()
+        infected.append(v)
+        boundary += range(new, new + d - 1)
+    tree.expand_in_order(infected)
+    parent_pos = [-1] + [0 if v <= d else (v - 2) // (d - 1) for v in infected[1:]]
+    return Snapshot(tree, tuple(infected), parent_pos, dict(zip(infected, range(n_target))))
 
 
 def _symmetric_sums(a: int, b_max: int, d: int) -> list[int]:

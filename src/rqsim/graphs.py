@@ -95,7 +95,8 @@ def _check_adjacency(adj: list[list[int]]) -> None:
 class RegularTree:
     """Infinite regular tree of degree ``d``, rooted at node 0.
 
-    Children are materialized on first access to ``neighbors``.  Growth
+    Children are materialized on first access to ``neighbors``, or for a
+    whole infection order at once by :meth:`expand_in_order`.  Growth
     mutates the instance, so each trial owns a private tree.
     """
 
@@ -137,6 +138,28 @@ class RegularTree:
         for c in children:
             self._parents[c] = v
         return nbrs
+
+    @property
+    def is_fresh(self) -> bool:
+        """True until the first node is expanded."""
+        return self._next_id == 1
+
+    def expand_in_order(self, order: list[int]) -> None:
+        """Expand every node of ``order`` on a fresh tree in one pass, as
+        ``neighbors`` calls in that order would.
+
+        ``order`` starts at the root and names each later node after its
+        parent, so the children of ``order[k]`` (k >= 1) are numbered
+        ``d + 1 + (k - 1)(d - 1)`` onwards, ``d - 1`` of them.
+        """
+        d = self.d
+        owners = [0] * d + np.repeat(order[1:], d - 1).tolist()
+        self._next_id = stop = len(owners) + 1
+        self._parents = dict(zip(range(1, stop), owners))
+        # children[j] holds the (j + 1)-th child of each non-root node, in order.
+        children = [range(c, stop, d - 1) for c in range(d + 1, 2 * d)]
+        rows = zip(map(self._parents.__getitem__, order[1:]), *children)
+        self._adj = dict(zip(order, chain([tuple(range(1, d + 1))], rows)))
 
     def degree(self, v: int) -> int:
         return self.d

@@ -75,13 +75,6 @@ class AnswerRecord:
     yes_count: int = 0
     designations: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def yes_fraction(self) -> float:
-        return self.yes_count / self.rounds
-
-    def check_conservation(self) -> bool:
-        return self.yes_count + sum(self.designations.values()) == self.rounds
-
 
 def _direction(v: int, nbrs, parent: int | None, q: float, random) -> int:
     """One direction answer of ``v`` (neighbors ``nbrs``; ``parent`` None

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import full_path_snapshot, graph_from_edges, random_tree_adjacency, snapshot_of
+from reference_scorer import log_score_at_root
 from rqsim.centrality import (
     brute_force_rumor_centrality,
     general_graph_scores,
     likelihood_table,
     log_rumor_centralities,
-    log_score_at_root,
     pick_best,
     subtree_sizes,
 )

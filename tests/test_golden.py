@@ -81,3 +81,23 @@ def test_dense_scale_free_adjacency():
     g = make_scale_free(300, 8.0, np.random.default_rng(7))
     adjacency = [g.neighbors(v) for v in range(g.n)]
     assert hashlib.sha256(repr(adjacency).encode()).hexdigest() == SF_300_8_SEED_7
+
+
+#: sha256 of ``repr((infected, parent_pos))`` of ``simulate_si(make_regular_tree(d),
+#: 0, 400, default_rng(seed))``, captured from the scalar loop (one
+#: ``rng.integers`` call per pick).
+REGULAR_TREE_SNAPSHOTS = {
+    (3, 0): "a764d9534b77377cf914b2bb52d2f69b0de63cf2b7454d2810c18c92fbf4be3d",
+    (3, 1): "92c8583d99e4d96b3c205e9c9c6a3dd5e6e519584e610a41a07dc4be530f4ee2",
+    (3, 2): "d8f6616b80d911252870af5ef60e6d82454841771499f529c3368f967a911511",
+    (5, 0): "ae1f40d85b99086b582b4c50dd2b73c4bae060d51f68e58b158a70586314e28b",
+    (5, 1): "5e31c62bd52b3235c1534e139a543efa983f916fc0c7280117eeca87c8eb7818",
+    (5, 2): "c84f2911e230224d3ca92a0acae27ce837ff9ea783e1a983ede8b82234f1db48",
+}
+
+
+@pytest.mark.parametrize("d,seed", sorted(REGULAR_TREE_SNAPSHOTS))
+def test_regular_tree_snapshot(d, seed):
+    snap = simulate_si(make_regular_tree(d), 0, 400, np.random.default_rng(seed))
+    digest = hashlib.sha256(repr((snap.infected, list(snap.parent_pos))).encode()).hexdigest()
+    assert digest == REGULAR_TREE_SNAPSHOTS[d, seed]
