@@ -111,6 +111,55 @@ class Snapshot:
             nbrs.sort(key=ids.__getitem__)
         return adj
 
+    def hop_order(self, centre: int) -> list[int]:
+        """Every infected id by hop distance from infected node ``centre``
+        in the infected subgraph, ties by ascending id; computed once per
+        centre and shared by every caller."""
+        order = self._hop_orders.get(centre)
+        if order is None:
+            ids = np.array(self.infected)
+            hops = self._hops_from(self.index[centre])
+            order = self._hop_orders[centre] = ids[np.lexsort((ids, hops))].tolist()
+        return order
+
+    def _hops_from(self, at: int) -> list[int]:
+        """Hop distance of each position from position ``at`` over
+        :attr:`local_adjacency`, read off ``parent_pos`` when that is the
+        parent-edge tree."""
+        hops = [-1] * self.n
+        if self.graph is None or self.graph.acyclic:
+            k = 0
+            while at >= 0:  # ``at`` and its ancestors
+                hops[at] = k
+                at, k = self.parent_pos[at], k + 1
+            # Any other node's path to ``at`` starts with its parent edge.
+            for i, p in enumerate(self.parent_pos):
+                if hops[i] < 0:
+                    hops[i] = hops[p] + 1
+            return hops
+        adj, level, k = self.local_adjacency, [at], 0
+        hops[at] = 0
+        while level:
+            k += 1
+            reached = []
+            for u in level:
+                for w in adj[u]:
+                    if hops[w] < 0:
+                        hops[w] = k
+                        reached.append(w)
+            level = reached
+        return hops
+
+    @cached_property
+    def _hop_orders(self) -> dict[int, list[int]]:
+        return {}
+
+    @cached_property
+    def respondents(self) -> dict[int, tuple]:
+        """(neighbours, parent id or None at the source) of each infected
+        node queried so far, filled by the respondent model on first use."""
+        return {}
+
     @property
     def induced_edge_count(self) -> int:
         if self.graph is None or self.graph.acyclic:

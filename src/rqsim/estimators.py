@@ -121,6 +121,42 @@ def _majority(counts: Mapping[int, int], tape: UniformTape) -> int | None:
     return args[int(tape.random() * len(args))]
 
 
+def _descendant_counts(pred: Mapping[int, int]) -> dict[int, int]:
+    """For each key v of ``pred``, how many other keys have a chain of
+    ``pred`` links that reaches v, in O(len(pred)).
+
+    ``pred`` is a functional graph on its keys (a link to a non-key, or
+    to None, ends a chain).  Peeling keys with no incoming link, leaves
+    first, adds each key's in-tree size to its successor's; the keys left
+    over lie on cycles, and every member of a cycle is reached by the
+    in-trees of the whole cycle.
+    """
+    indegree = dict.fromkeys(pred, 0)
+    for w in pred.values():
+        if w in indegree:
+            indegree[w] += 1
+    size = dict.fromkeys(pred, 1)
+    leaves = [v for v, k in indegree.items() if k == 0]
+    for v in leaves:  # grows while it is read
+        w = pred[v]
+        if w in size:
+            size[w] += size[v]
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                leaves.append(w)
+    counts = {v: k - 1 for v, k in size.items()}
+    for v in pred:
+        if indegree[v]:
+            cycle = [v]
+            while (w := pred[cycle[-1]]) != v:
+                cycle.append(w)
+            reached = sum(map(size.__getitem__, cycle)) - 1
+            for w in cycle:
+                indegree[w] = 0
+                counts[w] = reached
+    return counts
+
+
 def _estimate_pool(
     s_i: set[int], s_d: set[int], p: float, fallback: Iterable[int]
 ) -> Iterable[int]:
@@ -144,8 +180,9 @@ def select_candidates_na(
 
     ``hop`` mode (the analyzed default) starts at the likelihood center
     and adds infected nodes level by level outward, within-level ties by
-    ascending node id.  ``centrality`` mode sorts by descending score.
-    Sizes above the infected count are clamped with a warning.
+    ascending node id, as a prefix of the snapshot's one hop order from
+    that centre.  ``centrality`` mode sorts by descending score.  Sizes
+    above the infected count are clamped with a warning.
     """
     check_candidate_order(order)
     if size < 1:
@@ -160,19 +197,7 @@ def select_candidates_na(
     if order == "centrality":
         return sorted(scores, key=lambda v: (-scores[v], v))[:size]
 
-    ids, adj = snapshot.infected, snapshot.local_adjacency
-    level = [snapshot.index[pick_best(scores, scores)]]
-    result = level[:]
-    seen = set(level)
-    while level and len(result) < size:
-        frontier = sorted({w for u in level for w in adj[u] if w not in seen}, key=ids.__getitem__)
-        for w in frontier:
-            seen.add(w)
-            result.append(w)
-            if len(result) == size:
-                break
-        level = frontier
-    return [ids[i] for i in result]
+    return snapshot.hop_order(pick_best(scores, scores))[:size]
 
 
 def run_mvna(
@@ -187,9 +212,9 @@ def run_mvna(
 
     Every candidate gets one predecessor edge (its most-designated
     neighbor, random tie break, even when no direction answer arrived);
-    descendant counts over the resulting predecessor graph are collected
-    with a cycle-safe traversal.  ``scores`` is the snapshot's full
-    likelihood table when the caller already has it.
+    descendant counts over the resulting predecessor graph come from one
+    peel of it.  ``scores`` is the snapshot's full likelihood table when
+    the caller already has it.
     """
     graph = snapshot.require_graph("batch querying")
     model.validate_for_degree(graph.max_degree())
@@ -205,27 +230,13 @@ def run_mvna(
         rec = query_rounds(v, snapshot, r, model, tape)
         if 2 * rec.yes_count >= r:
             s_i.add(v)
-        counts = dict.fromkeys(graph.neighbors(v), 0)
-        counts.update(rec.designations)
-        pred[v] = _majority(counts, tape)
-
-    # Descendants of v are the nodes whose predecessor chains lead to v.
-    children: dict[int, list[int]] = {}
-    for v, w in pred.items():
-        children.setdefault(w, []).append(v)
-    e_counts: dict[int, int] = {}
-    for v in candidates:
-        seen = {v}
-        stack = list(children.get(v, ()))
-        count = 0
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            count += 1
-            stack.extend(children.get(u, ()))
-        e_counts[v] = count
+        votes = rec.designations
+        if len(votes) == 1:
+            [pred[v]] = votes
+        else:
+            # Undesignated neighbours count 0: they can win only when none was designated.
+            pred[v] = _majority(votes or dict.fromkeys(graph.neighbors(v), 0), tape)
+    e_counts = _descendant_counts(pred)
 
     max_e = max(e_counts.values())
     s_d = {v for v, c in e_counts.items() if c == max_e}
@@ -288,7 +299,13 @@ def run_mvad(
             if 2 * rec.yes_count >= r:
                 s_i.add(s)
 
-        nxt = _majority({w: c for w, c in rec.designations.items() if w in infected}, tape)
+        votes = rec.designations
+        if len(votes) == 1:
+            [nxt] = votes
+            if nxt not in infected:
+                nxt = None
+        else:
+            nxt = _majority({w: c for w, c in votes.items() if w in infected}, tape)
         if nxt is None:
             inf_nbrs = [w for w in graph.neighbors(s) if w in infected]
             nxt = inf_nbrs[int(tape.random() * len(inf_nbrs))] if inf_nbrs else s

@@ -122,7 +122,7 @@ class RegularTree:
         return self._expand(v)
 
     def _expand(self, v: int) -> tuple[int, ...]:
-        if v >= self._next_id:
+        if not 0 <= v < self._next_id:
             raise InvalidInputError(f"node {v} has not been materialized")
         if v == 0:
             children = tuple(range(self._next_id, self._next_id + self.d))

@@ -91,11 +91,15 @@ def _direction(v: int, nbrs, parent: int | None, q: float, random) -> int:
 
 
 def _respondent(v: int, snapshot: Snapshot) -> tuple:
-    """(neighbors, parent or None at the source) of infected node ``v``."""
-    graph = snapshot.require_graph("answering")
-    at = snapshot.position_of(v)
-    parent = snapshot.infected[snapshot.parent_pos[at]] if at else None
-    return graph.neighbors(v), parent
+    """(neighbors, parent or None at the source) of infected node ``v``,
+    looked up once per snapshot."""
+    found = snapshot.respondents.get(v)
+    if found is None:
+        graph = snapshot.require_graph("answering")
+        at = snapshot.position_of(v)
+        parent = snapshot.infected[snapshot.parent_pos[at]] if at else None
+        found = snapshot.respondents[v] = (graph.neighbors(v), parent)
+    return found
 
 
 def answer_dir(

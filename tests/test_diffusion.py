@@ -68,6 +68,10 @@ class TestSimulateSI:
         with pytest.raises(InvalidParameterError):
             simulate_si(path_graph(3), 0, 0, rng)
 
+    def test_rejects_negative_source_on_regular_tree(self):
+        with pytest.raises(InvalidInputError):
+            simulate_si(make_regular_tree(3), -1, 5, np.random.default_rng(0))
+
 
 class TestSnapshotStructure:
     def test_hops_from_source(self, rng):

@@ -5,7 +5,8 @@ reference harness calls the scorer under test), so a scorer rewrite that
 flips an exact tie would pass them.  These literals were captured before
 the tree path moved to parent positions; a change to any of them is a
 change of behaviour.  A K = 0 row estimates with the likelihood centre
-alone, so no change to the respondents or estimators moves it.
+alone, so no change to the respondents or estimators moves it; the K > 0
+rows of ``SWEEPS`` pin the answer streams and the estimators too.
 """
 
 import hashlib
@@ -69,6 +70,62 @@ def test_no_query_row(capsys, family):
                  "--zero-timing"])
     assert code == 0
     assert capsys.readouterr().out == f"{HEADER}\n{ROWS[family]}\n"
+
+
+#: The rows of ``simulate --n 60 --trials 30 --seed 5 --zero-timing --k 0,20,60``,
+#: captured before the batch vote, descendant counts, hop order and respondent
+#: lookups were rewritten; K > 0 rows read the answer streams.
+SWEEPS = {
+    ("na", "regular:3"): [
+        "na,regular:3,3,60,0,0,0.8,0.8,30,8,0.266667,0.141825,0.444483,0,0",
+        "na,regular:3,3,60,20,1,0.8,0.8,30,18,0.6,0.423201,0.754096,20,0",
+        "na,regular:3,3,60,60,1,0.8,0.8,30,15,0.5,0.331539,0.668461,60,0",
+    ],
+    ("na", "gw:6"): [
+        "na,gw:6,6,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+        "na,gw:6,6,60,20,1,0.8,0.8,30,2,0.066667,0.018477,0.213238,20,0",
+        "na,gw:6,6,60,60,1,0.8,0.8,30,7,0.233333,0.117922,0.409287,60,0",
+    ],
+    ("na", "er:120:4"): [
+        "na,er:120:4,4,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+        "na,er:120:4,4,60,20,1,0.8,0.8,30,11,0.366667,0.218737,0.544868,20,0",
+        "na,er:120:4,4,60,60,1,0.8,0.8,30,12,0.4,0.245904,0.576799,60,0",
+    ],
+    ("na", "sf:120:1.5"): [
+        "na,sf:120:1.5,3,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+        "na,sf:120:1.5,3,60,20,1,0.8,0.8,30,10,0.333333,0.192303,0.512203,20,0",
+        "na,sf:120:1.5,3,60,60,1,0.8,0.8,30,10,0.333333,0.192303,0.512203,60,0",
+    ],
+    ("ad", "regular:3"): [
+        "ad,regular:3,3,60,0,0,0.8,0.8,30,8,0.266667,0.141825,0.444483,0,0",
+        "ad,regular:3,3,60,20,1,0.8,0.8,30,24,0.8,0.62694,0.90495,20,0",
+        "ad,regular:3,3,60,60,1,0.8,0.8,30,29,0.966667,0.833292,0.994092,60,0",
+    ],
+    ("ad", "gw:6"): [
+        "ad,gw:6,6,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+        "ad,gw:6,6,60,20,2,0.8,0.8,30,7,0.233333,0.117922,0.409287,20,0",
+        "ad,gw:6,6,60,60,2,0.8,0.8,30,6,0.2,0.09505,0.37306,60,0",
+    ],
+    ("ad", "er:120:4"): [
+        "ad,er:120:4,4,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+        "ad,er:120:4,4,60,20,1,0.8,0.8,30,15,0.5,0.331539,0.668461,20,0",
+        "ad,er:120:4,4,60,60,1,0.8,0.8,30,20,0.666667,0.487797,0.807697,60,0",
+    ],
+    ("ad", "sf:120:1.5"): [
+        "ad,sf:120:1.5,3,60,0,0,0.8,0.8,30,1,0.033333,0.005908,0.166708,0,0",
+        "ad,sf:120:1.5,3,60,20,1,0.8,0.8,30,8,0.266667,0.141825,0.444483,20,0",
+        "ad,sf:120:1.5,3,60,60,1,0.8,0.8,30,9,0.3,0.166646,0.478761,60,0",
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme,family", sorted(SWEEPS))
+def test_query_rows(capsys, scheme, family):
+    code = main(["simulate", "--graph", family, "--n", str(N), "--scheme", scheme, "--k", "0,20,60",
+                 "--p", "0.8", "--q", "0.8", "--trials", "30", "--seed", "5", "--threads", "1",
+                 "--zero-timing"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [HEADER, *SWEEPS[scheme, family]]
 
 
 #: sha256 of ``repr`` of the adjacency lists of ``make_scale_free(300, 8.0,

@@ -86,6 +86,11 @@ class TestRegularTree:
         with pytest.raises(InvalidParameterError):
             make_regular_tree(2)
 
+    @pytest.mark.parametrize("v", [-1, -5, 1])
+    def test_rejects_unmaterialized_ids(self, v):
+        with pytest.raises(InvalidInputError):
+            make_regular_tree(3).neighbors(v)
+
 
 class TestGaltonWatson:
     def test_dmax_2_gives_path(self, rng):
