@@ -150,23 +150,25 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     n = len(ids)
     deg = np.array([graph.degree(v) for v in ids], dtype=np.int64)
     width = np.array(list(map(len, adj)), dtype=np.int64)
-    stop = np.cumsum(width)
-    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(stop[-1]))
+    start = np.cumsum(width) - width
+    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(width.sum()))
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
     log_n_factorial = math.lgamma(n + 1)
     rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
+    cells = _cell_tables(min(rows, len(targets)), start, width, nbr)
+    id_rank = np.argsort(np.argsort(ids))
 
     scores: dict[int, float] = {}
     for b in range(0, len(targets), rows):
         roots = targets[b:b + rows]
-        links, rank, size = _bfs_block(np.array(roots, dtype=np.int64), stop, width, nbr)
+        order, size = _bfs_block(np.array(roots, dtype=np.int64), n, cells, id_rank)
+        links = _earlier_neighbours(order, start, width, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
-        bounds = np.empty_like(links)
-        np.put_along_axis(bounds, rank, deg - 2 * links, axis=1)
-        del links, rank
+        bounds = np.take_along_axis(deg - 2 * links, order, axis=1)
+        del links, order
         np.cumsum(bounds, axis=1, out=bounds)
         log_den = _log_sums(table, bounds[:, :-1], size)
         del bounds, size
@@ -215,66 +217,122 @@ def _log_sums(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> list[
     return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
 
 
-def _bfs_block(roots: np.ndarray, stop: np.ndarray, width: np.ndarray,
-               nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BFS from every root of a block at once over the CSR adjacency
-    (``nbr[stop[u] - width[u]:stop[u]]``, ascending ids), one level at a
-    time over a flat frontier of cells ``row * n + node``, in row order.
+def _cell_tables(rows: int, start: np.ndarray, width: np.ndarray,
+                 nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR adjacency (``nbr[start[u]:start[u] + width[u]]``, ascending
+    ids) of ``rows`` copies of the infected set, one per row of a block,
+    over cells ``row * n + node``: each cell's neighbour cells, and each
+    cell's start and width in that list.  Every block reads its rows'
+    share of the one table."""
+    n = len(width)
+    row = np.arange(rows, dtype=np.int64)[:, None]
+    return ((row * n + nbr).ravel(), (row * nbr.size + start).ravel(), np.tile(width, rows))
 
-    Returns (rows, n) arrays: each node's count of neighbours earlier in
-    its root's BFS order, its place in that order, and its BFS subtree size.
+
+def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+               id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BFS from every root of a block at once over the cell tables of
+    :func:`_cell_tables`, one level at a time over a flat frontier of cells
+    in (row, BFS place) order; ``id_rank`` ranks the nodes by id.
+
+    The frontier's discovery stamps rise along it, and a level lists its
+    new cells in the order that the stamps give them, so a row's levels,
+    one after another, are its BFS order.  A level is found top-down, from
+    the frontier's entries, unless the cells not yet found have
+    ``_BOTTOM_UP`` times fewer entries; then it is found bottom-up, from
+    theirs (direction-optimizing BFS: Beamer, Asanović and Patterson, SC
+    2012).  Both give the order and the parents of a sequential BFS with
+    neighbour ties by ascending id.
+
+    Returns (rows, n) arrays: the nodes of each row in BFS order, and each
+    node's BFS subtree size.
     """
-    n, r = len(width), len(roots)
-    cells = r * n
-    rank = np.full(cells, _UNREACHED, dtype=np.int64)
-    links = np.zeros(cells, dtype=np.int64)
-    count = np.ones(r, dtype=np.int64)
-    f_row = np.arange(r, dtype=np.int64)
-    f_node, f_rank, f_cell = roots, np.zeros(r, dtype=np.int64), f_row * n + roots
-    rank[f_cell] = 0
-    levels = []
-    while f_node.size:
-        # Expand the frontier in (row, BFS place, neighbour id) order: the
-        # order in which one root's sequential BFS scans these edges.
-        k = width[f_node]
-        ends = np.cumsum(k)
-        src = np.repeat(np.arange(f_node.size, dtype=np.int64), k)
-        e_cell = nbr[np.arange(int(ends[-1]), dtype=np.int64) + (stop[f_node] - ends)[src]]
-        e_cell += (f_row * n)[src]
-        e_rank = rank[e_cell]
-        # Each edge counts once, toward its later endpoint.
-        later = e_rank > f_rank[src]
-        del src  # edge-sized arrays go as soon as used: they set the peak memory
-        fresh = (e_rank == _UNREACHED).nonzero()[0]
-        del e_rank
-        np.add.at(links, e_cell[later], 1)
-        cand = e_cell[fresh]
-        del later, e_cell
-        # An unreached node's first occurrence, the one left holding the
-        # smallest stamp, discovers it: that fixes its parent and its place,
-        # so ties go to the lowest id as in a sequential BFS.
-        stamp = np.arange(_UNREACHED - cand.size, _UNREACHED, dtype=np.int64)
-        np.minimum.at(rank, cand, stamp)
-        hit = rank[cand] == stamp
-        new_cell = cand[hit]
-        parent = np.searchsorted(ends, fresh[hit], side="right")  # the frontier entry that found it
-        del fresh, cand, stamp, hit
-        new_row = f_row[parent]
-        # Places continue each row's count; the new cells are sorted by row.
-        per_row = np.bincount(new_row, minlength=r)
-        count += per_row
-        new_rank = np.arange(new_cell.size, dtype=np.int64) + (count - np.cumsum(per_row))[new_row]
-        rank[new_cell] = new_rank
-        levels.append((new_cell, f_cell[parent]))
-        f_row, f_node, f_rank, f_cell = new_row, new_cell - new_row * n, new_rank, new_cell
-    if count.min() < n:
+    cell_nbr, cell_start, cell_width = cells
+    r = len(roots)
+    if n > 1 and not cell_width.all():  # a node with no infected neighbour
         raise InvalidInputError("infected set is disconnected")
+    stamp = np.full(r * n, _UNREACHED, dtype=np.int64)
+    f_cell = np.arange(0, r * n, n, dtype=np.int64) + roots
+    stamp[f_cell] = np.arange(r, dtype=np.int64)
+    unseen = int(cell_width[:r * n].sum())  # entries of the cells not yet found
+    found, levels = [f_cell], []
+    while f_cell.size:
+        k = cell_width[f_cell]
+        ends = np.cumsum(k)
+        m = int(ends[-1])
+        unseen -= m
+        if not unseen:  # every cell is found
+            break
+        if unseen * _BOTTOM_UP >= m:
+            # Expand the frontier in (row, BFS place, neighbour id) order:
+            # the order in which one root's sequential BFS scans these edges.
+            src = np.repeat(np.arange(f_cell.size, dtype=np.int64), k)
+            e_cell = cell_nbr[np.arange(m, dtype=np.int64) + (cell_start[f_cell] - ends + k)[src]]
+            fresh = (stamp[e_cell] == _UNREACHED).nonzero()[0]
+            cand = e_cell[fresh]
+            del e_cell  # edge-sized arrays go as soon as used: they set the peak memory
+            # An unreached cell's first entry, the one whose index is left
+            # as its stamp, discovers it: that fixes its parent and its
+            # place, so ties go to the lowest id as in a sequential BFS.
+            np.minimum.at(stamp, cand, fresh)
+            hit = stamp[cand] == fresh
+            parent = f_cell[src[fresh[hit]]]
+            del src, fresh
+            f_cell = cand[hit]
+        else:
+            # Each unreached cell's parent is its frontier neighbour with the
+            # smallest stamp (a neighbour found before the frontier would
+            # have reached it); the new cells are placed by (parent, node
+            # id), as that parent's scan would find them.
+            todo = (stamp == _UNREACHED).nonzero()[0]
+            k = cell_width[todo]
+            ends = np.cumsum(k)
+            e_stamp = stamp[cell_nbr[np.repeat(cell_start[todo] - ends + k, k)
+                                     + np.arange(int(ends[-1]), dtype=np.int64)]]
+            best = np.minimum.reduceat(e_stamp, ends - k)
+            del e_stamp
+            got = (best < _UNREACHED).nonzero()[0]
+            got = got[np.argsort(best[got] * n + id_rank[todo[got] % n])]
+            parent = f_cell[np.searchsorted(stamp[f_cell], best[got])]
+            f_cell = todo[got]
+            stamp[f_cell] = np.arange(f_cell.size, dtype=np.int64)
+        found.append(f_cell)
+        levels.append((f_cell, parent))
+    cell = np.concatenate(found)
+    if cell.size < r * n:
+        raise InvalidInputError("infected set is disconnected")
+    # Each row's cells in BFS order: level by level, and within a level in
+    # discovery order, which a stable (radix) sort by row keeps.
+    row = (cell // n).astype(np.min_scalar_type(r))
+    order = cell[np.argsort(row, kind="stable")].reshape(r, n) - np.arange(0, r * n, n, dtype=np.int64)[:, None]
     # Subtree sizes, deepest level first.
-    size = np.ones(cells, dtype=np.int64)
+    size = np.ones(r * n, dtype=np.int64)
     while levels:
         cell, parent = levels.pop()
         np.add.at(size, parent, size[cell])
-    return links.reshape(r, n), rank.reshape(r, n), size.reshape(r, n)
+    return order, size.reshape(r, n)
+
+
+#: A BFS level goes bottom-up once the unreached cells have this many
+#: times fewer entries than the frontier, as a bottom-up entry costs more.
+#: Measured on N = 400 snapshots: at 4 the sf:4039:22 scores take about
+#: 0.9 of the all-top-down time and er:2000:4 (mostly top-down) about 1.0.
+_BOTTOM_UP = 4
+
+
+def _earlier_neighbours(order: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Per (row, node), its count of neighbours earlier in the row's BFS
+    order ``order``: one pass over every (row, directed induced edge)
+    entry, comparing BFS places held in the narrowest unsigned type, as
+    the two entry-sized arrays are the block's largest."""
+    r, n = order.shape
+    if not nbr.size:  # a lone node: reduceat needs at least one entry
+        return np.zeros((r, n), dtype=np.int64)
+    kind = np.min_scalar_type(n)
+    place = np.empty((r, n), dtype=kind)
+    np.put_along_axis(place, order, np.arange(n, dtype=kind)[None, :], axis=1)
+    earlier = np.take(place, nbr, axis=1) < np.repeat(place, width, axis=1)
+    return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
 
 
 def _positions(snapshot: Snapshot, nodes: Iterable[int] | None) -> list[int]:

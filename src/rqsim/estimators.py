@@ -175,6 +175,7 @@ def select_candidates_na(
     size: int,
     order: str = "hop",
     scores: Mapping[int, float] | None = None,
+    centre: int | None = None,
 ) -> list[int]:
     """Ordered respondent list for batch querying.
 
@@ -182,7 +183,8 @@ def select_candidates_na(
     and adds infected nodes level by level outward, within-level ties by
     ascending node id, as a prefix of the snapshot's one hop order from
     that centre.  ``centrality`` mode sorts by descending score.  Sizes
-    above the infected count are clamped with a warning.
+    above the infected count are clamped with a warning.  ``centre`` is
+    ``pick_best(scores, scores)`` when the caller already has it.
     """
     check_candidate_order(order)
     if size < 1:
@@ -197,7 +199,7 @@ def select_candidates_na(
     if order == "centrality":
         return sorted(scores, key=lambda v: (-scores[v], v))[:size]
 
-    return snapshot.hop_order(pick_best(scores, scores))[:size]
+    return snapshot.hop_order(pick_best(scores, scores) if centre is None else centre)[:size]
 
 
 def run_mvna(
@@ -207,21 +209,22 @@ def run_mvna(
     rng: np.random.Generator,
     *,
     scores: Mapping[int, float] | None = None,
+    centre: int | None = None,
 ) -> EstimationOutcome:
     """Batch majority-voting estimation; uses exactly r * floor(K/r) budget.
 
     Every candidate gets one predecessor edge (its most-designated
     neighbor, random tie break, even when no direction answer arrived);
     descendant counts over the resulting predecessor graph come from one
-    peel of it.  ``scores`` is the snapshot's full likelihood table when
-    the caller already has it.
+    peel of it.  ``scores`` is the snapshot's full likelihood table and
+    ``centre`` its likelihood centre when the caller already has them.
     """
     graph = snapshot.require_graph("batch querying")
     model.validate_for_degree(graph.max_degree())
     r, K = config.repetitions, config.budget
     if scores is None:
         scores = likelihood_table(snapshot)
-    candidates = select_candidates_na(snapshot, min(K // r, snapshot.n), config.candidate_order, scores)
+    candidates = select_candidates_na(snapshot, min(K // r, snapshot.n), config.candidate_order, scores, centre)
     tape = UniformTape(rng)
 
     s_i: set[int] = set()
@@ -261,6 +264,7 @@ def run_mvad(
     rng: np.random.Generator,
     *,
     scores: Mapping[int, float] | None = None,
+    centre: int | None = None,
 ) -> EstimationOutcome:
     """Adaptive majority-voting estimation.
 
@@ -271,8 +275,8 @@ def run_mvad(
     yields no usable designation moves to a uniformly random infected
     neighbor.  Revisits are allowed and accumulate in eta.  With perfect
     identity answers the walk halts the moment it queries the source.
-    ``scores`` is the snapshot's full likelihood table when the caller
-    already has it.
+    ``scores`` is the snapshot's full likelihood table and ``centre`` its
+    likelihood centre when the caller already has them.
     """
     graph = snapshot.require_graph("adaptive querying")
     model.validate_for_degree(graph.max_degree())
@@ -282,7 +286,7 @@ def run_mvad(
     infected = snapshot.index
     tape = UniformTape(rng)
 
-    s = pick_best(scores, scores)
+    s = pick_best(scores, scores) if centre is None else centre
     remaining = K
     s_i: set[int] = set()
     eta: dict[int, int] = {}

@@ -321,8 +321,9 @@ def _run_single_trial(
     """One trial of every row in ``rows``, all on one snapshot.
 
     The graph, source and snapshot are drawn from stream (master, 0,
-    trial) and scored once.  Row 0 goes on drawing its answers from that
-    stream; row i >= 1 draws them from stream (master, i, trial).  Returns
+    trial) and scored once, and the likelihood centre is found once for
+    every row.  Row 0 goes on drawing its answers from that stream; row
+    i >= 1 draws them from stream (master, i, trial).  Returns
     the seconds the shared build, simulation and scoring took, and each
     row's outcome.  A row that raises fails alone (an unexpected exception
     becomes a TrialError); a failure in the shared part raises.
@@ -342,6 +343,7 @@ def _run_single_trial(
         source = 0
     snapshot = simulate_si(graph, source, config.n_infected, rng)
     table = likelihood_table(snapshot)
+    centre = pick_best(table, table)
     shared_s = time.perf_counter() - t0
 
     outcomes: list[RowOutcome] = []
@@ -349,7 +351,7 @@ def _run_single_trial(
         t1 = time.perf_counter()
         try:
             row_rng = rng if row[0] == 0 else _stream(config, row[0], trial_index)
-            estimate, used = _estimate(config, snapshot, table, row, row_rng)
+            estimate, used = _estimate(config, snapshot, table, centre, row, row_rng)
         except RQSimError as exc:
             outcomes.append(exc)
         except Exception as exc:  # the row boundary: the other rows go on
@@ -360,18 +362,19 @@ def _run_single_trial(
 
 
 def _estimate(
-    config: ExperimentConfig, snapshot, table, row: SweepRow, rng: np.random.Generator
+    config: ExperimentConfig, snapshot, table, centre: int, row: SweepRow, rng: np.random.Generator
 ) -> tuple[int, int]:
-    """(estimate, budget_used) of one row's estimator on a scored snapshot."""
+    """(estimate, budget_used) of one row's estimator on a scored snapshot
+    whose likelihood table ``table`` peaks at ``centre``."""
     _, K, r, p, q = row
     if K == 0:
-        return pick_best(table, table), 0
+        return centre, 0
     model = TruthModel(p=p, q=q)
     if config.scheme == "na":
         na = NAConfig(budget=K, repetitions=r, candidate_order=config.candidate_order)
-        outcome = run_mvna(snapshot, na, model, rng, scores=table)
+        outcome = run_mvna(snapshot, na, model, rng, scores=table, centre=centre)
     else:
-        outcome = run_mvad(snapshot, ADConfig(budget=K, repetitions=r), model, rng, scores=table)
+        outcome = run_mvad(snapshot, ADConfig(budget=K, repetitions=r), model, rng, scores=table, centre=centre)
     return outcome.estimate, outcome.budget_used
 
 

@@ -6,6 +6,9 @@ originals unchanged so the tests can compare old and new output:
 * the dict-based loopy BFS-tree scorer (``general_graph_scores``);
 * its successor on infection positions, one sequential BFS and one
   ``math.fsum`` per root (``per_root_general_graph_scores``);
+* the first block scorer, whose level-synchronous BFS ranks each level's
+  new nodes, finds parents by search and counts earlier neighbours per
+  level (``block_general_graph_scores``);
 * the global-id induced adjacency a snapshot used to cache
   (``induced_adjacency``);
 * the DFS-and-reroot tree scorer (``log_rumor_centralities``);
@@ -15,9 +18,12 @@ originals unchanged so the tests can compare old and new output:
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from rqsim.centrality import CentralityTable, _positions, pick_best
+import numpy as np
+
+from rqsim.centrality import CentralityTable, _log_sums, _log_table, _positions, pick_best
 from rqsim.diffusion import Snapshot
 from rqsim.errors import InvalidInputError
 
@@ -240,3 +246,119 @@ def per_root_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | Non
         denominator = math.fsum(map(log_of, bounds + size))
         scores[ids[root]] = math.lgamma(n + 1) + math.fsum(map(log_of, links)) - denominator
     return scores
+
+
+def block_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
+    """Source scores for snapshots whose infected set may contain cycles.
+
+    For each candidate root ``v``: take the BFS tree over the infected set
+    (discovery order sigma, neighbour ties by ascending id), score it as
+    log P(sigma | v) plus the tree ordering-count score of the BFS tree.
+    P(sigma | v) is the spreading likelihood of that order: at each step,
+    (edges from the current infected prefix to the next node) / (all
+    boundary edges of the prefix in the underlying graph).  Costs
+    O(N * (N + E_induced)); reads only the induced subgraph and degrees.
+
+    Roots are taken in blocks of ``BLOCK_ENTRIES // (2 * E_induced)``, and
+    one level-synchronous BFS serves a whole block (:func:`_bfs_block`).
+    Each root's two sums of logarithms are exact and rounded once
+    (:func:`_log_sums`), so roots with equal counts tie exactly and the
+    lowest id wins.
+    """
+    graph = snapshot.require_graph("general-graph scoring")
+    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    targets = _positions(snapshot, nodes)
+    n = len(ids)
+    deg = np.array([graph.degree(v) for v in ids], dtype=np.int64)
+    width = np.array(list(map(len, adj)), dtype=np.int64)
+    stop = np.cumsum(width)
+    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(stop[-1]))
+    # A prefix's boundary edges leave the infected set or reach a later
+    # infected node, so no count below runs past the table.
+    table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
+    log_n_factorial = math.lgamma(n + 1)
+    rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
+
+    scores: dict[int, float] = {}
+    for b in range(0, len(targets), rows):
+        roots = targets[b:b + rows]
+        links, rank, size = _bfs_block(np.array(roots, dtype=np.int64), stop, width, nbr)
+        log_links = _log_sums(table, links)
+        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
+        bounds = np.empty_like(links)
+        np.put_along_axis(bounds, rank, deg - 2 * links, axis=1)
+        del links, rank
+        np.cumsum(bounds, axis=1, out=bounds)
+        log_den = _log_sums(table, bounds[:, :-1], size)
+        del bounds, size
+        for root, num, den in zip(roots, log_links, log_den):
+            scores[ids[root]] = log_n_factorial + num - den
+    return scores
+
+
+#: The block size of ``block_general_graph_scores``.
+BLOCK_ENTRIES = 1 << 15
+
+_UNREACHED = 1 << 62
+
+
+def _bfs_block(roots: np.ndarray, stop: np.ndarray, width: np.ndarray,
+               nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BFS from every root of a block at once over the CSR adjacency
+    (``nbr[stop[u] - width[u]:stop[u]]``, ascending ids), one level at a
+    time over a flat frontier of cells ``row * n + node``, in row order.
+
+    Returns (rows, n) arrays: each node's count of neighbours earlier in
+    its root's BFS order, its place in that order, and its BFS subtree size.
+    """
+    n, r = len(width), len(roots)
+    cells = r * n
+    rank = np.full(cells, _UNREACHED, dtype=np.int64)
+    links = np.zeros(cells, dtype=np.int64)
+    count = np.ones(r, dtype=np.int64)
+    f_row = np.arange(r, dtype=np.int64)
+    f_node, f_rank, f_cell = roots, np.zeros(r, dtype=np.int64), f_row * n + roots
+    rank[f_cell] = 0
+    levels = []
+    while f_node.size:
+        # Expand the frontier in (row, BFS place, neighbour id) order: the
+        # order in which one root's sequential BFS scans these edges.
+        k = width[f_node]
+        ends = np.cumsum(k)
+        src = np.repeat(np.arange(f_node.size, dtype=np.int64), k)
+        e_cell = nbr[np.arange(int(ends[-1]), dtype=np.int64) + (stop[f_node] - ends)[src]]
+        e_cell += (f_row * n)[src]
+        e_rank = rank[e_cell]
+        # Each edge counts once, toward its later endpoint.
+        later = e_rank > f_rank[src]
+        del src  # edge-sized arrays go as soon as used: they set the peak memory
+        fresh = (e_rank == _UNREACHED).nonzero()[0]
+        del e_rank
+        np.add.at(links, e_cell[later], 1)
+        cand = e_cell[fresh]
+        del later, e_cell
+        # An unreached node's first occurrence, the one left holding the
+        # smallest stamp, discovers it: that fixes its parent and its place,
+        # so ties go to the lowest id as in a sequential BFS.
+        stamp = np.arange(_UNREACHED - cand.size, _UNREACHED, dtype=np.int64)
+        np.minimum.at(rank, cand, stamp)
+        hit = rank[cand] == stamp
+        new_cell = cand[hit]
+        parent = np.searchsorted(ends, fresh[hit], side="right")  # the frontier entry that found it
+        del fresh, cand, stamp, hit
+        new_row = f_row[parent]
+        # Places continue each row's count; the new cells are sorted by row.
+        per_row = np.bincount(new_row, minlength=r)
+        count += per_row
+        new_rank = np.arange(new_cell.size, dtype=np.int64) + (count - np.cumsum(per_row))[new_row]
+        rank[new_cell] = new_rank
+        levels.append((new_cell, f_cell[parent]))
+        f_row, f_node, f_rank, f_cell = new_row, new_cell - new_row * n, new_rank, new_cell
+    if count.min() < n:
+        raise InvalidInputError("infected set is disconnected")
+    # Subtree sizes, deepest level first.
+    size = np.ones(cells, dtype=np.int64)
+    while levels:
+        cell, parent = levels.pop()
+        np.add.at(size, parent, size[cell])
+    return links.reshape(r, n), rank.reshape(r, n), size.reshape(r, n)

@@ -439,3 +439,47 @@ def test_graph_spec_parsed_once_per_config(monkeypatch):
     rows = run_experiment(cfg)
     assert rows[0].error is None
     assert calls == []
+
+
+@pytest.mark.parametrize("scheme", ["na", "ad"])
+def test_likelihood_centre_found_once_per_trial(monkeypatch, scheme):
+    """The harness finds a snapshot's likelihood centre once and hands it to
+    every row; no estimator searches the full table for it again."""
+    import rqsim.estimators
+    import rqsim.harness
+    from rqsim.centrality import pick_best
+
+    full_scans = []
+
+    def counting(scores, pool):
+        if pool is scores:
+            full_scans.append(len(scores))
+        return pick_best(scores, pool)
+
+    monkeypatch.setattr(rqsim.harness, "pick_best", counting)
+    monkeypatch.setattr(rqsim.estimators, "pick_best", counting)
+    cfg = small_config(graph="er:120:4", scheme=scheme, budgets=(0, 15, 30), n_infected=20, trials=3)
+    rows = rqsim.harness._run_single_trial(cfg, [(i, K, 1, 0.8, 0.8) for i, K in enumerate(cfg.budgets)], 0)[1]
+    assert all(isinstance(row, tuple) for row in rows)
+    assert full_scans == [20]
+
+
+@pytest.mark.parametrize("order", ["hop", "centrality"])
+def test_estimators_given_the_centre_match_their_own_search(order):
+    import numpy as np
+
+    from rqsim.centrality import likelihood_table, pick_best
+    from rqsim.diffusion import simulate_si
+    from rqsim.estimators import ADConfig, NAConfig, run_mvad, run_mvna
+    from rqsim.graphs import make_erdos_renyi
+    from rqsim.respondent import TruthModel
+
+    model = TruthModel(p=0.8, q=0.8)
+    snap = simulate_si(make_erdos_renyi(150, 4.0, np.random.default_rng(8)), 0, 40, np.random.default_rng(9))
+    table = likelihood_table(snap)
+    centre = pick_best(table, table)
+    na = NAConfig(budget=30, repetitions=1, candidate_order=order)
+    for run, config in ((run_mvna, na), (run_mvad, ADConfig(budget=30, repetitions=1))):
+        given_centre = run(snap, config, model, np.random.default_rng(3), scores=table, centre=centre)
+        searched = run(snap, config, model, np.random.default_rng(3), scores=table)
+        assert given_centre == searched

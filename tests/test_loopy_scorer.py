@@ -1,10 +1,17 @@
-"""Differential tests: the block loopy scorer against its two predecessors.
+"""Differential tests: the block loopy scorer against its three predecessors.
 
-``reference_scorer.per_root_general_graph_scores`` is the scorer that
-``rqsim.centrality.general_graph_scores`` replaced: one sequential BFS and
-one ``math.fsum`` per root.  The block scorer sums the same logarithms
-exactly and rounds once, as ``math.fsum`` does, so its scores are equal
-(``==``) to that oracle's, however the roots fall into blocks.
+``reference_scorer.block_general_graph_scores`` is the block scorer as
+first written: it ranks each BFS level's new nodes, finds parents by
+search and counts earlier neighbours level by level.  The scorer now
+orders by discovery stamps, may find a level bottom-up and counts earlier
+neighbours once per block; its scores and key order are equal (``==``) to
+that oracle's.
+
+``reference_scorer.per_root_general_graph_scores`` is the scorer that the
+block scorers replaced: one sequential BFS and one ``math.fsum`` per root.
+The block scorer sums the same logarithms exactly and rounds once, as
+``math.fsum`` does, so its scores are equal (``==``) to that oracle's,
+however the roots fall into blocks.
 
 ``reference_scorer.general_graph_scores`` is the older dict-based scorer.
 It adds the logarithms one at a time in another order, so scores agree
@@ -12,6 +19,7 @@ with it to rounding, well inside ``TOLERANCE``.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,6 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_edges, snapshot_of
+from reference_scorer import block_general_graph_scores as block_scores
 from reference_scorer import general_graph_scores as reference_scores
 from reference_scorer import per_root_general_graph_scores as per_root_scores
 from rqsim import centrality
@@ -99,6 +108,13 @@ def test_single_node_scores_zero():
 def block_rows(snap: Snapshot, rows: int):
     """Make the block scorer take ``rows`` roots per block on ``snap``."""
     return mock.patch.object(centrality, "BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count)
+
+
+#: ``centrality._BOTTOM_UP`` values that make every BFS level bottom-up,
+#: mix the directions as the scorer does by default, or keep every level
+#: top-down.
+DIRECTIONS = pytest.mark.parametrize("bottom_up", [0, centrality._BOTTOM_UP, 1 << 40],
+                                     ids=["bottom-up", "default", "top-down"])
 
 
 def assert_equals_per_root(snap: Snapshot, nodes=None) -> None:
@@ -221,7 +237,7 @@ class TestInvalidInputs:
         with pytest.raises(InvalidInputError):
             scorer(snap, nodes=[snap.source, outside])
 
-    @pytest.mark.parametrize("scorer", [general_graph_scores, per_root_scores, reference_scores])
+    @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores, reference_scores])
     def test_disconnected_infected_set(self, scorer):
         path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         snap = snapshot_of(path, 0, [0, 1, 3], {1: 0, 3: 1})
@@ -234,3 +250,101 @@ class TestInvalidInputs:
         snap = snapshot_of(path, 0, [0, 1, 3, 4], {1: 0, 3: 1, 4: 3})
         with block_rows(snap, rows), pytest.raises(InvalidInputError):
             general_graph_scores(snap)
+
+    @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores])
+    def test_no_induced_edges_between_two_nodes(self, scorer):
+        # Two infected nodes and no infected edge: E_induced = 0, disconnected.
+        path = graph_from_edges(3, [(0, 1), (1, 2)])
+        snap = snapshot_of(path, 0, [0, 2], {2: 0})  # a parent edge the graph lacks
+        assert snap.induced_edge_count == 0
+        with pytest.raises(InvalidInputError):
+            scorer(snap)
+
+    @DIRECTIONS
+    def test_disconnected_in_both_directions(self, bottom_up, monkeypatch):
+        # Two components with edges: 0-1-2 and 4-5, on a path graph.
+        path = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        snap = snapshot_of(path, 0, [0, 1, 2, 4, 5], {1: 0, 2: 1, 4: 2, 5: 4})
+        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        with pytest.raises(InvalidInputError):
+            general_graph_scores(snap)
+
+
+def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
+    want = block_scores(snap, nodes)
+    got = general_graph_scores(snap, nodes)
+    assert list(got) == list(want)
+    assert got == want
+
+
+class TestAgainstFirstBlockScorer:
+    """Stamp-ordered blocks, in either BFS direction, give the first block
+    scorer's scores bit for bit and in the same key order."""
+
+    @DIRECTIONS
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["sf", "er"]),
+        size=st.integers(min_value=30, max_value=300),
+        density=st.floats(min_value=1.0, max_value=22.0),
+        n_infected=st.integers(min_value=3, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rows=st.integers(min_value=1, max_value=5),
+        step=st.integers(min_value=1, max_value=6),
+    )
+    @example(family="sf", size=300, density=22.0, n_infected=150, seed=1, rows=5, step=2)
+    def test_dense_draws(self, bottom_up, family, size, density, n_infected, seed, rows, step):
+        """Dense scale-free draws (ratios up to 22: few BFS levels, so
+        bottom-up levels at the default) with 1 to 5 roots per block, for
+        every root and for every ``step``-th one."""
+        snap = _snapshot(family, size, density, n_infected, seed)
+        assume(snap.n >= 3 and not snap.is_tree)
+        with mock.patch.object(centrality, "_BOTTOM_UP", bottom_up), block_rows(snap, rows):
+            assert_equals_block_oracle(snap)
+            assert_equals_block_oracle(snap, sorted(snap.infected)[seed % step::step])
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
+                             ids=["er:2000:4", "sf:4039:22"])
+    def test_benchmark_graphs_at_n400(self, bottom_up, family, size, density, monkeypatch):
+        snap = _snapshot(family, size, density, 400, seed=20240817)
+        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        assert_equals_block_oracle(snap)
+        assert_equals_block_oracle(snap, sorted(snap.infected)[::7])
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("rows", ["1", "2", "n-1"])
+    def test_rows_per_block(self, bottom_up, rows, monkeypatch):
+        snap = _snapshot("sf", 600, 8.0, 60, seed=7)
+        assert not snap.is_tree
+        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        with block_rows(snap, snap.n - 1 if rows == "n-1" else int(rows)):
+            assert_equals_block_oracle(snap)
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("n_infected", [1, 2])
+    def test_one_and_two_nodes(self, bottom_up, n_infected, monkeypatch):
+        # One node has E_induced = 0: no entries at all.
+        snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
+        assert snap.n == n_infected
+        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        assert_equals_block_oracle(snap)
+
+
+@pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
+                         ids=["er:2000:4", "sf:4039:22"])
+def test_n400_score_peak_memory(family, size, density):
+    """The Python-heap peak of one full table on the N = 400 snapshots of
+    ``test_n400_snapshot_equals_per_root_scorer`` stays under 2 MB, which
+    keeps the per-process RSS of a loopy sweep close to where it was.
+    tracemalloc peaks measured on these snapshots: er:2000:4 0.70 MB with
+    the first block scorer, 1.16 MB now; sf:4039:22 0.86 and 1.03 MB."""
+    snap = _snapshot(family, size, density, 400, seed=20240817)
+    general_graph_scores(snap)  # fills the snapshot's caches and the log table
+    tracemalloc.start()
+    try:
+        general_graph_scores(snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
