@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -89,10 +88,12 @@ class Snapshot:
     @cached_property
     def hops_from_source(self) -> dict[int, int]:
         """Hop distance to the source along the parent-edge tree."""
-        hops = [0] * self.n
-        for i, p in enumerate(self.parent_pos[1:], 1):
-            hops[i] = hops[p] + 1
-        return dict(zip(self.infected, hops))
+        return dict(zip(self.infected, self._tree_hops(0)))
+
+    @property
+    def _parent_edges_only(self) -> bool:
+        """The infected subgraph is the parent-edge tree: the graph is acyclic or absent."""
+        return self.graph is None or self.graph.acyclic
 
     @cached_property
     def local_adjacency(self) -> list[list[int]]:
@@ -100,7 +101,7 @@ class Snapshot:
         the parent edges when the graph is acyclic or absent, otherwise the
         infected-induced subgraph of ``graph``."""
         ids, index = self.infected, self.index
-        if self.graph is not None and not self.graph.acyclic:
+        if not self._parent_edges_only:
             # A Graph's lists ascend, so the filtered ones keep id order.
             return [[index[w] for w in self.graph.neighbors(v) if w in index] for v in ids]
         adj: list[list[int]] = [[] for _ in ids]
@@ -126,17 +127,9 @@ class Snapshot:
         """Hop distance of each position from position ``at`` over
         :attr:`local_adjacency`, read off ``parent_pos`` when that is the
         parent-edge tree."""
+        if self._parent_edges_only:
+            return self._tree_hops(at)
         hops = [-1] * self.n
-        if self.graph is None or self.graph.acyclic:
-            k = 0
-            while at >= 0:  # ``at`` and its ancestors
-                hops[at] = k
-                at, k = self.parent_pos[at], k + 1
-            # Any other node's path to ``at`` starts with its parent edge.
-            for i, p in enumerate(self.parent_pos):
-                if hops[i] < 0:
-                    hops[i] = hops[p] + 1
-            return hops
         adj, level, k = self.local_adjacency, [at], 0
         hops[at] = 0
         while level:
@@ -148,6 +141,20 @@ class Snapshot:
                         hops[w] = k
                         reached.append(w)
             level = reached
+        return hops
+
+    def _tree_hops(self, at: int) -> list[int]:
+        """Hop distance of each position from position ``at`` along the
+        parent edges."""
+        hops = [-1] * self.n
+        k = 0
+        while at >= 0:  # ``at`` and its ancestors
+            hops[at] = k
+            at, k = self.parent_pos[at], k + 1
+        # Any other node's path to ``at`` starts with its parent edge.
+        for i, p in enumerate(self.parent_pos):
+            if hops[i] < 0:
+                hops[i] = hops[p] + 1
         return hops
 
     @cached_property
@@ -162,7 +169,7 @@ class Snapshot:
 
     @property
     def induced_edge_count(self) -> int:
-        if self.graph is None or self.graph.acyclic:
+        if self._parent_edges_only:
             return self.n - 1
         return sum(map(len, self.local_adjacency)) // 2
 
@@ -251,22 +258,21 @@ def _spread_on_fresh_tree(tree: RegularTree, n_target: int, rng: np.random.Gener
     boundary entry goes stale and the k-th pick is uniform over
     ``d + (k - 1)(d - 2)`` edges.  One broadcast ``rng.integers`` call draws
     every pick and leaves ``rng`` where the scalar calls would.  The
-    boundary holds bare child ids, numbered as the tree numbers them when
-    expanded in infection order: position k >= 1 owns the ids
-    ``d + 1 + (k - 1)(d - 1)`` onwards, so child v has the parent position
-    0 if ``v <= d``, else ``(v - 2) // (d - 1)``.
+    boundary holds bare child ids, as the tree numbers them once it
+    expands the nodes in infection order, so that infection positions are
+    the tree's places.
     """
     d = tree.d
     picks = rng.integers(0, d + (d - 2) * np.arange(n_target - 1, dtype=np.int64))
-    boundary, infected = list(range(1, d + 1)), [0]
-    for new, i in zip(count(d + 1, d - 1), picks.tolist()):
+    boundary, infected = list(tree.children(0)), [0]
+    for children, i in zip(tree.children_from(1), picks.tolist()):
         v = boundary[i]
         boundary[i] = boundary[-1]
         boundary.pop()
         infected.append(v)
-        boundary += range(new, new + d - 1)
+        boundary += children
     tree.expand_in_order(infected)
-    parent_pos = [-1] + [0 if v <= d else (v - 2) // (d - 1) for v in infected[1:]]
+    parent_pos = [-1, *tree.parent_place(np.array(infected[1:], dtype=np.int64)).tolist()]
     return Snapshot(tree, tuple(infected), parent_pos, dict(zip(infected, range(n_target))))
 
 

@@ -89,23 +89,6 @@ class EstimationOutcome:
     e_counts: dict[int, int] | None = None
     candidates: tuple[int, ...] = field(default_factory=tuple)
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "estimate": self.estimate,
-            "s_i": sorted(self.s_i),
-            "s_d": sorted(self.s_d),
-            "budget_used": self.budget_used,
-        }
-        if self.eta is not None:
-            doc["eta"] = {str(k): v for k, v in sorted(self.eta.items())}
-        if self.predecessor_edges is not None:
-            doc["predecessor_edges"] = {str(k): v for k, v in sorted(self.predecessor_edges.items())}
-        if self.e_counts is not None:
-            doc["e_counts"] = {str(k): v for k, v in sorted(self.e_counts.items())}
-        if self.candidates:
-            doc["candidates"] = list(self.candidates)
-        return doc
-
 
 def _majority(counts: Mapping[int, int], tape: UniformTape) -> int | None:
     """Key with the largest count; None if empty.  A tie is broken by one

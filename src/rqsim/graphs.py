@@ -4,9 +4,9 @@ Two graph flavors share one read interface (``neighbors``/``degree``):
 
 * :class:`Graph` -- a finite undirected simple graph with dense node ids
   ``0..n-1`` and sorted adjacency lists.
-* :class:`RegularTree` -- a lazily grown infinite regular tree; nodes are
-  materialized on first neighbor access, so a diffusion only ever pays for
-  the region it touches.
+* :class:`RegularTree` -- an infinite regular tree that records only the
+  order in which its nodes were expanded, so a diffusion only ever pays
+  for the region it touches.
 
 All generators take a ``numpy.random.Generator`` and are deterministic for
 a given seed.
@@ -15,8 +15,8 @@ a given seed.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from typing import IO
+from itertools import chain, count
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class Graph:
     """
 
     __slots__ = ("_adj", "acyclic", "_max_degree")
+    is_finite = True
 
     def __init__(self, adjacency: list[list[int]], acyclic: bool = False):
         _check_adjacency(adjacency)
@@ -51,10 +52,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(len(nbrs) for nbrs in self._adj) // 2
-
-    @property
-    def is_finite(self) -> bool:
-        return True
 
     def neighbors(self, v: int) -> list[int]:
         return self._adj[v]
@@ -95,71 +92,74 @@ def _check_adjacency(adj: list[list[int]]) -> None:
 class RegularTree:
     """Infinite regular tree of degree ``d``, rooted at node 0.
 
-    Children are materialized on first access to ``neighbors``, or for a
-    whole infection order at once by :meth:`expand_in_order`.  Growth
-    mutates the instance, so each trial owns a private tree.
+    A node is expanded (its children materialized) on first access to
+    ``neighbors``, or for a whole infection order at once by
+    :meth:`expand_in_order`; either way it takes the next place of the
+    expansion order, which starts at the root.  Ids follow from places
+    by one rule: the root's children are ``1..d``, and the node at place
+    k >= 1 owns the ``d - 1`` ids from ``d + 1 + (k - 1)(d - 1)`` on.  So
+    node ``v > d`` is a child of the node at place ``(v - 2) // (d - 1)``.
+    Growth mutates the instance, so each trial owns a private tree.
     """
 
-    __slots__ = ("d", "_adj", "_parents", "_next_id")
+    __slots__ = ("d", "_order", "_place")
     acyclic = True
+    is_finite = False
 
     def __init__(self, d: int):
         if d < 3:
             raise InvalidParameterError(f"regular tree degree must be >= 3, got {d}")
         self.d = d
-        self._adj: dict[int, tuple[int, ...]] = {}
-        self._parents: dict[int, int] = {}
-        self._next_id = 1
-
-    @property
-    def is_finite(self) -> bool:
-        return False
+        self._order: list[int] = []  # expanded nodes, in expansion order
+        self._place: dict[int, int] = {}  # each expanded node's place in _order
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        nbrs = self._adj.get(v)
-        if nbrs is not None:
-            return nbrs
-        return self._expand(v)
+        """The parent (none at the root), then the children in ascending
+        order; expands ``v`` first unless it has been."""
+        k = self._place.get(v) if type(v) is int else None
+        if k is None:
+            if type(v) is not int:
+                raise InvalidInputError(f"node id {v!r} is not an int")
+            # The root exists from the start, any other node once its parent is expanded.
+            if not (v == 0 or 0 < v and self.parent_place(v) < len(self._order)):
+                raise InvalidInputError(f"node {v} has not been materialized")
+            k = len(self._order)
+            self.expand_in_order([v])
+        if k == 0:
+            return tuple(self.children(0))
+        return (self._order[self.parent_place(v)], *self.children(k))
 
-    def _expand(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self._next_id:
-            raise InvalidInputError(f"node {v} has not been materialized")
-        if v == 0:
-            children = tuple(range(self._next_id, self._next_id + self.d))
-            nbrs = children
-        else:
-            # Every non-root node was created as somebody's child, so
-            # its parent is already on record.
-            parent = self._parents[v]
-            children = tuple(range(self._next_id, self._next_id + self.d - 1))
-            nbrs = (parent,) + children
-        self._next_id += len(children)
-        self._adj[v] = nbrs
-        for c in children:
-            self._parents[c] = v
-        return nbrs
+    def children(self, k: int) -> range:
+        """Ids of the children of the node at place ``k``."""
+        d = self.d
+        if k == 0:
+            return range(1, d + 1)
+        first = d + 1 + (k - 1) * (d - 1)
+        return range(first, first + d - 1)
+
+    def children_from(self, k: int) -> Iterator[range]:
+        """``children(k)``, ``children(k + 1)``, ... for ``k >= 1``, as each
+        place owns the next ``d - 1`` ids."""
+        first, width = self.children(k).start, self.d - 1
+        return map(range, count(first, width), count(first + width, width))
+
+    def parent_place(self, v):
+        """Place of the parent of materialized node ``v >= 1``; element-wise
+        when ``v`` is an int array."""
+        # The root's children 1..d all give 0; for v = 1 that is 1 // (d - 1), as d >= 3.
+        return abs(v - 2) // (self.d - 1)
 
     @property
     def is_fresh(self) -> bool:
         """True until the first node is expanded."""
-        return self._next_id == 1
+        return not self._order
 
     def expand_in_order(self, order: list[int]) -> None:
-        """Expand every node of ``order`` on a fresh tree in one pass, as
-        ``neighbors`` calls in that order would.
-
-        ``order`` starts at the root and names each later node after its
-        parent, so the children of ``order[k]`` (k >= 1) are numbered
-        ``d + 1 + (k - 1)(d - 1)`` onwards, ``d - 1`` of them.
-        """
-        d = self.d
-        owners = [0] * d + np.repeat(order[1:], d - 1).tolist()
-        self._next_id = stop = len(owners) + 1
-        self._parents = dict(zip(range(1, stop), owners))
-        # children[j] holds the (j + 1)-th child of each non-root node, in order.
-        children = [range(c, stop, d - 1) for c in range(d + 1, 2 * d)]
-        rows = zip(map(self._parents.__getitem__, order[1:]), *children)
-        self._adj = dict(zip(order, chain([tuple(range(1, d + 1))], rows)))
+        """Expand the nodes of ``order`` in turn, as ``neighbors`` calls in
+        that order would; each must be materialized and unexpanded when
+        its turn comes."""
+        self._place.update(zip(order, count(len(self._order))))
+        self._order += order
 
     def degree(self, v: int) -> int:
         return self.d

@@ -174,10 +174,14 @@ class ExperimentConfig:
             raise InvalidParameterError(f"scheme must be 'na' or 'ad', got {self.scheme!r}")
         if self.trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
+        if self.threads is not None and self.threads < 1:
+            raise InvalidParameterError(f"threads must be >= 1, got {self.threads}")
         if self.n_infected < 1:
             raise InvalidParameterError(f"n_infected must be >= 1, got {self.n_infected}")
         if not self.budgets:
             raise InvalidParameterError("at least one budget value is required")
+        if not self.p_values or not self.q_values:
+            raise InvalidParameterError("at least one p value and one q value are required")
         if any(k < 0 for k in self.budgets):
             raise InvalidParameterError("budgets must be nonnegative (0 = no-query baseline)")
         if self.master_seed < 0:
@@ -396,7 +400,7 @@ def _trial_star(args: tuple) -> tuple[float, list[RowOutcome]]:
 
 def _resolve_workers(config: ExperimentConfig) -> int:
     if config.threads is not None:
-        return max(1, config.threads)
+        return config.threads
     env = os.environ.get("RQS_THREADS")
     if env:
         try:

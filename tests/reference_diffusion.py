@@ -1,11 +1,11 @@
 """SI diffusion as one scalar loop, kept as a differential oracle.
 
 ``rqsim.diffusion.simulate_si`` draws every pick of a fresh regular tree
-spread from its root in one broadcast call and fills the tree in one pass.
-This module keeps the scalar loop it replaced unchanged (one
+spread from its root in one broadcast call and expands the tree in one
+pass.  This module keeps the scalar loop it replaced unchanged (one
 ``rng.integers`` call per pick, the tree grown by ``neighbors`` calls), so
-the tests can require the same snapshot, the same materialised tree and
-the same generator state from both.
+the tests can require the same snapshot, the same expanded tree and the
+same generator state from both.
 """
 
 from __future__ import annotations

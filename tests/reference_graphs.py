@@ -8,16 +8,23 @@ functions below are the scalar code it replaced, unchanged: one
 package's ``Graph`` and using its parameter checks.  Tests require both
 versions to give ``==`` adjacency lists and to leave the generator in
 ``==`` states.
+
+``RegularTree`` is the lazily grown regular tree as it was when each
+tree kept neighbour and parent dictionaries: ``rqsim.graphs`` now keeps
+only the expansion order and derives ids from it.  Tests require the
+same snapshots, expansion orders, neighbour tuples and generator states
+from both.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from rqsim.errors import GenerationFailureError
+from rqsim.errors import GenerationFailureError, InvalidInputError, InvalidParameterError
 from rqsim.graphs import Graph, check_erdos_renyi, check_galton_watson, check_scale_free
 
 
@@ -137,3 +144,79 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
             pool.append(i)
         built += m
     return _build_finite(n, edges)
+
+
+class RegularTree:
+    """Infinite regular tree of degree ``d``, rooted at node 0.
+
+    Children are materialized on first access to ``neighbors``, or for a
+    whole infection order at once by :meth:`expand_in_order`.  Growth
+    mutates the instance, so each trial owns a private tree.
+    """
+
+    __slots__ = ("d", "_adj", "_parents", "_next_id")
+    acyclic = True
+
+    def __init__(self, d: int):
+        if d < 3:
+            raise InvalidParameterError(f"regular tree degree must be >= 3, got {d}")
+        self.d = d
+        self._adj: dict[int, tuple[int, ...]] = {}
+        self._parents: dict[int, int] = {}
+        self._next_id = 1
+
+    @property
+    def is_finite(self) -> bool:
+        return False
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        nbrs = self._adj.get(v)
+        if nbrs is not None:
+            return nbrs
+        return self._expand(v)
+
+    def _expand(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self._next_id:
+            raise InvalidInputError(f"node {v} has not been materialized")
+        if v == 0:
+            children = tuple(range(self._next_id, self._next_id + self.d))
+            nbrs = children
+        else:
+            # Every non-root node was created as somebody's child, so
+            # its parent is already on record.
+            parent = self._parents[v]
+            children = tuple(range(self._next_id, self._next_id + self.d - 1))
+            nbrs = (parent,) + children
+        self._next_id += len(children)
+        self._adj[v] = nbrs
+        for c in children:
+            self._parents[c] = v
+        return nbrs
+
+    @property
+    def is_fresh(self) -> bool:
+        """True until the first node is expanded."""
+        return self._next_id == 1
+
+    def expand_in_order(self, order: list[int]) -> None:
+        """Expand every node of ``order`` on a fresh tree in one pass, as
+        ``neighbors`` calls in that order would.
+
+        ``order`` starts at the root and names each later node after its
+        parent, so the children of ``order[k]`` (k >= 1) are numbered
+        ``d + 1 + (k - 1)(d - 1)`` onwards, ``d - 1`` of them.
+        """
+        d = self.d
+        owners = [0] * d + np.repeat(order[1:], d - 1).tolist()
+        self._next_id = stop = len(owners) + 1
+        self._parents = dict(zip(range(1, stop), owners))
+        # children[j] holds the (j + 1)-th child of each non-root node, in order.
+        children = [range(c, stop, d - 1) for c in range(d + 1, 2 * d)]
+        rows = zip(map(self._parents.__getitem__, order[1:]), *children)
+        self._adj = dict(zip(order, chain([tuple(range(1, d + 1))], rows)))
+
+    def degree(self, v: int) -> int:
+        return self.d
+
+    def max_degree(self) -> int:
+        return self.d

@@ -184,8 +184,13 @@ class TestSimulate:
         (("--graph", "er:10:20"), {}),
         (("--graph", "er:10:nan"), {}),
         (("--graph", "sf:50:inf"), {}),
+        ((), {"p": []}),
+        ((), {"q": []}),
+        (("--threads", "0"), {}),
+        ((), {"threads": -1}),
     ], ids=["negative-seed", "p-above-1", "p-above-1-no-query", "unknown-order",
-            "er-degree-above-n-1", "er-degree-nan", "sf-ratio-inf"])
+            "er-degree-above-n-1", "er-degree-nan", "sf-ratio-inf", "no-p", "no-q",
+            "zero-threads", "negative-threads"])
     def test_bad_sweep_value_fails_before_any_trial(self, capsys, tmp_path, monkeypatch,
                                                      flags, doc):
         import rqsim.harness

@@ -1,9 +1,13 @@
-"""The bulk regular-tree path of ``simulate_si`` against the scalar loop.
+"""The bulk regular-tree path of ``simulate_si``, and the tree it grows,
+against the scalar loop on the dictionary-based tree.
 
-``reference_diffusion`` keeps the loop as first written.  On a fresh
-regular tree spread from its root, ``simulate_si`` must return the same
-snapshot, leave the same materialised tree and leave the generator in the
-same state; every other call takes the loop itself and must match too.
+``reference_diffusion`` keeps the loop as first written, and
+``reference_graphs.RegularTree`` the tree that kept neighbour and parent
+dictionaries.  Spread on the two trees from equal generators,
+``simulate_si`` must return the same snapshot, leave the same expansion
+order and the same neighbours at every expanded node, and leave the
+generator in the same state.  Interleaved ``neighbors`` calls must answer
+alike, and every id that is not exactly an ``int`` must be refused.
 """
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_diffusion as reference
+import reference_graphs
 from rqsim.diffusion import simulate_si
 from rqsim.errors import InvalidInputError, InvalidParameterError
 from rqsim.graphs import make_galton_watson, make_regular_tree
@@ -19,16 +24,24 @@ from rqsim.graphs import make_galton_watson, make_regular_tree
 seeds = st.integers(min_value=0, max_value=2**63)
 
 
+def trees(d):
+    return make_regular_tree(d), reference_graphs.RegularTree(d)
+
+
+def assert_same_tree(tree, ref_tree):
+    # The expansion order is the one piece of state read directly; the
+    # oracle keeps it as the insertion order of its neighbour dictionary.
+    assert tree._order == list(ref_tree._adj)
+    assert tree.is_fresh == ref_tree.is_fresh
+    for v, nbrs in ref_tree._adj.items():
+        assert tree.neighbors(v) == nbrs
+
+
 def assert_same_run(tree, ref_tree, snap, ref_snap, rng, ref_rng):
     assert snap.infected == ref_snap.infected
     assert snap.parent_pos == ref_snap.parent_pos
     assert snap.index == ref_snap.index
-    assert tree._adj == ref_tree._adj
-    assert tree._parents == ref_tree._parents
-    assert tree._next_id == ref_tree._next_id
-    # The dictionaries are filled in the order the scalar loop fills them.
-    assert list(tree._adj) == list(ref_tree._adj)
-    assert list(tree._parents) == list(ref_tree._parents)
+    assert_same_tree(tree, ref_tree)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -36,7 +49,7 @@ def assert_same_run(tree, ref_tree, snap, ref_snap, rng, ref_rng):
 @given(d=st.integers(min_value=3, max_value=10), n=st.integers(min_value=1, max_value=2000),
        seed=seeds)
 def test_fresh_tree_matches_scalar_loop(d, n, seed):
-    tree, ref_tree = make_regular_tree(d), make_regular_tree(d)
+    tree, ref_tree = trees(d)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     snap = simulate_si(tree, 0, n, rng)
     ref_snap = reference.simulate_si(ref_tree, 0, n, ref_rng)
@@ -46,7 +59,7 @@ def test_fresh_tree_matches_scalar_loop(d, n, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 400])
 @pytest.mark.parametrize("d", [3, 5])
 def test_fresh_tree_edge_sizes(d, n):
-    tree, ref_tree = make_regular_tree(d), make_regular_tree(d)
+    tree, ref_tree = trees(d)
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
     snap = simulate_si(tree, 0, n, rng)
     ref_snap = reference.simulate_si(ref_tree, 0, n, ref_rng)
@@ -57,7 +70,7 @@ def test_fresh_tree_edge_sizes(d, n):
 @given(d=st.integers(min_value=3, max_value=10), n=st.integers(min_value=1, max_value=300),
        seed=seeds)
 def test_tree_expanded_by_neighbors_call(d, n, seed):
-    tree, ref_tree = make_regular_tree(d), make_regular_tree(d)
+    tree, ref_tree = trees(d)
     tree.neighbors(0)
     ref_tree.neighbors(0)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -70,7 +83,7 @@ def test_tree_expanded_by_neighbors_call(d, n, seed):
 @given(d=st.integers(min_value=3, max_value=10), n=st.integers(min_value=1, max_value=300),
        again=st.integers(min_value=1, max_value=300), seed=seeds)
 def test_tree_grown_by_earlier_diffusion(d, n, again, seed):
-    tree, ref_tree = make_regular_tree(d), make_regular_tree(d)
+    tree, ref_tree = trees(d)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     simulate_si(tree, 0, n, rng)
     reference.simulate_si(ref_tree, 0, n, ref_rng)
@@ -81,7 +94,7 @@ def test_tree_grown_by_earlier_diffusion(d, n, again, seed):
 
 @pytest.mark.parametrize("source", [1, 4, 10**6])
 def test_fresh_tree_other_source_raises_as_before(source):
-    tree, ref_tree = make_regular_tree(3), make_regular_tree(3)
+    tree, ref_tree = trees(3)
     with pytest.raises(InvalidInputError) as got:
         simulate_si(tree, source, 10, np.random.default_rng(0))
     with pytest.raises(InvalidInputError) as expected:
@@ -96,7 +109,7 @@ def test_zero_target_raises_as_before():
     with pytest.raises(InvalidParameterError):
         simulate_si(make_regular_tree(3), 0, 0, rng)
     with pytest.raises(InvalidParameterError):
-        reference.simulate_si(make_regular_tree(3), 0, 0, rng)
+        reference.simulate_si(reference_graphs.RegularTree(3), 0, 0, rng)
     assert rng.bit_generator.state == state
 
 
@@ -109,6 +122,56 @@ def test_galton_watson_tree_keeps_scalar_loop(n, seed):
     ref_snap = reference.simulate_si(graph, 0, n, ref_rng)
     assert (snap.infected, snap.parent_pos, snap.index) == (
         ref_snap.infected, ref_snap.parent_pos, ref_snap.index)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+#: Ids that are not exactly ``int``: equal to materialized ids, or not.
+not_ints = st.sampled_from([1.5, 2.0, 0.0, True, False, np.int64(2), np.int32(0), "1", None])
+
+
+@st.composite
+def tree_calls(draw):
+    """A call on both trees: ("neighbors", id) or ("spread", back, n).
+
+    An int id and the source of a spread count back from the oracle's
+    last materialized id when the call is made: ids then reach expanded,
+    materialized, unmaterialized and negative ones, sources materialized
+    ones.
+    """
+    if draw(st.booleans()):
+        return "spread", draw(st.integers(min_value=1, max_value=60)), draw(st.integers(1, 120))
+    return "neighbors", draw(not_ints | st.integers(min_value=-3, max_value=200))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(min_value=3, max_value=6), calls=st.lists(tree_calls(), max_size=12), seed=seeds)
+def test_interleaved_neighbors_and_spreads(d, calls, seed):
+    tree, ref_tree = trees(d)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for call in calls:
+        if call[0] == "spread":
+            _, back, n = call
+            # A spread from the root of a fresh tree takes the bulk path,
+            # any other the scalar loop.
+            source = max(ref_tree._next_id - back, 0)
+            snap = simulate_si(tree, source, n, rng)
+            ref_snap = reference.simulate_si(ref_tree, source, n, ref_rng)
+            assert_same_run(tree, ref_tree, snap, ref_snap, rng, ref_rng)
+            continue
+        v = call[1]
+        if type(v) is not int:
+            with pytest.raises(InvalidInputError):
+                tree.neighbors(v)
+            continue
+        v = ref_tree._next_id - 1 - v
+        try:
+            expected = ref_tree.neighbors(v)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError, match=str(exc)):
+                tree.neighbors(v)
+        else:
+            assert tree.neighbors(v) == expected
+    assert_same_tree(tree, ref_tree)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -91,6 +91,15 @@ class TestRegularTree:
         with pytest.raises(InvalidInputError):
             make_regular_tree(3).neighbors(v)
 
+    @pytest.mark.parametrize("v", [1.5, 2.0, 0.0, True, np.int64(2), "1"])
+    def test_rejects_ids_that_are_not_int(self, v):
+        # Equal to an expanded or materialized id, or not: an int is required.
+        t = make_regular_tree(3)
+        t.neighbors(0)
+        with pytest.raises(InvalidInputError):
+            t.neighbors(v)
+        assert t.neighbors(0) == (1, 2, 3) and t.neighbors(2) == (0, 4, 5)
+
 
 class TestGaltonWatson:
     def test_dmax_2_gives_path(self, rng):

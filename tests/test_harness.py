@@ -270,6 +270,12 @@ class TestOutputFormats:
             small_config(n_infected=0)
         with pytest.raises(InvalidParameterError):
             small_config(budgets=(20, -1))
+        for empty in ({"p_values": ()}, {"q_values": ()}):
+            with pytest.raises(InvalidParameterError):
+                small_config(**empty)
+        for threads in (0, -2):
+            with pytest.raises(InvalidParameterError):
+                small_config(threads=threads)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -385,7 +391,7 @@ def test_row_reproducible_from_derived_seeds():
         assert replayed == row.detections
 
 
-def test_outcome_serialization_round_trips():
+def test_outcome_gives_every_candidate_a_predecessor_edge():
     import numpy as np
 
     from rqsim.diffusion import simulate_si
@@ -396,11 +402,9 @@ def test_outcome_serialization_round_trips():
     rng = np.random.default_rng(17)
     snap = simulate_si(make_regular_tree(3), 0, 30, rng)
     out = run_mvna(snap, NAConfig(budget=30, repetitions=2), TruthModel(p=0.8, q=0.8), rng)
-    doc = json.loads(json.dumps(out.to_json_dict()))
-    assert doc["estimate"] == out.estimate
-    assert set(doc["s_i"]) == set(out.s_i)
-    assert doc["budget_used"] == out.budget_used
-    assert len(doc["predecessor_edges"]) == len(out.candidates)
+    assert out.estimate in snap.index and out.budget_used <= 30
+    assert set(out.predecessor_edges) == set(out.candidates)
+    assert len(out.candidates) == 15
 
 
 def test_env_thread_override(monkeypatch):
