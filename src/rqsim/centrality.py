@@ -12,6 +12,7 @@ small trees, and a sequence-likelihood heuristic covers loopy graphs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -140,6 +141,7 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
 
     Roots are taken in blocks of ``BLOCK_ENTRIES // (2 * E_induced)``, and
     one level-synchronous BFS serves a whole block (:func:`_bfs_block`).
+    The block's large arrays live in this thread's :class:`_Workspace`.
     Each root's two sums of logarithms are exact and rounded once
     (:func:`_log_sums`), so roots with equal counts tie exactly and the
     lowest id wins.
@@ -152,34 +154,40 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     width = np.array(list(map(len, adj)), dtype=np.int64)
     start = np.cumsum(width) - width
     nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(width.sum()))
+    owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
     log_n_factorial = math.lgamma(n + 1)
     rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
-    cells = _cell_tables(min(rows, len(targets)), start, width, nbr)
+    if targets and n > 1 and not width.all():  # a node with no infected neighbour
+        raise InvalidInputError("infected set is disconnected")
+    cells = _cell_tables(min(rows, len(targets)), start, nbr)
     id_rank = np.argsort(np.argsort(ids))
 
     scores: dict[int, float] = {}
     for b in range(0, len(targets), rows):
         roots = targets[b:b + rows]
-        order, size = _bfs_block(np.array(roots, dtype=np.int64), n, cells, id_rank)
-        links = _earlier_neighbours(order, start, width, nbr)
+        order, size = _bfs_block(np.array(roots, dtype=np.int64), n, cells, owner, id_rank)
+        links = _earlier_neighbours(order, start, owner, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
-        bounds = np.take_along_axis(deg - 2 * links, order, axis=1)
-        del links, order
+        links *= -2
+        links += deg
+        bounds = np.take(links, order).reshape(links.shape)
+        del links
         np.cumsum(bounds, axis=1, out=bounds)
         log_den = _log_sums(table, bounds[:, :-1], size)
-        del bounds, size
         for root, num, den in zip(roots, log_links, log_den):
             scores[ids[root]] = log_n_factorial + num - den
     return scores
 
 
 #: Roots scored together: a block expands at most this many (root,
-#: directed induced edge) entries, or one root's if that is more.
-BLOCK_ENTRIES = 1 << 15
+#: directed induced edge) entries, or one root's if that is more.  Larger
+#: blocks take fewer numpy calls per score; the workspace grows with them
+#: (about 2.1 MB after the N = 400 er:2000:4 and sf:4039:22 snapshots).
+BLOCK_ENTRIES = 1 << 16
 
 _ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
 _HALF = 28
@@ -192,17 +200,20 @@ def _log_table(size: int) -> tuple[np.ndarray, np.ndarray]:
     thousands of entries stay inside int64.
 
     One table is kept per process and grown by doubling; the result is a
-    view of its first ``size`` entries."""
+    view of its first ``size`` entries.  A caller reads the kept table once,
+    so a thread that grows it while another replaces it still gets a table
+    of the size it asked for."""
     global _LOG_TABLE
-    have = _LOG_TABLE[0].size
+    kept = _LOG_TABLE
+    have = kept[0].size
     if have < size:
         scaled = np.array([*map(math.log, range(have, max(size, 2 * have)))]) * _ONE
         fixed = scaled.astype(np.int64)
         if not np.array_equal(fixed, scaled):
             raise ArithmeticError("a log table entry is not a multiple of 2**-53")
-        _LOG_TABLE = tuple(np.concatenate((old, new)) for old, new in
-                           zip(_LOG_TABLE, (fixed >> _HALF, fixed & ((1 << _HALF) - 1))))
-    return _LOG_TABLE[0][:size], _LOG_TABLE[1][:size]
+        kept = _LOG_TABLE = tuple(np.concatenate((old, new)) for old, new in
+                                  zip(kept, (fixed >> _HALF, fixed & ((1 << _HALF) - 1))))
+    return kept[0][:size], kept[1][:size]
 
 
 #: The (high, low) halves of every ``log k`` computed so far; entry 0 is 0.
@@ -217,23 +228,57 @@ def _log_sums(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> list[
     return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
 
 
-def _cell_tables(rows: int, start: np.ndarray, width: np.ndarray,
-                 nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR adjacency (``nbr[start[u]:start[u] + width[u]]``, ascending
-    ids) of ``rows`` copies of the infected set, one per row of a block,
-    over cells ``row * n + node``: each cell's neighbour cells, and each
-    cell's start and width in that list.  Every block reads its rows'
-    share of the one table."""
-    n = len(width)
+class _Workspace(threading.local):
+    """One thread's scratch arrays for the block scorer, by name.
+
+    Each buffer grows to the largest size asked of it and is then reused by
+    every block of every score, so that blocks do not allocate, free and
+    page-fault their large arrays afresh.  A block holds at most
+    ``BLOCK_ENTRIES`` entries (or one root's) and ``n`` cells per root,
+    which bounds the buffers.  A block's BFS and its earlier-neighbour pass
+    run one after the other, so they share the entry-sized buffers
+    (``entries``, ``entries2``, ``entry_flags``)."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: int | tuple[int, ...], dtype: type = np.int64) -> np.ndarray:
+        """An uninitialised array of ``shape`` and ``dtype`` over the first
+        bytes of buffer ``name``.  It overwrites the last array of that
+        name, which must no longer be in use."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod((shape,) if isinstance(shape, int) else shape) * dtype.itemsize
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _cell_tables(rows: int, start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR adjacency (``nbr[start[u]:start[u + 1]]``, ascending ids) of
+    ``rows`` copies of the infected set, one per row of a block, over cells
+    ``row * n + node``: each cell's neighbour cells, and where each cell's
+    run of them starts (one more entry closes the last run).  Every block
+    reads its rows' share of the one table."""
+    n, e = start.size, nbr.size
+    cell_nbr = _WORKSPACE.array("cell_nbr", (rows, e))
+    cell_ptr = _WORKSPACE.array("cell_ptr", rows * n + 1)
     row = np.arange(rows, dtype=np.int64)[:, None]
-    return ((row * n + nbr).ravel(), (row * nbr.size + start).ravel(), np.tile(width, rows))
+    np.add(row * n, nbr, out=cell_nbr)
+    np.add(row * e, start, out=cell_ptr[:-1].reshape(rows, n))
+    cell_ptr[-1] = rows * e
+    return cell_nbr.ravel(), cell_ptr
 
 
-def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
-               id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
+               owner: np.ndarray, id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BFS from every root of a block at once over the cell tables of
     :func:`_cell_tables`, one level at a time over a flat frontier of cells
-    in (row, BFS place) order; ``id_rank`` ranks the nodes by id.
+    in (row, BFS place) order; ``owner`` is the node of each neighbour
+    table entry of one row, and ``id_rank`` ranks the nodes by id.
 
     The frontier's discovery stamps rise along it, and a level lists its
     new cells in the order that the stamps give them, so a row's levels,
@@ -242,75 +287,108 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray, n
     ``_BOTTOM_UP`` times fewer entries; then it is found bottom-up, from
     theirs (direction-optimizing BFS: Beamer, Asanović and Patterson, SC
     2012).  Both give the order and the parents of a sequential BFS with
-    neighbour ties by ascending id.
+    neighbour ties by ascending id.  Every node has an infected neighbour
+    when n > 1 (the caller checks), so every cell has entries.
 
-    Returns (rows, n) arrays: the nodes of each row in BFS order, and each
-    node's BFS subtree size.
+    Returns each row's cells in BFS order, row after row (rows · n cells),
+    and the (rows, n) BFS subtree sizes.
     """
-    cell_nbr, cell_start, cell_width = cells
+    cell_nbr, cell_ptr = cells
     r = len(roots)
-    if n > 1 and not cell_width.all():  # a node with no infected neighbour
-        raise InvalidInputError("infected set is disconnected")
-    stamp = np.full(r * n, _UNREACHED, dtype=np.int64)
-    f_cell = np.arange(0, r * n, n, dtype=np.int64) + roots
+    stamp = _WORKSPACE.array("stamp", r * n)
+    stamp.fill(_UNREACHED)
+    unreached = _WORKSPACE.array("unreached", r * n, np.bool_)
+    unreached.fill(True)
+    # The found cells, level after level, and each one's BFS parent;
+    # ends[i] is where level i ends in them (level 0 is the roots).
+    found = _WORKSPACE.array("found", r * n)
+    parent = _WORKSPACE.array("parent", r * n)
+    f_cell = np.add(np.arange(0, r * n, n, dtype=np.int64), roots, out=found[:r])
     stamp[f_cell] = np.arange(r, dtype=np.int64)
-    unseen = int(cell_width[:r * n].sum())  # entries of the cells not yet found
-    found, levels = [f_cell], []
+    unreached[f_cell] = False
+    unseen = r * owner.size  # entries of the cells not yet found
+    ends = [r]
     while f_cell.size:
-        k = cell_width[f_cell]
-        ends = np.cumsum(k)
-        m = int(ends[-1])
+        first, k = _runs(cell_ptr, f_cell)
+        k_ends = k.cumsum()
+        m = int(k_ends[-1])
         unseen -= m
         if not unseen:  # every cell is found
             break
+        at = ends[-1]
         if unseen * _BOTTOM_UP >= m:
             # Expand the frontier in (row, BFS place, neighbour id) order:
             # the order in which one root's sequential BFS scans these edges.
-            src = np.repeat(np.arange(f_cell.size, dtype=np.int64), k)
-            e_cell = cell_nbr[np.arange(m, dtype=np.int64) + (cell_start[f_cell] - ends + k)[src]]
-            fresh = (stamp[e_cell] == _UNREACHED).nonzero()[0]
+            e_at, e_cell = _expand(cell_nbr, first, k, k_ends)
+            flags = _WORKSPACE.array("entry_flags", m, np.bool_)
+            fresh = unreached.take(e_cell, out=flags, mode="clip").nonzero()[0]
             cand = e_cell[fresh]
-            del e_cell  # edge-sized arrays go as soon as used: they set the peak memory
             # An unreached cell's first entry, the one whose index is left
             # as its stamp, discovers it: that fixes its parent and its
             # place, so ties go to the lowest id as in a sequential BFS.
             np.minimum.at(stamp, cand, fresh)
-            hit = stamp[cand] == fresh
-            parent = f_cell[src[fresh[hit]]]
-            del src, fresh
-            f_cell = cand[hit]
+            won = fresh[stamp[cand] == fresh]
+            new = e_cell.take(won, out=found[at:at + won.size], mode="clip")
+            # The owner of the entry that found a new cell is its parent.
+            e_at = e_at[won]
+            by_row = e_at // owner.size
+            e_at -= by_row * owner.size
+            by_row *= n
+            np.add(by_row, owner.take(e_at), out=parent[at:at + new.size])
         else:
             # Each unreached cell's parent is its frontier neighbour with the
             # smallest stamp (a neighbour found before the frontier would
             # have reached it); the new cells are placed by (parent, node
             # id), as that parent's scan would find them.
-            todo = (stamp == _UNREACHED).nonzero()[0]
-            k = cell_width[todo]
-            ends = np.cumsum(k)
-            e_stamp = stamp[cell_nbr[np.repeat(cell_start[todo] - ends + k, k)
-                                     + np.arange(int(ends[-1]), dtype=np.int64)]]
-            best = np.minimum.reduceat(e_stamp, ends - k)
-            del e_stamp
+            todo = unreached.nonzero()[0]
+            first, k = _runs(cell_ptr, todo)
+            k_ends = k.cumsum()
+            e_at, e_cell = _expand(cell_nbr, first, k, k_ends)
+            best = np.minimum.reduceat(stamp.take(e_cell, out=e_at, mode="clip"), k_ends - k)
             got = (best < _UNREACHED).nonzero()[0]
             got = got[np.argsort(best[got] * n + id_rank[todo[got] % n])]
-            parent = f_cell[np.searchsorted(stamp[f_cell], best[got])]
-            f_cell = todo[got]
-            stamp[f_cell] = np.arange(f_cell.size, dtype=np.int64)
-        found.append(f_cell)
-        levels.append((f_cell, parent))
-    cell = np.concatenate(found)
-    if cell.size < r * n:
+            new = todo.take(got, out=found[at:at + got.size], mode="clip")
+            f_cell.take(np.searchsorted(stamp[f_cell], best[got]), out=parent[at:at + new.size], mode="clip")
+            stamp[new] = np.arange(new.size, dtype=np.int64)
+        unreached[new] = False
+        f_cell = new
+        ends.append(at + new.size)
+    if ends[-1] < r * n:
         raise InvalidInputError("infected set is disconnected")
-    # Each row's cells in BFS order: level by level, and within a level in
-    # discovery order, which a stable (radix) sort by row keeps.
-    row = (cell // n).astype(np.min_scalar_type(r))
-    order = cell[np.argsort(row, kind="stable")].reshape(r, n) - np.arange(0, r * n, n, dtype=np.int64)[:, None]
-    # Subtree sizes, deepest level first.
-    size = np.ones(r * n, dtype=np.int64)
-    while levels:
-        cell, parent = levels.pop()
-        np.add.at(size, parent, size[cell])
-    return order, size.reshape(r, n)
+    # Subtree sizes, deepest level first, over the spent stamps.
+    size = stamp
+    size.fill(1)
+    for a, b in zip(ends[-2::-1], ends[:0:-1]):
+        np.add.at(size, parent[a:b], size[found[a:b]])
+    # Each row's cells in BFS order, over the spent parents: level by level,
+    # and within a level in discovery order, which a stable (radix) sort by
+    # row keeps.
+    row = _WORKSPACE.array("row", r * n, np.min_scalar_type(r))
+    np.floor_divide(found, n, out=row, casting="unsafe")
+    return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)
+
+
+def _runs(cell_ptr: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the neighbour run of each of the cells ``of`` starts, and its length."""
+    first = cell_ptr.take(of)
+    return first, cell_ptr.take(of + 1) - first
+
+
+def _expand(cell_nbr: np.ndarray, first: np.ndarray, k: np.ndarray,
+            ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the neighbour runs that start at ``first`` (lengths
+    ``k``, all at least 1, and their running sum ``ends``), in order: each
+    entry's place in the neighbour table and its neighbour cell, written
+    into the workspace."""
+    m = int(ends[-1])
+    at = _WORKSPACE.array("entries", m)
+    # Places step by 1 within a run and jump at each run's first entry:
+    # one running sum of those steps.
+    at.fill(1)
+    at[0] = first[0]
+    at[ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
+    at.cumsum(out=at)
+    return at, cell_nbr.take(at, out=_WORKSPACE.array("entries2", m), mode="clip")
 
 
 #: A BFS level goes bottom-up once the unreached cells have this many
@@ -320,18 +398,24 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray, n
 _BOTTOM_UP = 4
 
 
-def _earlier_neighbours(order: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """Per (row, node), its count of neighbours earlier in the row's BFS
-    order ``order``: one pass over every (row, directed induced edge)
-    entry, comparing BFS places held in the narrowest unsigned type, as
-    the two entry-sized arrays are the block's largest."""
-    r, n = order.shape
+    order, from ``order``, each row's cells in that order (as
+    :func:`_bfs_block` gives them): one pass over every (row, directed
+    induced edge) entry, comparing the BFS places of the entry's node
+    (``owner``) and neighbour, held in the narrowest unsigned type, as the
+    two entry-sized arrays are the block's largest."""
+    n = start.size
+    r = order.size // n
     if not nbr.size:  # a lone node: reduceat needs at least one entry
         return np.zeros((r, n), dtype=np.int64)
     kind = np.min_scalar_type(n)
-    place = np.empty((r, n), dtype=kind)
-    np.put_along_axis(place, order, np.arange(n, dtype=kind)[None, :], axis=1)
-    earlier = np.take(place, nbr, axis=1) < np.repeat(place, width, axis=1)
+    place = _WORKSPACE.array("place", (r, n), kind)
+    np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
+    shape = (r, nbr.size)
+    nbr_place = np.take(place, nbr, axis=1, out=_WORKSPACE.array("entries", shape, kind), mode="clip")
+    own_place = np.take(place, owner, axis=1, out=_WORKSPACE.array("entries2", shape, kind), mode="clip")
+    earlier = np.less(nbr_place, own_place, out=_WORKSPACE.array("entry_flags", shape, np.bool_))
     return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
 
 

@@ -399,15 +399,20 @@ def _trial_star(args: tuple) -> tuple[float, list[RowOutcome]]:
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
+    """The config's worker count, else ``RQS_THREADS`` (an integer >= 1),
+    else every core."""
     if config.threads is not None:
         return config.threads
     env = os.environ.get("RQS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer RQS_THREADS=%r", env)
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidParameterError(f"RQS_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> int:
@@ -420,11 +425,10 @@ def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> 
 
 
 def _run_trials(
-    config: ExperimentConfig, rows: list[SweepRow]
+    config: ExperimentConfig, rows: list[SweepRow], workers: int
 ) -> list[tuple[float, list[RowOutcome]]]:
     """Every trial of ``rows``, in trial order, one pool task per trial."""
     tasks = [(config, rows, t) for t in range(config.trials)]
-    workers = _resolve_workers(config)
     if workers == 1:
         return [_trial_star(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -445,9 +449,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     of aborting the sweep: its r* cannot be resolved, or its estimator
     raised in some trial.  A failure in a trial's shared build, simulation
     or scoring (for example an infection target larger than the graph)
-    fails every row.
+    fails every row.  A bad ``RQS_THREADS`` raises before any trial.
     """
     spec = config.spec
+    workers = _resolve_workers(config)
     graph = None
     if spec.family == "edgelist":  # its degree is measured; the trials reuse the load
         graph = _pinned_graph(spec, config.master_seed, config.n_infected)
@@ -466,7 +471,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     results: list[tuple[float, list[RowOutcome]]] = []
     if live:
         try:
-            results = _run_trials(config, live)
+            results = _run_trials(config, live, workers)
         except RQSimError as exc:
             logger.error("every row failed: %s", exc, exc_info=isinstance(exc, TrialError))
             errors.update((row[0], exc) for row in live)

@@ -407,13 +407,30 @@ def test_outcome_gives_every_candidate_a_predecessor_edge():
     assert len(out.candidates) == 15
 
 
-def test_env_thread_override(monkeypatch):
+def test_env_thread_override(monkeypatch, capsys):
+    from rqsim.cli import main
     from rqsim.harness import _resolve_workers
 
     monkeypatch.setenv("RQS_THREADS", "3")
     assert _resolve_workers(small_config(threads=None)) == 3
-    monkeypatch.setenv("RQS_THREADS", "junk")
+    assert _resolve_workers(small_config(threads=2)) == 2  # the config wins
+    monkeypatch.setenv("RQS_THREADS", "")  # empty: as if unset
     assert _resolve_workers(small_config(threads=None)) >= 1
+    # Anything but an integer >= 1 stops a sweep before its first trial,
+    # as --threads 0 does, instead of running one worker or all cores.
+    trials = []
+    monkeypatch.setattr("rqsim.harness._run_single_trial", lambda *args: trials.append(args))
+    for bad in ("junk", "0", "-4", "2.5"):
+        monkeypatch.setenv("RQS_THREADS", bad)
+        with pytest.raises(InvalidParameterError, match="RQS_THREADS"):
+            _resolve_workers(small_config(threads=None))
+        with pytest.raises(InvalidParameterError, match="RQS_THREADS"):
+            run_experiment(small_config(threads=None))
+        code = main(["simulate", "--graph", "regular:3", "--scheme", "na", "--k", "20", "--p", "0.8",
+                     "--q", "0.8", "--n", "40", "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out, trials) == (1, "", [])
+        assert err.startswith("error:") and "RQS_THREADS" in err
     monkeypatch.delenv("RQS_THREADS")
     assert _resolve_workers(small_config(threads=2)) == 2
 

@@ -1,11 +1,14 @@
-"""Differential tests: the block loopy scorer against its three predecessors.
+"""Differential tests: the block loopy scorer against its four predecessors.
 
 ``reference_scorer.block_general_graph_scores`` is the block scorer as
 first written: it ranks each BFS level's new nodes, finds parents by
-search and counts earlier neighbours level by level.  The scorer now
+search and counts earlier neighbours level by level.
+``reference_scorer.stamp_general_graph_scores`` is its successor: it
 orders by discovery stamps, may find a level bottom-up and counts earlier
-neighbours once per block; its scores and key order are equal (``==``) to
-that oracle's.
+neighbours once per block, but allocates every block array afresh.  The
+scorer now writes the large block arrays into a per-thread workspace that
+every block of every score reuses; its scores and key order are equal
+(``==``) to both oracles'.
 
 ``reference_scorer.per_root_general_graph_scores`` is the scorer that the
 block scorers replaced: one sequential BFS and one ``math.fsum`` per root.
@@ -19,7 +22,10 @@ with it to rounding, well inside ``TOLERANCE``.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -31,6 +37,7 @@ from conftest import graph_from_edges, snapshot_of
 from reference_scorer import block_general_graph_scores as block_scores
 from reference_scorer import general_graph_scores as reference_scores
 from reference_scorer import per_root_general_graph_scores as per_root_scores
+from reference_scorer import stamp_general_graph_scores as stamp_scores
 from rqsim import centrality
 from rqsim.centrality import _log_sums, _log_table, general_graph_scores
 from rqsim.diffusion import Snapshot, simulate_si
@@ -237,7 +244,8 @@ class TestInvalidInputs:
         with pytest.raises(InvalidInputError):
             scorer(snap, nodes=[snap.source, outside])
 
-    @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores, reference_scores])
+    @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores, reference_scores,
+                                        stamp_scores])
     def test_disconnected_infected_set(self, scorer):
         path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
         snap = snapshot_of(path, 0, [0, 1, 3], {1: 0, 3: 1})
@@ -251,7 +259,7 @@ class TestInvalidInputs:
         with block_rows(snap, rows), pytest.raises(InvalidInputError):
             general_graph_scores(snap)
 
-    @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores])
+    @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores, stamp_scores])
     def test_no_induced_edges_between_two_nodes(self, scorer):
         # Two infected nodes and no infected edge: E_induced = 0, disconnected.
         path = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -271,15 +279,17 @@ class TestInvalidInputs:
 
 
 def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
-    want = block_scores(snap, nodes)
+    """The scorer's table equals both block oracles', in values and key order."""
     got = general_graph_scores(snap, nodes)
-    assert list(got) == list(want)
-    assert got == want
+    for oracle in (block_scores, stamp_scores):
+        want = oracle(snap, nodes)
+        assert list(got) == list(want)
+        assert got == want
 
 
 class TestAgainstFirstBlockScorer:
-    """Stamp-ordered blocks, in either BFS direction, give the first block
-    scorer's scores bit for bit and in the same key order."""
+    """Blocks in either BFS direction give the scores of the first block
+    scorer and of the stamp-ordered one bit for bit, in the same key order."""
 
     @DIRECTIONS
     @settings(max_examples=60, deadline=None)
@@ -329,6 +339,74 @@ class TestAgainstFirstBlockScorer:
         assert snap.n == n_infected
         monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
         assert_equals_block_oracle(snap)
+
+
+@pytest.fixture(scope="module")
+def n400():
+    """The N = 400 snapshots of the benchmark graphs used above, by family."""
+    return {"sf": _snapshot("sf", 4039, 22.0, 400, seed=20240817),
+            "er": _snapshot("er", 2000, 4.0, 400, seed=20240817)}
+
+
+class TestWorkspace:
+    """The block arrays live in one workspace per thread, which every block
+    of every score reuses and grows as snapshots need."""
+
+    @pytest.fixture
+    def workspace(self, monkeypatch):
+        """A fresh workspace for this thread, put back afterwards."""
+        fresh = centrality._Workspace()
+        monkeypatch.setattr(centrality, "_WORKSPACE", fresh)
+        return fresh
+
+    @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16], ids=["2^15", "2^16"])
+    def test_reused_across_snapshots(self, n400, workspace, block_entries, monkeypatch):
+        """Dense, then sparse, then tiny snapshots, a disconnected set that
+        fails mid-BFS, then the sparse one again: each table, full and for a
+        subset, equals the per-root scorer's."""
+        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        path = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        split = snapshot_of(path, 0, [0, 1, 2, 4, 5], {1: 0, 2: 1, 4: 2, 5: 4})
+        tiny = [_snapshot("er", 50, 3.0, n_infected, seed=5) for n_infected in (1, 2)]
+        for snap in (n400["sf"], n400["er"], *tiny, split, n400["er"]):
+            if snap is split:
+                with pytest.raises(InvalidInputError):
+                    general_graph_scores(snap)
+                continue
+            assert_equals_per_root(snap)
+            assert_equals_per_root(snap, sorted(snap.infected)[1::7] or snap.infected)
+        assert workspace.buffers  # the scores above ran in this workspace
+
+    def test_retained_size(self, n400, workspace):
+        for name in ("sf", "er"):
+            general_graph_scores(n400[name])
+        assert sum(buffer.nbytes for buffer in workspace.buffers.values()) <= 2.5 * 2**20
+
+    def test_threads_score_at_once(self, n400, monkeypatch):
+        """Four threads, two per snapshot, score at the same time from an
+        empty log table that they all grow; each table equals the per-root
+        scorer's."""
+        monkeypatch.setattr(centrality, "_LOG_TABLE", (np.zeros(1, np.int64), np.zeros(1, np.int64)))
+        names = ["sf", "er", "sf", "er"]
+        want = {name: per_root_scores(n400[name]) for name in n400}
+        start = threading.Barrier(len(names))
+
+        def score(name):
+            start.wait(timeout=60)
+            return [general_graph_scores(n400[name]) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(names)) as pool:
+                futures = [pool.submit(score, name) for name in names]
+                tables = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for name, got in zip(names, tables):
+            for table in got:
+                assert list(table) == list(want[name])
+                assert table == want[name]
 
 
 @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
