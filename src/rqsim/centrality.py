@@ -15,7 +15,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -147,13 +146,11 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
-    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
     targets = _positions(snapshot, nodes)
     n = len(ids)
-    deg = np.array([graph.degree(v) for v in ids], dtype=np.int64)
-    width = np.array(list(map(len, adj)), dtype=np.int64)
-    start = np.cumsum(width) - width
-    nbr = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(width.sum()))
+    deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
+    start, width = ptr[:-1], np.diff(ptr)
     owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.

@@ -97,20 +97,32 @@ class Snapshot:
 
     @cached_property
     def local_adjacency(self) -> list[list[int]]:
-        """Infected neighbours of each position, as positions by ascending id:
-        the parent edges when the graph is acyclic or absent, otherwise the
-        infected-induced subgraph of ``graph``."""
-        ids, index = self.infected, self.index
-        if not self._parent_edges_only:
-            # A Graph's lists ascend, so the filtered ones keep id order.
-            return [[index[w] for w in self.graph.neighbors(v) if w in index] for v in ids]
-        adj: list[list[int]] = [[] for _ in ids]
-        for i, p in enumerate(self.parent_pos[1:], 1):
-            adj[i].append(p)
-            adj[p].append(i)
-        for nbrs in adj:
-            nbrs.sort(key=ids.__getitem__)
-        return adj
+        """:attr:`local_csr` as one list of positions per position."""
+        ptr, nbr = self.local_csr
+        flat, bounds = nbr.tolist(), ptr.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def local_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Infected neighbours of each position, as positions by ascending
+        id, in int64 CSR arrays ``(ptr, nbr)``: the parent edges when the
+        graph is acyclic or absent, otherwise the infected-induced subgraph
+        of ``graph``, read off its arrays by one lookup of positions."""
+        if self._parent_edges_only:
+            child, parent = np.arange(1, self.n), np.array(self.parent_pos[1:], dtype=np.int64)
+            owner, nbr = np.concatenate((child, parent)), np.concatenate((parent, child))
+            rank = np.argsort(np.argsort(self.infected))  # each position's place by id
+            nbr = nbr[np.lexsort((rank[nbr], owner))]
+            return np.append(0, np.cumsum(np.bincount(owner, minlength=self.n))), nbr
+        indptr, indices = self.graph.indptr, self.graph.indices
+        ids = np.array(self.infected)
+        first, width = indptr[ids], np.diff(indptr)[ids]
+        start = np.cumsum(width) - width
+        position = np.full(indptr.size - 1, -1)
+        position[ids] = np.arange(self.n)
+        at = position[indices[np.repeat(first - start, width) + np.arange(width.sum())]]
+        kept = np.append(0, np.cumsum(at >= 0))  # infected neighbours before each entry
+        return kept[np.append(start, at.size)], at[at >= 0]
 
     def hop_order(self, centre: int) -> list[int]:
         """Every infected id by hop distance from infected node ``centre``
@@ -171,7 +183,7 @@ class Snapshot:
     def induced_edge_count(self) -> int:
         if self._parent_edges_only:
             return self.n - 1
-        return sum(map(len, self.local_adjacency)) // 2
+        return self.local_csr[1].size // 2
 
     @property
     def is_tree(self) -> bool:
@@ -215,12 +227,15 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     Each step selects one boundary edge uniformly at random; its infected
     endpoint becomes the new node's parent.  Raises
     :class:`InfeasibleTargetError` when the reachable component is smaller
-    than ``n_target``.  A fresh :class:`RegularTree` spread from its root
-    takes :func:`_spread_on_fresh_tree`, which draws the same numbers and
-    returns the same snapshot and tree.
+    than ``n_target``, and :class:`InvalidInputError` when a finite graph's
+    ``source`` is not an int node id.  A fresh :class:`RegularTree` spread
+    from its root takes :func:`_spread_on_fresh_tree`, which draws the same
+    numbers and returns the same snapshot and tree.
     """
     if n_target < 1:
         raise InvalidParameterError(f"n_target must be >= 1, got {n_target}")
+    if graph.is_finite and not (type(source) is int and 0 <= source < graph.n):
+        raise InvalidInputError(f"source {source!r} is not a node id in 0..{graph.n - 1}")
     if isinstance(graph, RegularTree) and source == 0 and graph.is_fresh:
         return _spread_on_fresh_tree(graph, n_target, rng)
     index, parent_pos = {source: 0}, [-1]  # index keeps the infection order

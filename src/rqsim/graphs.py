@@ -3,7 +3,7 @@
 Two graph flavors share one read interface (``neighbors``/``degree``):
 
 * :class:`Graph` -- a finite undirected simple graph with dense node ids
-  ``0..n-1`` and sorted adjacency lists.
+  ``0..n-1``, its sorted neighbour lists held as CSR arrays.
 * :class:`RegularTree` -- an infinite regular tree that records only the
   order in which its nodes were expanded, so a diffusion only ever pays
   for the region it touches.
@@ -29,64 +29,67 @@ from .errors import (
 
 
 class Graph:
-    """Finite undirected simple graph with nodes ``0..n-1``.
+    """Finite undirected simple graph on ``0..n-1`` in CSR arrays: ``u``'s
+    neighbours, ascending, are ``indices[indptr[u]:indptr[u + 1]]``.
+    Immutable; safe for concurrent reads.  ``acyclic`` is set by generators
+    whose graphs are forests by construction."""
 
-    ``adjacency[u]`` lists ``u``'s neighbours in strictly ascending order,
-    each edge in both lists.  Immutable; safe for concurrent reads.
-    ``acyclic`` is set by generators whose graphs are forests by construction.
-    """
-
-    __slots__ = ("_adj", "acyclic", "_max_degree")
+    __slots__ = ("indptr", "indices", "acyclic")
     is_finite = True
 
     def __init__(self, adjacency: list[list[int]], acyclic: bool = False):
-        _check_adjacency(adjacency)
-        self._adj = adjacency
+        n, flat = len(adjacency), [*chain.from_iterable(adjacency)]
+        if not all(type(v) is int and 0 <= v < n for v in flat):  # a bool, float or numpy id too
+            raise InvalidInputError(f"neighbor ids must be of type int and in 0..{n - 1}")
+        codes = np.repeat(np.arange(n) * n, [*map(len, adjacency)]) + np.array(flat, dtype=np.int64)
+        self.indptr, self.indices = _csr(n, codes)
         self.acyclic = acyclic
-        self._max_degree = max(map(len, adjacency), default=0)
+
+    @classmethod
+    def _from_codes(cls, n: int, codes: np.ndarray, acyclic: bool = False) -> Graph:
+        """The graph of the ascending int64 codes ``u * n + v`` of its edges, both ways."""
+        graph = cls.__new__(cls)
+        graph.indptr, graph.indices = _csr(n, codes)
+        graph.acyclic = acyclic
+        return graph
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return self.indptr.size - 1
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj) // 2
+        return self.indices.size // 2
 
     def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
+        return self.indices[self.indptr[v]:self.indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def max_degree(self) -> int:
-        return self._max_degree
+        return int(np.diff(self.indptr).max(initial=0))
 
     def avg_degree(self) -> float:
         return 2.0 * self.num_edges / self.n if self.n else 0.0
 
 
-def _check_adjacency(adj: list[list[int]]) -> None:
-    """Raise InvalidInputError unless ``adj`` holds ints and is sorted,
-    simple and symmetric."""
-    stray = set(map(type, chain.from_iterable(adj))) - {int}
-    if stray:
-        raise InvalidInputError(f"neighbor ids must be int, got {sorted(t.__name__ for t in stray)}")
-    n = len(adj)
-    # met[v] counts the head of adj[v] already matched by smaller nodes' lists
-    # (read in ascending order); the rest must ascend above v, each matched next.
-    met = [0] * n
-    for u, nbrs in enumerate(adj):
-        prev = u
-        for v in nbrs[met[u]:]:
-            if not (prev < v < n and (k := met[v]) < len(adj[v]) and adj[v][k] == u):
-                raise InvalidInputError(
-                    f"self-loop at node {u}" if v == u
-                    else f"neighbor {v} of node {u} out of range" if not 0 <= v < n
-                    else f"neighbors of node {u} not strictly ascending at {v}" if u < v <= prev
-                    else f"edge {u}-{v} is not listed in order at both ends")
-            met[v] = k + 1
-            prev = v
+def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` (the codes' tails) from the edge codes ``u *
+    n + v``, ids in ``0..n-1``; raises InvalidInputError unless they list a
+    simple graph with each edge at both ends and each node's neighbours
+    ascending: no self-loop, strictly ascending codes, and the sorted codes
+    of the reversed edges equal to them."""
+    head, tail = np.divmod(codes, max(n, 1))
+    if (loop := head == tail).any():
+        raise InvalidInputError(f"self-loop at node {head[loop][0]}")
+    if (down := codes[1:] <= codes[:-1]).any():
+        raise InvalidInputError(f"neighbors of node {head[1:][down][0]} not strictly ascending")
+    flipped = tail * n + head
+    flipped.sort()
+    if not np.array_equal(flipped, codes):
+        raise InvalidInputError("an edge is not listed at both ends")
+    return np.searchsorted(head, np.arange(n + 1)), tail
 
 
 class RegularTree:
@@ -173,54 +176,37 @@ def _build_finite(n: int, edges: np.ndarray, acyclic: bool = False,
     """A simple graph on ``0..n-1`` from an ``(m, 2)`` int64 array of edges,
     less self-loops and repeats.
 
-    Each edge is coded ``u * n + v`` in both directions, and one sort gives
-    every list in ascending order.  ``largest_component`` keeps only the
-    largest component (the lowest id's on a tie), renumbered in ascending
-    order, which keeps each list sorted.
+    Each edge is coded ``u * n + v`` in both directions, and one sort puts
+    the codes in the order the graph keeps them.  ``largest_component``
+    keeps only the largest component (the lowest id's on a tie), renumbered
+    in ascending order, which keeps the codes sorted.
     """
     edges = edges[edges[:, 0] != edges[:, 1]]
     codes = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]))
     codes.sort()
     codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:codes.size]]
-    rows = _rows(n, codes)
     if largest_component:
-        inside = np.zeros(n, dtype=bool)
-        inside[_largest_component(rows)] = True
-        new_id = np.cumsum(inside) - 1
         head, tail = np.divmod(codes, n)
+        inside = _largest_component(n, head, tail)
+        new_id = np.cumsum(inside) - 1
         keep = inside[head]
         n = int(new_id[-1]) + 1
-        rows = _rows(n, new_id[head[keep]] * n + new_id[tail[keep]])
-    return Graph(rows, acyclic=acyclic)
+        codes = new_id[head[keep]] * n + new_id[tail[keep]]
+    return Graph._from_codes(n, codes, acyclic)
 
 
-def _rows(n: int, codes: np.ndarray) -> list[list[int]]:
-    """Adjacency lists from sorted, distinct codes ``u * n + v``."""
-    head, tail = np.divmod(codes, n)
-    stop = np.searchsorted(head, np.arange(n), side="right").tolist()
-    flat = tail.tolist()
-    return [flat[a:b] for a, b in zip([0, *stop], stop)]
-
-
-def _largest_component(adj: list[list[int]]) -> list[int]:
-    """Nodes of the largest connected component, in ascending order."""
-    n = len(adj)
-    seen = [False] * n
-    best: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        for u in comp:  # a breadth-first search: comp grows while it is read
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-        if len(comp) > len(best):
-            best = comp
-    best.sort()
-    return best
+def _largest_component(n: int, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Whether each node of ``0..n-1`` is in the largest component (the
+    lowest id's on a tie), given each edge as (head, tail) both ways.  Each
+    round hooks every tree root to the least root it has an edge to, then
+    jumps pointers until each node points at its root (Shiloach & Vishkin
+    1982): a component ends rooted at its lowest id, in O(log n) rounds."""
+    root = np.arange(n)
+    while (cross := root[head] != root[tail]).any():
+        np.minimum.at(root, root[head[cross]], root[tail[cross]])
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root == np.bincount(root, minlength=n).argmax()
 
 
 def make_regular_tree(d: int) -> RegularTree:

@@ -1,13 +1,23 @@
-"""The graph generators and one-pass builder as they were before block
-drawing, kept as a differential oracle.
+"""The graph generators and builders as they were before block drawing
+and before CSR arrays, kept as differential oracles.
 
 ``rqsim.graphs`` now draws its scale-free picks and Erdős–Rényi skips in
-blocks and builds every graph from an int64 edge array by one sort.  The
-functions below are the scalar code it replaced, unchanged: one
-``Generator`` call per pick or skip and per-node sets, ending in the
-package's ``Graph`` and using its parameter checks.  Tests require both
-versions to give ``==`` adjacency lists and to leave the generator in
-``==`` states.
+blocks.  ``make_galton_watson``, ``make_erdos_renyi`` and
+``make_scale_free`` below are the scalar code it replaced, unchanged: one
+``Generator`` call per pick or skip and per-node sets
+(``_build_from_sets``), using the package's parameter checks.  Tests
+require both versions to give ``==`` neighbour lists and to leave the
+generator in ``==`` states.
+
+``Graph``, ``_check_adjacency``, ``_build_finite``, ``_rows`` and
+``_largest_component`` are the list-based graph that ``rqsim.graphs``
+kept before it held CSR arrays: the builder turned the sorted edge codes
+into Python lists, checked them in a Python loop and found the largest
+component by a breadth-first search.  Tests swap this ``_build_finite``
+into ``rqsim.graphs`` and require the same neighbour lists, sizes,
+``acyclic`` flags and generator states from every generator and the
+edge-list loader, and require ``_check_adjacency`` to accept exactly the
+adjacency lists that ``rqsim.graphs.Graph`` accepts.
 
 ``RegularTree`` is the lazily grown regular tree as it was when each
 tree kept neighbour and parent dictionaries: ``rqsim.graphs`` now keeps
@@ -25,11 +35,106 @@ from typing import Iterable
 import numpy as np
 
 from rqsim.errors import GenerationFailureError, InvalidInputError, InvalidParameterError
-from rqsim.graphs import Graph, check_erdos_renyi, check_galton_watson, check_scale_free
+from rqsim.graphs import check_erdos_renyi, check_galton_watson, check_scale_free
 
 
-def _build_finite(n: int, edges: Iterable[tuple[int, int]], acyclic: bool = False,
+class Graph:
+    """Finite undirected simple graph with nodes ``0..n-1``.
+
+    ``adjacency[u]`` lists ``u``'s neighbours in strictly ascending order,
+    each edge in both lists.  Immutable; safe for concurrent reads.
+    ``acyclic`` is set by generators whose graphs are forests by construction.
+    """
+
+    __slots__ = ("_adj", "acyclic", "_max_degree")
+    is_finite = True
+
+    def __init__(self, adjacency: list[list[int]], acyclic: bool = False):
+        _check_adjacency(adjacency)
+        self._adj = adjacency
+        self.acyclic = acyclic
+        self._max_degree = max(map(len, adjacency), default=0)
+
+    @property
+    def n(self) -> int:
+        return len(self._adj)
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(nbrs) for nbrs in self._adj) // 2
+
+    def neighbors(self, v: int) -> list[int]:
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    def max_degree(self) -> int:
+        return self._max_degree
+
+    def avg_degree(self) -> float:
+        return 2.0 * self.num_edges / self.n if self.n else 0.0
+
+
+def _check_adjacency(adj: list[list[int]]) -> None:
+    """Raise InvalidInputError unless ``adj`` holds ints and is sorted,
+    simple and symmetric."""
+    stray = set(map(type, chain.from_iterable(adj))) - {int}
+    if stray:
+        raise InvalidInputError(f"neighbor ids must be int, got {sorted(t.__name__ for t in stray)}")
+    n = len(adj)
+    # met[v] counts the head of adj[v] already matched by smaller nodes' lists
+    # (read in ascending order); the rest must ascend above v, each matched next.
+    met = [0] * n
+    for u, nbrs in enumerate(adj):
+        prev = u
+        for v in nbrs[met[u]:]:
+            if not (prev < v < n and (k := met[v]) < len(adj[v]) and adj[v][k] == u):
+                raise InvalidInputError(
+                    f"self-loop at node {u}" if v == u
+                    else f"neighbor {v} of node {u} out of range" if not 0 <= v < n
+                    else f"neighbors of node {u} not strictly ascending at {v}" if u < v <= prev
+                    else f"edge {u}-{v} is not listed in order at both ends")
+            met[v] = k + 1
+            prev = v
+
+
+def _build_finite(n: int, edges: np.ndarray, acyclic: bool = False,
                   largest_component: bool = False) -> Graph:
+    """A simple graph on ``0..n-1`` from an ``(m, 2)`` int64 array of edges,
+    less self-loops and repeats.
+
+    Each edge is coded ``u * n + v`` in both directions, and one sort gives
+    every list in ascending order.  ``largest_component`` keeps only the
+    largest component (the lowest id's on a tie), renumbered in ascending
+    order, which keeps each list sorted.
+    """
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    codes = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]))
+    codes.sort()
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:codes.size]]
+    rows = _rows(n, codes)
+    if largest_component:
+        inside = np.zeros(n, dtype=bool)
+        inside[_largest_component(rows)] = True
+        new_id = np.cumsum(inside) - 1
+        head, tail = np.divmod(codes, n)
+        keep = inside[head]
+        n = int(new_id[-1]) + 1
+        rows = _rows(n, new_id[head[keep]] * n + new_id[tail[keep]])
+    return Graph(rows, acyclic=acyclic)
+
+
+def _rows(n: int, codes: np.ndarray) -> list[list[int]]:
+    """Adjacency lists from sorted, distinct codes ``u * n + v``."""
+    head, tail = np.divmod(codes, n)
+    stop = np.searchsorted(head, np.arange(n), side="right").tolist()
+    flat = tail.tolist()
+    return [flat[a:b] for a, b in zip([0, *stop], stop)]
+
+
+def _build_from_sets(n: int, edges: Iterable[tuple[int, int]], acyclic: bool = False,
+                     largest_component: bool = False) -> Graph:
     """A simple graph on ``0..n-1`` from ``edges``, less self-loops and repeats.
 
     ``largest_component`` keeps only the largest component (the lowest id's
@@ -89,7 +194,7 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
         edges.extend((u, c) for c in range(count, count + n_children))
         count += n_children
         u += 1
-    return _build_finite(count, edges, acyclic=True)
+    return _build_from_sets(count, edges, acyclic=True)
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:
@@ -113,7 +218,7 @@ def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Gra
             if v < n:
                 edges.append((v, w))
 
-    g = _build_finite(n, edges, largest_component=True)
+    g = _build_from_sets(n, edges, largest_component=True)
     if g.n < 2:
         raise GenerationFailureError("largest component has fewer than 2 nodes")
     return g
@@ -143,7 +248,7 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
             pool.append(u)
             pool.append(i)
         built += m
-    return _build_finite(n, edges)
+    return _build_from_sets(n, edges)
 
 
 class RegularTree:

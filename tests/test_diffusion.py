@@ -72,6 +72,17 @@ class TestSimulateSI:
         with pytest.raises(InvalidInputError):
             simulate_si(make_regular_tree(3), -1, 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("source", [-1, 50, True, 2.0, np.int64(3), "3", None])
+    def test_rejects_a_finite_graph_source_that_is_not_a_node_id(self, source):
+        # -1 once spread from node 49's neighbours under a snapshot labelled -1.
+        g = make_erdos_renyi(50, 4.0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError):
+            simulate_si(g, source, 5, rng)
+        assert rng.bit_generator.state == state
+        assert simulate_si(g, g.n - 1, 5, rng).source == g.n - 1
+
 
 class TestSnapshotStructure:
     def test_hops_from_source(self, rng):

@@ -1,19 +1,25 @@
-"""The graph builder against the two-pass builder it replaced, the
-block-drawing generators against the scalar ones they replaced, and the
-constructor check against a plain statement of what it accepts."""
+"""The graph builder against the two-pass builder and the list-based
+builder it replaced, the block-drawing generators against the scalar ones
+they replaced, and the constructor check, and the list check it replaced,
+against a plain statement of what they accept."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import reference_graphs as scalar
+import reference_graphs as old
 import reference_two_pass_graphs as ref
 from rqsim import graphs
 from rqsim.errors import GenerationFailureError, InvalidInputError
 from rqsim.graphs import Graph, load_edge_list, make_erdos_renyi
+
+
+def adjacency(g) -> list[list[int]]:
+    return [g.neighbors(v) for v in range(g.n)]
 
 
 def edge_list_text(pairs: list[tuple[int, int]]) -> str:
@@ -24,7 +30,7 @@ def assert_same_load(pairs: list[tuple[int, int]]):
     text = edge_list_text(pairs)
     g = load_edge_list(io.StringIO(text))
     expected = ref.load_edge_list(io.StringIO(text))
-    assert g._adj == expected._adj
+    assert adjacency(g) == adjacency(expected)
     return g
 
 
@@ -80,7 +86,7 @@ def test_tied_largest_components_match_two_pass_builder(drawn):
 def test_tie_goes_to_the_component_with_the_lowest_id():
     # Components {2, 5, 9} (a path) and {0, 7, 8} (a star at 8): the second holds id 0.
     g = assert_same_load([(2, 5), (5, 9), (8, 0), (8, 7)])
-    assert g._adj == [[2], [2], [0, 1]]
+    assert adjacency(g) == [[2], [2], [0, 1]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,18 +104,18 @@ def test_erdos_renyi_matches_two_pass_builder(n, avg, complete, seed):
         with pytest.raises(GenerationFailureError):
             make_erdos_renyi(n, avg, np.random.default_rng(seed))
         return
-    assert make_erdos_renyi(n, avg, np.random.default_rng(seed))._adj == expected._adj
+    assert adjacency(make_erdos_renyi(n, avg, np.random.default_rng(seed))) == adjacency(expected)
 
 
 def assert_same_draw(name: str, *args, seed: int) -> None:
     """``graphs.<name>`` and its scalar version give ``==`` adjacency (or
     the same failure) and leave ``==`` generator states."""
     outcomes = []
-    for module in (graphs, scalar):
+    for module in (graphs, old):
         rng = np.random.default_rng(seed)
         try:
             g = getattr(module, name)(*args, rng)
-            outcome = (g._adj, g.acyclic)
+            outcome = (adjacency(g), g.acyclic)
         except GenerationFailureError:
             outcome = "GenerationFailureError"
         outcomes.append((outcome, rng.bit_generator.state))
@@ -145,6 +151,52 @@ def test_erdos_renyi_fails_alike_without_an_edge():
 @given(d_max=st.integers(2, 8), min_nodes=st.integers(1, 400), seed=seeds)
 def test_galton_watson_matches_scalar_draws(d_max, min_nodes, seed):
     assert_same_draw("make_galton_watson", d_max, min_nodes, seed=seed)
+
+
+def assert_builders_agree(build, seed: int = 0) -> None:
+    """``build(rng)`` gives the same neighbour lists, sizes and ``acyclic``
+    flag (or the same failure) and leaves ``==`` generator states, whether
+    ``rqsim.graphs`` builds its graphs from CSR arrays or from the lists it
+    built before."""
+    outcomes = []
+    for module in (graphs, old):
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(graphs, "_build_finite", module._build_finite):
+            try:
+                g = build(rng)
+                assert type(g) is module.Graph
+                outcome = (adjacency(g), g.n, g.num_edges, g.max_degree(), g.acyclic)
+            except GenerationFailureError:
+                outcome = "GenerationFailureError"
+        outcomes.append((outcome, rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 80), avg=st.floats(0.01, 8.0), complete=st.booleans(), seed=seeds)
+@example(n=60, avg=0.9, complete=False, seed=22)  # two largest components of 7
+@example(n=20, avg=1.2, complete=False, seed=2)  # two largest components of 8
+def test_erdos_renyi_builds_as_from_lists(n, avg, complete, seed):
+    avg = n - 1 if complete else min(avg, n - 1)
+    assert_builders_agree(lambda rng: make_erdos_renyi(n, avg, rng), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 300), ratio=st.floats(0.05, 12.0), seed=seeds)
+def test_scale_free_builds_as_from_lists(n, ratio, seed):
+    assert_builders_agree(lambda rng: graphs.make_scale_free(n, ratio, rng), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d_max=st.integers(2, 8), min_nodes=st.integers(1, 400), seed=seeds)
+def test_galton_watson_builds_as_from_lists(d_max, min_nodes, seed):
+    assert_builders_agree(lambda rng: graphs.make_galton_watson(d_max, min_nodes, rng), seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.one_of(messy_edge_lists(), tied_edge_lists().map(lambda drawn: drawn[1])))
+def test_edge_lists_build_as_from_lists(pairs):
+    assert_builders_agree(lambda rng: load_edge_list(io.StringIO(edge_list_text(pairs))))
 
 
 def test_skip_blocks_span_several_draws(monkeypatch):
@@ -193,8 +245,10 @@ def nearly_valid_adjacency(draw) -> list[list[int]]:
 @settings(max_examples=400, deadline=None)
 @given(adj=nearly_valid_adjacency())
 def test_constructor_accepts_exactly_sorted_simple_symmetric_lists(adj):
+    # So does the list check that the numpy check replaced.
     if is_sorted_simple_symmetric(adj):
-        assert Graph(adj).n == len(adj)
+        assert Graph(adj).n == old.Graph(adj).n == len(adj)
     else:
-        with pytest.raises(InvalidInputError):
-            Graph(adj)
+        for make in (Graph, old.Graph):
+            with pytest.raises(InvalidInputError):
+                make(adj)

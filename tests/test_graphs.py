@@ -1,6 +1,8 @@
 """Graph construction, generators, and edge-list parsing."""
 
 import io
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ from rqsim.graphs import (
     make_regular_tree,
     make_scale_free,
 )
+
+
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    return [g.neighbors(v) for v in range(g.n)]
 
 
 def assert_symmetric(g: Graph):
@@ -53,6 +59,42 @@ def assert_tree(g: Graph):
 def test_graph_rejects_malformed_adjacency(adjacency):
     with pytest.raises(InvalidInputError):
         Graph(adjacency)
+
+
+def test_graph_holds_csr_arrays_and_hands_out_int_lists():
+    g = Graph([[1, 2], [0], [0]])
+    assert g.indptr.tolist() == [0, 2, 3, 4] and g.indices.tolist() == [1, 2, 0, 0]
+    assert neighbour_lists(g) == [[1, 2], [0], [0]]
+    assert all(type(v) is int for nbrs in neighbour_lists(g) for v in nbrs)
+    assert (g.n, g.num_edges, g.max_degree(), g.degree(0)) == (3, 2, 2, 2)
+    assert Graph([]).n == 0 and Graph([[]]).max_degree() == 0
+
+
+def test_dense_scale_free_graph_retains_its_arrays_only():
+    # sf:4039:22 has 88,858 edges: 1.4 MB of int64 neighbour ids, where
+    # adjacency lists of Python ints retained 5.7 MB.
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        g = make_scale_free(4039, 22, rng)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges > 88_000
+    assert retained <= 2 * 2**20
+
+
+def test_long_shuffled_path_loads_as_one_component_quickly():
+    # Labels that spread one hop per round would take about 10**5 rounds here.
+    n = 10**5
+    rng = np.random.default_rng(3)
+    ids = rng.permutation(n).tolist()
+    lines = [f"{u} {v}\n" for u, v in zip(ids, ids[1:])]
+    rng.shuffle(lines)
+    started = time.perf_counter()
+    g = load_edge_list(io.StringIO("".join(lines)))
+    assert time.perf_counter() - started < 5.0
+    assert (g.n, g.num_edges, g.max_degree()) == (n, n - 1, 2)
 
 
 class TestRegularTree:
@@ -128,7 +170,7 @@ class TestGaltonWatson:
     def test_deterministic_for_seed(self):
         g1 = make_galton_watson(6, 200, np.random.default_rng(13))
         g2 = make_galton_watson(6, 200, np.random.default_rng(13))
-        assert g1._adj == g2._adj
+        assert neighbour_lists(g1) == neighbour_lists(g2)
 
 
 class TestErdosRenyi:
@@ -153,7 +195,7 @@ class TestErdosRenyi:
     def test_deterministic_for_seed(self):
         g1 = make_erdos_renyi(500, 3.0, np.random.default_rng(99))
         g2 = make_erdos_renyi(500, 3.0, np.random.default_rng(99))
-        assert g1._adj == g2._adj
+        assert neighbour_lists(g1) == neighbour_lists(g2)
 
     def test_parameter_validation(self, rng):
         with pytest.raises(InvalidParameterError):
@@ -200,7 +242,7 @@ class TestScaleFree:
     def test_deterministic_for_seed(self):
         g1 = make_scale_free(400, 1.5, np.random.default_rng(7))
         g2 = make_scale_free(400, 1.5, np.random.default_rng(7))
-        assert g1._adj == g2._adj
+        assert neighbour_lists(g1) == neighbour_lists(g2)
 
 
 class TestEdgeList:
