@@ -135,19 +135,26 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     log P(sigma | v) plus the tree ordering-count score of the BFS tree.
     P(sigma | v) is the spreading likelihood of that order: at each step,
     (edges from the current infected prefix to the next node) / (all
-    boundary edges of the prefix in the underlying graph).  Costs
-    O(N * (N + E_induced)); reads only the induced subgraph and degrees.
+    boundary edges of the prefix in the underlying graph).  Reads only the
+    induced subgraph and degrees.
 
-    Roots are taken in blocks of ``BLOCK_ENTRIES // (2 * E_induced)``, and
-    one level-synchronous BFS serves a whole block (:func:`_bfs_block`).
-    The block's large arrays live in this thread's :class:`_Workspace`.
-    Each root's two sums of logarithms are exact and rounded once
-    (:func:`_log_sums`), so roots with equal counts tie exactly and the
-    lowest id wins.
+    A leaf (one induced neighbour ``w``, when N > 2) gets no BFS of its
+    own: its BFS order is ``w``'s with the leaf moved to the front, so its
+    score follows from ``w``'s row (:func:`_leaf_shifts`), and ``w`` is
+    scored, but not returned, when it is not asked for.  So a snapshot
+    costs O((N - leaves) * (N + E_induced)); a quarter of the nodes of an
+    N = 400 er:2000:4 snapshot are leaves, and almost none of sf:4039:22's.
+
+    The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
+    E_induced)``, and one level-synchronous BFS serves a whole block
+    (:func:`_bfs_block`).  The block's large arrays live in this thread's
+    :class:`_Workspace`.  Each root's two sums of logarithms are exact and
+    rounded once (:func:`_log_sums`, :func:`_log_halves`), so roots with
+    equal counts tie exactly and the lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
     ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
-    targets = _positions(snapshot, nodes)
+    targets = np.array(_positions(snapshot, nodes), dtype=np.int64)
     n = len(ids)
     deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
     start, width = ptr[:-1], np.diff(ptr)
@@ -157,15 +164,31 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
     log_n_factorial = math.lgamma(n + 1)
     rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
-    if targets and n > 1 and not width.all():  # a node with no infected neighbour
+    if targets.size and n > 1 and not width.all():  # a node with no infected neighbour
         raise InvalidInputError("infected set is disconnected")
-    cells = _cell_tables(min(rows, len(targets)), start, nbr)
-    id_rank = np.argsort(np.argsort(ids))
+    is_leaf = (width[targets] == 1) & (n > 2)
+    leaf = targets[is_leaf]
+    hub = nbr[start[leaf]]
+    # Each leaf's place in its neighbour's BFS order: the neighbour's level
+    # 1 is its neighbours by ascending id.
+    into = np.flatnonzero(width[nbr] == 1)
+    place = np.zeros(n, dtype=np.int64)
+    place[nbr[into]] = into - start[owner[into]] + 1
+    # The roots that get a BFS, by ascending id (in infection order the
+    # sf:4039:22 scores took about 4% longer), and each leaf's row among them.
+    by_id = np.argsort(ids)
+    id_rank = np.argsort(by_id)
+    is_root = np.zeros(n, dtype=bool)
+    is_root[targets[~is_leaf]] = is_root[hub] = True
+    roots = by_id[is_root[by_id]]
+    hub_row = np.searchsorted(id_rank[roots], id_rank[hub])
+    chunk = max(1, BLOCK_ENTRIES // n)  # leaves at a time: fewer than BLOCK_ENTRIES boundaries
+    cells = _cell_tables(min(rows, roots.size), start, nbr)
 
     scores: dict[int, float] = {}
-    for b in range(0, len(targets), rows):
-        roots = targets[b:b + rows]
-        order, size = _bfs_block(np.array(roots, dtype=np.int64), n, cells, owner, id_rank)
+    for b in range(0, roots.size, rows):
+        block = roots[b:b + rows]
+        order, size = _bfs_block(block, n, cells, owner, id_rank)
         links = _earlier_neighbours(order, start, owner, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
@@ -174,10 +197,45 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
         bounds = np.take(links, order).reshape(links.shape)
         del links
         np.cumsum(bounds, axis=1, out=bounds)
-        log_den = _log_sums(table, bounds[:, :-1], size)
-        for root, num, den in zip(roots, log_links, log_den):
-            scores[ids[root]] = log_n_factorial + num - den
-    return scores
+        high, low = _log_halves(table, bounds[:, :-1], size)
+        for root, num, den in zip(block.tolist(), log_links, _rounded(high, low)):
+            scores[root] = log_n_factorial + num - den
+        ours = np.flatnonzero(hub_row // rows == b // rows)  # the leaves of this block's rows
+        for a in range(0, ours.size, chunk):
+            at = ours[a:a + chunk]
+            row, v = hub_row[at] - b, leaf[at]
+            shift_high, shift_low = _leaf_shifts(table, bounds, row, place[v], deg[v])
+            dens = _rounded(high[row] + shift_high, low[row] + shift_low)
+            for u, r, den in zip(v.tolist(), row.tolist(), dens):
+                scores[u] = log_n_factorial + log_links[r] - den
+    return {ids[t]: scores[t] for t in targets.tolist()}
+
+
+def _leaf_shifts(table: tuple[np.ndarray, np.ndarray], bounds: np.ndarray, row: np.ndarray,
+                 m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What to add to the (high, low) denominator halves of rows ``row`` of
+    a block to get those of leaves hung on the rows' roots: ``bounds``
+    holds each row's prefix boundaries B_k (k = 1..n, column k - 1), ``d``
+    is each leaf's degree and ``m`` its place in its neighbour's BFS order.
+
+    A leaf's BFS order is its neighbour's with the leaf moved to the front.
+    The earlier-neighbour counts are the same numbers.  The subtree sizes
+    gain log(n - 1): rooted at the leaf, the neighbour has n - 1 nodes
+    below it and the leaf n, where they had n and 1.  Of the boundaries,
+    B_1..B_{m+1} make way for d and B_j + d - 2 (j = 1..m), and the rest
+    are the same.  At m = n - 1 this also adds B_{n-1} + d - 2 and takes
+    away B_n, the whole set's boundary: the same number, as the leaf is
+    then its neighbour's last node.  The halves stay integers, so the
+    leaf's sum is exact before its one rounding."""
+    n = bounds.shape[1]
+    ends = np.cumsum(m)
+    first = ends - m
+    # Each leaf's B_1..B_m, one run per leaf, read off the flat bounds.
+    old = bounds.take(np.arange(ends[-1]) + np.repeat(row * n - first, m))
+    new = old + np.repeat(d - 2, m)
+    last = bounds[row, m]
+    return tuple(np.add.reduceat(half[new] - half[old], first) - half[last] + half[d] + half[n - 1]
+                 for half in table)
 
 
 #: Roots scored together: a block expands at most this many (root,
@@ -222,6 +280,17 @@ def _log_sums(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> list[
     exactly and rounded once: the correctly rounded sum, as ``math.fsum``
     gives it."""
     high, low = (sum(half[part].sum(axis=1) for part in parts) for half in table)
+    return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
+
+
+def _log_halves(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The (high, low) integer halves that :func:`_log_sums` adds up, per
+    row and before rounding, so that exact amounts can be added to them."""
+    return tuple(sum(half[part].sum(axis=1) for part in parts) for half in table)
+
+
+def _rounded(high: np.ndarray, low: np.ndarray) -> list[float]:
+    """Each (high, low) pair of :func:`_log_halves`, rounded once."""
     return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
 
 

@@ -131,6 +131,8 @@ def _add_centrality(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_centrality(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise InvalidParameterError(f"--top must be at least 1, got {args.top}")
     with open(args.snapshot, "r", encoding="utf-8") as fh:
         snap = Snapshot.from_json(fh)
     print("note: the snapshot file carries no graph; scores are those of its parent-edge tree",
@@ -157,10 +159,12 @@ def _add_oracle(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.oracle_kind == "distance":
+        # l = 1 is computed even when k < 2, so that d and k are checked
+        # before anything is printed.
+        probs = [distance_distribution(args.d, args.k, l) for l in range(1, max(args.k, 2))]
         print("l,probability")
         total = 0.0
-        for l in range(1, args.k):
-            prob = distance_distribution(args.d, args.k, l)
+        for l, prob in enumerate(probs, start=1):
             total += prob
             print(f"{l},{prob:.10f}")
         print(f"sum,{total:.10f}")

@@ -131,7 +131,7 @@ class Snapshot:
         order = self._hop_orders.get(centre)
         if order is None:
             ids = np.array(self.infected)
-            hops = self._hops_from(self.index[centre])
+            hops = self._hops_from(self.position_of(centre))
             order = self._hop_orders[centre] = ids[np.lexsort((ids, hops))].tolist()
         return order
 

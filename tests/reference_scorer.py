@@ -12,6 +12,9 @@ originals unchanged so the tests can compare old and new output:
 * its successor, which orders each level by discovery stamps, may find a
   level bottom-up and allocates its block arrays afresh for every block
   (``stamp_general_graph_scores``);
+* the workspace block scorer's loop as it was before leaves were scored
+  from their neighbour's BFS: one BFS row for every requested root, over
+  ``rqsim.centrality``'s block helpers (``all_roots_general_graph_scores``);
 * the global-id induced adjacency a snapshot used to cache
   (``induced_adjacency``);
 * the DFS-and-reroot tree scorer (``log_rumor_centralities``);
@@ -26,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from rqsim import centrality
 from rqsim.centrality import CentralityTable, _log_sums, _log_table, _positions, pick_best
 from rqsim.diffusion import Snapshot
 from rqsim.errors import InvalidInputError
@@ -535,3 +539,56 @@ def _stamp_earlier_neighbours(order: np.ndarray, start: np.ndarray, width: np.nd
     np.put_along_axis(place, order, np.arange(n, dtype=kind)[None, :], axis=1)
     earlier = np.take(place, nbr, axis=1) < np.repeat(place, width, axis=1)
     return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
+
+
+def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
+    """Source scores for snapshots whose infected set may contain cycles.
+
+    For each candidate root ``v``: take the BFS tree over the infected set
+    (discovery order sigma, neighbour ties by ascending id), score it as
+    log P(sigma | v) plus the tree ordering-count score of the BFS tree.
+    P(sigma | v) is the spreading likelihood of that order: at each step,
+    (edges from the current infected prefix to the next node) / (all
+    boundary edges of the prefix in the underlying graph).  Costs
+    O(N * (N + E_induced)); reads only the induced subgraph and degrees.
+
+    Roots are taken in blocks of ``centrality.BLOCK_ENTRIES // (2 *
+    E_induced)``, and one level-synchronous BFS serves a whole block
+    (:func:`rqsim.centrality._bfs_block`), every root its own row.  Each
+    root's two sums of logarithms are exact and rounded once
+    (:func:`_log_sums`), so roots with equal counts tie exactly and the
+    lowest id wins.
+    """
+    graph = snapshot.require_graph("general-graph scoring")
+    ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
+    targets = _positions(snapshot, nodes)
+    n = len(ids)
+    deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
+    start, width = ptr[:-1], np.diff(ptr)
+    owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
+    # A prefix's boundary edges leave the infected set or reach a later
+    # infected node, so no count below runs past the table.
+    table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
+    log_n_factorial = math.lgamma(n + 1)
+    rows = max(1, centrality.BLOCK_ENTRIES // max(nbr.size, 1))
+    if targets and n > 1 and not width.all():  # a node with no infected neighbour
+        raise InvalidInputError("infected set is disconnected")
+    cells = centrality._cell_tables(min(rows, len(targets)), start, nbr)
+    id_rank = np.argsort(np.argsort(ids))
+
+    scores: dict[int, float] = {}
+    for b in range(0, len(targets), rows):
+        roots = targets[b:b + rows]
+        order, size = centrality._bfs_block(np.array(roots, dtype=np.int64), n, cells, owner, id_rank)
+        links = centrality._earlier_neighbours(order, start, owner, nbr)
+        log_links = _log_sums(table, links)
+        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
+        links *= -2
+        links += deg
+        bounds = np.take(links, order).reshape(links.shape)
+        del links
+        np.cumsum(bounds, axis=1, out=bounds)
+        log_den = _log_sums(table, bounds[:, :-1], size)
+        for root, num, den in zip(roots, log_links, log_den):
+            scores[ids[root]] = log_n_factorial + num - den
+    return scores

@@ -278,6 +278,34 @@ class TestSnapshotTools:
         assert lines[-1].startswith("sum,")
         assert float(lines[-1].split(",")[1]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", [("--d", "3", "--k", "1"), ("--d", "3", "--k", "0"),
+                                      ("--d", "3", "--k", "-2"), ("--d", "2", "--k", "1"),
+                                      ("--d", "2", "--k", "4")])
+    def test_oracle_distance_rejects_bad_d_or_k(self, capsys, argv):
+        code, out, err = run_cli(capsys, "oracle", "distance", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_oracle_distance_at_k_2(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "distance", "--d", "3", "--k", "2")
+        assert code == 0
+        assert out.splitlines() == ["l,probability", "1,1.0000000000", "sum,1.0000000000"]
+
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_centrality_rejects_top_below_1(self, capsys, snapshot_file, top):
+        path, _ = snapshot_file
+        code, out, err = run_cli(capsys, "centrality", "--snapshot", str(path), "--top", top)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--top" in err
+
+    def test_centrality_top_past_the_snapshot_lists_every_node(self, capsys, snapshot_file):
+        path, snap = snapshot_file
+        code, out, _ = run_cli(capsys, "centrality", "--snapshot", str(path), "--top", "1000")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + snap.n
+
     def test_oracle_orderings(self, capsys, snapshot_file):
         path, snap = snapshot_file
         code, out, _ = run_cli(capsys, "oracle", "orderings", "--snapshot", str(path))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_graph
+from conftest import graph_from_edges, path_graph
+from rqsim.centrality import likelihood_table
 from rqsim.diffusion import Snapshot, distance_distribution, simulate_si
 from rqsim.errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
 from rqsim.graphs import make_erdos_renyi, make_regular_tree
@@ -137,6 +138,18 @@ class TestSnapshotStructure:
         doc = {"source": 0, "infected_order": [0, 1], "parent_pairs": pairs}
         with pytest.raises(InvalidInputError):
             Snapshot.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("tree", [False, True], ids=["loopy", "tree"])
+    @pytest.mark.parametrize("centre", [4, -1, 99])
+    def test_hop_order_rejects_an_uninfected_centre(self, tree, centre):
+        # A triangle 0-1-2 with a tail 2-3-4, or the tail's path alone.
+        edges = [(1, 2), (2, 3), (3, 4)] + ([] if tree else [(0, 2)])
+        snap = Snapshot.from_parents(graph_from_edges(5, [(0, 1), *edges]), 0, [0, 1, 2], {1: 0, 2: 1})
+        assert snap.is_tree == tree
+        for call in (snap.hop_order, snap.position_of, lambda v: likelihood_table(snap, [v])):
+            with pytest.raises(InvalidInputError, match="not infected"):
+                call(centre)
+        assert snap.hop_order(2) == ([2, 1, 0] if tree else [2, 0, 1])
 
 
 def exact_distance_probability(d: int, k: int, l: int) -> Fraction:

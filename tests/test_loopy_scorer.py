@@ -1,4 +1,4 @@
-"""Differential tests: the block loopy scorer against its four predecessors.
+"""Differential tests: the block loopy scorer against its five predecessors.
 
 ``reference_scorer.block_general_graph_scores`` is the block scorer as
 first written: it ranks each BFS level's new nodes, finds parents by
@@ -8,7 +8,10 @@ orders by discovery stamps, may find a level bottom-up and counts earlier
 neighbours once per block, but allocates every block array afresh.  The
 scorer now writes the large block arrays into a per-thread workspace that
 every block of every score reuses; its scores and key order are equal
-(``==``) to both oracles'.
+(``==``) to both oracles'.  ``reference_scorer.all_roots_general_graph_scores``
+is that workspace scorer's loop before leaves were scored from their
+neighbour's BFS row: it gives every requested root a BFS row of its own,
+over the same block helpers.
 
 ``reference_scorer.per_root_general_graph_scores`` is the scorer that the
 block scorers replaced: one sequential BFS and one ``math.fsum`` per root.
@@ -26,6 +29,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -33,7 +37,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_from_edges, snapshot_of
+from conftest import graph_from_edges, snapshot_of, star_graph
+from reference_scorer import all_roots_general_graph_scores as all_roots_scores
 from reference_scorer import block_general_graph_scores as block_scores
 from reference_scorer import general_graph_scores as reference_scores
 from reference_scorer import per_root_general_graph_scores as per_root_scores
@@ -279,9 +284,9 @@ class TestInvalidInputs:
 
 
 def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
-    """The scorer's table equals both block oracles', in values and key order."""
+    """The scorer's table equals the three block oracles', in values and key order."""
     got = general_graph_scores(snap, nodes)
-    for oracle in (block_scores, stamp_scores):
+    for oracle in (block_scores, stamp_scores, all_roots_scores):
         want = oracle(snap, nodes)
         assert list(got) == list(want)
         assert got == want
@@ -289,7 +294,8 @@ def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
 
 class TestAgainstFirstBlockScorer:
     """Blocks in either BFS direction give the scores of the first block
-    scorer and of the stamp-ordered one bit for bit, in the same key order."""
+    scorer, of the stamp-ordered one and of the all-roots one bit for bit,
+    in the same key order."""
 
     @DIRECTIONS
     @settings(max_examples=60, deadline=None)
@@ -426,3 +432,122 @@ def test_n400_score_peak_memory(family, size, density):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def bfs_snapshot(graph, source: int, members) -> Snapshot:
+    """``members`` infected in BFS order from ``source`` over the subgraph
+    they induce in ``graph``."""
+    members = set(members)
+    order, parent = [source], {}
+    for u in order:
+        for w in graph.neighbors(u):
+            if w in members and w != source and w not in parent:
+                parent[w] = u
+                order.append(w)
+    return snapshot_of(graph, source, order, parent)
+
+
+class TestLeavesFromTheirNeighbour:
+    """A leaf of the infected subgraph (one infected neighbour, N > 2) is
+    scored from its neighbour's BFS row: ``_bfs_block`` runs only from the
+    other roots, and the scores equal the per-root scorer's and the
+    all-roots block scorer's bit for bit, in the same key order."""
+
+    @pytest.fixture
+    def score(self, monkeypatch):
+        """``score(snap, nodes)``: the scorer's table, checked against both
+        oracles, and the sorted ids of the roots that its ``_bfs_block``
+        calls got, recorded by a counting wrapper (one list per call)."""
+        calls = []
+
+        def counting(roots, *args):
+            calls.append(roots.tolist())
+            return bfs_block(roots, *args)
+
+        def score(snap: Snapshot, nodes=None):
+            calls.clear()
+            got = general_graph_scores(snap, nodes)
+            bfs_rows = list(calls)
+            for oracle in (per_root_scores, all_roots_scores):
+                want = oracle(snap, nodes)
+                assert list(got) == list(want)
+                assert got == want
+            return got, sorted(snap.infected[p] for roots in bfs_rows for p in roots), bfs_rows
+
+        bfs_block = centrality._bfs_block
+        monkeypatch.setattr(centrality, "_bfs_block", counting)
+        return score
+
+    @staticmethod
+    def leaves(snap: Snapshot) -> list[int]:
+        width = np.diff(snap.local_csr[0])
+        return sorted(v for v, w in zip(snap.infected, width.tolist()) if w == 1)
+
+    def test_star_takes_one_bfs(self, score):
+        # The last leaf, 6, sits at its centre's last BFS place (p = n - 1).
+        snap = bfs_snapshot(star_graph(6), 0, range(7))
+        _, bfs_ids, bfs_rows = score(snap)
+        assert bfs_ids == [0] and len(bfs_rows) == 1
+
+    def test_three_node_path(self, score):
+        snap = bfs_snapshot(graph_from_edges(3, [(0, 1), (1, 2)]), 2, range(3))
+        got, bfs_ids, _ = score(snap)
+        assert got[0] == got[2]
+        assert bfs_ids == [1]
+
+    @pytest.mark.parametrize("n_infected", [1, 2])
+    def test_one_and_two_nodes_take_a_bfs_each(self, score, n_infected):
+        snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
+        assert snap.n == n_infected
+        assert score(snap)[1] == sorted(snap.infected)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_leaf_at_its_neighbours_last_place(self, score, rows):
+        """A wheel (hub 0, rim 1..5 in a cycle) with leaf 6 on the hub: 6 is
+        the hub's last BFS place, p = n - 1.  Leaf 6 also has uninfected
+        neighbours 7 and 8, so its degree is not 1."""
+        edges = [(0, i) for i in range(1, 7)] + [(i, i % 5 + 1) for i in range(1, 6)] + [(6, 7), (6, 8)]
+        snap = bfs_snapshot(graph_from_edges(9, edges), 3, range(7))
+        assert not snap.is_tree and self.leaves(snap) == [6]
+        with block_rows(snap, rows):
+            assert score(snap)[1] == list(range(6))
+            assert score(snap, [6])[1] == [0]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_several_leaves_on_one_neighbour(self, score, rows):
+        """Leaves 2, 5, 9 and 10 on node 4 and leaf 7 on node 1 of a ring
+        with a chord (0-1-3-4-6-8-0, chord 1-6); 11 and 12 are uninfected
+        neighbours of leaves 9 and 7.  Small blocks put the two neighbours'
+        rows in different blocks."""
+        ring = [(0, 1), (1, 3), (3, 4), (4, 6), (6, 8), (8, 0), (1, 6)]
+        edges = ring + [(4, 2), (4, 5), (4, 9), (4, 10), (1, 7), (9, 11), (7, 12)]
+        snap = bfs_snapshot(graph_from_edges(13, edges), 0, range(11))
+        assert not snap.is_tree and self.leaves(snap) == [2, 5, 7, 9, 10]
+        with block_rows(snap, rows):
+            _, bfs_ids, bfs_rows = score(snap)
+            assert bfs_ids == [0, 1, 3, 4, 6, 8]
+            assert max(map(len, bfs_rows)) == rows
+            got, bfs_ids, _ = score(snap, [2, 7, 8, 10])
+            assert list(got) == [2, 7, 8, 10] and bfs_ids == [1, 4, 8]
+
+    @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
+                             ids=["er:2000:4", "sf:2000:1.5"])
+    def test_n400_bfs_only_from_non_leaves(self, score, family, size, density):
+        snap = _snapshot(family, size, density, 400, seed=20240817)
+        leaves = self.leaves(snap)
+        assert 0.2 * snap.n < len(leaves) < 0.5 * snap.n
+        assert score(snap)[1] == sorted(set(snap.infected) - set(leaves))
+
+    @pytest.mark.parametrize("rows", [1, 4, None])
+    def test_leaves_without_their_neighbours(self, score, rows):
+        """Every leaf of an N = 400 snapshot and none of their neighbours:
+        each neighbour gets one BFS row and is not returned."""
+        snap = _snapshot("er", 2000, 4.0, 400, seed=20240817)
+        leaves = self.leaves(snap)
+        ptr, nbr = snap.local_csr
+        hubs = {snap.infected[nbr[ptr[snap.position_of(v)]]] for v in leaves}
+        assert not hubs & set(leaves)
+        with block_rows(snap, rows) if rows else nullcontext():
+            got, bfs_ids, _ = score(snap, leaves)
+        assert list(got) == leaves
+        assert bfs_ids == sorted(hubs)
