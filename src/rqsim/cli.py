@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -73,13 +74,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             f"bad format, output or zero_timing option: {fmt!r}, {output!r}, {zero_timing!r}"
         )
-    rows = run_experiment(ExperimentConfig.from_mapping(opts))
-    text = (rows_to_json if fmt == "json" else rows_to_csv)(rows, zero_timing)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    config = ExperimentConfig.from_mapping(opts)
+    # Opened before the sweep, so that a bad path fails before any trial
+    # runs, and for appending, so that a failed sweep leaves the file as it was.
+    with open(output, "a", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as out:
+        rows = run_experiment(config)
+        if output:
+            out.seek(0)
+            out.truncate()
+        out.write((rows_to_json if fmt == "json" else rows_to_csv)(rows, zero_timing))
     return 0
 
 

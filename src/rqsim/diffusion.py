@@ -239,17 +239,21 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     if isinstance(graph, RegularTree) and source == 0 and graph.is_fresh:
         return _spread_on_fresh_tree(graph, n_target, rng)
     index, parent_pos = {source: 0}, [-1]  # index keeps the infection order
-    # (position of the infected endpoint, susceptible endpoint)
-    boundary: list[tuple[int, int]] = [(0, w) for w in graph.neighbors(source)]
+    # Boundary edge i runs from position held[i] to susceptible node target[i]:
+    # two flat lists, so that an edge costs no tuple.
+    target = list(graph.neighbors(source))
+    held = [0] * len(target)
 
     while len(index) < n_target:
         # Stale entries (already-infected targets) are discarded lazily;
         # redrawing keeps the pick uniform over the live boundary.
-        while boundary:
-            i = int(rng.integers(len(boundary)))
-            u, v = boundary[i]
-            boundary[i] = boundary[-1]
-            boundary.pop()
+        while target:
+            i = int(rng.integers(len(target)))
+            u, v = held[i], target[i]
+            target[i] = target[-1]
+            target.pop()
+            held[i] = held[-1]
+            held.pop()
             if v not in index:
                 break
         else:
@@ -260,7 +264,8 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
         parent_pos.append(u)
         for w in graph.neighbors(v):
             if w not in index:
-                boundary.append((pos, w))
+                target.append(w)
+                held.append(pos)
 
     return Snapshot(graph, tuple(index), parent_pos, index)
 

@@ -79,17 +79,25 @@ def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n + v``, ids in ``0..n-1``; raises InvalidInputError unless they list a
     simple graph with each edge at both ends and each node's neighbours
     ascending: no self-loop, strictly ascending codes, and the sorted codes
-    of the reversed edges equal to them."""
+    of the reversed edges equal to them.  Beside ``codes`` it holds two
+    arrays of their size, ``head`` and ``tail``: the reversed codes are
+    written over ``head`` once ``indptr`` has been read off it."""
     head, tail = np.divmod(codes, max(n, 1))
     if (loop := head == tail).any():
         raise InvalidInputError(f"self-loop at node {head[loop][0]}")
+    del loop
     if (down := codes[1:] <= codes[:-1]).any():
         raise InvalidInputError(f"neighbors of node {head[1:][down][0]} not strictly ascending")
-    flipped = tail * n + head
+    del down
+    indptr = np.searchsorted(head, np.arange(n + 1))
+    # tail * n + head, as codes + (tail - head) * (n - 1), in place.
+    flipped = np.subtract(tail, head, out=head)
+    flipped *= n - 1
+    flipped += codes
     flipped.sort()
     if not np.array_equal(flipped, codes):
         raise InvalidInputError("an edge is not listed at both ends")
-    return np.searchsorted(head, np.arange(n + 1)), tail
+    return indptr, tail
 
 
 class RegularTree:
@@ -179,19 +187,37 @@ def _build_finite(n: int, edges: np.ndarray, acyclic: bool = False,
     Each edge is coded ``u * n + v`` in both directions, and one sort puts
     the codes in the order the graph keeps them.  ``largest_component``
     keeps only the largest component (the lowest id's on a tie), renumbered
-    in ascending order, which keeps the codes sorted.
+    in ascending order, which keeps the codes sorted.  The codes are
+    written in place into one array, and copied only to drop a self-loop or
+    a repeat, or to renumber the largest component.
     """
-    edges = edges[edges[:, 0] != edges[:, 1]]
-    codes = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]))
+    if (loop := edges[:, 0] == edges[:, 1]).any():
+        edges = edges[~loop]
+    del loop
+    m, (u, v) = len(edges), edges.T
+    codes = np.empty(2 * m, dtype=np.int64)
+    np.multiply(u, n, out=codes[:m])
+    codes[:m] += v
+    np.multiply(v, n, out=codes[m:])
+    codes[m:] += u
+    del edges, u, v
     codes.sort()
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:codes.size]]
+    keep = np.empty(codes.size, dtype=bool)  # each code but a repeat
+    keep[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    if not keep.all():
+        codes = codes[keep]
+    del keep
     if largest_component:
         head, tail = np.divmod(codes, n)
         inside = _largest_component(n, head, tail)
         new_id = np.cumsum(inside) - 1
         keep = inside[head]
         n = int(new_id[-1]) + 1
-        codes = new_id[head[keep]] * n + new_id[tail[keep]]
+        codes = new_id[head[keep]]
+        codes *= n
+        codes += new_id[tail[keep]]
+        del head, tail
     return Graph._from_codes(n, codes, acyclic)
 
 

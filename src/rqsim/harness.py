@@ -23,7 +23,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import product
@@ -427,10 +426,17 @@ def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> 
 def _run_trials(
     config: ExperimentConfig, rows: list[SweepRow], workers: int
 ) -> list[tuple[float, list[RowOutcome]]]:
-    """Every trial of ``rows``, in trial order, one pool task per trial."""
+    """Every trial of ``rows``, in trial order, one pool task per trial.
+
+    The pool has at most one worker per trial, and a sweep that would use
+    one worker runs in this process.  Only a sweep that forks imports the
+    pool, so ``import rqsim`` does not load ``multiprocessing``."""
     tasks = [(config, rows, t) for t in range(config.trials)]
+    workers = min(workers, config.trials)
     if workers == 1:
         return [_trial_star(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, config.trials // (4 * workers))
         return list(pool.map(_trial_star, tasks, chunksize=chunk))

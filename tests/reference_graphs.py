@@ -19,6 +19,15 @@ into ``rqsim.graphs`` and require the same neighbour lists, sizes,
 edge-list loader, and require ``_check_adjacency`` to accept exactly the
 adjacency lists that ``rqsim.graphs.Graph`` accepts.
 
+``_build_finite_csr`` and ``_csr`` are the CSR build as first written
+(the former is ``_build_finite`` renamed, returning ``_csr``'s arrays
+and the ``acyclic`` flag instead of a ``Graph``): it codes each
+direction into its own array and concatenates them, filters out
+self-loops and repeats by copying, and checks symmetry on a fresh array
+of reversed codes beside ``head`` and ``tail``.  ``rqsim.graphs`` now
+writes the codes in place and copies only what it drops.  Tests require
+``==`` arrays and flags, or the same error, from both.
+
 ``RegularTree`` is the lazily grown regular tree as it was when each
 tree kept neighbour and parent dictionaries: ``rqsim.graphs`` now keeps
 only the expansion order and derives ids from it.  Tests require the
@@ -35,7 +44,12 @@ from typing import Iterable
 import numpy as np
 
 from rqsim.errors import GenerationFailureError, InvalidInputError, InvalidParameterError
-from rqsim.graphs import check_erdos_renyi, check_galton_watson, check_scale_free
+from rqsim.graphs import (
+    _largest_component as _label_largest_component,
+    check_erdos_renyi,
+    check_galton_watson,
+    check_scale_free,
+)
 
 
 class Graph:
@@ -249,6 +263,48 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
             pool.append(i)
         built += m
     return _build_from_sets(n, edges)
+
+
+def _build_finite_csr(n: int, edges: np.ndarray, acyclic: bool = False,
+                      largest_component: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+    """A simple graph on ``0..n-1`` from an ``(m, 2)`` int64 array of edges,
+    less self-loops and repeats.
+
+    Each edge is coded ``u * n + v`` in both directions, and one sort puts
+    the codes in the order the graph keeps them.  ``largest_component``
+    keeps only the largest component (the lowest id's on a tie), renumbered
+    in ascending order, which keeps the codes sorted.
+    """
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    codes = np.concatenate((edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]))
+    codes.sort()
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))[:codes.size]]
+    if largest_component:
+        head, tail = np.divmod(codes, n)
+        inside = _label_largest_component(n, head, tail)
+        new_id = np.cumsum(inside) - 1
+        keep = inside[head]
+        n = int(new_id[-1]) + 1
+        codes = new_id[head[keep]] * n + new_id[tail[keep]]
+    return (*_csr(n, codes), acyclic)
+
+
+def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and ``indices`` (the codes' tails) from the edge codes ``u *
+    n + v``, ids in ``0..n-1``; raises InvalidInputError unless they list a
+    simple graph with each edge at both ends and each node's neighbours
+    ascending: no self-loop, strictly ascending codes, and the sorted codes
+    of the reversed edges equal to them."""
+    head, tail = np.divmod(codes, max(n, 1))
+    if (loop := head == tail).any():
+        raise InvalidInputError(f"self-loop at node {head[loop][0]}")
+    if (down := codes[1:] <= codes[:-1]).any():
+        raise InvalidInputError(f"neighbors of node {head[1:][down][0]} not strictly ascending")
+    flipped = tail * n + head
+    flipped.sort()
+    if not np.array_equal(flipped, codes):
+        raise InvalidInputError("an edge is not listed at both ends")
+    return np.searchsorted(head, np.arange(n + 1)), tail
 
 
 class RegularTree:

@@ -117,6 +117,46 @@ class TestSimulate:
         docs = json.loads(out_path.read_text())
         assert [d["K"] for d in docs] == [10, 20]
 
+    def test_bad_output_path_fails_before_the_sweep(self, capsys, tmp_path, monkeypatch):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before the output was opened")
+
+        monkeypatch.setattr("rqsim.cli.run_experiment", no_sweep)
+        code, out, err = run_cli(
+            capsys, "simulate", "--graph", "regular:3", "--n", "25", "--scheme", "na",
+            "--k", "10", "--p", "0.9", "--q", "0.9", "--trials", "3",
+            "--output", str(tmp_path / "missing" / "rows.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "rows.csv" in err
+
+    def test_failed_sweep_keeps_the_output_file(self, capsys, tmp_path, monkeypatch):
+        out_path = tmp_path / "rows.csv"
+        out_path.write_text("rows of an earlier run\n")
+        monkeypatch.setenv("RQS_THREADS", "zero")
+        code, out, err = run_cli(
+            capsys, "simulate", "--graph", "regular:3", "--n", "25", "--scheme", "na",
+            "--k", "10", "--p", "0.9", "--q", "0.9", "--trials", "3",
+            "--output", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "RQS_THREADS" in err
+        assert out_path.read_text() == "rows of an earlier run\n"
+
+    def test_output_replaces_a_longer_file_and_may_name_the_input(self, capsys, tmp_path):
+        # The edge list is read in full before the rows replace it.
+        path = tmp_path / "graph.txt"
+        edges = "".join(f"{v} {(v + 1) % 40}\n{v} {(v + 7) % 40}\n" for v in range(40))
+        args = ("simulate", "--graph", f"edgelist:{path}", "--n", "20", "--scheme", "na",
+                "--k", "10", "--p", "0.9", "--q", "0.9", "--trials", "2", "--seed", "3",
+                "--zero-timing")
+        path.write_text(edges)
+        code, expected, _ = run_cli(capsys, *args)
+        assert code == 0 and len(expected) < len(edges)
+        code, out, _ = run_cli(capsys, *args, "--output", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text() == expected
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

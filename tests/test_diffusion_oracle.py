@@ -1,5 +1,7 @@
 """The bulk regular-tree path of ``simulate_si``, and the tree it grows,
-against the scalar loop on the dictionary-based tree.
+against the scalar loop on the dictionary-based tree; and the general
+loop, which keeps its boundary in two flat lists, against the scalar loop
+that kept one tuple per boundary edge, on finite graphs and grown trees.
 
 ``reference_diffusion`` keeps the loop as first written, and
 ``reference_graphs.RegularTree`` the tree that kept neighbour and parent
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 import reference_diffusion as reference
 import reference_graphs
 from rqsim.diffusion import simulate_si
-from rqsim.errors import InvalidInputError, InvalidParameterError
-from rqsim.graphs import make_galton_watson, make_regular_tree
+from rqsim.errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
+from rqsim.graphs import make_erdos_renyi, make_galton_watson, make_regular_tree, make_scale_free
 
 seeds = st.integers(min_value=0, max_value=2**63)
 
@@ -187,3 +189,51 @@ def test_broadcast_integers_draw_what_scalar_calls_draw(highs, seed):
     drawn = rng.integers(0, np.array(highs, dtype=np.int64)).tolist()
     assert drawn == [int(ref_rng.integers(h)) for h in highs]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def spread_outcome(simulate, graph, source, n, rng):
+    """The snapshot's arrays, or the message of the target it could not
+    reach, and the generator's state after the spread."""
+    try:
+        snap = simulate(graph, source, n, rng)
+        outcome = (snap.infected, list(snap.parent_pos), snap.index)
+    except InfeasibleTargetError as exc:
+        outcome = str(exc)
+    return outcome, rng.bit_generator.state
+
+
+finite_graphs = {
+    "er": lambda rng: make_erdos_renyi(300, 4.0, rng),
+    "sparse_er": lambda rng: make_erdos_renyi(300, 1.5, rng),  # a largest component of ~180
+    "sf": lambda rng: make_scale_free(300, 1.5, rng),
+    "dense_sf": lambda rng: make_scale_free(300, 8.0, rng),
+    "gw": lambda rng: make_galton_watson(6, 300, rng),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(finite_graphs)), n=st.integers(min_value=1, max_value=320),
+       seed=seeds)
+def test_finite_graphs_spread_as_with_tuples(family, n, seed):
+    graph = finite_graphs[family](np.random.default_rng(seed))
+    source = int(np.random.default_rng(seed + 1).integers(graph.n))
+    outcomes = [spread_outcome(simulate, graph, source, n, np.random.default_rng(seed))
+                for simulate in (simulate_si, reference.simulate_si)]
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(min_value=3, max_value=6), grown=st.integers(min_value=1, max_value=200),
+       back=st.integers(min_value=0, max_value=100), n=st.integers(min_value=1, max_value=200),
+       seed=seeds)
+def test_grown_tree_spreads_from_any_node_as_with_tuples(d, grown, back, n, seed):
+    """A spread on a tree that an earlier spread grew, from the root or
+    from another materialized node, takes the general loop."""
+    tree, ref_tree = trees(d)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    simulate_si(tree, 0, grown, rng)
+    reference.simulate_si(ref_tree, 0, grown, ref_rng)
+    source = max(ref_tree._next_id - 1 - back, 0)
+    snap = simulate_si(tree, source, n, rng)
+    ref_snap = reference.simulate_si(ref_tree, source, n, ref_rng)
+    assert_same_run(tree, ref_tree, snap, ref_snap, rng, ref_rng)

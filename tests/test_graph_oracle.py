@@ -1,9 +1,10 @@
-"""The graph builder against the two-pass builder and the list-based
-builder it replaced, the block-drawing generators against the scalar ones
-they replaced, and the constructor check, and the list check it replaced,
-against a plain statement of what they accept."""
+"""The graph builder against the two-pass builder, the list-based
+builder and the first CSR build it replaced, the block-drawing generators
+against the scalar ones they replaced, and the constructor check, and the
+list check it replaced, against a plain statement of what they accept."""
 
 import io
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -153,15 +154,32 @@ def test_galton_watson_matches_scalar_draws(d_max, min_nodes, seed):
     assert_same_draw("make_galton_watson", d_max, min_nodes, seed=seed)
 
 
+build_finite = graphs._build_finite  # kept before any test patches it
+
+
+def csr(indptr: np.ndarray, indices: np.ndarray, acyclic: bool) -> tuple:
+    return indptr.dtype, indptr.tolist(), indices.dtype, indices.tolist(), acyclic
+
+
+def assert_same_csr_build(n: int, edges: np.ndarray, *args, **flags) -> Graph:
+    """``graphs._build_finite`` gives the arrays and flag of the CSR build
+    as first written, and leaves ``edges`` as it found them."""
+    before = edges.copy()
+    g = build_finite(n, edges, *args, **flags)
+    assert np.array_equal(edges, before)
+    assert csr(g.indptr, g.indices, g.acyclic) == csr(*old._build_finite_csr(n, before, *args, **flags))
+    return g
+
+
 def assert_builders_agree(build, seed: int = 0) -> None:
     """``build(rng)`` gives the same neighbour lists, sizes and ``acyclic``
     flag (or the same failure) and leaves ``==`` generator states, whether
     ``rqsim.graphs`` builds its graphs from CSR arrays or from the lists it
-    built before."""
+    built before; each CSR build it makes is also the first CSR build's."""
     outcomes = []
-    for module in (graphs, old):
+    for module, build_graph in ((graphs, assert_same_csr_build), (old, old._build_finite)):
         rng = np.random.default_rng(seed)
-        with mock.patch.object(graphs, "_build_finite", module._build_finite):
+        with mock.patch.object(graphs, "_build_finite", build_graph):
             try:
                 g = build(rng)
                 assert type(g) is module.Graph
@@ -252,3 +270,45 @@ def test_constructor_accepts_exactly_sorted_simple_symmetric_lists(adj):
         for make in (Graph, old.Graph):
             with pytest.raises(InvalidInputError):
                 make(adj)
+
+
+@st.composite
+def edge_arrays(draw) -> tuple[int, np.ndarray]:
+    """(n, an (m, 2) int64 array of ids in 0..n-1) with self-loops, repeated
+    and reversed pairs, and often several components; m may be 0."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    again = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=10)) if pairs else []
+    pairs += [(v, u) if flip else (u, v) for (u, v), flip in again]
+    return n, np.array(draw(st.permutations(pairs)), dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=edge_arrays(), acyclic=st.booleans(), largest_component=st.booleans())
+@example(drawn=(1, np.zeros((0, 2), dtype=np.int64)), acyclic=False, largest_component=True)
+@example(drawn=(3, np.array([[0, 0], [1, 1]])), acyclic=False, largest_component=True)
+@example(drawn=(4, np.array([[2, 3], [0, 1], [1, 0]])), acyclic=True, largest_component=True)
+def test_csr_build_matches_first_csr_build(drawn, acyclic, largest_component):
+    n, edges = drawn
+    assert_same_csr_build(n, edges, acyclic=acyclic, largest_component=largest_component)
+
+
+@settings(max_examples=400, deadline=None)
+@given(adj=nearly_valid_adjacency())
+def test_csr_check_matches_first_csr_check(adj):
+    """``graphs._csr`` returns the first ``_csr``'s arrays, or raises its
+    error, on the codes of drawn adjacency lists, valid or not."""
+    n = len(adj)
+    if any(not 0 <= v < n for v in chain.from_iterable(adj)):
+        return  # out-of-range ids never reach _csr: Graph refuses them first
+    codes = np.array([u * n + v for u, nbrs in enumerate(adj) for v in nbrs], dtype=np.int64)
+    outcomes = []
+    for check in (graphs._csr, old._csr):
+        before = codes.copy()
+        try:
+            outcomes.append(csr(*check(n, before), False))
+        except InvalidInputError as exc:
+            outcomes.append(str(exc))
+        assert np.array_equal(before, codes)
+    assert outcomes[0] == outcomes[1]

@@ -1,13 +1,19 @@
 """Experiment runner: seeding, aggregation, output formats."""
 
+import concurrent.futures
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rqsim
 from rqsim.errors import InvalidParameterError
 from rqsim.estimators import choose_r_star
 from rqsim.harness import (
@@ -104,6 +110,32 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert rows_to_csv(a, zero_timing=True) == rows_to_csv(b, zero_timing=True)
+
+    def test_pool_sized_to_the_trials(self, monkeypatch):
+        # At most one pool worker per trial; one worker runs in this process.
+        sizes = []
+
+        class RecordingPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        for trials, threads, pools in ((1, 4, []), (3, 8, [3]), (5, 2, [2])):
+            sizes.clear()
+            got = rows_to_csv(run_experiment(small_config(trials=trials, threads=threads)), True)
+            assert sizes == pools
+            assert got == rows_to_csv(run_experiment(small_config(trials=trials, threads=1)), True)
 
     def test_parallel_matches_sequential(self):
         seq = run_experiment(small_config(trials=12, threads=1))
@@ -504,3 +536,24 @@ def test_estimators_given_the_centre_match_their_own_search(order):
         given_centre = run(snap, config, model, np.random.default_rng(3), scores=table, centre=centre)
         searched = run(snap, config, model, np.random.default_rng(3), scores=table)
         assert given_centre == searched
+
+
+def test_import_loads_no_process_pool():
+    """``import rqsim`` loads neither ``multiprocessing`` nor the process
+    pool; a 2-worker sweep loads them, and gives the 1-worker CSV."""
+    script = """if True:
+        import sys
+        import rqsim
+        print(sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+        def csv(threads):
+            config = rqsim.ExperimentConfig(graph="er:300:4", scheme="ad", budgets=(0, 50),
+                                            p_values=(0.8,), q_values=(0.8,), n_infected=60,
+                                            trials=4, master_seed=5, threads=threads)
+            return rqsim.rows_to_csv(rqsim.run_experiment(config), zero_timing=True)
+        print(csv(2) == csv(1), "multiprocessing" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(rqsim.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True True"]
