@@ -244,12 +244,19 @@ def choose_r_star(scheme: str, kind: str, K: int, d: int, p: float, q: float) ->
 
     ``scheme`` is "na" or "ad"; ``kind`` picks the necessary- or
     sufficient-budget variant of the formula.  Natural logarithms
-    throughout, so K must be at least 3 for the iterated log.
+    throughout, so K must be at least 3 for the iterated log.  p must lie
+    in [1/2, 1] and q in (0, 1]; q at or below 1/d is accepted, as a
+    sweep resolves r with a representative d and checks q against each
+    trial's graph.
     """
     if K < 3:
         raise InvalidParameterError(f"K must be >= 3, got {K}")
     if d < 3:
         raise InvalidParameterError(f"d must be >= 3, got {d}")
+    if not 0.5 <= p <= 1.0:  # a NaN fails too
+        raise InvalidParameterError(f"p must be in [1/2, 1], got {p}")
+    if not 0.0 < q <= 1.0:
+        raise InvalidParameterError(f"q must be in (0, 1], got {q}")
     formula = _formulas(scheme, kind)[1]
     return max(1, min(K, math.floor(formula(K, d, p, q))))
 

@@ -174,9 +174,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     with open(args.snapshot, "r", encoding="utf-8") as fh:
         snap = Snapshot.from_json(fh)
+    # Counted before anything is printed, so that a snapshot above 10 nodes prints only the error.
+    counts = [brute_force_rumor_centrality(snap, root) for root in snap.infected]
     print("root,orderings")
-    for root in snap.infected:
-        print(f"{root},{brute_force_rumor_centrality(snap, root)}")
+    for root, ways in zip(snap.infected, counts):
+        print(f"{root},{ways}")
     return 0
 
 

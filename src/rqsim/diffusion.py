@@ -19,7 +19,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
-from .graphs import RegularTree
+from .graphs import IntegerTape, RegularTree
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +230,10 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     than ``n_target``, and :class:`InvalidInputError` when a finite graph's
     ``source`` is not an int node id.  A fresh :class:`RegularTree` spread
     from its root takes :func:`_spread_on_fresh_tree`, which draws the same
-    numbers and returns the same snapshot and tree.
+    numbers and returns the same snapshot and tree.  Any other spread takes
+    its picks from an :class:`IntegerTape`: the numbers of one
+    ``rng.integers`` call per pick, with ``rng`` left where those calls
+    leave it, also when the spread raises.
     """
     if n_target < 1:
         raise InvalidParameterError(f"n_target must be >= 1, got {n_target}")
@@ -244,28 +247,30 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     target = list(graph.neighbors(source))
     held = [0] * len(target)
 
-    while len(index) < n_target:
-        # Stale entries (already-infected targets) are discarded lazily;
-        # redrawing keeps the pick uniform over the live boundary.
-        while target:
-            i = int(rng.integers(len(target)))
-            u, v = held[i], target[i]
-            target[i] = target[-1]
-            target.pop()
-            held[i] = held[-1]
-            held.pop()
-            if v not in index:
-                break
-        else:
-            raise InfeasibleTargetError(
-                f"reachable component exhausted at {len(index)} < {n_target} nodes"
-            )
-        index[v] = pos = len(index)
-        parent_pos.append(u)
-        for w in graph.neighbors(v):
-            if w not in index:
-                target.append(w)
-                held.append(pos)
+    with IntegerTape(rng, n_target) as tape:
+        below = tape.below
+        while len(index) < n_target:
+            # Stale entries (already-infected targets) are discarded lazily;
+            # redrawing keeps the pick uniform over the live boundary.
+            while target:
+                i = below(len(target))
+                u, v = held[i], target[i]
+                target[i] = target[-1]
+                target.pop()
+                held[i] = held[-1]
+                held.pop()
+                if v not in index:
+                    break
+            else:
+                raise InfeasibleTargetError(
+                    f"reachable component exhausted at {len(index)} < {n_target} nodes"
+                )
+            index[v] = pos = len(index)
+            parent_pos.append(u)
+            for w in graph.neighbors(v):
+                if w not in index:
+                    target.append(w)
+                    held.append(pos)
 
     return Snapshot(graph, tuple(index), parent_pos, index)
 

@@ -15,7 +15,8 @@ a given seed.
 from __future__ import annotations
 
 import math
-from itertools import chain, count
+from bisect import bisect_right
+from itertools import accumulate, chain, count
 from typing import IO, Iterator
 
 import numpy as np
@@ -252,10 +253,11 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
     check_galton_watson(d_max, min_nodes)
     sizes: list[int] = []  # child counts of the expanded nodes, in order
     count = 1
-    while count < min_nodes:
-        hi = d_max if not sizes else d_max - 1
-        sizes.append(min(int(rng.integers(1, hi + 1)), min_nodes - count))
-        count += sizes[-1]
+    with IntegerTape(rng, min_nodes) as tape:
+        while count < min_nodes:
+            hi = d_max if not sizes else d_max - 1
+            sizes.append(min(1 + tape.below(hi), min_nodes - count))
+            count += sizes[-1]
     parents = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     edges = np.stack((parents, np.arange(1, count, dtype=np.int64)), axis=1)
     return _build_finite(count, edges, acyclic=True)
@@ -320,6 +322,82 @@ def _skip_positions(pairs: int, p: float, rng: np.random.Generator) -> np.ndarra
 #: Most uniforms one ``rng.random`` call of :func:`_skip_positions` draws.
 _SKIP_BLOCK = 1 << 16
 
+#: One more than the largest 32-bit word, and the largest bound an
+#: :class:`IntegerTape` takes.
+_WORD = 1 << 32
+_HALF, _LOW_HALF = np.int64(32), np.int64(_WORD - 1)  # split a word times a bound
+
+
+class IntegerTape:
+    """Integers below given bounds from ``rng``, decoded from blocks of 32-bit words.
+
+    ``below(h)`` returns what ``int(rng.integers(h))`` would, call for
+    call, for ``1 <= h <= 2**32``.  numpy draws such a bound by Lemire's
+    method (ACM TOMACS 2019) from the generator's 32-bit words: the high
+    half of ``word * h``, drawn again while the low half is below ``2**32
+    % h``; ``h = 1`` reads no word.  The words come from
+    ``rng.integers(0, 2**32, size=block)``, which reads the same words.
+    Used as a context manager, the tape leaves ``rng`` on exit, an
+    exception included, where the scalar calls would have: it restores
+    the state saved before the block and draws just the used words again.
+    """
+
+    __slots__ = ("_rng", "_block", "_saved", "_words", "_end", "_at")
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self._rng, self._block = rng, max(1, min(block, _TAPE_BLOCK))
+        self._saved = None
+        self._words = np.empty(0, dtype=np.int64)
+        self._end = self._at = 0
+
+    def __enter__(self) -> IntegerTape:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._put_back()
+
+    def _put_back(self) -> None:
+        """Return the block's unused words to ``rng``."""
+        if self._at < self._end:
+            self._rng.bit_generator.state = self._saved
+            self._rng.integers(0, _WORD, size=self._at)
+
+    def _refill(self, k: int) -> None:
+        """Draw a new block of at least ``k`` words, starting at the first unused one."""
+        self._put_back()
+        self._saved = self._rng.bit_generator.state
+        self._words = self._rng.integers(0, _WORD, size=max(k, self._block))
+        self._end, self._at = self._words.size, 0
+
+    def words(self, k: int) -> np.ndarray:
+        """The next ``k`` words, int64, left on the tape until :meth:`skip`."""
+        if self._at + k > self._end:
+            self._refill(k)
+        return self._words[self._at:self._at + k]
+
+    def skip(self, k: int) -> None:
+        """Take ``k`` words that :meth:`words` returned."""
+        self._at += k
+
+    def below(self, h: int) -> int:
+        """The next integer in ``0..h-1``: ``int(rng.integers(h))``."""
+        if not 1 < h <= _WORD:
+            if h == 1:
+                return 0
+            raise InvalidParameterError(f"bound must be in 1..2**32, got {h}")
+        while True:
+            if self._at == self._end:
+                self._refill(1)
+            m = self._words.item(self._at) * h
+            self._at += 1
+            # A low half of at least h is at least 2**32 % h: the modulo is rarely needed.
+            if m & (_WORD - 1) >= h or m & (_WORD - 1) >= _WORD % h:
+                return m >> 32
+
+
+#: Most words one :class:`IntegerTape` block holds.
+_TAPE_BLOCK = 1 << 12
+
 
 def check_erdos_renyi(n: int, avg_degree: float) -> None:
     """Raise InvalidParameterError unless ``make_erdos_renyi`` takes these."""
@@ -337,24 +415,95 @@ def make_scale_free(n: int, edge_node_ratio: float, rng: np.random.Generator) ->
     probability proportional to degree.  Connected by construction.
     """
     check_scale_free(n, edge_node_ratio)
-    # One endpoint entry per unit of degree, the edges read off in pairs;
-    # uniform picks from this pool realize degree-proportional attachment.
-    pool: list[int] = [0, 1]
-    built = 1
-    for i in range(2, n):
-        m = max(1, min(i, math.floor(edge_node_ratio * (i + 1)) - built))
-        built += m
-        # Picks go on until they are m distinct nodes, so the first m are
-        # always drawn: one sized call draws what m scalar calls would, and
-        # costs about what three or four do.
-        chosen: set[int] = set()
-        if m > 3:
-            chosen.update(map(pool.__getitem__, rng.integers(0, len(pool), size=m).tolist()))
-        while len(chosen) < m:
-            chosen.add(pool[int(rng.integers(len(pool)))])
-        for u in chosen:
-            pool += (u, i)
-    return _build_finite(n, np.array(pool, dtype=np.int64).reshape(-1, 2))
+    # The pool is handed over without a name, so that the build frees it.
+    return _build_finite(n, _attachment_pool(n, edge_node_ratio, rng).reshape(-1, 2))
+
+
+def _attachment_pool(n: int, edge_node_ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """The edges of :func:`make_scale_free`, flat: one endpoint entry per
+    unit of degree, so that a uniform pick of an entry is a
+    degree-proportional pick of a node.
+
+    Node i >= 2 picks entries below the pool's length until they name
+    ``m[i - 2]`` distinct nodes, then appends ``(u, i)`` for each node u in
+    set order.  So the counts place every entry, the owners i are written
+    before any draw, and each node's first m picks, with their bound, are
+    known in advance: those of a run of nodes decode in one numpy step from
+    the tape's words, one word a pick.  The run ends before a word that may
+    be rejected and before a pick of an entry the run has not yet written;
+    and at a node that repeats a pick, which goes on one pick at a time, as
+    does a run's first node when its words may be rejected.
+    """
+    sizes = _edge_counts(n, edge_node_ratio)
+    m = sizes.tolist()
+    first = [0, *accumulate(m)]
+    # Node i's first picks are first[i - 2]:first[i - 1], its first entry starts[i - 2].
+    starts = 2 * np.array(first, dtype=np.int64) + 2
+    if starts[-1] > _WORD // 2:  # so that a word times a bound stays below 2**63
+        raise InvalidParameterError(f"make_scale_free builds at most 2**30 edges, not {first[-1] + 1}")
+    pool = np.full(starts[-1], -1, dtype=np.int64)  # -1: a chosen node not yet written
+    pool[:2] = 0, 1
+    pool[3::2] = np.repeat(np.arange(2, n), sizes)
+    with IntegerTape(rng, _TAPE_BLOCK) as tape:
+        k, window = 0, _PICK_WINDOW
+        while k < n - 2:
+            end = max(k + 1, bisect_right(first, first[k] + window) - 1)
+            bound = starts[k:end].repeat(sizes[k:end])
+            scaled = tape.words(bound.size) * bound
+            doubt = scaled & _LOW_HALF < bound
+            stop = int(doubt.argmax())
+            if not doubt[stop]:
+                stop = bound.size
+            found = pool.take(scaled[:stop] >> _HALF).tolist()
+            column: list[int] = []  # the chosen nodes of nodes k..j - 1
+            chosen = None  # a run that ends at a repeat: that node's first picks
+            at, j = 0, k
+            for mj in m[k:end]:
+                if at + mj > stop:
+                    break
+                picked = set(found[at:at + mj])
+                if -1 in picked:  # an entry of this run, read before the run wrote it
+                    break
+                at += mj
+                if len(picked) < mj:
+                    chosen = picked
+                    break
+                column += picked
+                j += 1
+            start = 2 * first[k] + 2
+            pool[start:start + 2 * len(column):2] = column
+            tape.skip(at)
+            if chosen is None and j == k:  # the run's first word may be rejected
+                chosen = set()
+            if chosen is not None:
+                a = 2 * first[j] + 2
+                while len(chosen) < m[j]:
+                    chosen.add(pool.item(tape.below(a)))
+                pool[a:a + 2 * m[j]:2] = list(chosen)
+                j += 1
+            window = max(_PICK_WINDOW, 2 * (first[j] - first[k]))
+            k = j
+    return pool
+
+
+def _edge_counts(n: int, ratio: float) -> np.ndarray:
+    """The edges each node i in ``2..n-1`` brings in :func:`make_scale_free`:
+    ``max(1, min(i, floor(ratio * (i + 1)) - built))``, ``built`` edges
+    existing before it (1 before node 2)."""
+    m, built, i = [], 1, 2
+    # Once built = floor(ratio * i) with 1 <= ratio < i, each node brings
+    # floor(ratio * (i + 1)) - floor(ratio * i), which lies in 1..i.
+    while i < n and not (1 <= ratio < i and built == math.floor(ratio * i)):
+        m.append(max(1, min(i, math.floor(ratio * (i + 1)) - built)))
+        built += m[-1]
+        i += 1
+    rest = np.diff(np.floor(ratio * np.arange(i, n + 1, dtype=np.int64)))
+    return np.concatenate((np.array(m, dtype=np.int64), rest.astype(np.int64)))
+
+
+#: Fewest picks one run of :func:`_attachment_pool` decodes; a run
+#: decodes twice as many as the last one used.
+_PICK_WINDOW = 64
 
 
 def check_scale_free(n: int, edge_node_ratio: float) -> None:

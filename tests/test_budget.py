@@ -11,6 +11,7 @@ from rqsim.budget import (
     ad_necessary,
     ad_sufficient,
     adaptivity_gap_bounds,
+    choose_r_star,
     detection_lb_mvad,
     detection_lb_mvna,
     entropies,
@@ -302,3 +303,22 @@ class TestBudgetInputsValidation:
             BudgetInputs(delta=0.1, d=3, p=0.8, q=0.2)
         with pytest.raises(InvalidParameterError):
             BudgetInputs(delta=0.1, d=3, p=0.8, q=0.5, h_t=-1.0)
+
+
+class TestRStarValidation:
+    @pytest.mark.parametrize("p, q", [(2.0, -1.0), (0.3, 0.1), (math.nan, 0.8), (0.8, math.nan),
+                                      (math.inf, 0.8), (0.8, math.inf), (0.49, 0.8),
+                                      (1.01, 0.8), (0.8, 0.0), (0.8, 1.01)])
+    @pytest.mark.parametrize("scheme", ["na", "ad"])
+    @pytest.mark.parametrize("kind", ["necessary", "sufficient"])
+    def test_p_or_q_out_of_range_rejected(self, scheme, kind, p, q):
+        with pytest.raises(InvalidParameterError):
+            choose_r_star(scheme, kind, 200, 3, p, q)
+
+    @pytest.mark.parametrize("p, q", [(0.5, 0.8), (1.0, 1.0), (0.8, 0.1), (0.8, 0.25)])
+    def test_range_ends_and_q_at_or_below_one_over_d_accepted(self, p, q):
+        # q <= 1/d stays accepted: a sweep resolves r with a representative
+        # d and checks q against each trial's graph.
+        for scheme in ("na", "ad"):
+            for kind in ("necessary", "sufficient"):
+                assert 1 <= choose_r_star(scheme, kind, 200, 4, p, q) <= 200

@@ -49,6 +49,23 @@ class TestRStar:
         assert out.strip() == "4"
 
 
+    @pytest.mark.parametrize("pq", [("2", "-1"), ("0.3", "0.1"), ("nan", "0.8"), ("0.8", "nan"),
+                                    ("inf", "0.8"), ("0.8", "0"), ("0.8", "1.5"), ("0.49", "0.8")])
+    def test_rejects_p_or_q_out_of_range(self, capsys, pq):
+        code, out, err = run_cli(capsys, "rstar", "--scheme", "na", "--kind", "sufficient",
+                                 "--d", "3", "--p", pq[0], "--q", pq[1], "--k", "200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_accepts_q_at_or_below_one_over_d(self, capsys):
+        # A sweep resolves r with a representative d; each trial checks q itself.
+        code, out, _ = run_cli(capsys, "rstar", "--scheme", "ad", "--kind", "sufficient",
+                               "--d", "4", "--p", "0.8", "--q", "0.2", "--k", "200")
+        assert code == 0
+        assert int(out) >= 1
+
+
 class TestBudget:
     def test_na_sufficient_row(self, capsys):
         code, out, _ = run_cli(
@@ -345,6 +362,15 @@ class TestSnapshotTools:
         code, out, _ = run_cli(capsys, "centrality", "--snapshot", str(path), "--top", "1000")
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + snap.n
+
+    def test_oracle_orderings_above_10_nodes_prints_only_the_error(self, capsys, tmp_path):
+        snap = simulate_si(make_regular_tree(3), 0, 11, np.random.default_rng(6))
+        path = tmp_path / "snap.json"
+        path.write_text(snap.to_json())
+        code, out, err = run_cli(capsys, "oracle", "orderings", "--snapshot", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_oracle_orderings(self, capsys, snapshot_file):
         path, snap = snapshot_file

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference_diffusion as reference
 import reference_graphs
+from conftest import path_graph
 from rqsim.diffusion import simulate_si
 from rqsim.errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
 from rqsim.graphs import make_erdos_renyi, make_galton_watson, make_regular_tree, make_scale_free
@@ -237,3 +238,17 @@ def test_grown_tree_spreads_from_any_node_as_with_tuples(d, grown, back, n, seed
     snap = simulate_si(tree, source, n, rng)
     ref_snap = reference.simulate_si(ref_tree, source, n, ref_rng)
     assert_same_run(tree, ref_tree, snap, ref_snap, rng, ref_rng)
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 21])
+@pytest.mark.parametrize("source", [0, 7, 19])
+def test_path_spread_as_with_tuples(source, n):
+    """On a path the boundary shrinks to one entry, a pick below 1 that
+    reads no word; from an end it never holds more.  n = 21 exhausts the
+    path."""
+    graph = path_graph(20)
+    outcomes = [spread_outcome(simulate, graph, source, n, np.random.default_rng(source))
+                for simulate in (simulate_si, reference.simulate_si)]
+    assert outcomes[0] == outcomes[1]
+    if source == 0:
+        assert outcomes[0][1] == np.random.default_rng(0).bit_generator.state

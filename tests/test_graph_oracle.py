@@ -134,6 +134,14 @@ def test_scale_free_matches_scalar_draws(n, ratio, seed):
     assert_same_draw("make_scale_free", n, ratio, seed=seed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 400), ratio=st.floats(12.0, 40.0), seed=seeds)
+@example(n=4039, ratio=22.0, seed=0)  # the Facebook-density stand-in: ~1100 nodes repeat a pick
+@example(n=400, ratio=40.0, seed=1)  # most nodes repeat a pick, many picks of the run's own entries
+def test_dense_scale_free_matches_scalar_draws(n, ratio, seed):
+    assert_same_draw("make_scale_free", n, ratio, seed=seed)
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 80), avg=st.floats(0.01, 8.0), complete=st.booleans(), seed=seeds)
 @example(n=2, avg=0.5, seed=2, complete=False)  # the one pair kept

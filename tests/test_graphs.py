@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rqsim import graphs
 from rqsim.errors import InvalidInputError, InvalidParameterError, ParseError
 from rqsim.graphs import (
     Graph,
@@ -82,6 +83,13 @@ def test_dense_scale_free_graph_retains_its_arrays_only():
         tracemalloc.stop()
     assert g.num_edges > 88_000
     assert retained <= 2 * 2**20
+
+
+def test_scale_free_refuses_more_than_2_to_the_30_edges(monkeypatch):
+    # Its pick decoding multiplies 32-bit words by bounds below 2**31 in int64.
+    monkeypatch.setattr(graphs, "_edge_counts", lambda n, ratio: np.array([2**30]))
+    with pytest.raises(InvalidParameterError, match="2\\*\\*30"):
+        make_scale_free(3, 1.0, np.random.default_rng(0))
 
 
 def test_long_shuffled_path_loads_as_one_component_quickly():
