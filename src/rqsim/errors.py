@@ -39,8 +39,10 @@ class InfeasibleTargetError(RQSimError, ValueError):
 class TrialError(RQSimError, RuntimeError):
     """A sweep trial raised an unexpected exception; the message names the trial.
 
-    A pool worker hands a row's error back by pickle, which drops the
-    cause; the cause's traceback crosses as text, so the log still shows it.
+    A forked sweep worker sends a row's or a trial's error back pickled,
+    which would drop the cause; the cause's traceback crosses as text, so
+    the log still shows it.  A worker that dies is one too, naming its exit
+    status.
     """
 
     def __reduce__(self):

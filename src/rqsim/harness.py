@@ -22,7 +22,9 @@ import json
 import logging
 import math
 import os
+import pickle
 import time
+from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import product
@@ -298,11 +300,16 @@ def _pinned_graph(spec: GraphSpec, master_seed: int, n_infected: int):
     return _build_graph(spec, n_infected, pin_rng)
 
 
-def _graph_for_trial(config: ExperimentConfig, rng: np.random.Generator):
+def _pins_graph(config: ExperimentConfig) -> bool:
+    """Whether every trial of ``config`` uses the one graph of ``_pinned_graph``."""
     spec = config.spec
-    if spec.family == "edgelist" or (config.fixed_graph and spec.family != "regular"):
-        return _pinned_graph(spec, config.master_seed, config.n_infected)
-    return _build_graph(spec, config.n_infected, rng)
+    return spec.family == "edgelist" or (config.fixed_graph and spec.family != "regular")
+
+
+def _graph_for_trial(config: ExperimentConfig, rng: np.random.Generator):
+    if _pins_graph(config):
+        return _pinned_graph(config.spec, config.master_seed, config.n_infected)
+    return _build_graph(config.spec, config.n_infected, rng)
 
 
 #: A sweep row as a trial sees it: (row index, K, r, p, q).
@@ -312,6 +319,9 @@ SweepRow = tuple[int, int, int, float, float]
 #: its queries and estimate), or the RQSimError the row raised.
 RowOutcome = tuple[int, int, float] | RQSimError
 
+#: A trial's outcome: the seconds of its shared part, and each row's outcome.
+TrialResult = tuple[float, list[RowOutcome]]
+
 
 def _stream(config: ExperimentConfig, row_index: int, trial_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(row_index, trial_index))
@@ -320,7 +330,7 @@ def _stream(config: ExperimentConfig, row_index: int, trial_index: int) -> np.ra
 
 def _run_single_trial(
     config: ExperimentConfig, rows: list[SweepRow], trial_index: int
-) -> tuple[float, list[RowOutcome]]:
+) -> TrialResult:
     """One trial of every row in ``rows``, all on one snapshot.
 
     The graph, source and snapshot are drawn from stream (master, 0,
@@ -388,13 +398,15 @@ def _trial_error(trial_index: int, exc: Exception) -> TrialError:
     return err
 
 
-def _trial_star(args: tuple) -> tuple[float, list[RowOutcome]]:
+def _in_trial(trial_index: int, fn, *args):
+    """``fn(*args)``, with an unexpected exception raised as trial
+    ``trial_index``'s TrialError."""
     try:
-        return _run_single_trial(*args)
+        return fn(*args)
     except RQSimError:
         raise
     except Exception as exc:
-        raise _trial_error(args[-1], exc) from exc
+        raise _trial_error(trial_index, exc) from exc
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -425,21 +437,117 @@ def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> 
 
 def _run_trials(
     config: ExperimentConfig, rows: list[SweepRow], workers: int
-) -> list[tuple[float, list[RowOutcome]]]:
-    """Every trial of ``rows``, in trial order, one pool task per trial.
+) -> list[TrialResult]:
+    """Every trial of ``rows``, in trial order.
 
-    The pool has at most one worker per trial, and a sweep that would use
-    one worker runs in this process.  Only a sweep that forks imports the
-    pool, so ``import rqsim`` does not load ``multiprocessing``."""
-    tasks = [(config, rows, t) for t in range(config.trials)]
-    workers = min(workers, config.trials)
+    ``workers`` is the number of processes that run trials, this one
+    included; there are never more than trials.  A failing trial raises
+    its error, the lowest failing trial's when several fail.  Without
+    ``os.fork`` every trial runs in this process."""
+    workers = min(workers, config.trials) if hasattr(os, "fork") else 1
     if workers == 1:
-        return [_trial_star(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
+        return [_in_trial(t, _run_single_trial, config, rows, t) for t in range(config.trials)]
+    return _forked_trials(config, rows, workers)
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, config.trials // (4 * workers))
-        return list(pool.map(_trial_star, tasks, chunksize=chunk))
+
+def _forked_trials(
+    config: ExperimentConfig, rows: list[SweepRow], workers: int
+) -> list[TrialResult]:
+    """``_run_trials`` in this process and ``workers - 1`` forked children.
+
+    A pinned graph is built here first, so that every child inherits it.
+    The first trial of each chunk is queued as a 4-byte record in one pipe,
+    written whole before the first fork: an empty pipe takes ``PIPE_BUF``
+    bytes at once, so chunks are one trial up to ``PIPE_BUF // 4`` trials.
+    A 4-byte read is atomic, so every process claims the chunks in
+    ascending order.  A child pickles its results back through a pipe of
+    its own and exits; one that dies fails the lowest trial it left
+    without a result.  Every child is killed and reaped on the way out."""
+    import select  # only a sweep that forks loads these
+    import signal
+
+    if _pins_graph(config):
+        _in_trial(0, _pinned_graph, config.spec, config.master_seed, config.n_infected)
+    chunk = -(-config.trials // (select.PIPE_BUF // 4))
+    firsts = range(0, config.trials, chunk)
+    tasks, queue = os.pipe()
+    try:
+        os.write(queue, b"".join(t.to_bytes(4, "little") for t in firsts))
+    finally:
+        os.close(queue)
+    children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
+    try:
+        for _ in range(min(workers, len(firsts)) - 1):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                _child(config, rows, tasks, chunk, writer)
+            os.close(writer)
+            children.append((pid, reader))
+        done = _run_share(config, rows, tasks, chunk)
+        died = None
+        while children:
+            pid, reader = children[0]
+            with open(reader, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(0)[1])
+            if code == 0:
+                done.update(pickle.loads(sent))
+            elif died is None:
+                how = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+                died = TrialError(f"a forked sweep worker {how} before sending its trials")
+    finally:
+        os.close(tasks)
+        for pid, reader in children:
+            os.close(reader)
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    unrun = next((t for t in range(config.trials) if t not in done), None)
+    if died is not None and unrun is not None:
+        done[unrun] = died
+    failed = [t for t, result in done.items() if isinstance(result, RQSimError)]
+    if failed:
+        raise done[min(failed)]
+    return [done[t] for t in range(config.trials)]
+
+
+def _run_share(
+    config: ExperimentConfig, rows: list[SweepRow], tasks: int, chunk: int
+) -> dict[int, TrialResult | RQSimError]:
+    """The trials of the chunks this process claims from ``tasks``, by
+    index.  A failing trial ends the share with its error, and drains
+    ``tasks`` so that no later trial starts in any process."""
+    done: dict[int, TrialResult | RQSimError] = {}
+    while record := os.read(tasks, 4):
+        first = int.from_bytes(record, "little")
+        for t in range(first, min(first + chunk, config.trials)):
+            try:
+                done[t] = _in_trial(t, _run_single_trial, config, rows, t)
+            except RQSimError as exc:
+                done[t] = exc
+                while os.read(tasks, 1 << 16):
+                    pass
+                return done
+    return done
+
+
+def _child(config: ExperimentConfig, rows: list[SweepRow], tasks: int, chunk: int, out: int):
+    """A forked child's whole life: run a share, send it pickled, exit."""
+    status = 1
+    try:
+        share = _run_share(config, rows, tasks, chunk)
+        with open(out, "wb") as pipe:
+            pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _log_row_error(row_index: int, K: int, p: float, q: float, exc: RQSimError) -> None:

@@ -1,6 +1,5 @@
 """Experiment runner: seeding, aggregation, output formats."""
 
-import concurrent.futures
 import json
 import logging
 import math
@@ -111,30 +110,21 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         assert rows_to_csv(a, zero_timing=True) == rows_to_csv(b, zero_timing=True)
 
-    def test_pool_sized_to_the_trials(self, monkeypatch):
-        # At most one pool worker per trial; one worker runs in this process.
-        sizes = []
+    def test_forks_one_child_per_extra_worker_up_to_the_trials(self, monkeypatch):
+        # The calling process is one of the workers, and there are never
+        # more workers than trials; one worker forks nothing.
+        forks = []
+        real_fork = os.fork
 
-        class RecordingPool:
-            """Records its worker count and maps in this process."""
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
 
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        for trials, threads, pools in ((1, 4, []), (3, 8, [3]), (5, 2, [2])):
-            sizes.clear()
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for trials, threads, children in ((1, 4, 0), (3, 8, 2), (5, 2, 1)):
+            forks.clear()
             got = rows_to_csv(run_experiment(small_config(trials=trials, threads=threads)), True)
-            assert sizes == pools
+            assert len(forks) == children
             assert got == rows_to_csv(run_experiment(small_config(trials=trials, threads=1)), True)
 
     def test_parallel_matches_sequential(self):
@@ -539,8 +529,9 @@ def test_estimators_given_the_centre_match_their_own_search(order):
 
 
 def test_import_loads_no_process_pool():
-    """``import rqsim`` loads neither ``multiprocessing`` nor the process
-    pool; a 2-worker sweep loads them, and gives the 1-worker CSV."""
+    """Neither ``import rqsim`` nor a 2-worker sweep loads
+    ``multiprocessing`` or a process pool, and the sweep gives the 1-worker
+    CSV."""
     script = """if True:
         import sys
         import rqsim
@@ -550,10 +541,10 @@ def test_import_loads_no_process_pool():
                                             p_values=(0.8,), q_values=(0.8,), n_infected=60,
                                             trials=4, master_seed=5, threads=threads)
             return rqsim.rows_to_csv(rqsim.run_experiment(config), zero_timing=True)
-        print(csv(2) == csv(1), "multiprocessing" in sys.modules)
+        print(csv(2) == csv(1), bool({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
     """
     env = dict(os.environ, PYTHONPATH=str(Path(rqsim.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True True"]
+    assert done.stdout.splitlines() == ["[]", "True False"]
