@@ -55,8 +55,10 @@ class BudgetInputs:
             raise InvalidParameterError(f"p must be in [1/2, 1], got {self.p}")
         if not 1.0 / self.d <= self.q <= 1.0:
             raise InvalidParameterError(f"q must be in [1/{self.d}, 1], got {self.q}")
-        if self.h_t is not None and self.h_t <= 0:
-            raise InvalidParameterError(f"h_t must be positive, got {self.h_t}")
+        for name in ("h_t", "c_const", "u1", "u2"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:  # a NaN fails too
+                raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
 
 
 def _h2(x: float) -> float:

@@ -84,11 +84,25 @@ def _tree_scores(parent_pos: Sequence[int]) -> list[float]:
     edge (parent -> child c) multiplies the score by T_c / (N - T_c)."""
     n = len(parent_pos)
     size = _sizes(parent_pos)
-    log = [0.0, *map(math.log, range(1, n + 1))]
+    log = _logs(n + 1)
     log_r = [math.lgamma(n + 1) - math.fsum(map(log.__getitem__, size))]
     for p, s in zip(parent_pos[1:], size[1:]):
         log_r.append(log_r[p] + log[s] - log[n - s])
     return log_r
+
+
+def _logs(size: int) -> list[float]:
+    """``math.log(k)`` at every index 0 < k < size, and 0.0 at 0, in a list
+    that may run past ``size``.  One list is kept per process, replaced by
+    a longer one when a caller needs more, as :func:`_log_table` is."""
+    global _LOGS
+    kept = _LOGS
+    if len(kept) < size:
+        kept = _LOGS = [*kept, *map(math.log, range(len(kept), max(size, 2 * len(kept))))]
+    return kept
+
+
+_LOGS = [0.0]
 
 
 def log_rumor_centralities(tree: Snapshot | TreeAdjacency) -> CentralityTable:

@@ -212,6 +212,7 @@ def run_mvna(
 
     s_i: set[int] = set()
     pred: dict[int, int] = {}
+    respondents = snapshot.respondents
     for v in candidates:
         rec = query_rounds(v, snapshot, r, model, tape)
         if 2 * rec.yes_count >= r:
@@ -221,7 +222,7 @@ def run_mvna(
             [pred[v]] = votes
         else:
             # Undesignated neighbours count 0: they can win only when none was designated.
-            pred[v] = _majority(votes or dict.fromkeys(graph.neighbors(v), 0), tape)
+            pred[v] = _majority(votes or dict.fromkeys(respondents[v][0], 0), tape)
     e_counts = _descendant_counts(pred)
 
     max_e = max(e_counts.values())
@@ -266,7 +267,7 @@ def run_mvad(
     r, K = config.repetitions, config.budget
     if scores is None:
         scores = likelihood_table(snapshot)
-    infected = snapshot.index
+    infected, respondents = snapshot.index, snapshot.respondents
     tape = UniformTape(rng)
 
     s = pick_best(scores, scores) if centre is None else centre
@@ -291,10 +292,12 @@ def run_mvad(
             [nxt] = votes
             if nxt not in infected:
                 nxt = None
-        else:
+        elif votes:
             nxt = _majority({w: c for w, c in votes.items() if w in infected}, tape)
+        else:
+            nxt = None
         if nxt is None:
-            inf_nbrs = [w for w in graph.neighbors(s) if w in infected]
+            inf_nbrs = [w for w in respondents[s][0] if w in infected]
             nxt = inf_nbrs[int(tape.random() * len(inf_nbrs))] if inf_nbrs else s
         s = nxt
 

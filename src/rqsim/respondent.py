@@ -9,14 +9,21 @@ costs one unit of budget, so an r-round visit costs r.
 Answers read nothing but ``rng.random()``.  The estimators pass a
 :class:`UniformTape`, which refills a block of uniforms from the row's
 ``Generator`` and hands them out one at a time, in the order scalar
-``Generator.random()`` calls would return them; an integer pick below n
-is ``int(u * n)`` of one uniform u.
+``Generator.random()`` calls would return them, converting to a Python
+float only the uniforms that are read; an integer pick below n is
+``int(u * n)`` of one uniform u.
+
+A respondent's neighbours and parent are looked up once per snapshot,
+on its first visit, into ``Snapshot.respondents``; from then on that
+table is the only place any visit reads them, the estimators' walk
+fallback and all-"yes" vote included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,13 +38,15 @@ class UniformTape:
     """Uniforms on [0, 1) from ``rng``, drawn ``BLOCK`` at a time.
 
     ``random()`` returns the numbers ``rng.random()`` would, in the same
-    order, but the generator advances a whole block at each refill.
+    order, but the generator advances a whole block at each refill.  A
+    block is read through a ``memoryview``, so that only the uniforms
+    handed out become Python floats: a row often reads a tenth of one.
     """
 
     __slots__ = ("random",)
 
     def __init__(self, rng: np.random.Generator):
-        blocks = iter(lambda: rng.random(BLOCK).tolist(), None)
+        blocks = iter(lambda: memoryview(rng.random(BLOCK)), None)
         self.random = chain.from_iterable(blocks).__next__
 
 
@@ -76,23 +85,9 @@ class AnswerRecord:
     designations: dict[int, int] = field(default_factory=dict)
 
 
-def _direction(v: int, nbrs, parent: int | None, q: float, random) -> int:
-    """One direction answer of ``v`` (neighbors ``nbrs``; ``parent`` None
-    at the source), reading uniforms from ``random``."""
-    deg = len(nbrs)
-    if deg == 0:
-        raise InvalidInputError(f"respondent {v} is isolated")
-    if parent is None:
-        return nbrs[int(random() * deg)]
-    if deg == 1 or random() < q:
-        return parent
-    w = nbrs[int(random() * (deg - 1))]
-    return nbrs[deg - 1] if w == parent else w
-
-
 def _respondent(v: int, snapshot: Snapshot) -> tuple:
     """(neighbors, parent or None at the source) of infected node ``v``,
-    looked up once per snapshot."""
+    looked up once per snapshot into ``snapshot.respondents``."""
     found = snapshot.respondents.get(v)
     if found is None:
         graph = snapshot.require_graph("answering")
@@ -105,7 +100,8 @@ def _respondent(v: int, snapshot: Snapshot) -> tuple:
 def answer_dir(
     v: int, snapshot: Snapshot, q: float, rng: np.random.Generator | UniformTape
 ) -> int:
-    """One direction answer from infected node ``v``.
+    """One direction answer from infected node ``v``: the direction
+    answer of a :func:`query_rounds` round whose identity answer was "no".
 
     A non-source names its true parent with probability ``q`` and a
     uniform other neighbor otherwise (the lie uses the respondent's actual
@@ -113,7 +109,12 @@ def answer_dir(
     parent and names a uniform neighbor.  A degree-1 non-source can only
     name its parent.
     """
-    return _direction(v, *_respondent(v, snapshot), q, rng.random)
+    # At p = 1 a uniform of 0 is a non-source's "no" and 1 is the source's;
+    # the round reads it first and then the uniforms of ``rng``.
+    no = 1.0 if _respondent(v, snapshot)[1] is None else 0.0
+    after_no = SimpleNamespace(random=chain((no,), iter(rng.random, None)).__next__)
+    [w] = query_rounds(v, snapshot, 1, TruthModel(p=1.0, q=q), after_no).designations
+    return w
 
 
 def query_rounds(
@@ -127,19 +128,33 @@ def query_rounds(
 
     Each round draws an identity answer; a direction answer is drawn only
     after a "no", so yes_count plus total designations always equals r.
+    A direction answer is the true parent with probability ``q`` (always
+    at degree 1) and otherwise the other neighbor at ``int(u * (deg - 1))``
+    of one uniform u, the last neighbor standing in for the parent; the
+    source has no parent and names the neighbor at ``int(u * deg)``.
     """
     if r < 1:
         raise InvalidParameterError(f"repetition count must be >= 1, got {r}")
-    nbrs, parent = _respondent(v, snapshot)
+    nbrs, parent = snapshot.respondents.get(v) or _respondent(v, snapshot)
     p, q, random = model.p, model.q, rng.random
     # "Yes" is the truthful answer of the source and the lie of any other node.
     truthful_yes = parent is None
+    deg = len(nbrs)
     yes = 0
     designations: dict[int, int] = {}
     for _ in range(r):
         if (random() < p) == truthful_yes:
             yes += 1
+            continue
+        if truthful_yes:
+            if not deg:
+                raise InvalidInputError(f"respondent {v} is isolated")
+            w = nbrs[int(random() * deg)]
+        elif deg == 1 or random() < q:
+            w = parent
         else:
-            w = _direction(v, nbrs, parent, q, random)
-            designations[w] = designations.get(w, 0) + 1
+            w = nbrs[int(random() * (deg - 1))]
+            if w == parent:
+                w = nbrs[deg - 1]
+        designations[w] = designations.get(w, 0) + 1
     return AnswerRecord(v, r, yes, designations)

@@ -304,6 +304,15 @@ class TestBudgetInputsValidation:
         with pytest.raises(InvalidParameterError):
             BudgetInputs(delta=0.1, d=3, p=0.8, q=0.5, h_t=-1.0)
 
+    @pytest.mark.parametrize("name", ["h_t", "c_const", "u1", "u2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_constants_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(InvalidParameterError, match=name):
+            BudgetInputs(delta=0.1, d=3, p=0.8, q=0.8, **{name: value})
+
+    def test_positive_constants_accepted(self):
+        BudgetInputs(delta=0.1, d=3, p=0.8, q=0.8, h_t=1e-9, c_const=2.5, u1=0.5, u2=1e6)
+
 
 class TestRStarValidation:
     @pytest.mark.parametrize("p, q", [(2.0, -1.0), (0.3, 0.1), (math.nan, 0.8), (0.8, math.nan),

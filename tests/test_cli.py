@@ -105,6 +105,21 @@ class TestBudget:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("scheme,kind,flag,value", [
+        ("ad", "necessary", "--ht", "nan"), ("ad", "necessary", "--ht", "inf"),
+        ("ad", "necessary", "--c", "nan"), ("na", "necessary", "--c", "-1"),
+        ("na", "necessary", "--c", "0"), ("na", "sufficient", "--u1", "nan"),
+        ("ad", "sufficient", "--u2", "-2"),
+    ])
+    def test_impossible_constant_is_rejected(self, capsys, scheme, kind, flag, value):
+        code, out, err = run_cli(
+            capsys, "budget", "--scheme", scheme, "--kind", kind, "--delta", "0.1",
+            "--d", "3", "--p", "0.8", "--q", "0.8", flag, value,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestSimulate:
     def test_csv_output_and_reproducibility(self, capsys, tmp_path):

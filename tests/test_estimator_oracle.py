@@ -111,7 +111,8 @@ def test_hop_order_prefixes_match_reference(family):
 
 
 class CountingGraph:
-    """A graph that counts its ``neighbors`` calls."""
+    """A graph that counts its ``neighbors`` calls and forwards every other
+    attribute (``max_degree``, ``acyclic``, the CSR arrays) to ``graph``."""
 
     def __init__(self, graph):
         self.graph, self.calls = graph, 0
@@ -119,6 +120,9 @@ class CountingGraph:
     def neighbors(self, v):
         self.calls += 1
         return self.graph.neighbors(v)
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
 
 
 def test_respondent_looked_up_once_per_snapshot():
@@ -131,6 +135,26 @@ def test_respondent_looked_up_once_per_snapshot():
         query_rounds(v, counted, 3, model, tape)
     assert graph.calls == 5
     assert list(counted.respondents) == list(snap.infected[:5])
+
+
+@pytest.mark.parametrize("family", ["regular:3", "er:120:4"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rows_look_up_each_respondent_once_per_snapshot(family, seed):
+    """Whole batch and adaptive rows on one snapshot, as a trial runs them:
+    the walk's no-designation steps and the all-"yes" batch votes read the
+    respondent table too, so each respondent costs one ``neighbors`` call."""
+    snap = seeded_snapshot(family, seed)
+    graph = CountingGraph(snap.graph)
+    counted = Snapshot(graph, snap.infected, snap.parent_pos, snap.index)
+    table = likelihood_table(snap)
+    model = TruthModel(p=0.7, q=0.6)
+    for r in (1, 2):
+        for K in (r, 7, 20, 60, 200):
+            stream = np.random.default_rng([seed, r, K])
+            run_mvna(counted, NAConfig(budget=K, repetitions=r), model, stream, scores=table)
+            run_mvad(counted, ADConfig(budget=K, repetitions=r), model, stream, scores=table)
+            assert graph.calls == len(counted.respondents)
+    assert len(counted.respondents) > 1
 
 
 def functional_graphs():

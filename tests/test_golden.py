@@ -158,3 +158,33 @@ def test_regular_tree_snapshot(d, seed):
     snap = simulate_si(make_regular_tree(d), 0, 400, np.random.default_rng(seed))
     digest = hashlib.sha256(repr((snap.infected, list(snap.parent_pos))).encode()).hexdigest()
     assert digest == REGULAR_TREE_SNAPSHOTS[d, seed]
+
+
+#: sha256 of the output of ``simulate --graph regular:3 --n 400 --rstar
+#: sufficient --trials 30 --threads 1 --zero-timing``, na at K = 0, 50, 100,
+#: 200, 400 and ad at K = 50, 100, 200, 400: the benchmark's tree sweep at
+#: its own size.  At (0.7, 0.6) r runs from 2 to 5, so these rows hold many
+#: even-r votes, all-"yes" batch votes and walk steps without a usable
+#: designation.  Captured before the respondent table became the estimators'
+#: one neighbour source.
+TREE_SWEEPS = {
+    (0.8, 0.8, 1, "na"): "a42901754acbb5855357f88650550e0fb48ad0a1a5820a36cc1e162d85dfe27c",
+    (0.8, 0.8, 1, "ad"): "c488d86bc0724318785b986ac10b44446dc2901b3b363f653a922d732537747d",
+    (0.8, 0.8, 2, "na"): "0bb2bcc73e859bfc9f9e9143dfa855cf5f5d40cad129423a9bb30fc2aacb852c",
+    (0.8, 0.8, 2, "ad"): "2ad514fb8800c3c3466ea642029e44f65298abb66f6c0cb67ea0bd3293d5d42e",
+    (0.7, 0.6, 1, "na"): "b083e204ce386f7094415cb6cdce55ba790d5e5940d6c9b1e545283c880b077f",
+    (0.7, 0.6, 1, "ad"): "dff614ba8e5b710d23c6e395ca4e87d8909648dff3bfadbf8f155a5d582894db",
+    (0.7, 0.6, 2, "na"): "4b34978d4d3574a32cf923a6fd3055ad8423e7fccd38436d90b43a76fcea9dc1",
+    (0.7, 0.6, 2, "ad"): "bbbdec82b24743519b1e366361e4e46d08517716a19ad5119dd46e1a76bad18e",
+}
+
+
+@pytest.mark.parametrize("p,q,seed,scheme", sorted(TREE_SWEEPS))
+def test_tree_sweep_at_benchmark_size(capsys, p, q, seed, scheme):
+    budgets = "0,50,100,200,400" if scheme == "na" else "50,100,200,400"
+    code = main(["simulate", "--graph", "regular:3", "--n", "400", "--scheme", scheme, "--k", budgets,
+                 "--rstar", "sufficient", "--p", str(p), "--q", str(q), "--trials", "30",
+                 "--seed", str(seed), "--threads", "1", "--zero-timing"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == TREE_SWEEPS[p, q, seed, scheme]

@@ -7,12 +7,18 @@ different order and agree to rounding; the hop ordering reads position
 lists and must agree exactly.
 """
 
+import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_scorer as reference
+from rqsim import centrality
 from rqsim.centrality import general_graph_scores, likelihood_table, log_rumor_centralities, pick_best
 from rqsim.diffusion import Snapshot, simulate_si
 from rqsim.estimators import select_candidates_na
@@ -100,6 +106,37 @@ def test_json_round_tripped_scores_match_reference(family, n, seed):
 def test_hop_candidates_match_reference(family, n, seed, round_trip):
     snap = draw(family, n, seed)
     assert_hop_orders_match(Snapshot.from_json(snap.to_json()) if round_trip else snap)
+
+
+def test_threads_grow_the_kept_log_list(monkeypatch):
+    """Tree scores read one list of logarithms per process, which a caller
+    replaces by a longer one when it needs more.  Four threads that score
+    snapshots of different sizes at once, each round from a one-entry
+    list, each get the tables that a full list gives."""
+    sizes = [400, 30, 250, 400]
+    snaps = [draw("regular:3", n, seed) for seed, n in enumerate(sizes)]
+    want = [likelihood_table(snap) for snap in snaps]
+    monkeypatch.setattr(centrality, "_LOGS", [0.0])
+    start = threading.Barrier(len(snaps), action=lambda: setattr(centrality, "_LOGS", [0.0]))
+
+    def score(snap):
+        tables = []
+        for _ in range(300):
+            start.wait(timeout=60)
+            tables.append(likelihood_table(snap))
+        return tables
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(snaps)) as pool:
+            futures = [pool.submit(score, snap) for snap in snaps]
+            tables = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, table in zip(tables, want):
+        assert all(t == table for t in got)
+    assert centrality._LOGS[:401] == [0.0, *map(math.log, range(1, 401))]
 
 
 class ReadRecorder:
