@@ -19,10 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .diffusion import Snapshot
+from .diffusion import Snapshot, TreeAdjacency, breadth_first
 from .errors import InvalidInputError, InvalidParameterError
-
-TreeAdjacency = Mapping[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -33,21 +31,6 @@ class CentralityTable:
     center: int
 
 
-def _root_pass(adj: TreeAdjacency, root: int) -> tuple[list[int], list[int]]:
-    """Breadth-first order from ``root`` and each node's parent's place in it."""
-    at = {root: 0}
-    order, parent_pos = [root], [-1]
-    for u in order:
-        for v in adj[u]:
-            if v not in at:
-                at[v] = len(order)
-                order.append(v)
-                parent_pos.append(at[u])
-    if len(order) != len(adj):
-        raise InvalidInputError("adjacency is not connected")
-    return order, parent_pos
-
-
 def _rooted(tree: Snapshot | TreeAdjacency, root: int | None = None) -> tuple[Sequence[int], Sequence[int]]:
     """Nodes of ``tree`` parent before child from ``root``, and each one's
     parent position.  Without a root a snapshot keeps its infection order
@@ -55,12 +38,12 @@ def _rooted(tree: Snapshot | TreeAdjacency, root: int | None = None) -> tuple[Se
     if not isinstance(tree, Snapshot):
         if not tree:
             raise InvalidInputError("empty tree")
-        return _root_pass(tree, min(tree) if root is None else root)
+        return breadth_first(tree, min(tree) if root is None else root)
     if not tree.is_tree:
         raise InvalidInputError("infected subgraph is not a tree")
     if root is None:
         return tree.infected, tree.parent_pos
-    order, parent_pos = _root_pass(tree.local_adjacency, tree.position_of(root))
+    order, parent_pos = breadth_first(tree.local_csr, tree.position_of(root))
     return [tree.infected[i] for i in order], parent_pos
 
 

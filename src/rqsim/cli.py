@@ -76,10 +76,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     config = ExperimentConfig.from_mapping(opts)
     # Opened before the sweep, so that a bad path fails before any trial
-    # runs, and for appending, so that a failed sweep leaves the file as it was.
+    # runs, and for appending, so that a failed sweep leaves the file as it
+    # was.  A pipe or FIFO cannot be truncated, nor does it need to be.
     with open(output, "a", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as out:
         rows = run_experiment(config)
-        if output:
+        if output and out.seekable():
             out.seek(0)
             out.truncate()
         out.write((rows_to_json if fmt == "json" else rows_to_csv)(rows, zero_timing))

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
 from .graphs import IntegerTape, RegularTree
 
+#: Each node's neighbours, by node id.
+TreeAdjacency = Mapping[int, Sequence[int]]
+
 
 @dataclass(frozen=True, eq=False)
 class Snapshot:
@@ -96,13 +99,6 @@ class Snapshot:
         return self.graph is None or self.graph.acyclic
 
     @cached_property
-    def local_adjacency(self) -> list[list[int]]:
-        """:attr:`local_csr` as one list of positions per position."""
-        ptr, nbr = self.local_csr
-        flat, bounds = nbr.tolist(), ptr.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
     def local_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Infected neighbours of each position, as positions by ascending
         id, in int64 CSR arrays ``(ptr, nbr)``: the parent edges when the
@@ -136,23 +132,16 @@ class Snapshot:
         return order
 
     def _hops_from(self, at: int) -> list[int]:
-        """Hop distance of each position from position ``at`` over
-        :attr:`local_adjacency`, read off ``parent_pos`` when that is the
+        """Hop distance of each position from position ``at`` in the
+        infected subgraph: along the breadth-first tree of
+        :attr:`local_csr`, or read off ``parent_pos`` when that is the
         parent-edge tree."""
         if self._parent_edges_only:
             return self._tree_hops(at)
-        hops = [-1] * self.n
-        adj, level, k = self.local_adjacency, [at], 0
-        hops[at] = 0
-        while level:
-            k += 1
-            reached = []
-            for u in level:
-                for w in adj[u]:
-                    if hops[w] < 0:
-                        hops[w] = k
-                        reached.append(w)
-            level = reached
+        order, parent_place = breadth_first(self.local_csr, at)
+        hops = [0] * self.n
+        for u, p in zip(order[1:], parent_place[1:]):
+            hops[u] = hops[order[p]] + 1
         return hops
 
     def _tree_hops(self, at: int) -> list[int]:
@@ -199,12 +188,12 @@ class Snapshot:
     def from_json(text_or_fp: str | IO[str]) -> "Snapshot":
         """Rebuild a graph-less snapshot from :meth:`to_json` output; raises
         :class:`InvalidInputError` on any document it could not have written."""
-        doc = json.load(text_or_fp) if hasattr(text_or_fp, "read") else json.loads(text_or_fp)
         try:
+            doc = json.load(text_or_fp) if hasattr(text_or_fp, "read") else json.loads(text_or_fp)
             source = _node_id(doc["source"])
             order = [_node_id(v) for v in doc["infected_order"]]
             pairs = [(_node_id(c), _node_id(p)) for c, p in doc["parent_pairs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
             raise InvalidInputError(f"malformed snapshot document: {exc!r}") from None
         snap = Snapshot.from_parents(None, source, order, dict(pairs))
         # Every later node has an entry, so one more names the source, a
@@ -212,6 +201,29 @@ class Snapshot:
         if len(pairs) != snap.n - 1:
             raise InvalidInputError("need exactly one parent entry per non-source infected node")
         return snap
+
+
+def breadth_first(adj: TreeAdjacency | tuple[np.ndarray, np.ndarray], root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order from ``root`` and each node's parent's place in
+    it.  ``adj`` maps each node to its neighbours, or is a CSR pair
+    ``(ptr, nbr)`` over nodes 0..n-1 such as :attr:`Snapshot.local_csr`;
+    each node's neighbours are walked in the order listed, which is by
+    ascending id in a snapshot's.  Raises :class:`InvalidInputError` unless
+    the walk reaches every node."""
+    if isinstance(adj, tuple):
+        ptr, nbr = adj[0].tolist(), adj[1].tolist()
+        adj = [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
+    seen = {root}
+    order, parent_place = [root], [-1]
+    for i, u in enumerate(order):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                parent_place.append(i)
+    if len(order) != len(adj):
+        raise InvalidInputError("adjacency is not connected")
+    return order, parent_place
 
 
 def _node_id(x) -> int:

@@ -54,8 +54,9 @@ class UniformTape:
 class TruthModel:
     """Per-question truthfulness probabilities.
 
-    ``p`` must exceed 1/2 and ``q`` must exceed 1/d for the governing
-    degree d; the degree-dependent part is checked against a concrete
+    ``p`` must exceed 1/2 and ``q`` must exceed 1/d for a governing
+    degree d of at least 2 (a degree-1 respondent can only name its
+    parent); the degree-dependent part is checked against a concrete
     graph via :meth:`validate_for_degree`.
     """
 
@@ -69,7 +70,7 @@ class TruthModel:
             raise InvalidParameterError(f"q must be in (0, 1], got {self.q}")
 
     def validate_for_degree(self, d: int) -> None:
-        if d >= 1 and self.q <= 1.0 / d:
+        if d >= 2 and self.q <= 1.0 / d:
             raise InvalidParameterError(
                 f"q={self.q} is uninformative for degree {d} (needs q > {1.0 / d:.4g})"
             )

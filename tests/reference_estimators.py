@@ -18,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from reference_scorer import local_adjacency
 from rqsim.centrality import likelihood_table, pick_best
 from rqsim.diffusion import Snapshot
 from rqsim.errors import InvalidParameterError
@@ -68,7 +69,7 @@ def select_candidates_na(
     if order == "centrality":
         return sorted(scores, key=lambda v: (-scores[v], v))[:size]
 
-    ids, adj = snapshot.infected, snapshot.local_adjacency
+    ids, adj = snapshot.infected, local_adjacency(snapshot)
     level = [snapshot.index[pick_best(scores, scores)]]
     result = level[:]
     seen = set(level)

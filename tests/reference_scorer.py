@@ -16,7 +16,8 @@ originals unchanged so the tests can compare old and new output:
   from their neighbour's BFS: one BFS row for every requested root, over
   ``rqsim.centrality``'s block helpers (``all_roots_general_graph_scores``);
 * the global-id induced adjacency a snapshot used to cache
-  (``induced_adjacency``);
+  (``induced_adjacency``), and the list view of ``local_csr`` it cached
+  later (``local_adjacency``), which the oracles here read;
 * the DFS-and-reroot tree scorer (``log_rumor_centralities``);
 * the hop ordering of batch candidates (``hop_candidates``).
 """
@@ -55,6 +56,13 @@ def induced_adjacency(snapshot: Snapshot) -> dict[int, list[int]]:
         v: sorted(w for w in snapshot.graph.neighbors(v) if w in members)
         for v in snapshot.infected
     }
+
+
+def local_adjacency(snapshot: Snapshot) -> list[list[int]]:
+    """``snapshot.local_csr`` as one list of positions per position."""
+    ptr, nbr = snapshot.local_csr
+    flat, bounds = nbr.tolist(), ptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _as_tree_adjacency(tree: Snapshot | TreeAdjacency) -> TreeAdjacency:
@@ -211,7 +219,7 @@ def per_root_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | Non
     """
     if snapshot.graph is None:
         raise InvalidInputError("general-graph scoring needs the underlying graph")
-    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    ids, adj = snapshot.infected, local_adjacency(snapshot)  # neighbour ties by ascending id
     targets = _positions(snapshot, nodes)
     n = len(ids)
     deg = [snapshot.graph.degree(v) for v in ids]
@@ -273,7 +281,7 @@ def block_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None =
     lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
-    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    ids, adj = snapshot.infected, local_adjacency(snapshot)  # neighbour ties by ascending id
     targets = _positions(snapshot, nodes)
     n = len(ids)
     deg = np.array([graph.degree(v) for v in ids], dtype=np.int64)
@@ -390,7 +398,7 @@ def stamp_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None =
     lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
-    ids, adj = snapshot.infected, snapshot.local_adjacency  # neighbour ties by ascending id
+    ids, adj = snapshot.infected, local_adjacency(snapshot)  # neighbour ties by ascending id
     targets = _positions(snapshot, nodes)
     n = len(ids)
     deg = np.array([graph.degree(v) for v in ids], dtype=np.int64)

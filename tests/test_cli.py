@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,41 @@ class TestSimulate:
         assert (code, out) == (0, "")
         assert path.read_text() == expected
 
+    def test_output_to_a_fifo(self, capsys, tmp_path):
+        # A FIFO cannot be truncated; the rows go through it as they would to stdout.
+        args = ("simulate", "--graph", "regular:3", "--n", "25", "--scheme", "na",
+                "--k", "0,10", "--p", "0.9", "--q", "0.9", "--trials", "3", "--seed", "1",
+                "--threads", "1", "--zero-timing")
+        code, expected, _ = run_cli(capsys, *args)
+        assert code == 0
+        fifo = tmp_path / "rows.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code, out, err = run_cli(capsys, *args, "--output", str(fifo))
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert (code, out, err) == (0, "", "")
+        assert got == [expected]
+
+    @pytest.mark.parametrize("graph", ["er:2:1", "edgelist"])
+    def test_degree_one_graph_runs_its_query_rows(self, capsys, tmp_path, graph):
+        # Both graphs are one edge: each respondent has degree 1 and names its parent.
+        if graph == "edgelist":
+            path = tmp_path / "edge.txt"
+            path.write_text("0 1\n")
+            graph = f"edgelist:{path}"
+        code, out, err = run_cli(
+            capsys, "simulate", "--graph", graph, "--n", "2", "--scheme", "ad", "--k", "0,3",
+            "--p", "0.8", "--q", "0.9", "--trials", "5", "--seed", "1", "--threads", "1",
+        )
+        assert (code, err) == (0, "")
+        header, _, row = out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["K"], fields["r"], fields["mean_budget"]) == ("3", "1", "3")
+        assert 0.0 <= float(fields["p_hat"]) <= 1.0
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
@@ -341,6 +377,13 @@ class TestSnapshotTools:
         code, _, err = run_cli(capsys, "centrality", "--snapshot", str(path))
         assert code == 1
         assert err.startswith("error:")
+
+    def test_centrality_rejects_text_that_is_not_json(self, capsys, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("notes\n")
+        code, out, err = run_cli(capsys, "centrality", "--snapshot", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed snapshot document:")
 
     def test_oracle_distance(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "distance", "--d", "3", "--k", "4")

@@ -1,5 +1,6 @@
 """Spread simulation and the hop-distance law of the k-th infection."""
 
+import io
 import json
 import math
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_edges, path_graph
 from rqsim.centrality import likelihood_table
-from rqsim.diffusion import Snapshot, distance_distribution, simulate_si
+from rqsim.diffusion import Snapshot, breadth_first, distance_distribution, simulate_si
 from rqsim.errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
 from rqsim.graphs import make_erdos_renyi, make_regular_tree
 
@@ -128,6 +129,19 @@ class TestSnapshotStructure:
         ):
             with pytest.raises(InvalidInputError):
                 Snapshot.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["notes\n", "", '{"source": 0,', "[1, 2"])
+    def test_from_json_rejects_text_that_is_not_json(self, text):
+        for given in (text, io.StringIO(text)):
+            with pytest.raises(InvalidInputError, match="malformed snapshot document"):
+                Snapshot.from_json(given)
+
+    def test_breadth_first_over_csr_rows(self):
+        # Rows 0: [1, 2], 1: [0], 2: [0], and then a lone node 3.
+        ptr, nbr = np.array([0, 2, 3, 4, 4]), np.array([1, 2, 0, 0])
+        assert breadth_first((ptr[:4], nbr), 1) == ([1, 0, 2], [-1, 0, 1])
+        with pytest.raises(InvalidInputError, match="not connected"):
+            breadth_first((ptr, nbr), 1)
 
     @pytest.mark.parametrize("pairs", [
         [[1, 0], [5, 1]],  # an entry for a node outside the order

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import full_path_snapshot, snapshot_of, star_graph
+from reference_scorer import local_adjacency
 from rqsim.diffusion import Snapshot, simulate_si
 from rqsim.errors import InvalidInputError, InvalidParameterError
 from rqsim.estimators import (
@@ -71,7 +72,7 @@ class TestCandidateSelection:
         snap, _ = tree_snapshot(30, seed=4)
         chosen = select_candidates_na(snap, 30, "hop")
         ids = snap.infected
-        adj = {ids[i]: [ids[j] for j in nbrs] for i, nbrs in enumerate(snap.local_adjacency)}
+        adj = {ids[i]: [ids[j] for j in nbrs] for i, nbrs in enumerate(local_adjacency(snap))}
         center = chosen[0]
         # BFS levels from the center
         level = {center: 0}

@@ -31,6 +31,13 @@ class TestTruthModel:
         with pytest.raises(InvalidParameterError):
             m.validate_for_degree(4)  # needs q > 1/4
 
+    def test_degree_one_accepts_any_q(self):
+        # A degree-1 respondent names its parent without drawing against q.
+        for q in (0.01, 0.5, 0.9, 1.0):
+            TruthModel(p=0.8, q=q).validate_for_degree(1)
+        with pytest.raises(InvalidParameterError):
+            TruthModel(p=0.8, q=0.5).validate_for_degree(2)  # needs q > 1/2
+
 
 class TestAnswerId:
     def test_perfect_truth(self, rng):
