@@ -34,10 +34,22 @@ class CentralityTable:
 def _rooted(tree: Snapshot | TreeAdjacency, root: int | None = None) -> tuple[Sequence[int], Sequence[int]]:
     """Nodes of ``tree`` parent before child from ``root``, and each one's
     parent position.  Without a root a snapshot keeps its infection order
-    and a mapping starts from its lowest id."""
+    and a mapping starts from its lowest id.  A mapping must list each
+    edge from both ends, once each, between two of its keys, and have no
+    cycle."""
     if not isinstance(tree, Snapshot):
         if not tree:
             raise InvalidInputError("empty tree")
+        edges = {(u, v) for u, near in tree.items() for v in near}
+        for u, v in edges:
+            if v not in tree or u == v or (v, u) not in edges:
+                raise InvalidInputError(f"tree mapping: node {u} lists {v}, which is not another node listing {u}")
+        if len(edges) != sum(map(len, tree.values())):
+            raise InvalidInputError("tree mapping lists a neighbour twice")
+        if len(edges) > 2 * len(tree) - 2:  # fewer edges: the walk below finds it disconnected
+            raise InvalidInputError("tree mapping has a cycle")
+        if root is not None and root not in tree:
+            raise InvalidInputError(f"root {root} is not a node of the tree")
         return breadth_first(tree, min(tree) if root is None else root)
     if not tree.is_tree:
         raise InvalidInputError("infected subgraph is not a tree")
@@ -67,25 +79,11 @@ def _tree_scores(parent_pos: Sequence[int]) -> list[float]:
     edge (parent -> child c) multiplies the score by T_c / (N - T_c)."""
     n = len(parent_pos)
     size = _sizes(parent_pos)
-    log = _logs(n + 1)
+    log = (_log_table(n + 1) / _ONE).tolist()  # exact: each entry is a float times 2**53
     log_r = [math.lgamma(n + 1) - math.fsum(map(log.__getitem__, size))]
     for p, s in zip(parent_pos[1:], size[1:]):
         log_r.append(log_r[p] + log[s] - log[n - s])
     return log_r
-
-
-def _logs(size: int) -> list[float]:
-    """``math.log(k)`` at every index 0 < k < size, and 0.0 at 0, in a list
-    that may run past ``size``.  One list is kept per process, replaced by
-    a longer one when a caller needs more, as :func:`_log_table` is."""
-    global _LOGS
-    kept = _LOGS
-    if len(kept) < size:
-        kept = _LOGS = [*kept, *map(math.log, range(len(kept), max(size, 2 * len(kept))))]
-    return kept
-
-
-_LOGS = [0.0]
 
 
 def log_rumor_centralities(tree: Snapshot | TreeAdjacency) -> CentralityTable:
@@ -144,10 +142,11 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
 
     The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
     E_induced)``, and one level-synchronous BFS serves a whole block
-    (:func:`_bfs_block`).  The block's large arrays live in this thread's
-    :class:`_Workspace`.  Each root's two sums of logarithms are exact and
-    rounded once (:func:`_log_sums`, :func:`_log_halves`), so roots with
-    equal counts tie exactly and the lowest id wins.
+    (:func:`_bfs_block`) over the snapshot's own neighbour table.  The
+    block's large arrays live in this thread's :class:`_Workspace`.  Each
+    root's two sums of logarithms are exact and rounded once
+    (:func:`_log_sums`, :func:`_wrapped_sums`), so roots with equal counts
+    tie exactly and the lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
     ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
@@ -180,12 +179,11 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     roots = by_id[is_root[by_id]]
     hub_row = np.searchsorted(id_rank[roots], id_rank[hub])
     chunk = max(1, BLOCK_ENTRIES // n)  # leaves at a time: fewer than BLOCK_ENTRIES boundaries
-    cells = _cell_tables(min(rows, roots.size), start, nbr)
 
     scores: dict[int, float] = {}
     for b in range(0, roots.size, rows):
         block = roots[b:b + rows]
-        order, size = _bfs_block(block, n, cells, owner, id_rank)
+        order, size = _bfs_block(block, start, width, nbr, owner, id_rank)
         links = _earlier_neighbours(order, start, owner, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
@@ -194,26 +192,27 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
         bounds = np.take(links, order).reshape(links.shape)
         del links
         np.cumsum(bounds, axis=1, out=bounds)
-        high, low = _log_halves(table, bounds[:, :-1], size)
-        for root, num, den in zip(block.tolist(), log_links, _rounded(high, low)):
-            scores[root] = log_n_factorial + num - den
+        den = _wrapped_sums(table, bounds[:, :-1], size)
+        for root, num, rounded in zip(block.tolist(), log_links, _rounded(*den)):
+            scores[root] = log_n_factorial + num - rounded
         ours = np.flatnonzero(hub_row // rows == b // rows)  # the leaves of this block's rows
         for a in range(0, ours.size, chunk):
             at = ours[a:a + chunk]
             row, v = hub_row[at] - b, leaf[at]
-            shift_high, shift_low = _leaf_shifts(table, bounds, row, place[v], deg[v])
-            dens = _rounded(high[row] + shift_high, low[row] + shift_low)
-            for u, r, den in zip(v.tolist(), row.tolist(), dens):
-                scores[u] = log_n_factorial + log_links[r] - den
+            shifts = _leaf_shifts(table, bounds, row, place[v], deg[v])
+            dens = _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
+            for u, r, rounded in zip(v.tolist(), row.tolist(), dens):
+                scores[u] = log_n_factorial + log_links[r] - rounded
     return {ids[t]: scores[t] for t in targets.tolist()}
 
 
-def _leaf_shifts(table: tuple[np.ndarray, np.ndarray], bounds: np.ndarray, row: np.ndarray,
-                 m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What to add to the (high, low) denominator halves of rows ``row`` of
-    a block to get those of leaves hung on the rows' roots: ``bounds``
-    holds each row's prefix boundaries B_k (k = 1..n, column k - 1), ``d``
-    is each leaf's degree and ``m`` its place in its neighbour's BFS order.
+def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
+                 m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What to add to the (wrapped, float) denominator sums of rows ``row``
+    of a block (:func:`_wrapped_sums`) to get those of leaves hung on the
+    rows' roots: ``bounds`` holds each row's prefix boundaries B_k (k =
+    1..n, column k - 1), ``d`` is each leaf's degree and ``m`` its place in
+    its neighbour's BFS order.
 
     A leaf's BFS order is its neighbour's with the leaf moved to the front.
     The earlier-neighbour counts are the same numbers.  The subtree sizes
@@ -222,73 +221,78 @@ def _leaf_shifts(table: tuple[np.ndarray, np.ndarray], bounds: np.ndarray, row: 
     B_1..B_{m+1} make way for d and B_j + d - 2 (j = 1..m), and the rest
     are the same.  At m = n - 1 this also adds B_{n-1} + d - 2 and takes
     away B_n, the whole set's boundary: the same number, as the leaf is
-    then its neighbour's last node.  The halves stay integers, so the
-    leaf's sum is exact before its one rounding."""
+    then its neighbour's last node.  The wrapped sum stays exact modulo
+    2**64, so the leaf's sum is exact before its one rounding."""
     n = bounds.shape[1]
     ends = np.cumsum(m)
     first = ends - m
     # Each leaf's B_1..B_m, one run per leaf, read off the flat bounds.
     old = bounds.take(np.arange(ends[-1]) + np.repeat(row * n - first, m))
-    new = old + np.repeat(d - 2, m)
-    last = bounds[row, m]
-    return tuple(np.add.reduceat(half[new] - half[old], first) - half[last] + half[d] + half[n - 1]
-                 for half in table)
+    gain = table[old + np.repeat(d - 2, m)] - table[old]
+    rest = table[d] + table[n - 1] - table[bounds[row, m]]
+    return np.add.reduceat(gain, first) + rest, np.add.reduceat(gain, first, dtype=np.float64) + rest
 
 
 #: Roots scored together: a block expands at most this many (root,
 #: directed induced edge) entries, or one root's if that is more.  Larger
 #: blocks take fewer numpy calls per score; the workspace grows with them
-#: (about 2.1 MB after the N = 400 er:2000:4 and sf:4039:22 snapshots).
-BLOCK_ENTRIES = 1 << 16
+#: (1.27 MB after an N = 400 sf:4039:22 snapshot, 1.49 MB after er:2000:4).
+BLOCK_ENTRIES = 3 << 15
 
 _ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
-_HALF = 28
 _UNREACHED = 1 << 62
 
 
-def _log_table(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``log k`` for 0 < k < size, and 0 at k = 0, as integers in units of
-    ``1 / _ONE``, split into high and low 28-bit halves so that sums of
-    thousands of entries stay inside int64.
+def _log_table(size: int) -> np.ndarray:
+    """``log k`` for 0 < k < size, and 0 at k = 0, as int64 integers in
+    units of ``1 / _ONE``: every entry is exact.
 
-    One table is kept per process and grown by doubling; the result is a
-    view of its first ``size`` entries.  A caller reads the kept table once,
-    so a thread that grows it while another replaces it still gets a table
-    of the size it asked for."""
+    One table is kept per process and grown by doubling, here and nowhere
+    else; the result is a view of its first ``size`` entries.  A caller
+    reads the kept table once and takes no lock unless it must grow it;
+    growing happens under ``_LOG_LOCK``, so threads that grow the table
+    at once never replace it by a shorter one."""
     global _LOG_TABLE
     kept = _LOG_TABLE
-    have = kept[0].size
-    if have < size:
-        scaled = np.array([*map(math.log, range(have, max(size, 2 * have)))]) * _ONE
-        fixed = scaled.astype(np.int64)
-        if not np.array_equal(fixed, scaled):
-            raise ArithmeticError("a log table entry is not a multiple of 2**-53")
-        kept = _LOG_TABLE = tuple(np.concatenate((old, new)) for old, new in
-                                  zip(kept, (fixed >> _HALF, fixed & ((1 << _HALF) - 1))))
-    return kept[0][:size], kept[1][:size]
+    if kept.size < size:
+        with _LOG_LOCK:
+            kept = _LOG_TABLE
+            if kept.size < size:
+                scaled = np.array([*map(math.log, range(kept.size, max(size, 2 * kept.size)))]) * _ONE
+                fixed = scaled.astype(np.int64)
+                if not np.array_equal(fixed, scaled):
+                    raise ArithmeticError("a log table entry is not a multiple of 2**-53")
+                kept = _LOG_TABLE = np.concatenate((kept, fixed))
+    return kept[:size]
 
 
-#: The (high, low) halves of every ``log k`` computed so far; entry 0 is 0.
-_LOG_TABLE = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+#: Every ``log k`` computed so far, times ``_ONE``; entry 0 is 0.
+_LOG_TABLE = np.zeros(1, dtype=np.int64)
+_LOG_LOCK = threading.Lock()
 
 
-def _log_sums(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> list[float]:
+def _log_sums(table: np.ndarray, *parts: np.ndarray) -> list[float]:
     """Per row, the sum of the table entries that ``parts`` index, summed
     exactly and rounded once: the correctly rounded sum, as ``math.fsum``
     gives it."""
-    high, low = (sum(half[part].sum(axis=1) for part in parts) for half in table)
-    return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
+    return _rounded(*_wrapped_sums(table, *parts))
 
 
-def _log_halves(table: tuple[np.ndarray, np.ndarray], *parts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The (high, low) integer halves that :func:`_log_sums` adds up, per
-    row and before rounding, so that exact amounts can be added to them."""
-    return tuple(sum(half[part].sum(axis=1) for part in parts) for half in table)
+def _wrapped_sums(table: np.ndarray, *parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the sum of the table entries that ``parts`` index, twice:
+    in int64, exact modulo 2**64, and in float64.  An entry is below 2**59,
+    so the float64 sum of a row of m entries is off by less than m**2 *
+    2**6, far closer than 2**62 to the exact sum for any row a block holds;
+    :func:`_rounded` recovers the exact sum from the two."""
+    sums = [(p.sum(axis=1), p.sum(axis=1, dtype=np.float64)) for p in map(table.take, parts)]
+    return sum(w for w, _ in sums), sum(a for _, a in sums)
 
 
-def _rounded(high: np.ndarray, low: np.ndarray) -> list[float]:
-    """Each (high, low) pair of :func:`_log_halves`, rounded once."""
-    return [((h << _HALF) + lo) / _ONE for h, lo in zip(high.tolist(), low.tolist())]
+def _rounded(wrapped: np.ndarray, approx: np.ndarray) -> list[float]:
+    """Each exact sum, rounded once, from its int64 sum ``wrapped`` (exact
+    modulo 2**64) and its float64 sum ``approx`` (within 2**62): the exact
+    sum is the one value congruent to the first and near the second."""
+    return [(w + (round((a - w) / 2**64) << 64)) / _ONE for w, a in zip(wrapped.tolist(), approx.tolist())]
 
 
 class _Workspace(threading.local):
@@ -320,28 +324,15 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _cell_tables(rows: int, start: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR adjacency (``nbr[start[u]:start[u + 1]]``, ascending ids) of
-    ``rows`` copies of the infected set, one per row of a block, over cells
-    ``row * n + node``: each cell's neighbour cells, and where each cell's
-    run of them starts (one more entry closes the last run).  Every block
-    reads its rows' share of the one table."""
-    n, e = start.size, nbr.size
-    cell_nbr = _WORKSPACE.array("cell_nbr", (rows, e))
-    cell_ptr = _WORKSPACE.array("cell_ptr", rows * n + 1)
-    row = np.arange(rows, dtype=np.int64)[:, None]
-    np.add(row * n, nbr, out=cell_nbr)
-    np.add(row * e, start, out=cell_ptr[:-1].reshape(rows, n))
-    cell_ptr[-1] = rows * e
-    return cell_nbr.ravel(), cell_ptr
-
-
-def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
+def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray,
                owner: np.ndarray, id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """BFS from every root of a block at once over the cell tables of
-    :func:`_cell_tables`, one level at a time over a flat frontier of cells
-    in (row, BFS place) order; ``owner`` is the node of each neighbour
-    table entry of one row, and ``id_rank`` ranks the nodes by id.
+    """BFS from every root of a block at once, one level at a time over a
+    flat frontier of cells ``row * n + node`` in (row, BFS place) order.
+    Every row reads the snapshot's one neighbour table: node ``u``'s
+    neighbours are ``nbr[start[u]:start[u] + width[u]]`` (ascending ids),
+    and a cell's neighbour cells are its node's neighbours plus its row
+    base, ``row * n``.  ``owner`` is the node of each entry of ``nbr``, and
+    ``id_rank`` ranks the nodes by id.
 
     The frontier's discovery stamps rise along it, and a level lists its
     new cells in the order that the stamps give them, so a row's levels,
@@ -356,8 +347,7 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
     Returns each row's cells in BFS order, row after row (rows · n cells),
     and the (rows, n) BFS subtree sizes.
     """
-    cell_nbr, cell_ptr = cells
-    r = len(roots)
+    n, r = start.size, len(roots)
     stamp = _WORKSPACE.array("stamp", r * n)
     stamp.fill(_UNREACHED)
     unreached = _WORKSPACE.array("unreached", r * n, np.bool_)
@@ -366,13 +356,15 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
     # ends[i] is where level i ends in them (level 0 is the roots).
     found = _WORKSPACE.array("found", r * n)
     parent = _WORKSPACE.array("parent", r * n)
-    f_cell = np.add(np.arange(0, r * n, n, dtype=np.int64), roots, out=found[:r])
+    f_base = np.arange(0, r * n, n, dtype=np.int64)  # the frontier cells' row bases
+    f_cell = np.add(f_base, roots, out=found[:r])
     stamp[f_cell] = np.arange(r, dtype=np.int64)
     unreached[f_cell] = False
-    unseen = r * owner.size  # entries of the cells not yet found
+    unseen = r * nbr.size  # entries of the cells not yet found
     ends = [r]
     while f_cell.size:
-        first, k = _runs(cell_ptr, f_cell)
+        node = f_cell - f_base
+        first, k = start.take(node), width.take(node)
         k_ends = k.cumsum()
         m = int(k_ends[-1])
         unseen -= m
@@ -382,7 +374,7 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
         if unseen * _BOTTOM_UP >= m:
             # Expand the frontier in (row, BFS place, neighbour id) order:
             # the order in which one root's sequential BFS scans these edges.
-            e_at, e_cell = _expand(cell_nbr, first, k, k_ends)
+            e_at, e_cell = _expand(nbr, first, k, k_ends, f_base)
             flags = _WORKSPACE.array("entry_flags", m, np.bool_)
             fresh = unreached.take(e_cell, out=flags, mode="clip").nonzero()[0]
             cand = e_cell[fresh]
@@ -392,29 +384,30 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
             np.minimum.at(stamp, cand, fresh)
             won = fresh[stamp[cand] == fresh]
             new = e_cell.take(won, out=found[at:at + won.size], mode="clip")
-            # The owner of the entry that found a new cell is its parent.
-            e_at = e_at[won]
-            by_row = e_at // owner.size
-            e_at -= by_row * owner.size
-            by_row *= n
-            np.add(by_row, owner.take(e_at), out=parent[at:at + new.size])
+            # A new cell's parent is the owner of the entry that found it,
+            # in the same row.
+            new_base = new // n * n  # floor division is several times faster than %
+            np.add(owner.take(e_at.take(won)), new_base, out=parent[at:at + new.size])
         else:
             # Each unreached cell's parent is its frontier neighbour with the
             # smallest stamp (a neighbour found before the frontier would
             # have reached it); the new cells are placed by (parent, node
             # id), as that parent's scan would find them.
             todo = unreached.nonzero()[0]
-            first, k = _runs(cell_ptr, todo)
+            base = todo // n * n
+            node = todo - base
+            first, k = start.take(node), width.take(node)
             k_ends = k.cumsum()
-            e_at, e_cell = _expand(cell_nbr, first, k, k_ends)
+            e_at, e_cell = _expand(nbr, first, k, k_ends, base)
             best = np.minimum.reduceat(stamp.take(e_cell, out=e_at, mode="clip"), k_ends - k)
             got = (best < _UNREACHED).nonzero()[0]
-            got = got[np.argsort(best[got] * n + id_rank[todo[got] % n])]
+            got = got[np.argsort(best[got] * n + id_rank[node[got]])]
             new = todo.take(got, out=found[at:at + got.size], mode="clip")
+            new_base = base.take(got)
             f_cell.take(np.searchsorted(stamp[f_cell], best[got]), out=parent[at:at + new.size], mode="clip")
             stamp[new] = np.arange(new.size, dtype=np.int64)
         unreached[new] = False
-        f_cell = new
+        f_cell, f_base = new, new_base
         ends.append(at + new.size)
     if ends[-1] < r * n:
         raise InvalidInputError("infected set is disconnected")
@@ -431,18 +424,12 @@ def _bfs_block(roots: np.ndarray, n: int, cells: tuple[np.ndarray, np.ndarray],
     return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)
 
 
-def _runs(cell_ptr: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the neighbour run of each of the cells ``of`` starts, and its length."""
-    first = cell_ptr.take(of)
-    return first, cell_ptr.take(of + 1) - first
-
-
-def _expand(cell_nbr: np.ndarray, first: np.ndarray, k: np.ndarray,
-            ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expand(nbr: np.ndarray, first: np.ndarray, k: np.ndarray, ends: np.ndarray,
+            base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entries of the neighbour runs that start at ``first`` (lengths
-    ``k``, all at least 1, and their running sum ``ends``), in order: each
-    entry's place in the neighbour table and its neighbour cell, written
-    into the workspace."""
+    ``k``, all at least 1, and their running sum ``ends``) of cells with
+    row bases ``base``, in order: each entry's place in ``nbr`` and its
+    neighbour cell, written into the workspace."""
     m = int(ends[-1])
     at = _WORKSPACE.array("entries", m)
     # Places step by 1 within a run and jump at each run's first entry:
@@ -451,7 +438,9 @@ def _expand(cell_nbr: np.ndarray, first: np.ndarray, k: np.ndarray,
     at[0] = first[0]
     at[ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
     at.cumsum(out=at)
-    return at, cell_nbr.take(at, out=_WORKSPACE.array("entries2", m), mode="clip")
+    cell = nbr.take(at, out=_WORKSPACE.array("entries2", m), mode="clip")
+    cell += np.repeat(base, k)
+    return at, cell
 
 
 #: A BFS level goes bottom-up once the unreached cells have this many

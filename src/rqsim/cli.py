@@ -55,7 +55,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     opts = {}
     if "config" in args:
         with open(args.config, "r", encoding="utf-8") as fh:
-            opts = json.load(fh)
+            try:
+                opts = json.load(fh)
+            except ValueError as exc:  # undecodable text as well as text that is not JSON
+                raise InvalidParameterError(f"{args.config}: not a JSON document: {exc}") from None
         if not isinstance(opts, dict):
             raise InvalidParameterError(f"{args.config}: the config must be a JSON object")
     if "r" in flags or "rstar" in flags:  # a flag's r rule replaces the file's
@@ -205,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (RQSimError, OSError, json.JSONDecodeError) as exc:
+    except (RQSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

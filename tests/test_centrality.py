@@ -122,6 +122,20 @@ class TestLogCentralities:
         with pytest.raises(InvalidInputError):
             log_rumor_centralities({0: [1], 1: [0], 2: []})
 
+    @pytest.mark.parametrize("adj", [{0: [1]}, {0: [1], 1: []}, {0: [1], 1: [0, 1]}, {0: [1, 1], 1: [0, 0]},
+                                     {0: [1, 2], 1: [0, 2], 2: [0, 1]}],
+                             ids=["not-a-key", "asymmetric", "self-loop", "repeat", "cycle"])
+    @pytest.mark.parametrize("score", [log_rumor_centralities, lambda adj: subtree_sizes(adj, 0),
+                                       lambda adj: brute_force_rumor_centrality(adj, 0)],
+                             ids=["log_rumor_centralities", "subtree_sizes", "brute_force"])
+    def test_rejects_malformed_mappings(self, adj, score):
+        with pytest.raises(InvalidInputError):
+            score(adj)
+
+    def test_rejects_a_root_outside_the_mapping(self):
+        with pytest.raises(InvalidInputError):
+            subtree_sizes(PATH3, 7)
+
 
 class TestGeneralGraphScores:
     def test_tree_snapshot_argmax_matches_exact(self, rng):

@@ -317,6 +317,14 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("content", ["regular:3 with p = 0.8\n", b"\xff\xfe{}"], ids=["text", "binary"])
+    def test_config_that_is_not_json_is_named(self, capsys, tmp_path, content):
+        cfg = tmp_path / "notes.txt"
+        (cfg.write_bytes if isinstance(content, bytes) else cfg.write_text)(content)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {cfg}: not a JSON document: ")
+
     def test_config_missing_required_key(self, capsys, tmp_path):
         doc = {key: v for key, v in self.SWEEP.items() if key != "q"}
         code, _, err = self.run_config(capsys, tmp_path, doc)

@@ -122,6 +122,11 @@ def block_rows(snap: Snapshot, rows: int):
     return mock.patch.object(centrality, "BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count)
 
 
+#: ``centrality.BLOCK_ENTRIES`` values that the scorer used before its
+#: default.
+EARLIER_WIDTHS = pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16], ids=["2^15", "2^16"])
+
+
 #: ``centrality._BOTTOM_UP`` values that make every BFS level bottom-up,
 #: mix the directions as the scorer does by default, or keep every level
 #: top-down.
@@ -190,10 +195,8 @@ class TestExactLogSums:
 
     def test_log_entries_are_multiples_of_two_to_the_minus_53(self, table):
         assert all((math.log(k) * 2.0**53).is_integer() for k in range(2, self.SIZE))
-        high, low = table
-        assert high[0] == low[0] == high[1] == low[1] == 0
-        fixed = [(h << 28) + lo for h, lo in zip(high.tolist(), low.tolist())]
-        assert fixed[2:] == [int(math.log(k) * 2.0**53) for k in range(2, self.SIZE)]
+        assert table[0] == table[1] == 0
+        assert table[2:].tolist() == [int(math.log(k) * 2.0**53) for k in range(2, self.SIZE)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -215,22 +218,28 @@ class TestExactLogSums:
 
     def test_table_kept_per_process_and_grown_by_doubling(self, monkeypatch):
         # A fresh table, put back afterwards, so no other test's calls count.
-        monkeypatch.setattr(centrality, "_LOG_TABLE", (np.zeros(1, np.int64), np.zeros(1, np.int64)))
-        assert _log_table(10)[0].size == 10
+        monkeypatch.setattr(centrality, "_LOG_TABLE", np.zeros(1, np.int64))
+        assert _log_table(10).size == 10
         kept = centrality._LOG_TABLE
         small = _log_table(5)
         assert centrality._LOG_TABLE is kept  # served from the kept table
-        assert np.shares_memory(small[0], kept[0]) and np.shares_memory(small[1], kept[1])
-        assert _log_table(15)[0].size == 15
-        assert centrality._LOG_TABLE[0].size == 20  # doubled, not grown to 15
-        high, low = _log_table(50)  # past double: grown to what is asked
-        assert centrality._LOG_TABLE[0].size == high.size == low.size == 50
-        fixed = [(h << 28) + lo for h, lo in zip(high.tolist(), low.tolist())]
-        assert fixed == [0] + [int(math.log(k) * 2.0**53) for k in range(1, 50)]
+        assert np.shares_memory(small, kept)
+        assert _log_table(15).size == 15
+        assert centrality._LOG_TABLE.size == 20  # doubled, not grown to 15
+        fixed = _log_table(50)  # past double: grown to what is asked
+        assert centrality._LOG_TABLE.size == fixed.size == 50
+        assert fixed.tolist() == [0] + [int(math.log(k) * 2.0**53) for k in range(1, 50)]
 
     def test_largest_entries_at_the_largest_count(self, table):
+        """10**4 copies of the table's largest entry sum to past 2**69
+        units, so the int64 sum wraps many times over."""
         picks = np.full((1, 10**4), self.SIZE - 1)
+        assert int(table[-1]) * 10**4 > 2**69
         assert _log_sums(table, picks) == [math.fsum([math.log(self.SIZE - 1)] * 10**4)]
+        # The same sum across two parts, and with entries 0 and 1 (zeros) mixed in.
+        assert _log_sums(table, picks[:, :1], picks[:, 1:]) == _log_sums(table, picks)
+        mixed = np.concatenate((picks, [[0, 1] * 10]), axis=1)
+        assert _log_sums(table, mixed) == _log_sums(table, picks)
 
 
 class TestInvalidInputs:
@@ -329,6 +338,16 @@ class TestAgainstFirstBlockScorer:
         assert_equals_block_oracle(snap, sorted(snap.infected)[::7])
 
     @DIRECTIONS
+    @EARLIER_WIDTHS
+    @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
+                             ids=["er:2000:4", "sf:4039:22"])
+    def test_benchmark_graphs_at_earlier_widths(self, bottom_up, block_entries, family, size, density,
+                                                monkeypatch):
+        """The test above at the block widths the scorer used before."""
+        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        self.test_benchmark_graphs_at_n400(bottom_up, family, size, density, monkeypatch)
+
+    @DIRECTIONS
     @pytest.mark.parametrize("rows", ["1", "2", "n-1"])
     def test_rows_per_block(self, bottom_up, rows, monkeypatch):
         snap = _snapshot("sf", 600, 8.0, 60, seed=7)
@@ -365,7 +384,8 @@ class TestWorkspace:
         monkeypatch.setattr(centrality, "_WORKSPACE", fresh)
         return fresh
 
-    @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16], ids=["2^15", "2^16"])
+    @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16, centrality.BLOCK_ENTRIES],
+                             ids=["2^15", "2^16", "default"])
     def test_reused_across_snapshots(self, n400, workspace, block_entries, monkeypatch):
         """Dense, then sparse, then tiny snapshots, a disconnected set that
         fails mid-BFS, then the sparse one again: each table, full and for a
@@ -388,11 +408,20 @@ class TestWorkspace:
             general_graph_scores(n400[name])
         assert sum(buffer.nbytes for buffer in workspace.buffers.values()) <= 2.5 * 2**20
 
+    @pytest.mark.parametrize("name,most", [("sf", 1.40), ("er", 1.69)])
+    def test_retained_size_at_the_default_width(self, n400, workspace, name, most):
+        """The workspace that one N = 400 score leaves at the default width
+        is no larger than the one the scorer left at 2**16, when it also
+        held a copy of the neighbour table for every row of a block (1.40
+        MB after sf:4039:22, 1.69 MB after er:2000:4)."""
+        general_graph_scores(n400[name])
+        assert sum(buffer.nbytes for buffer in workspace.buffers.values()) <= most * 2**20
+
     def test_threads_score_at_once(self, n400, monkeypatch):
         """Four threads, two per snapshot, score at the same time from an
         empty log table that they all grow; each table equals the per-root
         scorer's."""
-        monkeypatch.setattr(centrality, "_LOG_TABLE", (np.zeros(1, np.int64), np.zeros(1, np.int64)))
+        monkeypatch.setattr(centrality, "_LOG_TABLE", np.zeros(1, np.int64))
         names = ["sf", "er", "sf", "er"]
         want = {name: per_root_scores(n400[name]) for name in n400}
         start = threading.Barrier(len(names))
@@ -422,7 +451,8 @@ def test_n400_score_peak_memory(family, size, density):
     ``test_n400_snapshot_equals_per_root_scorer`` stays under 2 MB, which
     keeps the per-process RSS of a loopy sweep close to where it was.
     tracemalloc peaks measured on these snapshots: er:2000:4 0.70 MB with
-    the first block scorer, 1.16 MB now; sf:4039:22 0.86 and 1.03 MB."""
+    the first block scorer, 1.40 MB at 3 * 2**15 entries per block;
+    sf:4039:22 0.86 and 0.93 MB."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
     general_graph_scores(snap)  # fills the snapshot's caches and the log table
     tracemalloc.start()
@@ -537,6 +567,14 @@ class TestLeavesFromTheirNeighbour:
         leaves = self.leaves(snap)
         assert 0.2 * snap.n < len(leaves) < 0.5 * snap.n
         assert score(snap)[1] == sorted(set(snap.infected) - set(leaves))
+
+    @EARLIER_WIDTHS
+    @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
+                             ids=["er:2000:4", "sf:2000:1.5"])
+    def test_n400_at_earlier_widths(self, score, block_entries, family, size, density, monkeypatch):
+        """The test above at the block widths the scorer used before."""
+        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        self.test_n400_bfs_only_from_non_leaves(score, family, size, density)
 
     @pytest.mark.parametrize("rows", [1, 4, None])
     def test_leaves_without_their_neighbours(self, score, rows):

@@ -109,15 +109,15 @@ def test_hop_candidates_match_reference(family, n, seed, round_trip):
 
 
 def test_threads_grow_the_kept_log_list(monkeypatch):
-    """Tree scores read one list of logarithms per process, which a caller
+    """Tree scores read the one log table per process, which a caller
     replaces by a longer one when it needs more.  Four threads that score
     snapshots of different sizes at once, each round from a one-entry
-    list, each get the tables that a full list gives."""
+    table, each get the tables that a full table gives."""
     sizes = [400, 30, 250, 400]
     snaps = [draw("regular:3", n, seed) for seed, n in enumerate(sizes)]
     want = [likelihood_table(snap) for snap in snaps]
-    monkeypatch.setattr(centrality, "_LOGS", [0.0])
-    start = threading.Barrier(len(snaps), action=lambda: setattr(centrality, "_LOGS", [0.0]))
+    monkeypatch.setattr(centrality, "_LOG_TABLE", np.zeros(1, np.int64))
+    start = threading.Barrier(len(snaps), action=lambda: setattr(centrality, "_LOG_TABLE", np.zeros(1, np.int64)))
 
     def score(snap):
         tables = []
@@ -136,7 +136,7 @@ def test_threads_grow_the_kept_log_list(monkeypatch):
         sys.setswitchinterval(interval)
     for got, table in zip(tables, want):
         assert all(t == table for t in got)
-    assert centrality._LOGS[:401] == [0.0, *map(math.log, range(1, 401))]
+    assert (centrality._LOG_TABLE[:401] / 2**53).tolist() == [0.0, *map(math.log, range(1, 401))]
 
 
 class ReadRecorder:
