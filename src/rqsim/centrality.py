@@ -491,9 +491,10 @@ def likelihood_table(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> 
 
 
 def pick_best(scores: Mapping[int, float], pool: Iterable[int]) -> int:
-    """Highest-scoring node of ``pool``; ties go to the lowest node id."""
+    """Highest-scoring node of ``pool``; ties go to the lowest node id.
+    ``pool`` may be ``scores`` itself, whose values are then read in order."""
     nodes = list(pool)
-    values = list(map(scores.__getitem__, nodes))
+    values = list(scores.values() if pool is scores else map(scores.__getitem__, nodes))
     if not values:
         raise InvalidInputError("empty candidate pool")
     top = max(values)

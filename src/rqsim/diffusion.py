@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -298,16 +299,23 @@ def _spread_on_fresh_tree(tree: RegularTree, n_target: int, rng: np.random.Gener
     boundary holds bare child ids, as the tree numbers them once it
     expands the nodes in infection order, so that infection positions are
     the tree's places.
+
+    The k-th pick takes entry i of a boundary of ``last + 1`` entries;
+    the last entry moves into its place, and the k-th infected node's
+    children join: the first at ``last``, the other ``d - 2`` after it.
+    That is the list ``pop()`` and ``+= children`` would build, written
+    in place: every id that joins after the first child is known in
+    advance, so the list starts with them in the places they will take.
     """
     d = tree.d
     picks = rng.integers(0, d + (d - 2) * np.arange(n_target - 1, dtype=np.int64))
-    boundary, infected = list(tree.children(0)), [0]
-    for children, i in zip(tree.children_from(1), picks.tolist()):
-        v = boundary[i]
-        boundary[i] = boundary[-1]
-        boundary.pop()
-        infected.append(v)
-        boundary += children
+    # Row k - 1 holds the ids of the k-th infected node's children.
+    children = np.arange(d + 1, d + 1 + (n_target - 1) * (d - 1)).reshape(-1, d - 1)
+    boundary, infected = [*range(1, d + 1), *children[:, 1:].ravel().tolist()], [0]
+    for i, last, first in zip(picks.tolist(), count(d - 1, d - 2), children[:, 0].tolist()):
+        infected.append(boundary[i])
+        boundary[i] = boundary[last]
+        boundary[last] = first
     tree.expand_in_order(infected)
     parent_pos = [-1, *tree.parent_place(np.array(infected[1:], dtype=np.int64)).tolist()]
     return Snapshot(tree, tuple(infected), parent_pos, dict(zip(infected, range(n_target))))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import accumulate, chain, count
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class RegularTree:
     :meth:`expand_in_order`; either way it takes the next place of the
     expansion order, which starts at the root.  Ids follow from places
     by one rule: the root's children are ``1..d``, and the node at place
-    k >= 1 owns the ``d - 1`` ids from ``d + 1 + (k - 1)(d - 1)`` on.  So
+    k >= 1 owns the ``d - 1`` ids from ``2 + k(d - 1)`` on.  So
     node ``v > d`` is a child of the node at place ``(v - 2) // (d - 1)``.
     Growth mutates the instance, so each trial owns a private tree.
     """
@@ -138,22 +138,12 @@ class RegularTree:
             k = len(self._order)
             self.expand_in_order([v])
         if k == 0:
-            return tuple(self.children(0))
-        return (self._order[self.parent_place(v)], *self.children(k))
-
-    def children(self, k: int) -> range:
-        """Ids of the children of the node at place ``k``."""
-        d = self.d
-        if k == 0:
-            return range(1, d + 1)
-        first = d + 1 + (k - 1) * (d - 1)
-        return range(first, first + d - 1)
-
-    def children_from(self, k: int) -> Iterator[range]:
-        """``children(k)``, ``children(k + 1)``, ... for ``k >= 1``, as each
-        place owns the next ``d - 1`` ids."""
-        first, width = self.children(k).start, self.d - 1
-        return map(range, count(first, width), count(first + width, width))
+            return tuple(range(1, self.d + 1))
+        # parent_place(v) and the children of place k, inline: this runs
+        # on every first visit of a respondent.
+        w = self.d - 1
+        first = 2 + k * w
+        return (self._order[abs(v - 2) // w], *range(first, first + w))
 
     def parent_place(self, v):
         """Place of the parent of materialized node ``v >= 1``; element-wise

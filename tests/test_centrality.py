@@ -111,6 +111,12 @@ class TestLogCentralities:
         # both ends of a 2-path have one ordering each
         table = log_rumor_centralities({0: [1], 1: [0]})
         assert table.center == 0
+        # Tables keyed in infection order, not by id, with a tie at the
+        # top: the table as its own pool, its key list and a set pick alike.
+        path = likelihood_table(simulate_si(graph_from_edges(2, [(0, 1)]), 1, 2, np.random.default_rng(0)))
+        assert list(path) == [1, 0]
+        for scores, want in ((path, 0), ({5: 1.0, 9: 2.0, 3: 2.0, 7: 0.5}, 3)):
+            assert pick_best(scores, scores) == pick_best(scores, list(scores)) == pick_best(scores, set(scores)) == want
 
     def test_rejects_non_tree_snapshot(self, rng):
         tri = graph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
