@@ -43,7 +43,8 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
                    help="batch candidate ordering (default hop)")
     p.add_argument("--fixed-graph", action="store_true",
                    help="pin one random graph instance instead of regenerating per trial")
-    p.add_argument("--threads", type=int, help="worker processes (default: all cores; env RQS_THREADS)")
+    p.add_argument("--threads", type=int,
+                   help="worker processes (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.add_argument("--zero-timing", action="store_true",

@@ -318,7 +318,9 @@ def _spread_on_fresh_tree(tree: RegularTree, n_target: int, rng: np.random.Gener
         boundary[last] = first
     tree.expand_in_order(infected)
     parent_pos = [-1, *tree.parent_place(np.array(infected[1:], dtype=np.int64)).tolist()]
-    return Snapshot(tree, tuple(infected), parent_pos, dict(zip(infected, range(n_target))))
+    # The fresh tree's place map is now the infection index; a copy, as the
+    # tree's own map grows with later visits.
+    return Snapshot(tree, tuple(infected), parent_pos, tree._place.copy())
 
 
 def _symmetric_sums(a: int, b_max: int, d: int) -> list[int]:

@@ -28,6 +28,7 @@ from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from itertools import product
+from numbers import Integral, Real
 from typing import Mapping
 
 import numpy as np
@@ -173,6 +174,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in ("na", "ad"):
             raise InvalidParameterError(f"scheme must be 'na' or 'ad', got {self.scheme!r}")
+        # A bool is a bool only: not an integer, not a real number.
+        for name, values, kind in (
+            ("budgets", self.budgets, Integral),
+            ("p_values", self.p_values, Real),
+            ("q_values", self.q_values, Real),
+            ("n_infected", (self.n_infected,), Integral),
+            ("trials", (self.trials,), Integral),
+            ("master_seed", (self.master_seed,), Integral),
+            ("threads", () if self.threads is None else (self.threads,), Integral),
+            ("fixed_graph", (self.fixed_graph,), bool),
+        ):
+            if not all(isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in values):
+                raise InvalidParameterError(
+                    f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}"
+                )
         if self.trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threads is not None and self.threads < 1:
@@ -410,20 +426,12 @@ def _in_trial(trial_index: int, fn, *args):
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
-    """The config's worker count, else ``RQS_THREADS`` (an integer >= 1),
-    else every core."""
+    """The config's worker count, else the CPUs this process may run on."""
     if config.threads is not None:
         return config.threads
-    env = os.environ.get("RQS_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise InvalidParameterError(f"RQS_THREADS must be an integer >= 1, got {env!r}")
-    return workers
+    if hasattr(os, "sched_getaffinity"):  # os.cpu_count() ignores the affinity mask
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> int:
@@ -563,7 +571,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     of aborting the sweep: its r* cannot be resolved, or its estimator
     raised in some trial.  A failure in a trial's shared build, simulation
     or scoring (for example an infection target larger than the graph)
-    fails every row.  A bad ``RQS_THREADS`` raises before any trial.
+    fails every row.
     """
     spec = config.spec
     workers = _resolve_workers(config)

@@ -166,14 +166,14 @@ class TestSimulate:
     def test_failed_sweep_keeps_the_output_file(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "rows.csv"
         out_path.write_text("rows of an earlier run\n")
-        monkeypatch.setenv("RQS_THREADS", "zero")
+        missing = tmp_path / "no-such-graph.txt"
         code, out, err = run_cli(
-            capsys, "simulate", "--graph", "regular:3", "--n", "25", "--scheme", "na",
+            capsys, "simulate", "--graph", f"edgelist:{missing}", "--n", "25", "--scheme", "na",
             "--k", "10", "--p", "0.9", "--q", "0.9", "--trials", "3",
             "--output", str(out_path),
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error:") and "RQS_THREADS" in err
+        assert err.startswith("error:") and "no-such-graph.txt" in err
         assert out_path.read_text() == "rows of an earlier run\n"
 
     def test_output_replaces_a_longer_file_and_may_name_the_input(self, capsys, tmp_path):

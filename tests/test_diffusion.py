@@ -66,6 +66,14 @@ class TestSimulateSI:
         assert s1.infected == s2.infected
         assert s1.parent == s2.parent
 
+    def test_a_fresh_tree_spread_owns_its_index(self):
+        tree = make_regular_tree(3)
+        snap = simulate_si(tree, 0, 50, np.random.default_rng(4))
+        expected = dict(zip(snap.infected, range(50)))
+        assert list(snap.index.items()) == list(expected.items())
+        tree.neighbors(tree.neighbors(snap.infected[-1])[-1])  # grows the tree past the spread
+        assert list(snap.index.items()) == list(expected.items())
+
     def test_rejects_bad_target(self, rng):
         with pytest.raises(InvalidParameterError):
             simulate_si(path_graph(3), 0, 0, rng)

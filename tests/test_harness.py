@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -298,6 +299,8 @@ class TestOutputFormats:
         for threads in (0, -2):
             with pytest.raises(InvalidParameterError):
                 small_config(threads=threads)
+        # numpy integers are integers, and numpy floats real numbers.
+        small_config(budgets=(np.int64(20),), trials=np.int32(10), p_values=(np.float64(0.8),))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -310,6 +313,24 @@ class TestOutputFormats:
 def test_config_rejects_values_every_trial_would_fail_on(overrides):
     # The constructor raises, so no trial of the sweep can run.
     with pytest.raises(InvalidParameterError):
+        small_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"budgets": (50.5,)},
+    {"budgets": (True,)},
+    {"trials": 3.0},
+    {"threads": 2.0},
+    {"threads": True},
+    {"n_infected": 40.0},
+    {"master_seed": 1.5},
+    {"p_values": ("0.8",)},
+    {"q_values": (True,)},
+    {"fixed_graph": "no"},
+])
+def test_config_rejects_a_field_of_the_wrong_type(overrides):
+    # Built directly, not through from_mapping: the constructor checks types.
+    with pytest.raises(InvalidParameterError, match=f"^{next(iter(overrides))} must be of type"):
         small_config(**overrides)
 
 
@@ -414,8 +435,6 @@ def test_row_reproducible_from_derived_seeds():
 
 
 def test_outcome_gives_every_candidate_a_predecessor_edge():
-    import numpy as np
-
     from rqsim.diffusion import simulate_si
     from rqsim.estimators import NAConfig, run_mvna
     from rqsim.graphs import make_regular_tree
@@ -429,32 +448,17 @@ def test_outcome_gives_every_candidate_a_predecessor_edge():
     assert len(out.candidates) == 15
 
 
-def test_env_thread_override(monkeypatch, capsys):
-    from rqsim.cli import main
+def test_default_worker_count_is_the_cpus_this_process_may_run_on(monkeypatch):
     from rqsim.harness import _resolve_workers
 
-    monkeypatch.setenv("RQS_THREADS", "3")
-    assert _resolve_workers(small_config(threads=None)) == 3
-    assert _resolve_workers(small_config(threads=2)) == 2  # the config wins
-    monkeypatch.setenv("RQS_THREADS", "")  # empty: as if unset
-    assert _resolve_workers(small_config(threads=None)) >= 1
-    # Anything but an integer >= 1 stops a sweep before its first trial,
-    # as --threads 0 does, instead of running one worker or all cores.
-    trials = []
-    monkeypatch.setattr("rqsim.harness._run_single_trial", lambda *args: trials.append(args))
-    for bad in ("junk", "0", "-4", "2.5"):
-        monkeypatch.setenv("RQS_THREADS", bad)
-        with pytest.raises(InvalidParameterError, match="RQS_THREADS"):
-            _resolve_workers(small_config(threads=None))
-        with pytest.raises(InvalidParameterError, match="RQS_THREADS"):
-            run_experiment(small_config(threads=None))
-        code = main(["simulate", "--graph", "regular:3", "--scheme", "na", "--k", "20", "--p", "0.8",
-                     "--q", "0.8", "--n", "40", "--trials", "2"])
-        out, err = capsys.readouterr()
-        assert (code, out, trials) == (1, "", [])
-        assert err.startswith("error:") and "RQS_THREADS" in err
-    monkeypatch.delenv("RQS_THREADS")
-    assert _resolve_workers(small_config(threads=2)) == 2
+    monkeypatch.setenv("RQS_THREADS", "5")  # no longer read
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    assert _resolve_workers(small_config(threads=None)) == 2
+    assert _resolve_workers(small_config(threads=3)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _resolve_workers(small_config(threads=None)) == 64
+    assert _resolve_workers(small_config(threads=3)) == 3
 
 
 def test_config_from_mapping_converts_by_flag_name():
@@ -509,8 +513,6 @@ def test_likelihood_centre_found_once_per_trial(monkeypatch, scheme):
 
 @pytest.mark.parametrize("order", ["hop", "centrality"])
 def test_estimators_given_the_centre_match_their_own_search(order):
-    import numpy as np
-
     from rqsim.centrality import likelihood_table, pick_best
     from rqsim.diffusion import simulate_si
     from rqsim.estimators import ADConfig, NAConfig, run_mvad, run_mvna

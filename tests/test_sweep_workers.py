@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import pytest
 
-import rqsim.graphs
 import rqsim.harness
 from rqsim.cli import main
 from rqsim.harness import ExperimentConfig, rows_to_csv, rows_to_json, run_experiment
@@ -202,21 +201,33 @@ def test_a_row_error_raised_in_a_child_keeps_its_traceback(monkeypatch, spread, 
 
 
 def test_a_pinned_graph_is_built_once_per_multi_worker_sweep(monkeypatch, tmp_path):
-    builds = tmp_path / "builds"
-    real = rqsim.graphs.make_scale_free
+    # One build per sweep, in this process, at every worker count; a forked
+    # sweep builds before its first trial, so that every child inherits it.
+    events = tmp_path / "events"
 
-    def recording(*args):
-        with open(builds, "a", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args)
+    def log(event):
+        with open(events, "a", encoding="ascii") as fh:
+            fh.write(f"{event} {os.getpid()}\n")
 
-    monkeypatch.setattr(rqsim.graphs, "make_scale_free", recording)
-    rqsim.harness._pinned_graph.cache_clear()
-    cfg = config(graph="sf:600:6", fixed_graph=True, n_infected=100, trials=6)
-    got = json_at(cfg, 3)
-    assert builds.read_text(encoding="ascii").splitlines() == [str(os.getpid())]
-    rqsim.harness._pinned_graph.cache_clear()
-    assert got == json_at(cfg, 1)
+    real_build, real_trial = rqsim.harness._build_graph, rqsim.harness._run_single_trial
+    monkeypatch.setattr(rqsim.harness, "_build_graph",
+                        lambda *args: log("build") or real_build(*args))
+    monkeypatch.setattr(rqsim.harness, "_run_single_trial",
+                        lambda cfg, rows, t: log(f"trial {t}") or real_trial(cfg, rows, t))
+    edges = tmp_path / "ring.txt"
+    edges.write_text("".join(f"{v} {(v + 1) % 200}\n{v} {(v + 7) % 200}\n" for v in range(200)))
+    for cfg in (config(graph="sf:600:6", fixed_graph=True, n_infected=100, trials=6),
+                config(graph=f"edgelist:{edges}", n_infected=100, trials=6)):
+        outputs = []
+        for threads in (1, 2, 3):
+            events.unlink(missing_ok=True)
+            rqsim.harness._pinned_graph.cache_clear()
+            outputs.append(json_at(cfg, threads))
+            lines = events.read_text(encoding="ascii").splitlines()
+            assert [line for line in lines if line.startswith("build")] == [f"build {os.getpid()}"]
+            if threads > 1 or cfg.spec.family == "edgelist":
+                assert lines[0].startswith("build")
+        assert outputs[1:] == outputs[:1] * 2
 
 
 def test_every_trial_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path):
