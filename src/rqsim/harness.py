@@ -136,16 +136,16 @@ class ExperimentConfig:
 
         ``k``, ``p`` and ``q`` take a number, a list, or the flags'
         comma-separated text.  ``r`` (a fixed count) beats ``rstar`` (a
-        closed form), which beats ``r_mode``.  An unknown key or a value of
-        the wrong type raises InvalidParameterError; a missing ``graph``,
-        ``scheme``, ``k``, ``p`` or ``q`` raises TypeError, as the constructor does.
+        closed form), which beats ``r_mode``.  An unknown key raises
+        InvalidParameterError, and the constructor checks the values' types;
+        a missing ``graph``, ``scheme``, ``k``, ``p`` or ``q`` raises TypeError.
         """
         unknown = sorted(set(options) - set(_OPTIONS))
         if unknown:
             raise InvalidParameterError(f"unknown option(s): {', '.join(unknown)}")
         # In _OPTIONS order, so that r beats rstar beats r_mode.
         return cls(**{
-            _OPTIONS[key][0]: _option(key, options[key]) for key in _OPTIONS if key in options
+            _OPTIONS[key]: _option(key, options[key]) for key in _OPTIONS if key in options
         })
 
     @cached_property
@@ -172,23 +172,27 @@ class ExperimentConfig:
         )
 
     def __post_init__(self):
+        # Each field is stored as its plain type: a numpy number as an int or
+        # float, an int as a float where a real number is asked for, and a
+        # list as a tuple.  A bool is a bool only: not an integer, not a real number.
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if name == "threads" and value is None:
+                continue
+            many = name in ("budgets", "p_values", "q_values")
+            items = value if many and isinstance(value, (tuple, list)) else (value,)
+            abstract = {int: Integral, float: Real}.get(kind, kind)
+            if (many and items is not value) or not all(
+                isinstance(v, abstract) and isinstance(v, bool) == (kind is bool) for v in items
+            ):
+                raise InvalidParameterError(
+                    f"{name} must be of type {'tuple of ' if many else ''}{kind.__name__}, "
+                    f"got {value!r}"
+                )
+            plain = tuple(map(kind, items))
+            object.__setattr__(self, name, plain if many else plain[0])
         if self.scheme not in ("na", "ad"):
             raise InvalidParameterError(f"scheme must be 'na' or 'ad', got {self.scheme!r}")
-        # A bool is a bool only: not an integer, not a real number.
-        for name, values, kind in (
-            ("budgets", self.budgets, Integral),
-            ("p_values", self.p_values, Real),
-            ("q_values", self.q_values, Real),
-            ("n_infected", (self.n_infected,), Integral),
-            ("trials", (self.trials,), Integral),
-            ("master_seed", (self.master_seed,), Integral),
-            ("threads", () if self.threads is None else (self.threads,), Integral),
-            ("fixed_graph", (self.fixed_graph,), bool),
-        ):
-            if not all(isinstance(v, kind) and isinstance(v, bool) == (kind is bool) for v in values):
-                raise InvalidParameterError(
-                    f"{name} must be of type {kind.__name__}, got {getattr(self, name)!r}"
-                )
         if self.trials < 1:
             raise InvalidParameterError(f"trials must be >= 1, got {self.trials}")
         if self.threads is not None and self.threads < 1:
@@ -209,46 +213,37 @@ class ExperimentConfig:
         self.spec, self.r_rule  # parse and check both once; later reads hit the cache
 
 
-#: ``simulate``'s options by flag name: the config field each one sets and
-#: its value type (of each element for ``k``, ``p`` and ``q``).
-_OPTIONS = {
-    "graph": ("graph", str),
-    "scheme": ("scheme", str),
-    "k": ("budgets", int),
-    "p": ("p_values", float),
-    "q": ("q_values", float),
-    "n": ("n_infected", int),
-    "trials": ("trials", int),
-    "seed": ("master_seed", int),
-    "candidate_order": ("candidate_order", str),
-    "fixed_graph": ("fixed_graph", bool),
-    "threads": ("threads", int),
-    "r_mode": ("r_mode", str),
-    "rstar": ("r_mode", str),
-    "r": ("r_mode", int),
+#: Each config field's type; ``budgets``, ``p_values`` and ``q_values`` hold
+#: a tuple of it, and ``threads`` may also be None.
+_FIELD_TYPES = {
+    "graph": str, "scheme": str, "budgets": int, "p_values": float, "q_values": float,
+    "n_infected": int, "r_mode": str, "trials": int, "master_seed": int, "fixed_graph": bool,
+    "candidate_order": str, "threads": int,
 }
 
-
-def _typed(key: str, value, kind: type):
-    # JSON and argparse hand over typed values; only an int widens, to a float.
-    if type(value) is kind or (kind is float and type(value) is int):
-        return kind(value)
-    raise InvalidParameterError(f"option {key!r} must be of type {kind.__name__}, got {value!r}")
+#: ``simulate``'s options by flag name, and the config field each one sets.
+_OPTIONS = {
+    "graph": "graph", "scheme": "scheme", "k": "budgets", "p": "p_values", "q": "q_values",
+    "n": "n_infected", "trials": "trials", "seed": "master_seed",
+    "candidate_order": "candidate_order", "fixed_graph": "fixed_graph", "threads": "threads",
+    "r_mode": "r_mode", "rstar": "r_mode", "r": "r_mode",
+}
 
 
 def _option(key: str, value):
     """The config field value of option ``key``."""
-    kind = _OPTIONS[key][1]
+    if key == "r" and type(value) is not int:  # "fixed:" + "3" would pass as r_mode
+        raise InvalidParameterError(f"r must be of type int, got {value!r}")
+    if key in ("r", "rstar"):
+        return f"{'fixed' if key == 'r' else 'rstar'}:{value}"
     if key not in ("k", "p", "q"):
-        value = _typed(key, value, kind)
-        return {"r": f"fixed:{value}", "rstar": f"rstar:{value}"}.get(key, value)
+        return value
     if isinstance(value, str):  # the flags' comma-separated text
         try:
-            return tuple(kind(x) for x in value.split(","))
+            return tuple((int if key == "k" else float)(x) for x in value.split(","))
         except ValueError:
             raise InvalidParameterError(f"option {key!r}: cannot parse {value!r}") from None
-    items = value if isinstance(value, (list, tuple)) else [value]
-    return tuple(_typed(key, x, kind) for x in items)
+    return value if isinstance(value, (list, tuple)) else (value,)
 
 
 @dataclass

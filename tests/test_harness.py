@@ -301,6 +301,8 @@ class TestOutputFormats:
                 small_config(threads=threads)
         # numpy integers are integers, and numpy floats real numbers.
         small_config(budgets=(np.int64(20),), trials=np.int32(10), p_values=(np.float64(0.8),))
+        listed, twin = small_config(budgets=[0, 20]), small_config(budgets=(0, 20))
+        assert listed == twin and hash(listed) == hash(twin)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -327,11 +329,26 @@ def test_config_rejects_values_every_trial_would_fail_on(overrides):
     {"p_values": ("0.8",)},
     {"q_values": (True,)},
     {"fixed_graph": "no"},
+    {"graph": 5},
+    {"graph": None},
+    {"r_mode": 5},
+    {"p_values": 0.8},
+    {"budgets": 10},
 ])
 def test_config_rejects_a_field_of_the_wrong_type(overrides):
     # Built directly, not through from_mapping: the constructor checks types.
     with pytest.raises(InvalidParameterError, match=f"^{next(iter(overrides))} must be of type"):
         small_config(**overrides)
+
+
+def test_numpy_numbers_render_as_plain_numbers():
+    # The constructor stores plain numbers, so the rows hold no numpy scalar.
+    numpy_cfg = small_config(budgets=(np.int64(0), np.int64(20)), trials=np.int64(4),
+                             p_values=(np.float64(0.8),))
+    plain = run_experiment(small_config(budgets=(0, 20), trials=4))
+    rows = run_experiment(numpy_cfg)
+    assert rows_to_json(rows, True) == rows_to_json(plain, True)
+    assert rows_to_csv(rows, True) == rows_to_csv(plain, True)
 
 
 #: Hand-built rows: a plain row, one whose floats exercise the trailing-zero
@@ -472,7 +489,8 @@ def test_config_from_mapping_converts_by_flag_name():
     )
     assert type(cfg.p_values[0]) is float
     base = {"graph": "regular:3", "scheme": "na", "k": 10, "p": 0.8, "q": 0.8}
-    for bad in ({"trials": 2.5}, {"threads": "2"}, {"fixed_graph": 0}, {"nodes": 30}):
+    for bad in ({"trials": 2.5}, {"threads": "2"}, {"fixed_graph": 0}, {"nodes": 30},
+                {"r": "3"}, {"rstar": 5}, {"graph": 5}, {"p": ["0.8"]}):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig.from_mapping({**base, **bad})
 
