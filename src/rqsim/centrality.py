@@ -145,13 +145,16 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     (:func:`_bfs_block`) over the snapshot's own neighbour table.  The
     block's large arrays live in this thread's :class:`_Workspace`.  Each
     root's two sums of logarithms are exact and rounded once
-    (:func:`_log_sums`, :func:`_wrapped_sums`), so roots with equal counts
+    (:func:`_wrapped_sums`, :func:`_rounded`), so roots with equal counts
     tie exactly and the lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
     ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
-    targets = np.array(_positions(snapshot, nodes), dtype=np.int64)
     n = len(ids)
+    if 2 * n > _ROW_LIMIT:  # a denominator row holds 2n - 1 logarithms
+        raise InvalidInputError(f"{n} infected nodes: too many to score exactly")
+    by_id = np.argsort(ids)
+    targets = by_id if nodes is None else np.array(_positions(snapshot, nodes), dtype=np.int64)
     deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
     start, width = ptr[:-1], np.diff(ptr)
     owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
@@ -172,7 +175,6 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     place[nbr[into]] = into - start[owner[into]] + 1
     # The roots that get a BFS, by ascending id (in infection order the
     # sf:4039:22 scores took about 4% longer), and each leaf's row among them.
-    by_id = np.argsort(ids)
     id_rank = np.argsort(by_id)
     is_root = np.zeros(n, dtype=bool)
     is_root[targets[~is_leaf]] = is_root[hub] = True
@@ -180,12 +182,12 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     hub_row = np.searchsorted(id_rank[roots], id_rank[hub])
     chunk = max(1, BLOCK_ENTRIES // n)  # leaves at a time: fewer than BLOCK_ENTRIES boundaries
 
-    scores: dict[int, float] = {}
+    scores = np.empty(n)  # by position: (log n! + numerator) - denominator
     for b in range(0, roots.size, rows):
         block = roots[b:b + rows]
         order, size = _bfs_block(block, start, width, nbr, owner, id_rank)
         links = _earlier_neighbours(order, start, owner, nbr)
-        log_links = _log_sums(table, links)
+        top = log_n_factorial + _rounded(*_wrapped_sums(table, links))
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
         links *= -2
         links += deg
@@ -193,17 +195,14 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
         del links
         np.cumsum(bounds, axis=1, out=bounds)
         den = _wrapped_sums(table, bounds[:, :-1], size)
-        for root, num, rounded in zip(block.tolist(), log_links, _rounded(*den)):
-            scores[root] = log_n_factorial + num - rounded
+        scores[block] = top - _rounded(*den)
         ours = np.flatnonzero(hub_row // rows == b // rows)  # the leaves of this block's rows
         for a in range(0, ours.size, chunk):
             at = ours[a:a + chunk]
             row, v = hub_row[at] - b, leaf[at]
             shifts = _leaf_shifts(table, bounds, row, place[v], deg[v])
-            dens = _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
-            for u, r, rounded in zip(v.tolist(), row.tolist(), dens):
-                scores[u] = log_n_factorial + log_links[r] - rounded
-    return {ids[t]: scores[t] for t in targets.tolist()}
+            scores[v] = top[row] - _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
+    return dict(zip(map(ids.__getitem__, targets.tolist()), scores[targets].tolist()))
 
 
 def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
@@ -240,6 +239,7 @@ def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
 BLOCK_ENTRIES = 3 << 15
 
 _ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
+_ROW_LIMIT = 1 << 23  # rows of fewer table entries sum below 2**82: _rounded is exact
 _UNREACHED = 1 << 62
 
 
@@ -271,28 +271,25 @@ _LOG_TABLE = np.zeros(1, dtype=np.int64)
 _LOG_LOCK = threading.Lock()
 
 
-def _log_sums(table: np.ndarray, *parts: np.ndarray) -> list[float]:
-    """Per row, the sum of the table entries that ``parts`` index, summed
-    exactly and rounded once: the correctly rounded sum, as ``math.fsum``
-    gives it."""
-    return _rounded(*_wrapped_sums(table, *parts))
-
-
 def _wrapped_sums(table: np.ndarray, *parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the sum of the table entries that ``parts`` index, twice:
     in int64, exact modulo 2**64, and in float64.  An entry is below 2**59,
-    so the float64 sum of a row of m entries is off by less than m**2 *
-    2**6, far closer than 2**62 to the exact sum for any row a block holds;
-    :func:`_rounded` recovers the exact sum from the two."""
+    so the float64 sum of a row of m < ``_ROW_LIMIT`` entries is off by
+    less than m**2 * 2**6 <= 2**52; :func:`_rounded` recovers the exact
+    sum from the two and rounds it once."""
     sums = [(p.sum(axis=1), p.sum(axis=1, dtype=np.float64)) for p in map(table.take, parts)]
     return sum(w for w, _ in sums), sum(a for _, a in sums)
 
 
-def _rounded(wrapped: np.ndarray, approx: np.ndarray) -> list[float]:
-    """Each exact sum, rounded once, from its int64 sum ``wrapped`` (exact
-    modulo 2**64) and its float64 sum ``approx`` (within 2**62): the exact
-    sum is the one value congruent to the first and near the second."""
-    return [(w + (round((a - w) / 2**64) << 64)) / _ONE for w, a in zip(wrapped.tolist(), approx.tolist())]
+def _rounded(wrapped: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    """Each exact sum S (in units of 2**-53) rounded once, from its int64
+    sum ``wrapped`` (S modulo 2**64) and its float64 sum ``approx`` (within
+    2**62 of S).  S = k * 2**64 + wrapped = hi * 2**30 + lo, 0 <= lo < 2**30:
+    below 2**83, hi * 2**30 is an exact float, adding lo rounds once and
+    dividing by 2**53 is exact, so each result is ``math.fsum``'s."""
+    k = np.rint((approx - wrapped) / 2**64).astype(np.int64)
+    hi = (k << 34) + (wrapped >> 30)
+    return (hi * 2.0**30 + (wrapped & ((1 << 30) - 1))) / _ONE
 
 
 class _Workspace(threading.local):

@@ -19,7 +19,11 @@ originals unchanged so the tests can compare old and new output:
   (``induced_adjacency``), and the list view of ``local_csr`` it cached
   later (``local_adjacency``), which the oracles here read;
 * the DFS-and-reroot tree scorer (``log_rumor_centralities``);
-* the hop ordering of batch candidates (``hop_candidates``).
+* the hop ordering of batch candidates (``hop_candidates``);
+* the exact sums of logarithms the block scorers were first written
+  with: wrapped int64 and float64 row sums, recombined and rounded by
+  Python big-integer division (``_log_sums``), so that no oracle rounds
+  with the code it checks.
 """
 
 from __future__ import annotations
@@ -31,11 +35,34 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from rqsim import centrality
-from rqsim.centrality import CentralityTable, _log_sums, _log_table, _positions, pick_best
+from rqsim.centrality import CentralityTable, _log_table, _positions, pick_best
 from rqsim.diffusion import Snapshot
 from rqsim.errors import InvalidInputError
 
 TreeAdjacency = Mapping[int, Sequence[int]]
+
+
+def _wrapped_sums(table: np.ndarray, *parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the sum of the table entries that ``parts`` index, twice:
+    in int64, exact modulo 2**64, and in float64, far closer than 2**62 to
+    the exact sum."""
+    sums = [(p.sum(axis=1), p.sum(axis=1, dtype=np.float64)) for p in map(table.take, parts)]
+    return sum(w for w, _ in sums), sum(a for _, a in sums)
+
+
+def big_int_rounded(wrapped: np.ndarray, approx: np.ndarray) -> list[float]:
+    """Each exact sum, rounded once, from its int64 sum ``wrapped`` (exact
+    modulo 2**64) and its float64 sum ``approx`` (within 2**62): the exact
+    sum is the one integer congruent to the first and near the second, and
+    Python's int / int division rounds it correctly."""
+    return [(w + (round((a - w) / 2**64) << 64)) / 2**53 for w, a in zip(wrapped.tolist(), approx.tolist())]
+
+
+def _log_sums(table: np.ndarray, *parts: np.ndarray) -> list[float]:
+    """Per row, the sum of the table entries that ``parts`` index, summed
+    exactly and rounded once: the correctly rounded sum, as ``math.fsum``
+    gives it."""
+    return big_int_rounded(*_wrapped_sums(table, *parts))
 
 
 def induced_adjacency(snapshot: Snapshot) -> dict[int, list[int]]:

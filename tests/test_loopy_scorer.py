@@ -24,6 +24,7 @@ It adds the logarithms one at a time in another order, so scores agree
 with it to rounding, well inside ``TOLERANCE``.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -39,12 +40,13 @@ from hypothesis import strategies as st
 
 from conftest import graph_from_edges, snapshot_of, star_graph
 from reference_scorer import all_roots_general_graph_scores as all_roots_scores
+from reference_scorer import big_int_rounded
 from reference_scorer import block_general_graph_scores as block_scores
 from reference_scorer import general_graph_scores as reference_scores
 from reference_scorer import per_root_general_graph_scores as per_root_scores
 from reference_scorer import stamp_general_graph_scores as stamp_scores
 from rqsim import centrality
-from rqsim.centrality import _log_sums, _log_table, general_graph_scores
+from rqsim.centrality import _ROW_LIMIT, _log_table, _rounded, _wrapped_sums, general_graph_scores
 from rqsim.diffusion import Snapshot, simulate_si
 from rqsim.errors import GenerationFailureError, InvalidInputError
 from rqsim.graphs import make_erdos_renyi, make_regular_tree, make_scale_free
@@ -213,8 +215,8 @@ class TestExactLogSums:
                          rng.integers(0, size, (rows, 1)))
         split = int(rng.integers(0, count + 1))
         want = [math.fsum(math.log(k) if k else 0.0 for k in row) for row in picks.tolist()]
-        assert _log_sums(table, picks) == want
-        assert _log_sums(table, picks[:, :split], picks[:, split:]) == want
+        assert log_sums(table, picks) == want
+        assert log_sums(table, picks[:, :split], picks[:, split:]) == want
 
     def test_table_kept_per_process_and_grown_by_doubling(self, monkeypatch):
         # A fresh table, put back afterwards, so no other test's calls count.
@@ -235,11 +237,100 @@ class TestExactLogSums:
         units, so the int64 sum wraps many times over."""
         picks = np.full((1, 10**4), self.SIZE - 1)
         assert int(table[-1]) * 10**4 > 2**69
-        assert _log_sums(table, picks) == [math.fsum([math.log(self.SIZE - 1)] * 10**4)]
+        want = [math.fsum([math.log(self.SIZE - 1)] * 10**4)]
+        assert log_sums(table, picks) == want == big_int_rounded(*_wrapped_sums(table, picks))
         # The same sum across two parts, and with entries 0 and 1 (zeros) mixed in.
-        assert _log_sums(table, picks[:, :1], picks[:, 1:]) == _log_sums(table, picks)
+        assert log_sums(table, picks[:, :1], picks[:, 1:]) == want
         mixed = np.concatenate((picks, [[0, 1] * 10]), axis=1)
-        assert _log_sums(table, mixed) == _log_sums(table, picks)
+        assert log_sums(table, mixed) == want
+        assert log_sums(table, np.array([[0] * 50, [1] * 50])) == [0.0, 0.0]  # rows of zeros
+
+
+def log_sums(table: np.ndarray, *parts: np.ndarray) -> list[float]:
+    """The scorer's exact sums of the table entries ``parts`` index, per row."""
+    return _rounded(*_wrapped_sums(table, *parts)).tolist()
+
+
+#: The largest sum of a row that ``_ROW_LIMIT`` admits: one entry short
+#: of the limit, each just below 2**59.
+LARGEST_SUM = (_ROW_LIMIT - 1) * (2**59 - 1)
+
+
+def _fsum_of(total: int) -> float:
+    """``total / 2**53`` rounded once, by ``math.fsum`` of three exact
+    parts cut at other places than the scorer's split."""
+    parts = (total >> 52 << 52, (total >> 26 & (1 << 26) - 1) << 26, total & (1 << 26) - 1)
+    return math.fsum(p / 2**53 for p in parts)
+
+
+@st.composite
+def exact_sums(draw) -> int:
+    """A sum up to ``LARGEST_SUM``: often halfway between two doubles at the
+    last bit (every bit below the rounding bit clear), or that plus or
+    minus one power of two, which a dropped bit of the split would miss."""
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=0, max_value=LARGEST_SUM))
+    ulp = draw(st.integers(min_value=1, max_value=29))  # 2**ulp: the spacing of doubles there
+    mantissa = draw(st.integers(min_value=2**52, max_value=2**53 - 1))
+    halfway = (mantissa << ulp) + (1 << ulp - 1)
+    step = draw(st.sampled_from([0, 1, -1])) << draw(st.integers(min_value=0, max_value=ulp - 1))
+    total = halfway + step
+    assume(0 <= total <= LARGEST_SUM)
+    return total
+
+
+class TestRounding:
+    """The scorer's array rounding equals Python's big-integer division and
+    ``math.fsum`` on every sum a row below ``_ROW_LIMIT`` entries can have."""
+
+    @staticmethod
+    def assert_rounds(totals: list[int], errors: list[int]) -> None:
+        wrapped = np.array([(t + 2**63) % 2**64 - 2**63 for t in totals], dtype=np.int64)
+        approx = np.array([float(t + e) for t, e in zip(totals, errors)])
+        got = _rounded(wrapped, approx).tolist()
+        assert got == big_int_rounded(wrapped, approx)
+        assert got == [_fsum_of(t) for t in totals]
+
+    # The float sum is off by less than m**2 * 2**6 <= 2**52 on a row of
+    # m < 2**23 entries; the errors drawn here go far past that.
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(exact_sums(), st.integers(min_value=-2**61, max_value=2**61)),
+                          min_size=1, max_size=20))
+    @example(pairs=[(0, 0), (LARGEST_SUM, 0), (LARGEST_SUM, 2**61), ((2**53 - 1 << 29) + (1 << 28), 0),
+                    ((2**53 - 2 << 29) + (1 << 28), -2**61)])
+    def test_equals_big_integers_and_fsum(self, pairs):
+        self.assert_rounds(*map(list, zip(*pairs)))
+
+    def test_halfway_sums_at_every_bit(self):
+        # Halfway between two doubles, and that plus or minus each lower
+        # bit: one sum per (rounding bit, step), with both parities.
+        totals = []
+        for ulp in range(1, 30):
+            for mantissa in (2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1):
+                halfway = (mantissa << ulp) + (1 << ulp - 1)
+                totals += [halfway] + [halfway + s * (1 << j) for j in range(ulp - 1) for s in (1, -1)]
+        totals = [t for t in totals if t <= LARGEST_SUM]
+        self.assert_rounds(totals, [0] * len(totals))
+
+    def test_largest_row(self):
+        """A row of ``_ROW_LIMIT - 1`` copies of the largest entry a log
+        table can hold, (2**53 - 1) * 2**6 (a float times 2**53, below
+        2**59), summed by ``_wrapped_sums`` and rounded."""
+        entry, count = (2**53 - 1) << 6, _ROW_LIMIT - 1
+        table = np.array([0, entry], dtype=np.int64)
+        wrapped, approx = _wrapped_sums(table, np.broadcast_to(np.int64(1), (1, count)))
+        assert int(wrapped[0]) == (entry * count + 2**63) % 2**64 - 2**63
+        got = _rounded(wrapped, approx).tolist()
+        assert got == big_int_rounded(wrapped, approx) == [_fsum_of(entry * count)]
+        assert got == [math.fsum(itertools.repeat(entry / 2**53, count))]
+
+    def test_scorer_refuses_rows_past_the_limit(self, monkeypatch):
+        snap = _snapshot("er", 200, 4.0, 30, seed=11)
+        monkeypatch.setattr(centrality, "_ROW_LIMIT", 2 * snap.n - 1)
+        with pytest.raises(InvalidInputError):
+            general_graph_scores(snap)
+        monkeypatch.setattr(centrality, "_ROW_LIMIT", 2 * snap.n)
+        assert general_graph_scores(snap) == per_root_scores(snap)
 
 
 class TestInvalidInputs:
