@@ -101,15 +101,12 @@ def _add_budget(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--ht", type=float, help="entropy of the infection-time vector")
     p.add_argument("--c", type=float, default=1.0, help="leading constant (necessary bounds)")
-    p.add_argument("--u1", type=float, default=1.0)
-    p.add_argument("--u2", type=float, default=1.0)
     p.add_argument("--r", type=int, help="repetition count for the default H(T) bound")
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
     inputs = _budget.BudgetInputs(
-        delta=args.delta, d=args.d, p=args.p, q=args.q,
-        h_t=args.ht, c_const=args.c, u1=args.u1, u2=args.u2,
+        delta=args.delta, d=args.d, p=args.p, q=args.q, h_t=args.ht, c_const=args.c
     )
     value = _budget.budget_threshold(args.scheme, args.kind, inputs, args.r)
     print("scheme,kind,delta,d,p,q,K")

@@ -430,11 +430,13 @@ def _resolve_workers(config: ExperimentConfig) -> int:
 
 
 def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> int:
+    """A row's r: 0 at K = 0, else in 1..K.  The config's checks and the
+    floor of 3 on ``d`` leave ``choose_r_star`` nothing to reject."""
     mode, arg = config.r_rule
     if mode == "fixed":
         return min(arg, K)
     if K < 3:
-        return 1
+        return min(K, 1)
     return choose_r_star(config.scheme, arg, K, d, p, q)
 
 
@@ -553,72 +555,59 @@ def _child(config: ExperimentConfig, rows: list[SweepRow], tasks: int, chunk: in
         os._exit(status)
 
 
-def _log_row_error(row_index: int, K: int, p: float, q: float, exc: RQSimError) -> None:
-    logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, exc,
-                 exc_info=exc if isinstance(exc, TrialError) else None)
-
-
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep; rows follow (budget, p, q) nesting order.
 
     Each trial builds one snapshot that every row queries (see
-    ``_run_single_trial``).  A row that fails gets an error marker instead
-    of aborting the sweep: its r* cannot be resolved, or its estimator
-    raised in some trial.  A failure in a trial's shared build, simulation
+    ``_run_single_trial``).  A row whose estimator raises in some trial
+    gets an error marker, the lowest such trial's error, instead of
+    aborting the sweep.  A failure in a trial's shared build, simulation
     or scoring (for example an infection target larger than the graph)
     fails every row.
     """
     spec = config.spec
-    workers = _resolve_workers(config)
     graph = None
     if spec.family == "edgelist":  # its degree is measured; the trials reuse the load
         graph = _pinned_graph(spec, config.master_seed, config.n_infected)
     d_eff = effective_degree(spec, graph)
-    combos = list(product(config.budgets, config.p_values, config.q_values))
-
-    live: list[SweepRow] = []
-    errors: dict[int, RQSimError] = {}
-    for row_index, (K, p, q) in enumerate(combos):
-        try:
-            live.append((row_index, K, 0 if K == 0 else _resolve_r(config, K, d_eff, p, q), p, q))
-        except RQSimError as exc:
-            _log_row_error(row_index, K, p, q, exc)
-            errors[row_index] = exc
-
-    results: list[tuple[float, list[RowOutcome]]] = []
-    if live:
-        try:
-            results = _run_trials(config, live, workers)
-        except RQSimError as exc:
-            logger.error("every row failed: %s", exc, exc_info=isinstance(exc, TrialError))
-            errors.update((row[0], exc) for row in live)
+    rows: list[SweepRow] = [
+        (row_index, K, _resolve_r(config, K, d_eff, p, q), p, q)
+        for row_index, (K, p, q) in enumerate(
+            product(config.budgets, config.p_values, config.q_values)
+        )
+    ]
+    every_row = None  # the error of a trial's shared part, which fails every row
+    try:
+        results = _run_trials(config, rows, _resolve_workers(config))
+    except RQSimError as exc:
+        logger.error("every row failed: %s", exc, exc_info=isinstance(exc, TrialError))
+        results, every_row = [], exc
 
     # A row's wall time is its own query-plus-estimate time plus an equal
     # share of each trial's shared time, summed over the trials.
-    shared_s = sum(s for s, _ in results) / max(1, len(live))
-    done: dict[int, ResultRow] = {}
-    for pos, (row_index, K, r, p, q) in enumerate(live):
-        outcomes = [trial[pos] for _, trial in results]
-        failure = next((o for o in outcomes if isinstance(o, RQSimError)), None)
-        if failure is not None:
-            _log_row_error(row_index, K, p, q, failure)
-            errors[row_index] = failure
-        elif row_index not in errors:
+    shared_s = sum(s for s, _ in results) / len(rows)
+    out: list[ResultRow] = []
+    for row_index, K, r, p, q in rows:
+        outcomes = [trial[row_index] for _, trial in results]
+        failure = next((o for o in outcomes if isinstance(o, RQSimError)), every_row)
+        if failure is None:
             detections = sum(o[0] for o in outcomes)
             lo, hi = wilson_interval(detections, config.trials)
-            done[row_index] = ResultRow(
+            out.append(ResultRow(
                 config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q, config.trials,
                 detections, detections / config.trials, lo, hi,
                 sum(o[1] for o in outcomes) / config.trials,
                 (shared_s + sum(o[2] for o in outcomes)) * 1000.0,
-            )
-    return [
-        done.get(row_index) or ResultRow(
+            ))
+            continue
+        if failure is not every_row:
+            logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, failure,
+                         exc_info=failure if isinstance(failure, TrialError) else None)
+        out.append(ResultRow(
             config.scheme, config.graph, d_eff, config.n_infected, K, 0, p, q, config.trials,
-            0, math.nan, math.nan, math.nan, math.nan, 0.0, str(errors[row_index]),
-        )
-        for row_index, (K, p, q) in enumerate(combos)
-    ]
+            0, math.nan, math.nan, math.nan, math.nan, 0.0, str(failure),
+        ))
+    return out
 
 
 def _fmt(x: float, places: int = 6) -> str:

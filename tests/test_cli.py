@@ -109,8 +109,7 @@ class TestBudget:
     @pytest.mark.parametrize("scheme,kind,flag,value", [
         ("ad", "necessary", "--ht", "nan"), ("ad", "necessary", "--ht", "inf"),
         ("ad", "necessary", "--c", "nan"), ("na", "necessary", "--c", "-1"),
-        ("na", "necessary", "--c", "0"), ("na", "sufficient", "--u1", "nan"),
-        ("ad", "sufficient", "--u2", "-2"),
+        ("na", "necessary", "--c", "0"),
     ])
     def test_impossible_constant_is_rejected(self, capsys, scheme, kind, flag, value):
         code, out, err = run_cli(

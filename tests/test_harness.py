@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from rqsim.harness import (
     ExperimentConfig,
     GraphSpec,
     ResultRow,
+    _resolve_r,
     effective_degree,
     parse_graph_spec,
     rows_to_csv,
@@ -160,9 +162,10 @@ class TestRunExperiment:
         assert rows[0].r == 5
 
     def test_rstar_mode_resolves_per_budget(self):
-        cfg = small_config(budgets=(200,), p_values=(2 / 3,), q_values=(2 / 3,), trials=2)
+        # Below K = 3 the closed forms are undefined, and a querying row uses r = 1.
+        cfg = small_config(budgets=(0, 1, 2, 200), p_values=(2 / 3,), q_values=(2 / 3,), trials=2)
         rows = run_experiment(cfg)
-        assert rows[0].r == 3
+        assert [(row.r, row.error) for row in rows] == [(0, None), (1, None), (1, None), (3, None)]
 
     def test_fixed_graph_pins_instance(self):
         cfg = small_config(graph="er:120:4", n_infected=30, trials=6, fixed_graph=True)
@@ -339,6 +342,44 @@ def test_config_rejects_a_field_of_the_wrong_type(overrides):
     # Built directly, not through from_mapping: the constructor checks types.
     with pytest.raises(InvalidParameterError, match=f"^{next(iter(overrides))} must be of type"):
         small_config(**overrides)
+
+
+#: Every r rule a config accepts, the closed forms of both kinds and fixed counts.
+R_MODES = ["rstar:necessary", "rstar:sufficient", "fixed:1", "fixed:2", "fixed:7", f"fixed:{2**62}"]
+
+
+def assert_resolves_in_range(scheme, r_mode, K, d, p, q):
+    # run_experiment resolves every row's r with no handler, so no valid row
+    # may raise: r is an int, 0 at K = 0 and in 1..K otherwise.
+    config = small_config(scheme=scheme, r_mode=r_mode, budgets=(K,), p_values=(p,), q_values=(q,))
+    r = _resolve_r(config, K, d, p, q)
+    assert type(r) is int
+    assert r == 0 if K == 0 else 1 <= r <= K, (scheme, r_mode, K, d, p, q, r)
+
+
+@pytest.mark.parametrize("scheme", ["na", "ad"])
+@pytest.mark.parametrize("r_mode", R_MODES)
+def test_every_valid_row_resolves_an_r_at_the_extremes(scheme, r_mode):
+    for K, d, p, q in product(
+        (0, 1, 2, 3, 4, 50, 10**6, 2**62),
+        (3, 4, 12, 10**6),
+        (math.nextafter(0.5, 1.0), 0.5 + 1e-12, 0.8, 1.0),
+        (5e-324, 1e-12, 0.05, 1 / 3, 0.8, 1.0),
+    ):
+        assert_resolves_in_range(scheme, r_mode, K, d, p, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scheme=st.sampled_from(["na", "ad"]),
+    r_mode=st.sampled_from(R_MODES) | st.integers(1, 2**62).map(lambda r: f"fixed:{r}"),
+    K=st.integers(0, 2**62) | st.integers(0, 10),
+    d=st.integers(3, 10**6),
+    p=st.floats(0.5, 1.0, exclude_min=True),
+    q=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_every_valid_row_resolves_an_r(scheme, r_mode, K, d, p, q):
+    assert_resolves_in_range(scheme, r_mode, K, d, p, q)
 
 
 def test_numpy_numbers_render_as_plain_numbers():

@@ -127,6 +127,24 @@ def test_chunked_claims_match_one_worker(monkeypatch, trial_index):
     assert json.loads(want)[1]["error"] == "trial 5 raised RuntimeError: broke"
 
 
+def test_an_uninformative_q_fails_its_row_alike_at_every_worker_count(caplog):
+    # q = 0.05 is at most 1/d for every er:300:4 graph, so each na row that
+    # queries at that q raises the respondent's own InvalidParameterError;
+    # the K = 0 row at that q asks nothing and completes.
+    cfg = config(scheme="na", q_values=(0.05, 0.8))
+    with caplog.at_level("ERROR", logger="rqsim.harness"):
+        want = json_at(cfg, 1)
+    rows = json.loads(want)
+    assert [(row["K"], row["q"]) for row in rows] == [(0, 0.05), (0, 0.8), (50, 0.05), (50, 0.8)]
+    assert re.fullmatch(r"q=0\.05 is uninformative for degree \d+ \(needs q > [\d.]+\)",
+                        rows[2]["error"])
+    for row in (rows[0], rows[1], rows[3]):
+        assert row["error"] is None and row["p_hat"] is not None
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"row 2 (K=50, p=0.8, q=0.05) failed: {rows[2]['error']}"]
+    assert json_at(cfg, 2) == want
+
+
 def test_children_are_reaped_after_a_successful_sweep():
     rows = run_experiment(config(trials=7, threads=3))
     assert rows_to_csv(rows, True) == rows_to_csv(run_experiment(config(trials=7)), True)
