@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-import traceback
-
 
 class RQSimError(Exception):
     """Base class for all rqsim errors."""
@@ -39,29 +37,12 @@ class InfeasibleTargetError(RQSimError, ValueError):
 class TrialError(RQSimError, RuntimeError):
     """A sweep trial raised an unexpected exception; the message names the trial.
 
-    A forked sweep worker sends a row's or a trial's error back pickled,
-    which would drop the cause; the cause's traceback crosses as text, so
-    the log still shows it.  A worker that dies is one too, naming its exit
-    status.
+    ``traceback`` is the cause's formatted traceback as plain text, which
+    default pickling carries out of a forked sweep worker, so the log shows
+    the same text at every worker count.  A worker that dies is a
+    TrialError too, naming its exit status, with no traceback.
     """
 
-    def __reduce__(self):
-        cause = self.__cause__
-        text = "" if cause is None else "".join(
-            traceback.format_exception(type(cause), cause, cause.__traceback__)
-        )
-        return _rebuild_trial_error, (self.args, text)
-
-
-class _CauseText(Exception):
-    """A cause that crossed a process boundary as its formatted traceback."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _rebuild_trial_error(args: tuple, text: str) -> TrialError:
-    err = TrialError(*args)
-    if text:
-        err.__cause__ = _CauseText(text)
-    return err
+    def __init__(self, message: str, traceback: str = ""):
+        super().__init__(message)
+        self.traceback = traceback

@@ -24,6 +24,7 @@ import math
 import os
 import pickle
 import time
+import traceback
 from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, lru_cache
@@ -341,7 +342,7 @@ def _stream(config: ExperimentConfig, row_index: int, trial_index: int) -> np.ra
 
 def _run_single_trial(
     config: ExperimentConfig, rows: list[SweepRow], trial_index: int
-) -> TrialResult:
+) -> TrialResult | RQSimError:
     """One trial of every row in ``rows``, all on one snapshot.
 
     The graph, source and snapshot are drawn from stream (master, 0,
@@ -349,25 +350,28 @@ def _run_single_trial(
     every row.  Row 0 goes on drawing its answers from that stream; row
     i >= 1 draws them from stream (master, i, trial).  Returns
     the seconds the shared build, simulation and scoring took, and each
-    row's outcome.  A row that raises fails alone (an unexpected exception
-    becomes a TrialError); a failure in the shared part raises.
+    row's outcome.  Failures are values (see ``_failure``): a row that
+    raises fails alone, and the failure of the shared part, which fails
+    every row, is returned in place of the result.
     """
     t0 = time.perf_counter()
     rng = _stream(config, 0, trial_index)
-    graph = _graph_for_trial(config, rng)
-
-    if graph.is_finite:
-        if graph.n < config.n_infected:
-            raise RQSimError(
-                f"graph has {graph.n} nodes, cannot infect {config.n_infected}"
-            )
-        source = int(rng.integers(graph.n))
-    else:
-        # Uniform choice is equivalent to the root on a vertex-transitive tree.
-        source = 0
-    snapshot = simulate_si(graph, source, config.n_infected, rng)
-    table = likelihood_table(snapshot)
-    centre = pick_best(table, table)
+    try:
+        graph = _graph_for_trial(config, rng)
+        if graph.is_finite:
+            if graph.n < config.n_infected:
+                raise RQSimError(
+                    f"graph has {graph.n} nodes, cannot infect {config.n_infected}"
+                )
+            source = int(rng.integers(graph.n))
+        else:
+            # Uniform choice is equivalent to the root on a vertex-transitive tree.
+            source = 0
+        snapshot = simulate_si(graph, source, config.n_infected, rng)
+        table = likelihood_table(snapshot)
+        centre = pick_best(table, table)
+    except Exception as exc:  # the trial boundary: every row fails
+        return _failure(trial_index, exc)
     shared_s = time.perf_counter() - t0
 
     outcomes: list[RowOutcome] = []
@@ -376,10 +380,8 @@ def _run_single_trial(
         try:
             row_rng = rng if row[0] == 0 else _stream(config, row[0], trial_index)
             estimate, used = _estimate(config, snapshot, table, centre, row, row_rng)
-        except RQSimError as exc:
-            outcomes.append(exc)
         except Exception as exc:  # the row boundary: the other rows go on
-            outcomes.append(_trial_error(trial_index, exc))
+            outcomes.append(_failure(trial_index, exc))
         else:
             outcomes.append((int(estimate == source), used, time.perf_counter() - t1))
     return shared_s, outcomes
@@ -402,22 +404,18 @@ def _estimate(
     return outcome.estimate, outcome.budget_used
 
 
-def _trial_error(trial_index: int, exc: Exception) -> TrialError:
+def _failure(trial_index: int, exc: Exception) -> RQSimError:
+    """``exc``, caught in trial ``trial_index``, as a sweep failure: an
+    RQSimError as it is, any other exception as a TrialError that names
+    the trial and keeps the traceback below the frame that caught it, so
+    that a pinned build failing before the fork reads as it does in trial 0."""
+    if isinstance(exc, RQSimError):
+        return exc
     # Streams (master, 0, trial) and (master, row, trial) replay exactly this trial.
-    err = TrialError(f"trial {trial_index} raised {type(exc).__name__}: {exc}")
-    err.__cause__ = exc
-    return err
-
-
-def _in_trial(trial_index: int, fn, *args):
-    """``fn(*args)``, with an unexpected exception raised as trial
-    ``trial_index``'s TrialError."""
-    try:
-        return fn(*args)
-    except RQSimError:
-        raise
-    except Exception as exc:
-        raise _trial_error(trial_index, exc) from exc
+    return TrialError(
+        f"trial {trial_index} raised {type(exc).__name__}: {exc}",
+        "".join(traceback.format_exception(type(exc), exc, exc.__traceback__.tb_next)),
+    )
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
@@ -442,25 +440,32 @@ def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> 
 
 def _run_trials(
     config: ExperimentConfig, rows: list[SweepRow], workers: int
-) -> list[TrialResult]:
-    """Every trial of ``rows``, in trial order.
+) -> list[TrialResult] | RQSimError:
+    """Every trial of ``rows``, in trial order, or the failure of the
+    lowest trial whose shared part fails.
 
     ``workers`` is the number of processes that run trials, this one
-    included; there are never more than trials.  A failing trial raises
-    its error, the lowest failing trial's when several fail.  Without
-    ``os.fork`` every trial runs in this process."""
+    included; there are never more than trials.  Without ``os.fork``
+    every trial runs in this process."""
     workers = min(workers, config.trials) if hasattr(os, "fork") else 1
-    if workers == 1:
-        return [_in_trial(t, _run_single_trial, config, rows, t) for t in range(config.trials)]
-    return _forked_trials(config, rows, workers)
+    if workers > 1:
+        return _forked_trials(config, rows, workers)
+    results = []
+    for t in range(config.trials):
+        result = _run_single_trial(config, rows, t)
+        if isinstance(result, RQSimError):
+            return result
+        results.append(result)
+    return results
 
 
 def _forked_trials(
     config: ExperimentConfig, rows: list[SweepRow], workers: int
-) -> list[TrialResult]:
+) -> list[TrialResult] | RQSimError:
     """``_run_trials`` in this process and ``workers - 1`` forked children.
 
-    A pinned graph is built here first, so that every child inherits it.
+    A pinned graph is built here first, so that every child inherits it;
+    a failed build is trial 0's failure, as it is at 1 worker.
     The first trial of each chunk is queued as a 4-byte record in one pipe,
     written whole before the first fork: an empty pipe takes ``PIPE_BUF``
     bytes at once, so chunks are one trial up to ``PIPE_BUF // 4`` trials.
@@ -472,7 +477,10 @@ def _forked_trials(
     import signal
 
     if _pins_graph(config):
-        _in_trial(0, _pinned_graph, config.spec, config.master_seed, config.n_infected)
+        try:
+            _graph_for_trial(config, None)  # a pinned graph draws from no trial stream
+        except Exception as exc:
+            return _failure(0, exc)
     chunk = -(-config.trials // (select.PIPE_BUF // 4))
     firsts = range(0, config.trials, chunk)
     tasks, queue = os.pipe()
@@ -519,7 +527,7 @@ def _forked_trials(
         done[unrun] = died
     failed = [t for t, result in done.items() if isinstance(result, RQSimError)]
     if failed:
-        raise done[min(failed)]
+        return done[min(failed)]
     return [done[t] for t in range(config.trials)]
 
 
@@ -527,16 +535,14 @@ def _run_share(
     config: ExperimentConfig, rows: list[SweepRow], tasks: int, chunk: int
 ) -> dict[int, TrialResult | RQSimError]:
     """The trials of the chunks this process claims from ``tasks``, by
-    index.  A failing trial ends the share with its error, and drains
-    ``tasks`` so that no later trial starts in any process."""
+    index.  A failing trial ends the share, and drains ``tasks`` so that
+    no later trial starts in any process."""
     done: dict[int, TrialResult | RQSimError] = {}
     while record := os.read(tasks, 4):
         first = int.from_bytes(record, "little")
         for t in range(first, min(first + chunk, config.trials)):
-            try:
-                done[t] = _in_trial(t, _run_single_trial, config, rows, t)
-            except RQSimError as exc:
-                done[t] = exc
+            done[t] = _run_single_trial(config, rows, t)
+            if isinstance(done[t], RQSimError):
                 while os.read(tasks, 1 << 16):
                     pass
                 return done
@@ -559,11 +565,13 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep; rows follow (budget, p, q) nesting order.
 
     Each trial builds one snapshot that every row queries (see
-    ``_run_single_trial``).  A row whose estimator raises in some trial
-    gets an error marker, the lowest such trial's error, instead of
-    aborting the sweep.  A failure in a trial's shared build, simulation
-    or scoring (for example an infection target larger than the graph)
-    fails every row.
+    ``_run_single_trial``).  A failure is a value from the trial to the
+    row, never a raise: a row whose estimator raises in some trial gets
+    an error marker, the lowest such trial's error, instead of aborting
+    the sweep.  A failure in a trial's shared build, simulation or scoring
+    (for example an infection target larger than the graph) fails every
+    row.  Each failure is logged once; a TrialError's traceback text
+    follows its message and reads the same at any worker count.
     """
     spec = config.spec
     graph = None
@@ -576,12 +584,11 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             product(config.budgets, config.p_values, config.q_values)
         )
     ]
-    every_row = None  # the error of a trial's shared part, which fails every row
-    try:
-        results = _run_trials(config, rows, _resolve_workers(config))
-    except RQSimError as exc:
-        logger.error("every row failed: %s", exc, exc_info=isinstance(exc, TrialError))
-        results, every_row = [], exc
+    results = _run_trials(config, rows, _resolve_workers(config))
+    every_row = None  # the failure of a trial's shared part, which fails every row
+    if isinstance(results, RQSimError):
+        results, every_row = [], results
+        _log_failure("every row", every_row)
 
     # A row's wall time is its own query-plus-estimate time plus an equal
     # share of each trial's shared time, summed over the trials.
@@ -593,21 +600,24 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         if failure is None:
             detections = sum(o[0] for o in outcomes)
             lo, hi = wilson_interval(detections, config.trials)
-            out.append(ResultRow(
-                config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q, config.trials,
-                detections, detections / config.trials, lo, hi,
-                sum(o[1] for o in outcomes) / config.trials,
-                (shared_s + sum(o[2] for o in outcomes)) * 1000.0,
-            ))
-            continue
-        if failure is not every_row:
-            logger.error("row %d (K=%s, p=%s, q=%s) failed: %s", row_index, K, p, q, failure,
-                         exc_info=failure if isinstance(failure, TrialError) else None)
+            stats = (detections, detections / config.trials, lo, hi,
+                     sum(o[1] for o in outcomes) / config.trials,
+                     (shared_s + sum(o[2] for o in outcomes)) * 1000.0)
+        else:
+            if failure is not every_row:
+                _log_failure(f"row {row_index} (K={K}, p={p}, q={q})", failure)
+            stats = (0, math.nan, math.nan, math.nan, math.nan, 0.0)
         out.append(ResultRow(
-            config.scheme, config.graph, d_eff, config.n_infected, K, 0, p, q, config.trials,
-            0, math.nan, math.nan, math.nan, math.nan, 0.0, str(failure),
+            config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q, config.trials,
+            *stats, None if failure is None else str(failure),
         ))
     return out
+
+
+def _log_failure(what: str, failure: RQSimError) -> None:
+    """Logs that ``what`` failed, with a TrialError's traceback text after the message."""
+    text = getattr(failure, "traceback", "")
+    logger.error("%s failed: %s%s", what, failure, text and "\n" + text.rstrip("\n"))
 
 
 def _fmt(x: float, places: int = 6) -> str:

@@ -221,7 +221,8 @@ class TestRunExperiment:
                 clean[i].detections,
                 clean[i].mean_budget,
             )
-        assert sum(1 for rec in caplog.records if rec.exc_info) == 1
+        tracebacks = [rec.getMessage() for rec in caplog.records if "Traceback" in rec.getMessage()]
+        assert len(tracebacks) == 1 and 'raise RuntimeError("boom")' in tracebacks[0]
 
         # A fault in the shared build, simulation or scoring fails every row.
         monkeypatch.setattr(rqsim.harness, "run_mvna", real_run)
@@ -241,7 +242,8 @@ class TestRunExperiment:
         for row in rows:
             assert "trial 1" in row.error and "RuntimeError" in row.error
             assert math.isnan(row.p_hat)
-        assert sum(1 for rec in caplog.records if rec.exc_info) == 1
+        tracebacks = [rec.getMessage() for rec in caplog.records if "Traceback" in rec.getMessage()]
+        assert len(tracebacks) == 1 and 'raise RuntimeError("boom")' in tracebacks[0]
 
     def test_gw_and_sf_families_run(self):
         for graph in ("gw:6", "sf:200:1.5", "er:200:4"):

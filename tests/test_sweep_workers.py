@@ -17,7 +17,7 @@ import pytest
 
 import rqsim.harness
 from rqsim.cli import main
-from rqsim.harness import ExperimentConfig, rows_to_csv, rows_to_json, run_experiment
+from rqsim.harness import ExperimentConfig, _resolve_r, rows_to_csv, rows_to_json, run_experiment
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
 
@@ -140,6 +140,8 @@ def test_an_uninformative_q_fails_its_row_alike_at_every_worker_count(caplog):
                         rows[2]["error"])
     for row in (rows[0], rows[1], rows[3]):
         assert row["error"] is None and row["p_hat"] is not None
+    # The failed row keeps the r it resolved before the first trial.
+    assert rows[2]["r"] == _resolve_r(cfg, 50, rows[2]["d"], 0.8, 0.05) == rows[3]["r"]
     assert [rec.getMessage() for rec in caplog.records] == [
         f"row 2 (K=50, p=0.8, q=0.05) failed: {rows[2]['error']}"]
     assert json_at(cfg, 2) == want
@@ -214,8 +216,86 @@ def test_a_row_error_raised_in_a_child_keeps_its_traceback(monkeypatch, spread, 
         rows = run_experiment(config(trials=8, threads=2))
     assert rows[0].error is None
     assert re.fullmatch(r"trial \d raised RuntimeError: boom", rows[1].error)
-    assert sum(1 for rec in caplog.records if rec.exc_info) == 1
-    assert 'raise RuntimeError("boom")' in caplog.text
+    tracebacks = [rec.getMessage() for rec in caplog.records if "Traceback" in rec.getMessage()]
+    assert len(tracebacks) == 1 and 'raise RuntimeError("boom")' in tracebacks[0]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["row", "shared"])
+def test_one_failure_logs_one_text_at_every_worker_count(
+    monkeypatch, spread, trial_index, caplog, shared
+):
+    # A RuntimeError in a forked child's trial, then the same one raised at
+    # that trial in a 1-worker sweep: one error row and one log text.
+    parent = os.getpid()
+    failing = []  # the trial to fail at in the 1-worker sweep, once known
+
+    def boom(in_parent):
+        if (trial_index[0] in failing) if failing else not in_parent:
+            raise RuntimeError("boom")
+
+    def hook(in_parent):
+        if shared:
+            boom(in_parent)
+        if in_parent and not failing:
+            time.sleep(0.05)  # so that the child claims a trial
+
+    spread(hook)
+    real = rqsim.harness.run_mvad
+
+    def estimator(snapshot, ad, *args, **kwargs):
+        boom(os.getpid() == parent)
+        return real(snapshot, ad, *args, **kwargs)
+
+    if not shared:
+        monkeypatch.setattr(rqsim.harness, "run_mvad", estimator)
+
+    def sweep(threads: int) -> tuple[list, str]:
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="rqsim.harness"):
+            rows = run_experiment(config(trials=8, threads=threads))
+        return [row.error for row in rows], caplog.text
+
+    forked = sweep(2)
+    assert_no_children()
+    failing.append(int(re.fullmatch(r"trial (\d) raised RuntimeError: boom", forked[0][1])[1]))
+    assert forked[0][0] == (forked[0][1] if shared else None)
+    assert sweep(1) == forked
+    assert forked[1].count("Traceback") == 1 and 'raise RuntimeError("boom")' in forked[1]
+
+
+@pytest.mark.parametrize("unexpected", [False, True], ids=["generator", "unexpected"])
+def test_a_pinned_graph_whose_build_fails_fails_alike_at_every_worker_count(
+    monkeypatch, caplog, unexpected
+):
+    # er:10:0.01 has no component of 2 nodes, so the pinned build fails: in
+    # trial 0 at 1 worker, and before the first fork at 2 and 3 workers.  A
+    # build that raises an unexpected exception logs one traceback text alike.
+    def no_fork():
+        raise AssertionError("the sweep forked")
+
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if unexpected:
+        monkeypatch.setattr(rqsim.harness, "_build_graph", broken)
+    error = ("trial 0 raised RuntimeError: boom" if unexpected
+             else "largest component has fewer than 2 nodes")
+    cfg = config(graph="er:10:0.01", fixed_graph=True, scheme="na", n_infected=5)
+    outputs, logs = [], []
+    for threads in (1, 2, 3):
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="rqsim.harness"):
+            outputs.append(json_at(cfg, threads))
+        logs.append([rec.getMessage() for rec in caplog.records])
+        assert_no_children()
+    assert outputs[1:] == outputs[:1] * 2
+    assert logs[1:] == logs[:1] * 2 and len(logs[0]) == 1
+    assert logs[0][0].startswith(f"every row failed: {error}")
+    assert ('raise RuntimeError("boom")' in logs[0][0]) == unexpected
+    rows = json.loads(outputs[0])
+    assert {row["error"] for row in rows} == {error}
+    assert [row["r"] for row in rows] == [0, _resolve_r(cfg, 50, rows[1]["d"], 0.8, 0.8)]
 
 
 def test_a_pinned_graph_is_built_once_per_multi_worker_sweep(monkeypatch, tmp_path):
