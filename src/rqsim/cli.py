@@ -45,7 +45,9 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
                    help="pin one random graph instance instead of regenerating per trial")
     p.add_argument("--threads", type=int,
                    help="worker processes (default: the CPUs this process may run on)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="output format (default csv); a failed row's CSV line reads detections 0 "
+                   "with nan p_hat, ci_lo, ci_hi and mean_budget: its error is on stderr and in json")
     p.add_argument("--output", help="output path (default: stdout)")
     p.add_argument("--zero-timing", action="store_true",
                    help="blank the wall_time_ms column for byte-reproducible output")

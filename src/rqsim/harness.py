@@ -28,9 +28,9 @@ import traceback
 from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from numbers import Integral, Real
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -441,28 +441,23 @@ def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> 
 def _run_trials(
     config: ExperimentConfig, rows: list[SweepRow], workers: int
 ) -> list[TrialResult] | RQSimError:
-    """Every trial of ``rows``, in trial order, or the failure of the
-    lowest trial whose shared part fails.
+    """Every trial of ``rows``, in trial order, or the lowest failing trial's failure.
 
     ``workers`` is the number of processes that run trials, this one
-    included; there are never more than trials.  Without ``os.fork``
-    every trial runs in this process."""
+    included; there are never more than trials.  One worker, or no
+    ``os.fork``, runs the forked workers' loop, ``_run_share``, over one
+    claim of every trial in this process."""
     workers = min(workers, config.trials) if hasattr(os, "fork") else 1
-    if workers > 1:
-        return _forked_trials(config, rows, workers)
-    results = []
-    for t in range(config.trials):
-        result = _run_single_trial(config, rows, t)
-        if isinstance(result, RQSimError):
-            return result
-        results.append(result)
-    return results
+    done = (_forked_trials(config, rows, workers) if workers > 1
+            else _run_share(config, rows, iter([range(config.trials)])))
+    failed = [t for t, result in done.items() if isinstance(result, RQSimError)]
+    return done[min(failed)] if failed else [done[t] for t in range(config.trials)]
 
 
 def _forked_trials(
     config: ExperimentConfig, rows: list[SweepRow], workers: int
-) -> list[TrialResult] | RQSimError:
-    """``_run_trials`` in this process and ``workers - 1`` forked children.
+) -> dict[int, TrialResult | RQSimError]:
+    """``_run_share``'s trials, by index, in this process and ``workers - 1`` forked children.
 
     A pinned graph is built here first, so that every child inherits it;
     a failed build is trial 0's failure, as it is at 1 worker.
@@ -480,7 +475,7 @@ def _forked_trials(
         try:
             _graph_for_trial(config, None)  # a pinned graph draws from no trial stream
         except Exception as exc:
-            return _failure(0, exc)
+            return {0: _failure(0, exc)}
     chunk = -(-config.trials // (select.PIPE_BUF // 4))
     firsts = range(0, config.trials, chunk)
     tasks, queue = os.pipe()
@@ -488,6 +483,12 @@ def _forked_trials(
         os.write(queue, b"".join(t.to_bytes(4, "little") for t in firsts))
     finally:
         os.close(queue)
+
+    def claims() -> Iterator[range]:  # the chunks this process claims
+        while record := os.read(tasks, 4):
+            first = int.from_bytes(record, "little")
+            yield range(first, min(first + chunk, config.trials))
+
     children: list[tuple[int, int]] = []  # (pid, read end of its result pipe)
     try:
         for _ in range(min(workers, len(firsts)) - 1):
@@ -499,10 +500,10 @@ def _forked_trials(
                 os.close(writer)
                 raise
             if pid == 0:
-                _child(config, rows, tasks, chunk, writer)
+                _child(config, rows, claims(), writer)
             os.close(writer)
             children.append((pid, reader))
-        done = _run_share(config, rows, tasks, chunk)
+        done = _run_share(config, rows, claims())
         died = None
         while children:
             pid, reader = children[0]
@@ -525,35 +526,30 @@ def _forked_trials(
     unrun = next((t for t in range(config.trials) if t not in done), None)
     if died is not None and unrun is not None:
         done[unrun] = died
-    failed = [t for t, result in done.items() if isinstance(result, RQSimError)]
-    if failed:
-        return done[min(failed)]
-    return [done[t] for t in range(config.trials)]
-
-
-def _run_share(
-    config: ExperimentConfig, rows: list[SweepRow], tasks: int, chunk: int
-) -> dict[int, TrialResult | RQSimError]:
-    """The trials of the chunks this process claims from ``tasks``, by
-    index.  A failing trial ends the share, and drains ``tasks`` so that
-    no later trial starts in any process."""
-    done: dict[int, TrialResult | RQSimError] = {}
-    while record := os.read(tasks, 4):
-        first = int.from_bytes(record, "little")
-        for t in range(first, min(first + chunk, config.trials)):
-            done[t] = _run_single_trial(config, rows, t)
-            if isinstance(done[t], RQSimError):
-                while os.read(tasks, 1 << 16):
-                    pass
-                return done
     return done
 
 
-def _child(config: ExperimentConfig, rows: list[SweepRow], tasks: int, chunk: int, out: int):
+def _run_share(
+    config: ExperimentConfig, rows: list[SweepRow], claims: Iterator[range]
+) -> dict[int, TrialResult | RQSimError]:
+    """The trials of ``claims``, run in order, by index: the one trial loop
+    at every worker count.  A failing trial ends the share and exhausts
+    ``claims``, so that no later trial starts in any process."""
+    done: dict[int, TrialResult | RQSimError] = {}
+    for t in chain.from_iterable(claims):
+        done[t] = _run_single_trial(config, rows, t)
+        if isinstance(done[t], RQSimError):
+            for _ in claims:
+                pass
+            break
+    return done
+
+
+def _child(config: ExperimentConfig, rows: list[SweepRow], claims: Iterator[range], out: int):
     """A forked child's whole life: run a share, send it pickled, exit."""
     status = 1
     try:
-        share = _run_share(config, rows, tasks, chunk)
+        share = _run_share(config, rows, claims)
         with open(out, "wb") as pipe:
             pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -631,7 +627,9 @@ def _rendered(row: ResultRow, zero_timing: bool) -> ResultRow:
 
 
 def rows_to_csv(rows: list[ResultRow], zero_timing: bool = False) -> str:
-    """Render rows with the fixed column set; row errors go to the log only.
+    """Render rows with the fixed column set.  A failed row reads
+    ``detections`` 0, with ``nan`` in ``p_hat``, ``ci_lo``, ``ci_hi`` and
+    ``mean_budget``; its error text is in the log and in ``rows_to_json``.
 
     ``zero_timing`` blanks the wall-clock column so byte-identical output
     can be compared across reruns.

@@ -1,5 +1,6 @@
 """Multi-worker sweeps: the calling process runs trials beside forked
-children that claim them from one pipe.
+children that claim them from one pipe, in the loop that a 1-worker
+sweep runs over one claim of every trial.
 
 Outputs and row errors must match a 1-worker sweep, the lowest failing
 trial's error must win, a child that dies must fail the rows instead of
@@ -14,6 +15,8 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rqsim.harness
 from rqsim.cli import main
@@ -89,6 +92,52 @@ def test_shared_failures_raise_the_lowest_trial_at_every_worker_count(monkeypatc
     for threads in (2, 3):
         assert json_at(cfg, threads) == want
         assert_no_children()
+
+
+def test_a_one_worker_sweep_stops_at_its_first_failing_trial(monkeypatch):
+    # The shared part fails on trial 3 of 10: at 1 worker trials 0 to 3
+    # run and no later one starts, and the rows are those of forked sweeps.
+    ran = []
+    real_trial, real_spread = rqsim.harness._run_single_trial, rqsim.harness.simulate_si
+
+    def recorded(cfg, rows, t):
+        ran.append(t)
+        return real_trial(cfg, rows, t)
+
+    def failing(*args):
+        if ran[-1] == 3:
+            raise RuntimeError("spread of trial 3 broke")
+        return real_spread(*args)
+
+    monkeypatch.setattr(rqsim.harness, "_run_single_trial", recorded)
+    monkeypatch.setattr(rqsim.harness, "simulate_si", failing)
+    cfg = config(trials=10)
+    want = json_at(cfg, 1)
+    assert ran == [0, 1, 2, 3]
+    assert {row["error"] for row in json.loads(want)} == {
+        "trial 3 raised RuntimeError: spread of trial 3 broke"}
+    for threads in (2, 3):
+        assert json_at(cfg, threads) == want
+        assert_no_children()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    graph=st.sampled_from(["regular:3", "er:120:4"]),
+    scheme=st.sampled_from(["na", "ad"]),
+    budgets=st.lists(st.sampled_from([0, 5, 20]), min_size=1, max_size=3, unique=True),
+    q_values=st.lists(st.sampled_from([0.3, 0.8]), min_size=1, max_size=2, unique=True),
+    n_infected=st.integers(1, 30),
+    trials=st.integers(1, 9),
+    master_seed=st.integers(0, 2**63),
+)
+def test_the_worker_count_never_shows_in_the_rows(**sweep):
+    # On regular:3 every row that queries at q = 0.3 <= 1/3 fails.
+    cfg = config(**sweep)
+    want = json_at(cfg, 1)
+    for threads in (2, 3):
+        assert json_at(cfg, threads) == want
+    assert_no_children()
 
 
 def test_a_row_failing_on_some_trials_fails_alike_at_every_worker_count(monkeypatch, trial_index):
