@@ -42,7 +42,8 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--candidate-order", choices=("hop", "centrality"),
                    help="batch candidate ordering (default hop)")
     p.add_argument("--fixed-graph", action="store_true",
-                   help="pin one random graph instance instead of regenerating per trial")
+                   help="pin one random graph instance instead of regenerating per trial "
+                   "(no effect on regular:, where every trial grows its own tree)")
     p.add_argument("--threads", type=int,
                    help="worker processes (default: the CPUs this process may run on)")
     p.add_argument("--format", choices=("csv", "json"),

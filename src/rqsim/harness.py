@@ -74,43 +74,51 @@ class GraphSpec:
     """Parsed graph family descriptor (see :func:`parse_graph_spec`)."""
 
     family: str  # regular | gw | er | sf | edgelist
-    d: int = 0
-    d_max: int = 0
-    n_nodes: int = 0
-    avg_degree: float = 0.0
-    edge_node_ratio: float = 0.0
-    min_nodes: int = 0
-    path: str = ""
+    args: tuple  # the family generator's arguments before ``rng``
+    d: int  # the degree fed to the closed forms, or 0: measured on the loaded edge list
 
 
 def parse_graph_spec(text: str) -> GraphSpec:
-    """Parse ``regular:3``, ``gw:10[:min_nodes]``, ``er:n:avg_deg``,
-    ``sf:n:ratio``, or ``edgelist:path``, with their generators' checks."""
-    parts = text.split(":")
-    family = parts[0]
+    """Parse ``regular:d``, ``gw:d_max[:min_nodes]``, ``er:n:avg``,
+    ``sf:n:ratio`` or ``edgelist:path``, with their generators' checks.
+
+    The spec's ``d`` is the degree fed to the closed forms: d on
+    ``regular:``, max(3, d_max) on ``gw:``, max(3, round(avg)) on ``er:``
+    and max(3, round(2 * ratio)) on ``sf:``, each below 2**53.  On
+    ``edgelist:`` it is 0, and ``run_experiment`` uses max(3,
+    round(average degree)) of the loaded graph.
+    """
+    family, *nums = text.split(":")
     try:
-        if family == "regular" and len(parts) == 2:
-            d = int(parts[1])
+        if family == "regular" and len(nums) == 1:
+            d = int(nums[0])
             _graphs.RegularTree(d)  # its degree check
-            return GraphSpec(family="regular", d=d)
-        if family == "gw" and len(parts) in (2, 3):
-            d_max = int(parts[1])
-            min_nodes = int(parts[2]) if len(parts) == 3 else 0  # 0: sized from n_infected
+            return GraphSpec(family, (d,), _degree(d))
+        if family == "gw" and len(nums) in (1, 2):
+            d_max = int(nums[0])
+            min_nodes = int(nums[1]) if len(nums) == 2 else 0  # 0: sized from n_infected
             _graphs.check_galton_watson(d_max, min_nodes or 1)
-            return GraphSpec(family="gw", d_max=d_max, min_nodes=min_nodes)
-        if family == "er" and len(parts) == 3:
-            n, avg = int(parts[1]), float(parts[2])
+            return GraphSpec(family, (d_max, min_nodes), _degree(d_max))
+        if family == "er" and len(nums) == 2:
+            n, avg = int(nums[0]), float(nums[1])
             _graphs.check_erdos_renyi(n, avg)
-            return GraphSpec(family="er", n_nodes=n, avg_degree=avg)
-        if family == "sf" and len(parts) == 3:
-            n, ratio = int(parts[1]), float(parts[2])
+            return GraphSpec(family, (n, avg), _degree(avg))
+        if family == "sf" and len(nums) == 2:
+            n, ratio = int(nums[0]), float(nums[1])
             _graphs.check_scale_free(n, ratio)
-            return GraphSpec(family="sf", n_nodes=n, edge_node_ratio=ratio)
-        if family == "edgelist" and len(parts) >= 2:
-            return GraphSpec(family="edgelist", path=text.split(":", 1)[1])
+            return GraphSpec(family, (n, ratio), _degree(2 * ratio))
+        if family == "edgelist" and (path := ":".join(nums)):
+            return GraphSpec(family, (path,), 0)
     except ValueError as exc:
         raise InvalidParameterError(f"cannot parse graph spec {text!r}: {exc}") from None
     raise InvalidParameterError(f"cannot parse graph spec {text!r}")
+
+
+def _degree(x: float) -> int:
+    """max(3, round(x)), the degree fed to the closed forms, if it is below 2**53."""
+    if not x < 2**53:
+        raise ValueError("the degree fed to the closed forms must be below 2**53")
+    return max(3, round(x))
 
 
 @dataclass(frozen=True)
@@ -272,44 +280,23 @@ class ResultRow:
 CSV_COLUMNS = ",".join(f.name for f in fields(ResultRow) if f.name != "error")
 
 
-def effective_degree(spec: GraphSpec, graph=None) -> int:
-    """Degree fed to the closed-form r*/budget formulas.
-
-    Exact for regular trees; for other families a representative value:
-    the branching cap, or the (rounded) average degree, floored at 3.  An
-    edge-list family is measured on its loaded ``graph``.
-    """
-    if spec.family == "regular":
-        return spec.d
-    if spec.family == "gw":
-        return max(3, spec.d_max)
-    if spec.family == "er":
-        return max(3, round(spec.avg_degree))
-    if spec.family == "sf":
-        return max(3, round(2 * spec.edge_node_ratio))
-    return max(3, round(graph.avg_degree()))
-
-
 def _build_graph(spec: GraphSpec, n_infected: int, rng: np.random.Generator):
-    if spec.family == "regular":
-        return _graphs.make_regular_tree(spec.d)
-    if spec.family == "gw":
-        min_nodes = spec.min_nodes or _GW_SIZE_FACTOR * n_infected
-        return _graphs.make_galton_watson(spec.d_max, min_nodes, rng)
-    if spec.family == "er":
-        return _graphs.make_erdos_renyi(spec.n_nodes, spec.avg_degree, rng)
-    if spec.family == "sf":
-        return _graphs.make_scale_free(spec.n_nodes, spec.edge_node_ratio, rng)
-    return _graphs.load_edge_list(spec.path)
+    """``spec``'s graph from its generator, looked up on ``graphs`` at each call
+    (``perfbench/tracer.py`` rebinds it there); a random family's also takes ``rng``."""
+    make = getattr(_graphs, {"regular": "make_regular_tree", "gw": "make_galton_watson",
+                             "er": "make_erdos_renyi", "sf": "make_scale_free",
+                             "edgelist": "load_edge_list"}[spec.family])
+    args = spec.args
+    if spec.family == "gw" and not args[1]:  # a tree sized from the infection target
+        args = (args[0], _GW_SIZE_FACTOR * n_infected)
+    return make(*args) if spec.family in ("regular", "edgelist") else make(*args, rng)
 
 
 @lru_cache(maxsize=1)
 def _pinned_graph(spec: GraphSpec, master_seed: int, n_infected: int):
-    """The one graph instance a pinned or edge-list sweep uses, built once per process."""
-    pin_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=_GRAPH_SPAWN_KEY)
-    )
-    return _build_graph(spec, n_infected, pin_rng)
+    """The one graph instance a pinned or edge-list sweep uses, built once per sweep."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=_GRAPH_SPAWN_KEY)
+    return _build_graph(spec, n_infected, np.random.default_rng(seq))
 
 
 def _pins_graph(config: ExperimentConfig) -> bool:
@@ -429,7 +416,7 @@ def _resolve_workers(config: ExperimentConfig) -> int:
 
 def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> int:
     """A row's r: 0 at K = 0, else in 1..K.  The config's checks and the
-    floor of 3 on ``d`` leave ``choose_r_star`` nothing to reject."""
+    bounds on ``d`` (3 to 2**53 - 1) leave ``choose_r_star`` nothing to reject."""
     mode, arg = config.r_rule
     if mode == "fixed":
         return min(arg, K)
@@ -569,13 +556,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     row.  Each failure is logged once; a TrialError's traceback text
     follows its message and reads the same at any worker count.
     """
+    _pinned_graph.cache_clear()  # each sweep loads or builds its graph afresh
     spec = config.spec
-    graph = None
-    if spec.family == "edgelist":  # its degree is measured; the trials reuse the load
-        graph = _pinned_graph(spec, config.master_seed, config.n_infected)
-    d_eff = effective_degree(spec, graph)
+    # An edge list's degree is measured on the load, which its trials reuse.
+    d = spec.d or _degree(_pinned_graph(spec, config.master_seed, config.n_infected).avg_degree())
     rows: list[SweepRow] = [
-        (row_index, K, _resolve_r(config, K, d_eff, p, q), p, q)
+        (row_index, K, _resolve_r(config, K, d, p, q), p, q)
         for row_index, (K, p, q) in enumerate(
             product(config.budgets, config.p_values, config.q_values)
         )
@@ -604,7 +590,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 _log_failure(f"row {row_index} (K={K}, p={p}, q={q})", failure)
             stats = (0, math.nan, math.nan, math.nan, math.nan, 0.0)
         out.append(ResultRow(
-            config.scheme, config.graph, d_eff, config.n_infected, K, r, p, q, config.trials,
+            config.scheme, config.graph, d, config.n_infected, K, r, p, q, config.trials,
             *stats, None if failure is None else str(failure),
         ))
     return out

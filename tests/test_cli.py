@@ -175,6 +175,19 @@ class TestSimulate:
         assert err.startswith("error:") and "no-such-graph.txt" in err
         assert out_path.read_text() == "rows of an earlier run\n"
 
+    @pytest.mark.parametrize("graph,scheme", [
+        ("sf:3:1e308", "na"), ("sf:3:1e308", "ad"), ("sf:50:1e300", "ad"),
+        (f"regular:1{'0' * 160}", "ad"),
+    ])
+    def test_a_degree_the_closed_forms_cannot_take_is_a_spec_error(self, capsys, graph, scheme):
+        # round(2 * 1e308) overflows, and the other two degrees overflowed the ad r* formulas.
+        code, out, err = run_cli(
+            capsys, "simulate", "--graph", graph, "--n", "25", "--scheme", scheme,
+            "--k", "10", "--p", "0.9", "--q", "0.9", "--trials", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot parse graph spec")
+
     def test_output_replaces_a_longer_file_and_may_name_the_input(self, capsys, tmp_path):
         # The edge list is read in full before the rows replace it.
         path = tmp_path / "graph.txt"

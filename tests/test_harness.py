@@ -21,8 +21,8 @@ from rqsim.harness import (
     ExperimentConfig,
     GraphSpec,
     ResultRow,
+    _build_graph,
     _resolve_r,
-    effective_degree,
     parse_graph_spec,
     rows_to_csv,
     rows_to_json,
@@ -62,26 +62,46 @@ class TestWilsonInterval:
 
 class TestGraphSpecParsing:
     def test_families(self):
-        assert parse_graph_spec("regular:3") == GraphSpec(family="regular", d=3)
-        assert parse_graph_spec("gw:10").d_max == 10
-        assert parse_graph_spec("gw:10:900").min_nodes == 900
-        spec = parse_graph_spec("er:2000:4")
-        assert (spec.n_nodes, spec.avg_degree) == (2000, 4.0)
-        spec = parse_graph_spec("sf:2000:1.5")
-        assert (spec.n_nodes, spec.edge_node_ratio) == (2000, 1.5)
-        assert parse_graph_spec("edgelist:/data/fb.txt").path == "/data/fb.txt"
+        # args are the generator's arguments before rng; d is the degree fed
+        # to the closed forms: rounded and floored at 3, and 0 on an edge list,
+        # whose degree is measured on the load.
+        for text, args, d in (
+            ("regular:3", (3,), 3), ("regular:4", (4,), 4),
+            ("gw:10", (10, 0), 10), ("gw:10:900", (10, 900), 10), ("gw:2", (2, 0), 3),
+            ("er:2000:4", (2000, 4.0), 4), ("er:300:4.6", (300, 4.6), 5),
+            ("er:300:2.5", (300, 2.5), 3),
+            ("sf:2000:1.5", (2000, 1.5), 3), ("sf:300:1", (300, 1.0), 3),
+            ("sf:4039:22", (4039, 22.0), 44),
+            ("edgelist:/data/fb.txt", ("/data/fb.txt",), 0),
+            ("edgelist:/data/a:b.txt", ("/data/a:b.txt",), 0),
+            (f"regular:{2**53 - 1}", (2**53 - 1,), 2**53 - 1),
+        ):
+            assert parse_graph_spec(text) == GraphSpec(text.split(":")[0], args, d), text
+
+    def test_effective_degree(self):
+        # The degree the closed forms take is the spec's d.
+        assert parse_graph_spec("regular:4").d == 4
+        assert parse_graph_spec("gw:10").d == 10
+        assert parse_graph_spec("er:2000:4").d == 4
+        assert parse_graph_spec("sf:2000:1.5").d == 3
 
     def test_rejects_malformed(self):
         for bad in ("regular", "regular:2", "er:10", "sf:2", "ring:5", "gw:1",
-                    "er:10:0", "sf:2:1.5"):
+                    "er:10:0", "sf:2:1.5", "edgelist:"):
             with pytest.raises(InvalidParameterError):
                 parse_graph_spec(bad)
 
-    def test_effective_degree(self):
-        assert effective_degree(parse_graph_spec("regular:4")) == 4
-        assert effective_degree(parse_graph_spec("gw:10")) == 10
-        assert effective_degree(parse_graph_spec("er:2000:4")) == 4
-        assert effective_degree(parse_graph_spec("sf:2000:1.5")) == 3
+    def test_rejects_a_degree_of_2_to_the_53_or_more(self):
+        # The closed forms take a finite integer d below 2**53.
+        for bad in (f"regular:{2**53}", f"regular:1{'0' * 160}", f"gw:{2**53}",
+                    "sf:3:1e308", "sf:50:1e300", f"er:{10**20}:1e19"):
+            with pytest.raises(InvalidParameterError, match="must be below 2\\*\\*53"):
+                parse_graph_spec(bad)
+
+    def test_galton_watson_trees_are_sized_from_min_nodes_or_the_infection_target(self):
+        rng = np.random.default_rng(5)
+        assert _build_graph(parse_graph_spec("gw:10:900"), 100, rng).n >= 900
+        assert _build_graph(parse_graph_spec("gw:10"), 100, rng).n >= 400
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -194,6 +214,15 @@ class TestRunExperiment:
         assert rows[0].d == 12
         assert rows[0].r == choose_r_star("na", "sufficient", 20, 12, 0.8, 0.8)
         assert len(loads) == 1
+
+    def test_a_rewritten_edge_list_is_loaded_again_by_the_next_sweep(self, tmp_path):
+        # The same config twice in one process: the second sweep reads the
+        # file as it is now, not the graph the first sweep loaded.
+        path = tmp_path / "ring.txt"
+        cfg = small_config(graph=f"edgelist:{path}", n_infected=150, trials=2)
+        for n, error in ((100, "graph has 100 nodes, cannot infect 150"), (300, None)):
+            path.write_text("".join(f"{u} {(u + 1) % n}\n" for u in range(n)))
+            assert [row.error for row in run_experiment(cfg)] == [error]
 
     def test_unexpected_trial_exception_yields_error_row(self, monkeypatch, caplog):
         import rqsim.harness
@@ -364,7 +393,7 @@ def assert_resolves_in_range(scheme, r_mode, K, d, p, q):
 def test_every_valid_row_resolves_an_r_at_the_extremes(scheme, r_mode):
     for K, d, p, q in product(
         (0, 1, 2, 3, 4, 50, 10**6, 2**62),
-        (3, 4, 12, 10**6),
+        (3, 4, 12, 10**6, 2**53 - 1),
         (math.nextafter(0.5, 1.0), 0.5 + 1e-12, 0.8, 1.0),
         (5e-324, 1e-12, 0.05, 1 / 3, 0.8, 1.0),
     ):
