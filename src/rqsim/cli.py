@@ -102,14 +102,23 @@ def _add_budget(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--ht", type=float, help="entropy of the infection-time vector")
-    p.add_argument("--c", type=float, default=1.0, help="leading constant (necessary bounds)")
-    p.add_argument("--r", type=int, help="repetition count for the default H(T) bound")
+    p.add_argument("--ht", type=float, help="entropy of the infection-time vector (necessary bounds)")
+    p.add_argument("--c", type=float, help="leading constant (necessary bounds; default 1)")
+    p.add_argument("--r", type=int, help="repetition count for the default H(T) bound (necessary, no --ht)")
 
 
 def _cmd_budget(args: argparse.Namespace) -> int:
+    # A flag that the evaluation does not read is refused rather than dropped.
+    if args.kind == "sufficient":
+        unread, reader = ("ht", "c", "r"), "a sufficient budget"
+    else:
+        unread, reader = ("r",) if args.ht is not None else (), "a necessary budget with --ht"
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise InvalidParameterError(f"--{name} is not read by {reader}")
     inputs = _budget.BudgetInputs(
-        delta=args.delta, d=args.d, p=args.p, q=args.q, h_t=args.ht, c_const=args.c
+        delta=args.delta, d=args.d, p=args.p, q=args.q, h_t=args.ht,
+        c_const=1.0 if args.c is None else args.c,
     )
     value = _budget.budget_threshold(args.scheme, args.kind, inputs, args.r)
     print("scheme,kind,delta,d,p,q,K")

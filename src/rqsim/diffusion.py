@@ -12,8 +12,9 @@ respondents read it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 from typing import IO, Mapping, Sequence
 
@@ -323,18 +324,19 @@ def _spread_on_fresh_tree(tree: RegularTree, n_target: int, rng: np.random.Gener
     return Snapshot(tree, tuple(infected), parent_pos, tree._place.copy())
 
 
-def _symmetric_sums(a: int, b_max: int, d: int) -> list[int]:
-    """Elementary symmetric sums e_0..e_b of x_i = 1 + i(d-2), i = 1..a.
-
-    Standard one-row dynamic programming; exact integer arithmetic.
-    """
-    e = [0] * (b_max + 1)
-    e[0] = 1
+@lru_cache(maxsize=1)
+def _distance_tables(d: int, k: int) -> tuple[list[int], int]:
+    """The elementary symmetric sums e_0..e_{k-2} of x_i = 1 + i(d-2), i =
+    1..k-2, and the number of size-k infection orderings, by one-row
+    dynamic programming in exact integers.  Every l of one law reads these,
+    so they are built once per (d, k)."""
+    a = k - 2
+    e = [1] + [0] * a
     for i in range(1, a + 1):
         x = 1 + i * (d - 2)
-        for j in range(min(i, b_max), 0, -1):
+        for j in range(i, 0, -1):
             e[j] += x * e[j - 1]
-    return e
+    return e, math.prod(2 + j * (d - 2) for j in range(1, k))
 
 
 def distance_distribution(d: int, k: int, l: int) -> float:
@@ -350,9 +352,5 @@ def distance_distribution(d: int, k: int, l: int) -> float:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if not 1 <= l <= k - 1:
         return 0.0
-    a, b = k - 2, k - l - 1
-    num = _symmetric_sums(a, b, d)[b] * d * (d - 1) ** (l - 1)
-    den = 1
-    for j in range(1, k):
-        den *= 2 + j * (d - 2)
-    return num / den
+    sums, den = _distance_tables(d, k)
+    return sums[k - l - 1] * d * (d - 1) ** (l - 1) / den

@@ -15,8 +15,7 @@ a given seed.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from typing import IO
 
 import numpy as np
@@ -315,7 +314,6 @@ _SKIP_BLOCK = 1 << 16
 #: One more than the largest 32-bit word, and the largest bound an
 #: :class:`IntegerTape` takes.
 _WORD = 1 << 32
-_HALF, _LOW_HALF = np.int64(32), np.int64(_WORD - 1)  # split a word times a bound
 
 
 class IntegerTape:
@@ -326,19 +324,20 @@ class IntegerTape:
     method (ACM TOMACS 2019) from the generator's 32-bit words: the high
     half of ``word * h``, drawn again while the low half is below ``2**32
     % h``; ``h = 1`` reads no word.  The words come from
-    ``rng.integers(0, 2**32, size=block)``, which reads the same words.
+    ``rng.integers(0, 2**32, size=block)``, which reads the same words,
+    and each block is kept as a list of ints.
     Used as a context manager, the tape leaves ``rng`` on exit, an
     exception included, where the scalar calls would have: it restores
     the state saved before the block and draws just the used words again.
     """
 
-    __slots__ = ("_rng", "_block", "_saved", "_words", "_end", "_at")
+    __slots__ = ("_rng", "_block", "_saved", "_words", "_at")
 
     def __init__(self, rng: np.random.Generator, block: int):
         self._rng, self._block = rng, max(1, min(block, _TAPE_BLOCK))
         self._saved = None
-        self._words = np.empty(0, dtype=np.int64)
-        self._end = self._at = 0
+        self._words: list[int] = []
+        self._at = 0
 
     def __enter__(self) -> IntegerTape:
         return self
@@ -348,7 +347,7 @@ class IntegerTape:
 
     def _put_back(self) -> None:
         """Return the block's unused words to ``rng``."""
-        if self._at < self._end:
+        if self._at < len(self._words):
             self._rng.bit_generator.state = self._saved
             self._rng.integers(0, _WORD, size=self._at)
 
@@ -356,18 +355,17 @@ class IntegerTape:
         """Draw a new block of at least ``k`` words, starting at the first unused one."""
         self._put_back()
         self._saved = self._rng.bit_generator.state
-        self._words = self._rng.integers(0, _WORD, size=max(k, self._block))
-        self._end, self._at = self._words.size, 0
+        self._words = self._rng.integers(0, _WORD, size=max(k, self._block)).tolist()
+        self._at = 0
 
-    def words(self, k: int) -> np.ndarray:
-        """The next ``k`` words, int64, left on the tape until :meth:`skip`."""
-        if self._at + k > self._end:
+    def take(self, k: int) -> list[int]:
+        """The next ``k`` words as they are, for a caller that decodes its own picks."""
+        at = self._at
+        if at + k > len(self._words):
             self._refill(k)
-        return self._words[self._at:self._at + k]
-
-    def skip(self, k: int) -> None:
-        """Take ``k`` words that :meth:`words` returned."""
-        self._at += k
+            at = 0
+        self._at = at + k
+        return self._words[at:at + k]
 
     def below(self, h: int) -> int:
         """The next integer in ``0..h-1``: ``int(rng.integers(h))``."""
@@ -376,9 +374,9 @@ class IntegerTape:
                 return 0
             raise InvalidParameterError(f"bound must be in 1..2**32, got {h}")
         while True:
-            if self._at == self._end:
+            if self._at == len(self._words):
                 self._refill(1)
-            m = self._words.item(self._at) * h
+            m = self._words[self._at] * h
             self._at += 1
             # A low half of at least h is at least 2**32 % h: the modulo is rarely needed.
             if m & (_WORD - 1) >= h or m & (_WORD - 1) >= _WORD % h:
@@ -415,64 +413,33 @@ def _attachment_pool(n: int, edge_node_ratio: float, rng: np.random.Generator) -
     degree-proportional pick of a node.
 
     Node i >= 2 picks entries below the pool's length until they name
-    ``m[i - 2]`` distinct nodes, then appends ``(u, i)`` for each node u in
-    set order.  So the counts place every entry, the owners i are written
-    before any draw, and each node's first m picks, with their bound, are
-    known in advance: those of a run of nodes decode in one numpy step from
-    the tape's words, one word a pick.  The run ends before a word that may
-    be rejected and before a pick of an entry the run has not yet written;
-    and at a node that repeats a pick, which goes on one pick at a time, as
-    does a run's first node when its words may be rejected.
+    ``m[i - 2]`` distinct nodes, then writes ``(u, i)`` for each node u in
+    set order.  Each pick is :meth:`IntegerTape.below`'s, decoded inline:
+    a node takes the words of its outstanding picks at once, as no word
+    but the last of them can complete its picks, and redraws a word as
+    ``below`` does.  The owners i are written before any draw.
     """
     sizes = _edge_counts(n, edge_node_ratio)
-    m = sizes.tolist()
-    first = [0, *accumulate(m)]
-    # Node i's first picks are first[i - 2]:first[i - 1], its first entry starts[i - 2].
-    starts = 2 * np.array(first, dtype=np.int64) + 2
-    if starts[-1] > _WORD // 2:  # so that a word times a bound stays below 2**63
-        raise InvalidParameterError(f"make_scale_free builds at most 2**30 edges, not {first[-1] + 1}")
-    pool = np.full(starts[-1], -1, dtype=np.int64)  # -1: a chosen node not yet written
+    edges = 1 + int(sizes.sum())
+    if edges > 1 << 30:  # every bound, the pool's length, then stays below the 2**32 a word decodes
+        raise InvalidParameterError(f"make_scale_free builds at most 2**30 edges, not {edges}")
+    pool = np.empty(2 * edges, dtype=np.int64)
     pool[:2] = 0, 1
     pool[3::2] = np.repeat(np.arange(2, n), sizes)
+    entries = memoryview(pool)  # reads and writes entries as ints, not numpy scalars
     with IntegerTape(rng, _TAPE_BLOCK) as tape:
-        k, window = 0, _PICK_WINDOW
-        while k < n - 2:
-            end = max(k + 1, bisect_right(first, first[k] + window) - 1)
-            bound = starts[k:end].repeat(sizes[k:end])
-            scaled = tape.words(bound.size) * bound
-            doubt = scaled & _LOW_HALF < bound
-            stop = int(doubt.argmax())
-            if not doubt[stop]:
-                stop = bound.size
-            found = pool.take(scaled[:stop] >> _HALF).tolist()
-            column: list[int] = []  # the chosen nodes of nodes k..j - 1
-            chosen = None  # a run that ends at a repeat: that node's first picks
-            at, j = 0, k
-            for mj in m[k:end]:
-                if at + mj > stop:
-                    break
-                picked = set(found[at:at + mj])
-                if -1 in picked:  # an entry of this run, read before the run wrote it
-                    break
-                at += mj
-                if len(picked) < mj:
-                    chosen = picked
-                    break
-                column += picked
-                j += 1
-            start = 2 * first[k] + 2
-            pool[start:start + 2 * len(column):2] = column
-            tape.skip(at)
-            if chosen is None and j == k:  # the run's first word may be rejected
-                chosen = set()
-            if chosen is not None:
-                a = 2 * first[j] + 2
-                while len(chosen) < m[j]:
-                    chosen.add(pool.item(tape.below(a)))
-                pool[a:a + 2 * m[j]:2] = list(chosen)
-                j += 1
-            window = max(_PICK_WINDOW, 2 * (first[j] - first[k]))
-            k = j
+        take, bound = tape.take, 2  # bound: the pool's length so far
+        for m in sizes.tolist():
+            chosen: set[int] = set()
+            floor = _WORD % bound
+            while len(chosen) < m:
+                for word in take(m - len(chosen)):
+                    scaled = word * bound
+                    if scaled & 0xFFFFFFFF >= floor:  # the low half
+                        chosen.add(entries[scaled >> 32])
+            for u in chosen:
+                entries[bound] = u
+                bound += 2
     return pool
 
 
@@ -489,11 +456,6 @@ def _edge_counts(n: int, ratio: float) -> np.ndarray:
         i += 1
     rest = np.diff(np.floor(ratio * np.arange(i, n + 1, dtype=np.int64)))
     return np.concatenate((np.array(m, dtype=np.int64), rest.astype(np.int64)))
-
-
-#: Fewest picks one run of :func:`_attachment_pool` decodes; a run
-#: decodes twice as many as the last one used.
-_PICK_WINDOW = 64
 
 
 def check_scale_free(n: int, edge_node_ratio: float) -> None:

@@ -120,6 +120,21 @@ class TestBudget:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("kind,flags,unread", [
+        ("sufficient", ("--ht", "5"), "--ht"), ("sufficient", ("--c", "2"), "--c"),
+        ("sufficient", ("--r", "3"), "--r"), ("sufficient", ("--r", "0"), "--r"),
+        ("necessary", ("--ht", "5", "--r", "3"), "--r"),
+        ("necessary", ("--ht", "5", "--r", "0"), "--r"),
+    ])
+    def test_flag_the_evaluation_does_not_read_is_refused(self, capsys, kind, flags, unread):
+        code, out, err = run_cli(
+            capsys, "budget", "--scheme", "na", "--kind", kind, "--delta", "0.1",
+            "--d", "3", "--p", "0.8", "--q", "0.8", *flags,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and unread in err
+
 
 class TestSimulate:
     def test_csv_output_and_reproducibility(self, capsys, tmp_path):

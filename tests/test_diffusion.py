@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_from_edges, path_graph
+from rqsim import diffusion
 from rqsim.centrality import likelihood_table
 from rqsim.diffusion import Snapshot, breadth_first, distance_distribution, simulate_si
 from rqsim.errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
@@ -209,6 +210,15 @@ class TestDistanceDistribution:
         for l in range(1, k):
             expect = exact_distance_probability(d, k, l)
             assert distance_distribution(d, k, l) == pytest.approx(float(expect), rel=1e-12)
+
+    def test_a_full_law_builds_its_tables_once(self):
+        # Building them for every l made `rqsim oracle distance` cubic in k.
+        tables = diffusion._distance_tables
+        tables.cache_clear()
+        law = [distance_distribution(5, 60, l) for l in range(1, 60)]
+        assert tables.cache_info().misses == 1
+        assert tables.cache_info().maxsize == 1
+        assert law[-3] == float(exact_distance_probability(5, 60, 57))
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):

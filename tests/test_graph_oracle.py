@@ -137,9 +137,53 @@ def test_scale_free_matches_scalar_draws(n, ratio, seed):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 400), ratio=st.floats(12.0, 40.0), seed=seeds)
 @example(n=4039, ratio=22.0, seed=0)  # the Facebook-density stand-in: ~1100 nodes repeat a pick
-@example(n=400, ratio=40.0, seed=1)  # most nodes repeat a pick, many picks of the run's own entries
+@example(n=400, ratio=40.0, seed=1)  # most nodes repeat a pick
 def test_dense_scale_free_matches_scalar_draws(n, ratio, seed):
     assert_same_draw("make_scale_free", n, ratio, seed=seed)
+
+
+class ZeroWordTape(graphs.IntegerTape):
+    """A tape on which every word that is 0 mod 4 reads 0, and which counts
+    the words taken.  A zero word is redrawn at every bound that is not a
+    power of two.  Each word is made from the generator's word alone, so
+    the words read the same at any block size."""
+
+    __slots__ = ("taken",)
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        super().__init__(rng, block)
+        self.taken = 0
+
+    def _put_back(self) -> None:
+        self.taken += self._at  # the block's used words
+        super()._put_back()
+
+    def _refill(self, k: int) -> None:
+        super()._refill(k)
+        self._words = [0 if word % 4 == 0 else word for word in self._words]
+
+
+@pytest.mark.parametrize("n,ratio", [(300, 8.0), (600, 20.0), (2000, 1.5)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inline_picks_redraw_as_below_does(monkeypatch, n, ratio, seed):
+    """``_attachment_pool``'s inline decoding against one
+    ``IntegerTape.below`` call per pick, on words of which about one in
+    four must be redrawn."""
+    rng = np.random.default_rng(seed)
+    pool, picks = [0, 1], 0
+    with ZeroWordTape(rng, 37) as tape:
+        for i, m in enumerate(graphs._edge_counts(n, ratio).tolist(), start=2):
+            chosen: set[int] = set()
+            while len(chosen) < m:
+                chosen.add(pool[tape.below(len(pool))])
+                picks += 1
+            for u in chosen:
+                pool += (u, i)
+    assert tape.taken > picks  # words were redrawn
+    monkeypatch.setattr(graphs, "IntegerTape", ZeroWordTape)
+    inline_rng = np.random.default_rng(seed)
+    assert graphs._attachment_pool(n, ratio, inline_rng).tolist() == pool
+    assert inline_rng.bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)

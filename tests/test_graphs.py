@@ -86,7 +86,7 @@ def test_dense_scale_free_graph_retains_its_arrays_only():
 
 
 def test_scale_free_refuses_more_than_2_to_the_30_edges(monkeypatch):
-    # Its pick decoding multiplies 32-bit words by bounds below 2**31 in int64.
+    # Every pick's bound, the pool's length, stays at most 2**31.
     monkeypatch.setattr(graphs, "_edge_counts", lambda n, ratio: np.array([2**30]))
     with pytest.raises(InvalidParameterError, match="2\\*\\*30"):
         make_scale_free(3, 1.0, np.random.default_rng(0))

@@ -72,33 +72,28 @@ def test_exception_leaves_the_state_of_the_draws_made(bounds, fail_at, block, se
 
 @st.composite
 def word_runs(draw) -> list[tuple]:
-    """("below", h) calls and ("words", k, taken) runs: ``k`` words read,
-    the first ``taken`` of them taken."""
+    """("below", h) calls and ("take", k) calls, which take ``k`` words."""
     calls = []
     for _ in range(draw(st.integers(0, 20))):
         if draw(st.booleans()):
             calls.append(("below", draw(st.sampled_from(BOUNDS))))
         else:
-            k = draw(st.integers(0, 40))
-            calls.append(("words", k, draw(st.integers(0, k))))
+            calls.append(("take", draw(st.integers(0, 40))))
     return calls
 
 
 @settings(max_examples=150, deadline=None)
 @given(calls=word_runs(), block=st.integers(1, 32), seed=seeds)
 def test_word_runs_read_the_raw_words(calls, block, seed):
-    """A run of words is what ``rng.integers(0, 2**32, size=k)`` returns
-    next, and only the words taken count as drawn."""
+    """The words taken are what ``rng.integers(0, 2**32, size=k)`` returns
+    next, as ints, and they count as drawn."""
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     with IntegerTape(rng, block) as tape:
-        for call in calls:
-            if call[0] == "below":
-                assert tape.below(call[1]) == int(ref.integers(call[1]))
+        for kind, arg in calls:
+            if kind == "below":
+                assert tape.below(arg) == int(ref.integers(arg))
                 continue
-            _, k, taken = call
-            saved = ref.bit_generator.state
-            assert tape.words(k).tolist() == ref.integers(0, 2**32, size=k).tolist()
-            ref.bit_generator.state = saved
-            ref.integers(0, 2**32, size=taken)
-            tape.skip(taken)
+            words = tape.take(arg)
+            assert all(type(word) is int for word in words)
+            assert words == ref.integers(0, 2**32, size=arg).tolist()
     assert rng.bit_generator.state == ref.bit_generator.state
