@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 
 #: Rate functions below this value are treated as exactly zero (the
 #: no-information point evaluated in floating point).
@@ -61,6 +61,17 @@ class BudgetInputs:
                 raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
 
 
+def _check_model(d: int, p: float, q: float) -> None:
+    """Raise InvalidParameterError unless d is an integer of at least 3, p
+    lies in [1/2, 1] and q in (0, 1]; a NaN fails.  The no-information
+    point p = 1/2, q = 1/d is inside, and so is any q at or below 1/d."""
+    check_int("d", d, 3)
+    if not 0.5 <= p <= 1.0:  # a NaN fails too
+        raise InvalidParameterError(f"p must be in [1/2, 1], got {p}")
+    if not 0.0 < q <= 1.0:
+        raise InvalidParameterError(f"q must be in (0, 1], got {q}")
+
+
 def _h2(x: float) -> float:
     return 0.0 if x in (0.0, 1.0) else -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
@@ -72,6 +83,7 @@ def entropies(p: float, q: float, d: int) -> tuple[float, float]:
     over the d-1 non-parent neighbors, so it peaks at log2(d) when
     q = 1/d.  The 0*log(0) terms are taken as 0.
     """
+    _check_model(d, p, q)
     hp = _h2(p)
     if q == 1.0:
         hq = 0.0
@@ -86,6 +98,7 @@ def f1(d: int, p: float, q: float) -> float:
 
 
 def f2(d: int, p: float, q: float) -> float:
+    _check_model(d, p, q)
     return 3 * (p - 0.5) ** 2 + (d - 1) * p * (1 - p) / (3 * d) * (q - 1 / d) ** 2
 
 
@@ -95,6 +108,7 @@ def f3(d: int, p: float, q: float) -> float:
 
 
 def f4(d: int, p: float, q: float) -> float:
+    _check_model(d, p, q)
     return 2 * d / (d - 1) * (p - 0.5) ** 2 + (d - 1) / (d - 2) * (q - 1 / d) ** 3
 
 
@@ -246,19 +260,14 @@ def choose_r_star(scheme: str, kind: str, K: int, d: int, p: float, q: float) ->
 
     ``scheme`` is "na" or "ad"; ``kind`` picks the necessary- or
     sufficient-budget variant of the formula.  Natural logarithms
-    throughout, so K must be at least 3 for the iterated log.  p must lie
-    in [1/2, 1] and q in (0, 1]; q at or below 1/d is accepted, as a
-    sweep resolves r with a representative d and checks q against each
-    trial's graph.
+    throughout, so K must be at least 3 for the iterated log.  d must be
+    an integer of at least 3, p must lie in [1/2, 1] and q in (0, 1]; q at
+    or below 1/d is accepted, as a sweep resolves r with a representative
+    d and checks q against each trial's graph.
     """
     if K < 3:
         raise InvalidParameterError(f"K must be >= 3, got {K}")
-    if d < 3:
-        raise InvalidParameterError(f"d must be >= 3, got {d}")
-    if not 0.5 <= p <= 1.0:  # a NaN fails too
-        raise InvalidParameterError(f"p must be in [1/2, 1], got {p}")
-    if not 0.0 < q <= 1.0:
-        raise InvalidParameterError(f"q must be in (0, 1], got {q}")
+    _check_model(d, p, q)
     formula = _formulas(scheme, kind)[1]
     return max(1, min(K, math.floor(formula(K, d, p, q))))
 
@@ -286,8 +295,7 @@ def detection_lb_mvna(K: int, r: int, d: int, p: float, q: float) -> float:
     """
     if r < 1 or K < r:
         raise InvalidParameterError(f"need K >= r >= 1, got K={K}, r={r}")
-    if d < 3:
-        raise InvalidParameterError(f"d must be >= 3, got {d}")
+    _check_model(d, p, q)
     if K / r < d - 1:
         raise InvalidParameterError(f"need K/r >= d-1, got K/r={K / r:.4g}")
     c = 7 * (d + 1) / d
@@ -307,8 +315,7 @@ def detection_lb_mvad(K: int, r: int, d: int, p: float, q: float) -> float:
     """
     if r < 1 or K < 1:
         raise InvalidParameterError(f"need K >= 1 and r >= 1, got K={K}, r={r}")
-    if d < 3:
-        raise InvalidParameterError(f"d must be >= 3, got {d}")
+    _check_model(d, p, q)
     c = (5 * d + 1) / d
     if q >= 1.0:
         g = 0.0

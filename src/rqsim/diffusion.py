@@ -20,7 +20,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError
+from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError, check_int
 from .graphs import IntegerTape, RegularTree
 
 #: Each node's neighbours, by node id.
@@ -249,8 +249,7 @@ def simulate_si(graph, source: int, n_target: int, rng: np.random.Generator) -> 
     ``rng.integers`` call per pick, with ``rng`` left where those calls
     leave it, also when the spread raises.
     """
-    if n_target < 1:
-        raise InvalidParameterError(f"n_target must be >= 1, got {n_target}")
+    check_int("n_target", n_target, 1)
     if graph.is_finite and not (type(source) is int and 0 <= source < graph.n):
         raise InvalidInputError(f"source {source!r} is not a node id in 0..{graph.n - 1}")
     if isinstance(graph, RegularTree) and source == 0 and graph.is_fresh:

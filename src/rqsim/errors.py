@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+from numbers import Integral
 
 
 class RQSimError(Exception):
@@ -7,6 +9,13 @@ class RQSimError(Exception):
 
 class InvalidParameterError(RQSimError, ValueError):
     """A numeric or configuration parameter is outside its valid domain."""
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise InvalidParameterError unless ``value`` is an integer (an
+    Integral, numpy's included, that is not a bool) of at least ``low``."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
+        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class InvalidInputError(RQSimError, ValueError):

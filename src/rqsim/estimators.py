@@ -27,7 +27,7 @@ import numpy as np
 from .budget import choose_r_star  # noqa: F401  (also importable from here)
 from .centrality import likelihood_table, pick_best
 from .diffusion import Snapshot
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_int
 from .respondent import TruthModel, UniformTape, query_rounds
 from .respondent import answer_dir  # noqa: F401  (perfbench/tracer.py wraps it here)
 
@@ -68,8 +68,8 @@ def check_candidate_order(order: str) -> None:
 
 
 def _check_budget_pair(budget: int, repetitions: int) -> None:
-    if repetitions < 1:
-        raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
+    check_int("repetitions", repetitions, 1)
+    check_int("budget", budget, 1)
     if repetitions > budget:
         raise InvalidParameterError(
             f"repetitions ({repetitions}) cannot exceed the budget ({budget})"
@@ -170,8 +170,7 @@ def select_candidates_na(
     ``pick_best(scores, scores)`` when the caller already has it.
     """
     check_candidate_order(order)
-    if size < 1:
-        raise InvalidParameterError(f"size must be >= 1, got {size}")
+    check_int("size", size, 1)
     n = snapshot.n
     if size > n:
         logger.warning("candidate size %d clamped to infected count %d", size, n)

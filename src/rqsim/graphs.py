@@ -25,6 +25,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     ParseError,
+    check_int,
 )
 
 
@@ -118,8 +119,7 @@ class RegularTree:
     is_finite = False
 
     def __init__(self, d: int):
-        if d < 3:
-            raise InvalidParameterError(f"regular tree degree must be >= 3, got {d}")
+        check_int("regular tree degree", d, 3)
         self.d = d
         self._order: list[int] = []  # expanded nodes, in expansion order
         self._place: dict[int, int] = {}  # each expanded node's place in _order
@@ -254,10 +254,8 @@ def make_galton_watson(d_max: int, min_nodes: int, rng: np.random.Generator) -> 
 
 def check_galton_watson(d_max: int, min_nodes: int) -> None:
     """Raise InvalidParameterError unless ``make_galton_watson`` takes these."""
-    if d_max < 2:
-        raise InvalidParameterError(f"d_max must be >= 2, got {d_max}")
-    if min_nodes < 1:
-        raise InvalidParameterError(f"min_nodes must be >= 1, got {min_nodes}")
+    check_int("d_max", d_max, 2)
+    check_int("min_nodes", min_nodes, 1)
 
 
 def make_erdos_renyi(n: int, avg_degree: float, rng: np.random.Generator) -> Graph:
@@ -389,8 +387,7 @@ _TAPE_BLOCK = 1 << 12
 
 def check_erdos_renyi(n: int, avg_degree: float) -> None:
     """Raise InvalidParameterError unless ``make_erdos_renyi`` takes these."""
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    check_int("n", n, 2)
     if not 0 < avg_degree <= n - 1:
         raise InvalidParameterError(f"avg_degree must be in (0, {n - 1}], got {avg_degree}")
 
@@ -460,8 +457,7 @@ def _edge_counts(n: int, ratio: float) -> np.ndarray:
 
 def check_scale_free(n: int, edge_node_ratio: float) -> None:
     """Raise InvalidParameterError unless ``make_scale_free`` takes these."""
-    if n < 3:
-        raise InvalidParameterError(f"n must be >= 3, got {n}")
+    check_int("n", n, 3)
     if not 0 < edge_node_ratio < math.inf:
         raise InvalidParameterError(f"edge_node_ratio must be in (0, inf), got {edge_node_ratio}")
 

@@ -3,13 +3,14 @@
 Sweeps run trial-major: trial t draws one graph, source and snapshot from
 stream (master seed, 0, t), scores it once, and every (K, p, q) row then
 queries that snapshot.  Row 0 draws its answers from the same stream, row
-i >= 1 from stream (master seed, i, t); streams are
-``numpy.random.SeedSequence`` spawn keys.  So results are independent of
-execution order and degree of parallelism, replaying a trial from its
-streams reproduces it exactly, and comparisons are paired: all rows see
-the same snapshots trial for trial, and so do ``na`` and ``ad`` sweeps
-with the same master seed.  A single-row sweep, and row 0 of any sweep,
-draw exactly what they drew when each row built its own snapshots.
+i >= 1 from stream (master seed, i, t); a K = 0 row asks nothing and
+reads no stream.  Streams are ``numpy.random.SeedSequence`` spawn keys.
+So results are independent of execution order and degree of parallelism,
+replaying a trial from its streams reproduces it exactly, and comparisons
+are paired: all rows see the same snapshots trial for trial, and so do
+``na`` and ``ad`` sweeps with the same master seed.  A single-row sweep,
+and row 0 of any sweep, draw exactly what they drew when each row built
+its own snapshots.
 
 Random graph families are regenerated every trial from the trial stream;
 ``fixed_graph`` pins one instance derived from the master seed instead.
@@ -311,8 +312,9 @@ def _graph_for_trial(config: ExperimentConfig, rng: np.random.Generator):
     return _build_graph(config.spec, config.n_infected, rng)
 
 
-#: A sweep row as a trial sees it: (row index, K, r, p, q).
-SweepRow = tuple[int, int, int, float, float]
+#: A sweep row as a trial sees it: (row index, K, r, its truth model, and
+#: its estimator's configuration, or None at K = 0).
+SweepRow = tuple[int, int, int, TruthModel, NAConfig | ADConfig | None]
 
 #: A row's outcome in one trial: (detected, budget_used, seconds spent on
 #: its queries and estimate), or the RQSimError the row raised.
@@ -334,9 +336,10 @@ def _run_single_trial(
 
     The graph, source and snapshot are drawn from stream (master, 0,
     trial) and scored once, and the likelihood centre is found once for
-    every row.  Row 0 goes on drawing its answers from that stream; row
-    i >= 1 draws them from stream (master, i, trial).  Returns
-    the seconds the shared build, simulation and scoring took, and each
+    every row.  A K = 0 row takes the centre and builds no stream.  Row
+    0's estimator goes on drawing its answers from that stream; row
+    i >= 1's draws them from stream (master, i, trial).  Returns the
+    seconds the shared build, simulation and scoring took, and each
     row's outcome.  Failures are values (see ``_failure``): a row that
     raises fails alone, and the failure of the shared part, which fails
     every row, is returned in place of the result.
@@ -362,33 +365,20 @@ def _run_single_trial(
     shared_s = time.perf_counter() - t0
 
     outcomes: list[RowOutcome] = []
-    for row in rows:
+    for row_index, _, _, model, estimator in rows:
         t1 = time.perf_counter()
         try:
-            row_rng = rng if row[0] == 0 else _stream(config, row[0], trial_index)
-            estimate, used = _estimate(config, snapshot, table, centre, row, row_rng)
+            estimate, used = centre, 0
+            if estimator is not None:
+                run = run_mvna if config.scheme == "na" else run_mvad
+                row_rng = rng if row_index == 0 else _stream(config, row_index, trial_index)
+                outcome = run(snapshot, estimator, model, row_rng, scores=table, centre=centre)
+                estimate, used = outcome.estimate, outcome.budget_used
         except Exception as exc:  # the row boundary: the other rows go on
             outcomes.append(_failure(trial_index, exc))
         else:
             outcomes.append((int(estimate == source), used, time.perf_counter() - t1))
     return shared_s, outcomes
-
-
-def _estimate(
-    config: ExperimentConfig, snapshot, table, centre: int, row: SweepRow, rng: np.random.Generator
-) -> tuple[int, int]:
-    """(estimate, budget_used) of one row's estimator on a scored snapshot
-    whose likelihood table ``table`` peaks at ``centre``."""
-    _, K, r, p, q = row
-    if K == 0:
-        return centre, 0
-    model = TruthModel(p=p, q=q)
-    if config.scheme == "na":
-        na = NAConfig(budget=K, repetitions=r, candidate_order=config.candidate_order)
-        outcome = run_mvna(snapshot, na, model, rng, scores=table, centre=centre)
-    else:
-        outcome = run_mvad(snapshot, ADConfig(budget=K, repetitions=r), model, rng, scores=table, centre=centre)
-    return outcome.estimate, outcome.budget_used
 
 
 def _failure(trial_index: int, exc: Exception) -> RQSimError:
@@ -412,6 +402,18 @@ def _resolve_workers(config: ExperimentConfig) -> int:
     if hasattr(os, "sched_getaffinity"):  # os.cpu_count() ignores the affinity mask
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _sweep_rows(config: ExperimentConfig, d: int) -> list[SweepRow]:
+    """Every row of ``config`` in (budget, p, q) nesting order, with its r
+    resolved at degree ``d``, built once per sweep."""
+    rows: list[SweepRow] = []
+    for row_index, (K, p, q) in enumerate(product(config.budgets, config.p_values, config.q_values)):
+        r = _resolve_r(config, K, d, p, q)
+        estimator = (None if K == 0 else ADConfig(K, r) if config.scheme == "ad"
+                     else NAConfig(K, r, config.candidate_order))
+        rows.append((row_index, K, r, TruthModel(p, q), estimator))
+    return rows
 
 
 def _resolve_r(config: ExperimentConfig, K: int, d: int, p: float, q: float) -> int:
@@ -560,12 +562,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     spec = config.spec
     # An edge list's degree is measured on the load, which its trials reuse.
     d = spec.d or _degree(_pinned_graph(spec, config.master_seed, config.n_infected).avg_degree())
-    rows: list[SweepRow] = [
-        (row_index, K, _resolve_r(config, K, d, p, q), p, q)
-        for row_index, (K, p, q) in enumerate(
-            product(config.budgets, config.p_values, config.q_values)
-        )
-    ]
+    rows = _sweep_rows(config, d)
     results = _run_trials(config, rows, _resolve_workers(config))
     every_row = None  # the failure of a trial's shared part, which fails every row
     if isinstance(results, RQSimError):
@@ -576,7 +573,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     # share of each trial's shared time, summed over the trials.
     shared_s = sum(s for s, _ in results) / len(rows)
     out: list[ResultRow] = []
-    for row_index, K, r, p, q in rows:
+    for row_index, K, r, model, _ in rows:
         outcomes = [trial[row_index] for _, trial in results]
         failure = next((o for o in outcomes if isinstance(o, RQSimError)), every_row)
         if failure is None:
@@ -587,10 +584,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                      (shared_s + sum(o[2] for o in outcomes)) * 1000.0)
         else:
             if failure is not every_row:
-                _log_failure(f"row {row_index} (K={K}, p={p}, q={q})", failure)
+                _log_failure(f"row {row_index} (K={K}, p={model.p}, q={model.q})", failure)
             stats = (0, math.nan, math.nan, math.nan, math.nan, 0.0)
         out.append(ResultRow(
-            config.scheme, config.graph, d, config.n_infected, K, r, p, q, config.trials,
+            config.scheme, config.graph, d, config.n_infected, K, r, model.p, model.q, config.trials,
             *stats, None if failure is None else str(failure),
         ))
     return out

@@ -314,6 +314,31 @@ class TestBudgetInputsValidation:
         BudgetInputs(delta=0.1, d=3, p=0.8, q=0.8, h_t=1e-9, c_const=2.5, u1=0.5, u2=1e6)
 
 
+class TestModelPointValidation:
+    @pytest.mark.parametrize("call", [
+        lambda: detection_lb_mvna(100, 1, 3, 0.3, 0.8),  # would read 0.342
+        lambda: detection_lb_mvna(100, 1, 3, 0.8, math.nan),
+        lambda: detection_lb_mvna(100, 1, 3.0, 0.8, 0.8),
+        lambda: detection_lb_mvad(100, 1, 3, 0.8, 1.5),  # would read 1.0
+        lambda: detection_lb_mvad(10, 1, 3, math.nan, 0.8),  # would read 0.0
+        lambda: detection_lb_mvad(100, 1, 3.5, 0.8, 0.8),
+        lambda: f4(2, 0.8, 0.8),  # ZeroDivisionError
+        lambda: f2(3, 0.8, 0.0),
+        lambda: f1(3, 1.2, 0.8),
+        lambda: f3(True, 0.8, 0.8),
+        lambda: entropies(0.8, 0.0, 3),  # math domain error
+        lambda: choose_r_star("na", "sufficient", 200, 3.0, 0.8, 0.8),
+    ])
+    def test_outside_the_model_rejected(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()
+
+    def test_no_information_point_accepted(self):
+        for f in (f1, f2, f3, f4):
+            assert f(4, 0.5, 0.25) == pytest.approx(0.0, abs=1e-12)
+        assert entropies(0.5, 0.25, 4) == pytest.approx((1.0, 2.0))
+
+
 class TestRStarValidation:
     @pytest.mark.parametrize("p, q", [(2.0, -1.0), (0.3, 0.1), (math.nan, 0.8), (0.8, math.nan),
                                       (math.inf, 0.8), (0.8, math.inf), (0.49, 0.8),

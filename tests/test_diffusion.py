@@ -79,6 +79,14 @@ class TestSimulateSI:
         with pytest.raises(InvalidParameterError):
             simulate_si(path_graph(3), 0, 0, rng)
 
+    @pytest.mark.parametrize("graph", ["tree", "path"])
+    @pytest.mark.parametrize("n_target", [5.5, 3.0, True])
+    def test_rejects_a_target_that_is_not_an_integer(self, graph, n_target, rng):
+        # A float target would fail in numpy, and True would run as 1.
+        graph = make_regular_tree(3) if graph == "tree" else path_graph(8)
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            simulate_si(graph, 0, n_target, rng)
+
     def test_rejects_negative_source_on_regular_tree(self):
         with pytest.raises(InvalidInputError):
             simulate_si(make_regular_tree(3), -1, 5, np.random.default_rng(0))

@@ -34,8 +34,24 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             NAConfig(budget=10, repetitions=2, candidate_order="sideways")
 
+    @pytest.mark.parametrize("make", [NAConfig, ADConfig])
+    @pytest.mark.parametrize("budget, repetitions", [(10.5, 2), (10, 2.0), (True, True), (10, True)])
+    def test_counts_must_be_integers(self, make, budget, repetitions):
+        # A fractional budget would fail inside run_mvna's slicing, or come
+        # back from run_mvad as a float budget_used.
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make(budget, repetitions)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert NAConfig(np.int64(10), np.int32(2)).budget == 10
+
 
 class TestCandidateSelection:
+    @pytest.mark.parametrize("size", [5.0, True, 0])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(InvalidParameterError):
+            select_candidates_na(tree_snapshot(30, 0), size)
+
     def test_size_one_is_center_in_both_modes(self):
         snap = full_path_snapshot(7)
         assert select_candidates_na(snap, 1, "hop") == [3]

@@ -136,6 +136,12 @@ class TestRegularTree:
         with pytest.raises(InvalidParameterError):
             make_regular_tree(2)
 
+    @pytest.mark.parametrize("d", [3.0, 3.5, True])
+    def test_rejects_a_degree_that_is_not_an_integer(self, d):
+        # A float degree would reach numpy in a spread on the tree, and fail there.
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make_regular_tree(d)
+
     @pytest.mark.parametrize("v", [-1, -5, 1])
     def test_rejects_unmaterialized_ids(self, v):
         with pytest.raises(InvalidInputError):
@@ -175,6 +181,11 @@ class TestGaltonWatson:
         with pytest.raises(InvalidParameterError):
             make_galton_watson(4, 0, rng)
 
+    @pytest.mark.parametrize("d_max, min_nodes", [(3, 10.5), (3.0, 10), (3, True)])
+    def test_rejects_counts_that_are_not_integers(self, d_max, min_nodes, rng):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make_galton_watson(d_max, min_nodes, rng)
+
     def test_deterministic_for_seed(self):
         g1 = make_galton_watson(6, 200, np.random.default_rng(13))
         g2 = make_galton_watson(6, 200, np.random.default_rng(13))
@@ -212,6 +223,12 @@ class TestErdosRenyi:
             make_erdos_renyi(100, 0.0, rng)
         with pytest.raises(InvalidParameterError):
             make_erdos_renyi(100, 100.0, rng)
+
+    @pytest.mark.parametrize("n", [50.0, 50.5, True])
+    def test_rejects_a_size_that_is_not_an_integer(self, n, rng):
+        # A float size would fail in numpy with a UFuncTypeError.
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make_erdos_renyi(n, 0.5, rng)
 
 
 def assert_tree_like_connected(g: Graph):
@@ -251,6 +268,12 @@ class TestScaleFree:
         g1 = make_scale_free(400, 1.5, np.random.default_rng(7))
         g2 = make_scale_free(400, 1.5, np.random.default_rng(7))
         assert neighbour_lists(g1) == neighbour_lists(g2)
+
+    @pytest.mark.parametrize("n", [50.5, 50.0])
+    def test_rejects_a_size_that_is_not_an_integer(self, n, rng):
+        # A float size would fail in numpy with a UFuncTypeError.
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            make_scale_free(n, 2.0, rng)
 
 
 class TestEdgeList:

@@ -511,15 +511,12 @@ def test_golden_rendering(zero_timing, walls):
 def test_row_reproducible_from_derived_seeds():
     # per-trial seeds are position-derived, so replaying the trials of a
     # row one by one must recover the aggregated detection count
-    from rqsim.harness import _run_single_trial
+    from rqsim.harness import _run_single_trial, _sweep_rows
 
     cfg = small_config(budgets=(15, 30), trials=9)
     rows = run_experiment(cfg)
-    for row_index, row in enumerate(rows):
-        replayed = sum(
-            _run_single_trial(cfg, [(row_index, row.K, row.r, row.p, row.q)], t)[1][0][0]
-            for t in range(cfg.trials)
-        )
+    for row, swept in zip(rows, _sweep_rows(cfg, cfg.spec.d), strict=True):
+        replayed = sum(_run_single_trial(cfg, [swept], t)[1][0][0] for t in range(cfg.trials))
         assert replayed == row.detections
 
 
@@ -596,7 +593,7 @@ def test_likelihood_centre_found_once_per_trial(monkeypatch, scheme):
     monkeypatch.setattr(rqsim.harness, "pick_best", counting)
     monkeypatch.setattr(rqsim.estimators, "pick_best", counting)
     cfg = small_config(graph="er:120:4", scheme=scheme, budgets=(0, 15, 30), n_infected=20, trials=3)
-    rows = rqsim.harness._run_single_trial(cfg, [(i, K, 1, 0.8, 0.8) for i, K in enumerate(cfg.budgets)], 0)[1]
+    rows = rqsim.harness._run_single_trial(cfg, rqsim.harness._sweep_rows(cfg, cfg.spec.d), 0)[1]
     assert all(isinstance(row, tuple) for row in rows)
     assert full_scans == [20]
 

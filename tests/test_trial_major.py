@@ -18,7 +18,7 @@ import rqsim.estimators
 import rqsim.harness
 from reference_harness import _run_single_trial as reference_trial
 from rqsim.errors import TrialError
-from rqsim.harness import ExperimentConfig, _run_single_trial, run_experiment
+from rqsim.harness import ExperimentConfig, _run_single_trial, _sweep_rows, run_experiment
 
 
 def sweep_config(graph: str, scheme: str, **overrides) -> ExperimentConfig:
@@ -88,21 +88,56 @@ def test_single_row_sweeps_and_row_zero_match_row_major_runner(
 @pytest.mark.parametrize("scheme", ["na", "ad"])
 def test_row_zero_matches_row_major_runner_trial_by_trial(scheme):
     cfg = sweep_config("er:120:4", scheme)
-    rows = [(i, row.K, row.r, row.p, row.q) for i, row in enumerate(run_experiment(cfg))]
+    rows = _sweep_rows(cfg, cfg.spec.d)
+    row_index, K, r, model, _ = rows[0]
     for t in range(cfg.trials):
         _, outcomes = _run_single_trial(cfg, rows, t)
-        assert outcomes[0][:2] == reference_trial(cfg, *rows[0], t)
+        assert outcomes[0][:2] == reference_trial(cfg, row_index, K, r, model.p, model.q, t)
 
 
 @pytest.mark.parametrize("graph", ["regular:3", "sf:120:1.5"])
 def test_rows_do_not_disturb_each_other(graph):
     # Each row's outcome in a shared trial is the one it gets alone.
     cfg = sweep_config(graph, "ad", budgets=(20, 0, 8, 30))
-    rows = [(i, row.K, row.r, row.p, row.q) for i, row in enumerate(run_experiment(cfg))]
+    rows = _sweep_rows(cfg, cfg.spec.d)
     for t in range(cfg.trials):
         _, outcomes = _run_single_trial(cfg, rows, t)
         for row, outcome in zip(rows, outcomes):
             assert _run_single_trial(cfg, [row], t)[1][0][:2] == outcome[:2]
+
+
+@pytest.mark.parametrize("scheme", ["na", "ad"])
+def test_k0_rows_build_no_stream(monkeypatch, scheme):
+    # Every row of a K = 0 grid takes the centre, so each trial builds its
+    # shared stream (master, 0, t) and no other.
+    streams = []
+    real = rqsim.harness._stream
+    monkeypatch.setattr(rqsim.harness, "_stream",
+                        lambda config, row, trial: streams.append((row, trial)) or real(config, row, trial))
+    cfg = sweep_config("regular:3", scheme, budgets=(0,), p_values=(0.7, 0.8), q_values=(0.6, 0.8))
+    rows = run_experiment(cfg)
+    assert len(rows) == 4 and all(row.error is None for row in rows)
+    assert streams == [(0, t) for t in range(cfg.trials)]
+
+
+@pytest.mark.parametrize("graph", ["regular:3", "er:120:4"])
+def test_each_row_is_built_once_per_sweep(monkeypatch, graph):
+    # A row's truth model and estimator configuration are built when the
+    # sweep's rows are, not again in each trial.
+    built = []
+
+    def counting(cls):
+        def construct(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return construct
+
+    cfg = sweep_config(graph, "na", q_values=(0.6, 0.8))  # budgets 20, 0, 8
+    monkeypatch.setattr(rqsim.harness, "NAConfig", counting(rqsim.harness.NAConfig))
+    monkeypatch.setattr(rqsim.harness, "TruthModel", counting(rqsim.harness.TruthModel))
+    rows = run_experiment(cfg)
+    assert len(rows) == 12 and all(row.error is None for row in rows)
+    assert sorted(built) == ["NAConfig"] * 8 + ["TruthModel"] * 12
 
 
 @pytest.mark.parametrize("scheme", ["na", "ad"])
