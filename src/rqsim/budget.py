@@ -29,7 +29,8 @@ _F_EPS = 1e-12
 class BudgetInputs:
     """Inputs shared by the threshold calculators.
 
-    ``delta`` is the target error (detection probability 1 - delta).
+    ``delta`` is the target error (detection probability 1 - delta), and
+    ``d`` an integer of at least 3.
     ``h_t``, when given, is the entropy of the infection-time vector; by
     default the calculators fall back to its proof bound K/r, which makes
     the necessary thresholds self-referential (see ``na_necessary``).
@@ -49,8 +50,7 @@ class BudgetInputs:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InvalidParameterError(f"delta must be in (0, 1), got {self.delta}")
-        if self.d < 3:
-            raise InvalidParameterError(f"d must be >= 3, got {self.d}")
+        check_int("d", self.d, 3)
         if not 0.5 <= self.p <= 1.0:
             raise InvalidParameterError(f"p must be in [1/2, 1], got {self.p}")
         if not 1.0 / self.d <= self.q <= 1.0:
@@ -204,8 +204,7 @@ def _necessary(inputs: BudgetInputs, r: int | None, scheme: str) -> float:
         return base * inputs.h_t
 
     if r is not None:
-        if r < 1:
-            raise InvalidParameterError(f"r must be >= 1, got {r}")
+        check_int("r", r, 1)
         return math.inf if r <= base else 0.0
 
     # Self-consistent K: r*(K) = 1 + slope * g(K) = base, solved for K.
@@ -260,13 +259,12 @@ def choose_r_star(scheme: str, kind: str, K: int, d: int, p: float, q: float) ->
 
     ``scheme`` is "na" or "ad"; ``kind`` picks the necessary- or
     sufficient-budget variant of the formula.  Natural logarithms
-    throughout, so K must be at least 3 for the iterated log.  d must be
-    an integer of at least 3, p must lie in [1/2, 1] and q in (0, 1]; q at
-    or below 1/d is accepted, as a sweep resolves r with a representative
-    d and checks q against each trial's graph.
+    throughout, so K must be an integer of at least 3 for the iterated
+    log.  d must be an integer of at least 3, p must lie in [1/2, 1] and
+    q in (0, 1]; q at or below 1/d is accepted, as a sweep resolves r
+    with a representative d and checks q against each trial's graph.
     """
-    if K < 3:
-        raise InvalidParameterError(f"K must be >= 3, got {K}")
+    check_int("K", K, 3)
     _check_model(d, p, q)
     formula = _formulas(scheme, kind)[1]
     return max(1, min(K, math.floor(formula(K, d, p, q))))
@@ -289,12 +287,12 @@ def adaptivity_gap_bounds(inputs: BudgetInputs) -> tuple[float, float]:
 def detection_lb_mvna(K: int, r: int, d: int, p: float, q: float) -> float:
     """Analytic lower bound on batch-estimator detection probability.
 
-    Valid for K >= r >= 1 with K/r >= d - 1 (the distance-coverage term
-    needs a nonnegative exponent).  Clamped to [0, 1]; not a certified
-    bound, see the module notes.
+    Valid for integers K >= r >= 1 with K/r >= d - 1 (the
+    distance-coverage term needs a nonnegative exponent).  Clamped to
+    [0, 1]; not a certified bound, see the module notes.
     """
-    if r < 1 or K < r:
-        raise InvalidParameterError(f"need K >= r >= 1, got K={K}, r={r}")
+    check_int("r", r, 1)
+    check_int("K", K, r)
     _check_model(d, p, q)
     if K / r < d - 1:
         raise InvalidParameterError(f"need K/r >= d-1, got K/r={K / r:.4g}")
@@ -309,12 +307,12 @@ def detection_lb_mvna(K: int, r: int, d: int, p: float, q: float) -> float:
 def detection_lb_mvad(K: int, r: int, d: int, p: float, q: float) -> float:
     """Analytic lower bound on adaptive-estimator detection probability.
 
-    Unlike the batch bound this is evaluated for any K, r >= 1 (as
+    Unlike the batch bound this is evaluated for any integers K, r >= 1 (as
     K/r -> 0 the walk covers no distance and the bound tends to
     1 - c * g^3).  Clamped to [0, 1].
     """
-    if r < 1 or K < 1:
-        raise InvalidParameterError(f"need K >= 1 and r >= 1, got K={K}, r={r}")
+    check_int("K", K, 1)
+    check_int("r", r, 1)
     _check_model(d, p, q)
     c = (5 * d + 1) / d
     if q >= 1.0:

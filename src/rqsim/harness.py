@@ -28,7 +28,7 @@ import time
 import traceback
 from contextlib import suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, product
 from numbers import Integral, Real
 from typing import Iterator, Mapping
@@ -181,6 +181,17 @@ class ExperimentConfig:
             f"bad r mode {self.r_mode!r} (use 'fixed:<r>' or 'rstar:<kind>')"
         )
 
+    @cached_property
+    def pinned_graph(self):
+        """The graph every trial shares, built on first use: an edge list's, or
+        under ``fixed_graph`` a random family's from the ``_GRAPH_SPAWN_KEY``
+        stream.  None where each trial builds its own graph."""
+        spec = self.spec
+        if spec.family != "edgelist" and (not self.fixed_graph or spec.family == "regular"):
+            return None
+        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=_GRAPH_SPAWN_KEY)
+        return _build_graph(spec, self.n_infected, np.random.default_rng(seq))
+
     def __post_init__(self):
         # Each field is stored as its plain type: a numpy number as an int or
         # float, an int as a float where a real number is asked for, and a
@@ -293,25 +304,6 @@ def _build_graph(spec: GraphSpec, n_infected: int, rng: np.random.Generator):
     return make(*args) if spec.family in ("regular", "edgelist") else make(*args, rng)
 
 
-@lru_cache(maxsize=1)
-def _pinned_graph(spec: GraphSpec, master_seed: int, n_infected: int):
-    """The one graph instance a pinned or edge-list sweep uses, built once per sweep."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=_GRAPH_SPAWN_KEY)
-    return _build_graph(spec, n_infected, np.random.default_rng(seq))
-
-
-def _pins_graph(config: ExperimentConfig) -> bool:
-    """Whether every trial of ``config`` uses the one graph of ``_pinned_graph``."""
-    spec = config.spec
-    return spec.family == "edgelist" or (config.fixed_graph and spec.family != "regular")
-
-
-def _graph_for_trial(config: ExperimentConfig, rng: np.random.Generator):
-    if _pins_graph(config):
-        return _pinned_graph(config.spec, config.master_seed, config.n_infected)
-    return _build_graph(config.spec, config.n_infected, rng)
-
-
 #: A sweep row as a trial sees it: (row index, K, r, its truth model, and
 #: its estimator's configuration, or None at K = 0).
 SweepRow = tuple[int, int, int, TruthModel, NAConfig | ADConfig | None]
@@ -347,7 +339,7 @@ def _run_single_trial(
     t0 = time.perf_counter()
     rng = _stream(config, 0, trial_index)
     try:
-        graph = _graph_for_trial(config, rng)
+        graph = config.pinned_graph or _build_graph(config.spec, config.n_infected, rng)
         if graph.is_finite:
             if graph.n < config.n_infected:
                 raise RQSimError(
@@ -384,8 +376,9 @@ def _run_single_trial(
 def _failure(trial_index: int, exc: Exception) -> RQSimError:
     """``exc``, caught in trial ``trial_index``, as a sweep failure: an
     RQSimError as it is, any other exception as a TrialError that names
-    the trial and keeps the traceback below the frame that caught it, so
-    that a pinned build failing before the fork reads as it does in trial 0."""
+    the trial and keeps the traceback below the frame that caught it: a
+    pinned build failing before the fork reads as in trial 0, below the
+    frames of ``ExperimentConfig.pinned_graph`` on both paths."""
     if isinstance(exc, RQSimError):
         return exc
     # Streams (master, 0, trial) and (master, row, trial) replay exactly this trial.
@@ -448,8 +441,8 @@ def _forked_trials(
 ) -> dict[int, TrialResult | RQSimError]:
     """``_run_share``'s trials, by index, in this process and ``workers - 1`` forked children.
 
-    A pinned graph is built here first, so that every child inherits it;
-    a failed build is trial 0's failure, as it is at 1 worker.
+    The config's ``pinned_graph`` is read here first, so that every child
+    inherits it; a failed build is trial 0's failure, as it is at 1 worker.
     The first trial of each chunk is queued as a 4-byte record in one pipe,
     written whole before the first fork: an empty pipe takes ``PIPE_BUF``
     bytes at once, so chunks are one trial up to ``PIPE_BUF // 4`` trials.
@@ -460,11 +453,10 @@ def _forked_trials(
     import select  # only a sweep that forks loads these
     import signal
 
-    if _pins_graph(config):
-        try:
-            _graph_for_trial(config, None)  # a pinned graph draws from no trial stream
-        except Exception as exc:
-            return {0: _failure(0, exc)}
+    try:
+        config.pinned_graph  # built here, so that every child inherits it
+    except Exception as exc:
+        return {0: _failure(0, exc)}
     chunk = -(-config.trials // (select.PIPE_BUF // 4))
     firsts = range(0, config.trials, chunk)
     tasks, queue = os.pipe()
@@ -556,14 +548,17 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     the sweep.  A failure in a trial's shared build, simulation or scoring
     (for example an infection target larger than the graph) fails every
     row.  Each failure is logged once; a TrialError's traceback text
-    follows its message and reads the same at any worker count.
+    follows its message and reads the same at any worker count.  A sweep
+    holds its pinned or loaded graph on ``config.pinned_graph`` from its
+    first use until it returns: sweeps side by side in one process each
+    build their own once, and no graph outlives its sweep.
     """
-    _pinned_graph.cache_clear()  # each sweep loads or builds its graph afresh
-    spec = config.spec
+    vars(config).pop("pinned_graph", None)  # each sweep loads or builds its graph afresh
     # An edge list's degree is measured on the load, which its trials reuse.
-    d = spec.d or _degree(_pinned_graph(spec, config.master_seed, config.n_infected).avg_degree())
+    d = config.spec.d or _degree(config.pinned_graph.avg_degree())
     rows = _sweep_rows(config, d)
     results = _run_trials(config, rows, _resolve_workers(config))
+    vars(config).pop("pinned_graph", None)  # and keeps none after it
     every_row = None  # the failure of a trial's shared part, which fails every row
     if isinstance(results, RQSimError):
         results, every_row = [], results

@@ -14,7 +14,7 @@ from rqsim.centrality import likelihood_table, pick_best
 from rqsim.diffusion import simulate_si
 from rqsim.errors import RQSimError
 from rqsim.estimators import ADConfig, NAConfig, run_mvad, run_mvna
-from rqsim.harness import ExperimentConfig, _graph_for_trial
+from rqsim.harness import ExperimentConfig, _build_graph
 from rqsim.respondent import TruthModel
 
 
@@ -24,7 +24,7 @@ def _run_single_trial(
     """Returns (detected, budget_used) for one trial of the row (K, r, p, q)."""
     seq = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(row_index, trial_index))
     rng = np.random.default_rng(seq)
-    graph = _graph_for_trial(config, rng)
+    graph = config.pinned_graph or _build_graph(config.spec, config.n_infected, rng)
 
     if graph.is_finite:
         if graph.n < config.n_infected:

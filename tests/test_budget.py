@@ -333,6 +333,21 @@ class TestModelPointValidation:
         with pytest.raises(InvalidParameterError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: choose_r_star("ad", "sufficient", 4.5, 3, 0.5, 0.1),  # would return 4.5
+        lambda: choose_r_star("na", "sufficient", 10.5, 3, 0.8, 0.8),  # would return 1
+        lambda: detection_lb_mvad(10.5, 1.5, 3, 0.8, 0.8),  # would read 0.473
+        lambda: detection_lb_mvad(100, True, 3, 0.8, 0.8),
+        lambda: detection_lb_mvna(100.5, True, 3, 0.8, 0.8),  # would read 0.337
+        lambda: detection_lb_mvna(100.5, 2, 3, 0.8, 0.8),
+        lambda: na_necessary(BudgetInputs(delta=0.02, d=3, p=0.75, q=0.6), r=1.5),
+        lambda: BudgetInputs(delta=0.1, d=3.5, p=0.8, q=0.5),  # refused only when evaluated
+        lambda: BudgetInputs(delta=0.1, d=True, p=0.8, q=0.5),
+    ])
+    def test_counts_and_degrees_must_be_integers(self, call):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            call()
+
     def test_no_information_point_accepted(self):
         for f in (f1, f2, f3, f4):
             assert f(4, 0.5, 0.25) == pytest.approx(0.0, abs=1e-12)

@@ -7,10 +7,13 @@ trial's error must win, a child that dies must fail the rows instead of
 the sweep, and no child may outlive its sweep, however the sweep ends.
 """
 
+import collections
+import gc
 import json
 import os
 import re
 import select
+import threading
 import time
 from dataclasses import replace
 
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 import rqsim.harness
 from rqsim.cli import main
+from rqsim.graphs import Graph
 from rqsim.harness import ExperimentConfig, _resolve_r, rows_to_csv, rows_to_json, run_experiment
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers need os.fork")
@@ -368,13 +372,72 @@ def test_a_pinned_graph_is_built_once_per_multi_worker_sweep(monkeypatch, tmp_pa
         outputs = []
         for threads in (1, 2, 3):
             events.unlink(missing_ok=True)
-            rqsim.harness._pinned_graph.cache_clear()
             outputs.append(json_at(cfg, threads))
             lines = events.read_text(encoding="ascii").splitlines()
             assert [line for line in lines if line.startswith("build")] == [f"build {os.getpid()}"]
             if threads > 1 or cfg.spec.family == "edgelist":
                 assert lines[0].startswith("build")
         assert outputs[1:] == outputs[:1] * 2
+
+
+def test_pinned_sweeps_side_by_side_each_build_their_own_graph_once(monkeypatch):
+    # Two 1-worker pinned sweeps in two threads of one process take their
+    # trials in lockstep: each holds its own graph, and neither evicts the
+    # other's, so each builds once and matches its lone run.
+    cfgs = [config(graph="sf:600:6", fixed_graph=True, trials=8, master_seed=seed)
+            for seed in (1, 2)]
+    alone = [json_at(cfg, 1) for cfg in cfgs]
+    builds = collections.Counter()
+    lockstep = threading.Barrier(2, timeout=60)
+    real_build, real_trial = rqsim.harness._build_graph, rqsim.harness._run_single_trial
+
+    def build(*args):
+        builds[threading.current_thread().name] += 1
+        return real_build(*args)
+
+    def trial(*args):
+        lockstep.wait()
+        return real_trial(*args)
+
+    monkeypatch.setattr(rqsim.harness, "_build_graph", build)
+    monkeypatch.setattr(rqsim.harness, "_run_single_trial", trial)
+    got = [None, None]
+
+    def sweep(i):
+        try:
+            got[i] = json_at(cfgs[i], 1)
+        except BaseException:
+            lockstep.abort()  # so that the other sweep does not wait for this one
+            raise
+
+    workers = [threading.Thread(target=sweep, args=(i,), name=f"sweep {i}") for i in (0, 1)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    assert got == alone
+    assert [builds["sweep 0"], builds["sweep 1"]] == [1, 1]
+
+
+def test_no_pinned_graph_outlives_its_sweep(tmp_path):
+    # Sweeps whose configs are kept: once each returns, neither its config
+    # nor any module holds the graph it built or loaded.
+    def live_graphs() -> set[int]:
+        gc.collect()
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, Graph)}
+
+    edges = tmp_path / "ring.txt"
+    edges.write_text("".join(f"{v} {(v + 1) % 200}\n{v} {(v + 7) % 200}\n" for v in range(200)))
+    before = live_graphs()
+    kept = [config(graph=graph, fixed_graph=True, trials=4, threads=threads)
+            for graph in ("sf:600:6", "gw:6", f"edgelist:{edges}") for threads in (1, 2)]
+    for cfg in kept:
+        assert all(row.error is None for row in run_experiment(cfg))
+        assert "pinned_graph" not in vars(cfg)
+    assert live_graphs() <= before
+    # A sweep whose trials build their own graphs pins none.
+    assert config().pinned_graph is None
+    assert config(graph="regular:3", fixed_graph=True).pinned_graph is None
 
 
 def test_every_trial_runs_once_with_more_workers_than_cores(monkeypatch, tmp_path):
