@@ -133,20 +133,21 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     boundary edges of the prefix in the underlying graph).  Reads only the
     induced subgraph and degrees.
 
-    A leaf (one induced neighbour ``w``, when N > 2) gets no BFS of its
-    own: its BFS order is ``w``'s with the leaf moved to the front, so its
-    score follows from ``w``'s row (:func:`_leaf_shifts`), and ``w`` is
-    scored, but not returned, when it is not asked for.  So a snapshot
-    costs O((N - leaves) * (N + E_induced)); a quarter of the nodes of an
-    N = 400 er:2000:4 snapshot are leaves, and almost none of sf:4039:22's.
-
-    The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
-    E_induced)``, and one level-synchronous BFS serves a whole block
-    (:func:`_bfs_block`) over the snapshot's own neighbour table.  The
-    block's large arrays live in this thread's :class:`_Workspace`.  Each
-    root's two sums of logarithms are exact and rounded once
-    (:func:`_wrapped_sums`, :func:`_rounded`), so roots with equal counts
-    tie exactly and the lowest id wins.
+    Two paths give the same scores (``==``).  A sparse snapshot takes
+    :func:`_block_scores`, one level-synchronous BFS per block of roots.
+    A dense one, whose mean induced degree 2E/n is at least
+    ``_DENSE_DEGREE`` and whose n² cells fit the block's memory budget
+    (:func:`_is_dense`), takes :func:`_dense_scores`, which finds every
+    root's BFS order at once from all-pairs distances.  It rests on one
+    fact: with ties by ascending id, the BFS path from ``v`` to ``u`` is
+    the lexicographically smallest shortest path, so it starts at
+    ``a = NH[v, u]``, the lowest-id neighbour of ``v`` one step closer to
+    ``u``, and goes on as ``a``'s own path.  So for d(v, u) >= 2 the BFS
+    parent of ``u`` from ``v`` is its parent from ``a``, and level d of
+    ``v``'s order lists its nodes ``u`` by (``a``, place of ``u`` in
+    ``a``'s order).  Each root's two sums of logarithms are exact and
+    rounded once (:func:`_wrapped_sums`, :func:`_rounded`) on both paths,
+    so roots with equal counts tie exactly and the lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
     ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
@@ -155,16 +156,60 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
         raise InvalidInputError(f"{n} infected nodes: too many to score exactly")
     by_id = np.argsort(ids)
     targets = by_id if nodes is None else np.array(_positions(snapshot, nodes), dtype=np.int64)
+    if not targets.size:
+        return {}
+    if n > 1 and not np.diff(ptr).all():  # a node with no infected neighbour
+        raise InvalidInputError("infected set is disconnected")
     deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
-    start, width = ptr[:-1], np.diff(ptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
+    if _is_dense(n, nbr.size):
+        scores = _dense_scores(ptr, nbr, deg, table)
+    else:
+        scores = _block_scores(targets, by_id, ptr, nbr, deg, table)
+    return dict(zip(map(ids.__getitem__, targets.tolist()), scores[targets].tolist()))
+
+
+def _is_dense(n: int, entries: int) -> bool:
+    """Whether a snapshot of ``n`` infected nodes and ``entries`` = 2E
+    directed induced edges takes the dense path: its mean induced degree
+    is at least ``_DENSE_DEGREE`` and its n² cells, at most about 8 bytes
+    each, fit in the 16 bytes per entry of a block's two entry-sized
+    int64 arrays."""
+    return entries >= _DENSE_DEGREE * n and n * n <= 2 * BLOCK_ENTRIES
+
+
+#: The mean induced degree 2E/n from which the dense path is the faster.
+#: On 104 er and sf snapshots of N = 100 to 400 (2 vCPUs) it took 1.1-2.3
+#: times the block path's time at 2E/n below 3, 0.8-1.7 from 3 to 3.7,
+#: 0.8-1.03 from 3.7 to 4, 0.73-0.98 from 4 to 5 and 0.32-0.99 above 5
+#: (0.40 on N = 400 sf:4039:22 snapshots).
+_DENSE_DEGREE = 4
+
+
+def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: np.ndarray,
+                  deg: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Scores of the roots at positions ``targets`` (and of some others), by
+    position, one BFS per block of roots.
+
+    A leaf (one induced neighbour ``w``, when N > 2) gets no BFS of its
+    own: its BFS order is ``w``'s with the leaf moved to the front, so its
+    score follows from ``w``'s row (:func:`_leaf_shifts`), and ``w`` is
+    scored, but not returned, when it is not asked for.  So a snapshot
+    costs O((N - leaves) * (N + E_induced)); a quarter of the nodes of an
+    N = 400 er:2000:4 snapshot are leaves.
+
+    The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
+    E_induced)``, and one level-synchronous BFS serves a whole block
+    (:func:`_bfs_block`) over the snapshot's own neighbour table.  The
+    block's large arrays live in this thread's :class:`_Workspace`.
+    """
+    n = ptr.size - 1
+    start, width = ptr[:-1], np.diff(ptr)
+    owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
     log_n_factorial = math.lgamma(n + 1)
     rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
-    if targets.size and n > 1 and not width.all():  # a node with no infected neighbour
-        raise InvalidInputError("infected set is disconnected")
     is_leaf = (width[targets] == 1) & (n > 2)
     leaf = targets[is_leaf]
     hub = nbr[start[leaf]]
@@ -185,7 +230,7 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     scores = np.empty(n)  # by position: (log n! + numerator) - denominator
     for b in range(0, roots.size, rows):
         block = roots[b:b + rows]
-        order, size = _bfs_block(block, start, width, nbr, owner, id_rank)
+        order, size = _bfs_block(block, start, width, nbr, owner)
         links = _earlier_neighbours(order, start, owner, nbr)
         top = log_n_factorial + _rounded(*_wrapped_sums(table, links))
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
@@ -202,7 +247,7 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
             row, v = hub_row[at] - b, leaf[at]
             shifts = _leaf_shifts(table, bounds, row, place[v], deg[v])
             scores[v] = top[row] - _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
-    return dict(zip(map(ids.__getitem__, targets.tolist()), scores[targets].tolist()))
+    return scores
 
 
 def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
@@ -258,7 +303,8 @@ def _log_table(size: int) -> np.ndarray:
         with _LOG_LOCK:
             kept = _LOG_TABLE
             if kept.size < size:
-                scaled = np.array([*map(math.log, range(kept.size, max(size, 2 * kept.size)))]) * _ONE
+                grown = range(kept.size, max(size, 2 * kept.size))
+                scaled = np.fromiter(map(math.log, grown), np.float64, len(grown)) * _ONE
                 fixed = scaled.astype(np.int64)
                 if not np.array_equal(fixed, scaled):
                     raise ArithmeticError("a log table entry is not a multiple of 2**-53")
@@ -322,24 +368,19 @@ _WORKSPACE = _Workspace()
 
 
 def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray,
-               owner: np.ndarray, id_rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BFS from every root of a block at once, one level at a time over a
     flat frontier of cells ``row * n + node`` in (row, BFS place) order.
     Every row reads the snapshot's one neighbour table: node ``u``'s
     neighbours are ``nbr[start[u]:start[u] + width[u]]`` (ascending ids),
     and a cell's neighbour cells are its node's neighbours plus its row
-    base, ``row * n``.  ``owner`` is the node of each entry of ``nbr``, and
-    ``id_rank`` ranks the nodes by id.
+    base, ``row * n``.  ``owner`` is the node of each entry of ``nbr``.
 
     The frontier's discovery stamps rise along it, and a level lists its
     new cells in the order that the stamps give them, so a row's levels,
-    one after another, are its BFS order.  A level is found top-down, from
-    the frontier's entries, unless the cells not yet found have
-    ``_BOTTOM_UP`` times fewer entries; then it is found bottom-up, from
-    theirs (direction-optimizing BFS: Beamer, Asanović and Patterson, SC
-    2012).  Both give the order and the parents of a sequential BFS with
-    neighbour ties by ascending id.  Every node has an infected neighbour
-    when n > 1 (the caller checks), so every cell has entries.
+    one after another, are its BFS order, with the parents of a sequential
+    BFS with neighbour ties by ascending id.  Every node has an infected
+    neighbour when n > 1 (the caller checks), so every cell has entries.
 
     Returns each row's cells in BFS order, row after row (rows · n cells),
     and the (rows, n) BFS subtree sizes.
@@ -368,41 +409,30 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
         if not unseen:  # every cell is found
             break
         at = ends[-1]
-        if unseen * _BOTTOM_UP >= m:
-            # Expand the frontier in (row, BFS place, neighbour id) order:
-            # the order in which one root's sequential BFS scans these edges.
-            e_at, e_cell = _expand(nbr, first, k, k_ends, f_base)
-            flags = _WORKSPACE.array("entry_flags", m, np.bool_)
-            fresh = unreached.take(e_cell, out=flags, mode="clip").nonzero()[0]
-            cand = e_cell[fresh]
-            # An unreached cell's first entry, the one whose index is left
-            # as its stamp, discovers it: that fixes its parent and its
-            # place, so ties go to the lowest id as in a sequential BFS.
-            np.minimum.at(stamp, cand, fresh)
-            won = fresh[stamp[cand] == fresh]
-            new = e_cell.take(won, out=found[at:at + won.size], mode="clip")
-            # A new cell's parent is the owner of the entry that found it,
-            # in the same row.
-            new_base = new // n * n  # floor division is several times faster than %
-            np.add(owner.take(e_at.take(won)), new_base, out=parent[at:at + new.size])
-        else:
-            # Each unreached cell's parent is its frontier neighbour with the
-            # smallest stamp (a neighbour found before the frontier would
-            # have reached it); the new cells are placed by (parent, node
-            # id), as that parent's scan would find them.
-            todo = unreached.nonzero()[0]
-            base = todo // n * n
-            node = todo - base
-            first, k = start.take(node), width.take(node)
-            k_ends = k.cumsum()
-            e_at, e_cell = _expand(nbr, first, k, k_ends, base)
-            best = np.minimum.reduceat(stamp.take(e_cell, out=e_at, mode="clip"), k_ends - k)
-            got = (best < _UNREACHED).nonzero()[0]
-            got = got[np.argsort(best[got] * n + id_rank[node[got]])]
-            new = todo.take(got, out=found[at:at + got.size], mode="clip")
-            new_base = base.take(got)
-            f_cell.take(np.searchsorted(stamp[f_cell], best[got]), out=parent[at:at + new.size], mode="clip")
-            stamp[new] = np.arange(new.size, dtype=np.int64)
+        # Expand the frontier in (row, BFS place, neighbour id) order: the
+        # order in which one root's sequential BFS scans these edges.  Each
+        # entry's place in nbr steps by 1 within a run and jumps at each
+        # run's first entry: one running sum of those steps.
+        e_at = _WORKSPACE.array("entries", m)
+        e_at.fill(1)
+        e_at[0] = first[0]
+        e_at[k_ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
+        e_at.cumsum(out=e_at)
+        e_cell = nbr.take(e_at, out=_WORKSPACE.array("entries2", m), mode="clip")
+        e_cell += np.repeat(f_base, k)
+        flags = _WORKSPACE.array("entry_flags", m, np.bool_)
+        fresh = unreached.take(e_cell, out=flags, mode="clip").nonzero()[0]
+        cand = e_cell[fresh]
+        # An unreached cell's first entry, the one whose index is left as
+        # its stamp, discovers it: that fixes its parent and its place, so
+        # ties go to the lowest id as in a sequential BFS.
+        np.minimum.at(stamp, cand, fresh)
+        won = fresh[stamp[cand] == fresh]
+        new = e_cell.take(won, out=found[at:at + won.size], mode="clip")
+        # A new cell's parent is the owner of the entry that found it, in
+        # the same row.
+        new_base = new // n * n  # floor division is several times faster than %
+        np.add(owner.take(e_at.take(won)), new_base, out=parent[at:at + new.size])
         unreached[new] = False
         f_cell, f_base = new, new_base
         ends.append(at + new.size)
@@ -419,32 +449,6 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
     row = _WORKSPACE.array("row", r * n, np.min_scalar_type(r))
     np.floor_divide(found, n, out=row, casting="unsafe")
     return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)
-
-
-def _expand(nbr: np.ndarray, first: np.ndarray, k: np.ndarray, ends: np.ndarray,
-            base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of the neighbour runs that start at ``first`` (lengths
-    ``k``, all at least 1, and their running sum ``ends``) of cells with
-    row bases ``base``, in order: each entry's place in ``nbr`` and its
-    neighbour cell, written into the workspace."""
-    m = int(ends[-1])
-    at = _WORKSPACE.array("entries", m)
-    # Places step by 1 within a run and jump at each run's first entry:
-    # one running sum of those steps.
-    at.fill(1)
-    at[0] = first[0]
-    at[ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
-    at.cumsum(out=at)
-    cell = nbr.take(at, out=_WORKSPACE.array("entries2", m), mode="clip")
-    cell += np.repeat(base, k)
-    return at, cell
-
-
-#: A BFS level goes bottom-up once the unreached cells have this many
-#: times fewer entries than the frontier, as a bottom-up entry costs more.
-#: Measured on N = 400 snapshots: at 4 the sf:4039:22 scores take about
-#: 0.9 of the all-top-down time and er:2000:4 (mostly top-down) about 1.0.
-_BOTTOM_UP = 4
 
 
 def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -466,6 +470,169 @@ def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray,
     own_place = np.take(place, owner, axis=1, out=_WORKSPACE.array("entries2", shape, kind), mode="clip")
     earlier = np.less(nbr_place, own_place, out=_WORKSPACE.array("entry_flags", shape, np.bool_))
     return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
+
+
+def _dense_scores(ptr: np.ndarray, nbr: np.ndarray, deg: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Every root's score, by position, from every BFS order found at once
+    (the lemma of :func:`general_graph_scores`).  Over (root, node) cells,
+    whole rows of n at a time: the distances (:func:`_distances`); each
+    root's first hop towards each node; then, level by level, each node's
+    BFS place and parent, read off its first hop's; then each node's count
+    of earlier neighbours.  Per chunk of roots, the subtree sizes and the
+    sums are those of :func:`_block_scores`.  The n² arrays are uint8 or
+    uint16, and the temporaries are bounded by ``_DENSE_CELLS``.
+
+    The nodes are renumbered by falling induced degree, each keeping its
+    neighbours in id order, so that the nodes with a j-th neighbour are
+    the first rows: each pass over j-th neighbours reads row slices."""
+    n = ptr.size - 1
+    by_width = np.argsort(-np.diff(ptr), kind="stable")
+    label = np.empty(n, dtype=np.int64)
+    label[by_width] = np.arange(n)
+    width, deg = np.diff(ptr)[by_width], deg[by_width]
+    start = np.cumsum(width) - width
+    nbr = label[nbr[np.repeat(ptr[by_width] - start, width) + np.arange(nbr.size)]]  # still by id
+    have = (n - np.cumsum(np.bincount(width))[:-1]).tolist()  # have[j]: nodes with a j-th (from 0)
+    dist = _distances(start, width, nbr)
+    levels = int(dist.max())
+    rows = max(1, _DENSE_CELLS // n)  # roots at a time
+
+    # hop[v, u] = j: v's first hop towards u, NH[v, u], is its j-th
+    # neighbour, so j counts the neighbours before it, none of them nearer.
+    hop = np.zeros((n, n), np.min_scalar_type(width[0]))
+    unfound = np.ones((n, n), dtype=bool)
+    farther = np.empty((n, n), dtype=bool)
+    for j, c in enumerate(have):
+        np.greater_equal(dist.take(nbr[start[:c] + j], axis=0), dist[:c], out=farther[:c])
+        unfound[:c] &= farther[:c]
+        hop[:c] += unfound[:c]
+    del unfound, farther
+
+    # place[u, v]: u's place in v's BFS order; parent[v, u]: u's BFS parent.
+    kind = np.min_scalar_type(n)
+    place, parent = np.zeros((n, n), kind), np.zeros((n, n), kind)
+    placed = np.ones(n, dtype=np.int64)  # per root: the nodes placed so far
+    low = (n * n - 1).bit_length()  # key bits below the sort order, for u * n + v
+    for d in range(1, levels + 1):
+        for v0 in range(0, n, rows):
+            at_d = dist[v0:v0 + rows] == d
+            count = np.count_nonzero(at_d, axis=1)
+            cell = np.flatnonzero(at_d)
+            v = np.repeat(np.arange(v0, v0 + count.size), count)
+            u = cell - np.repeat(np.arange(0, count.size * n, n), count)
+            cell += v0 * n  # v * n + u
+            j = hop.ravel().take(cell)
+            a = start.take(v)
+            a += j
+            a = nbr.take(a)  # v's first hop towards u: u itself at d = 1
+            if d == 1:
+                parent.ravel()[cell] = v
+            else:
+                at = a * n
+                at += u
+                parent.ravel()[cell] = parent.ravel().take(at)
+                del at
+            del cell
+            # Level d of v's order lists u by (j, u's place in a's order);
+            # the key's low bits carry the place's cell, u * n + v.
+            u *= n
+            a += u
+            key = v * n
+            key += j
+            key *= n
+            key += place.ravel().take(a)
+            del a
+            key <<= low
+            u += v
+            key |= u
+            del u
+            key.sort()
+            key &= (1 << low) - 1
+            first = placed[v0:v0 + rows] - np.cumsum(count) + count  # each root's place minus its first cell
+            place.ravel()[key] = np.arange(key.size) + np.repeat(first, count)
+            placed[v0:v0 + rows] += count
+    del hop
+
+    # Per root, the exact sum of its log subtree sizes, summed per chunk
+    # of roots level by level, deepest first; summed before the
+    # earlier-neighbour pass so that the distances and parents are freed
+    # first (a warm N = 400 sf:4039:22 score peaks at 1.56 MB, not 1.74).
+    size_wrapped, size_approx = np.empty(n, dtype=np.int64), np.empty(n)
+    for v0 in range(0, n, rows):
+        size = np.ones((min(rows, n - v0), n), dtype=np.int64)
+        for d in range(levels, 0, -1):
+            at_d = dist[v0:v0 + rows] == d
+            cell = np.flatnonzero(at_d)
+            base = np.repeat(np.arange(0, at_d.size, n), np.count_nonzero(at_d, axis=1))  # each cell's row
+            np.add.at(size.ravel(), base + parent[v0:v0 + rows].ravel().take(cell), size.ravel().take(cell))
+        size_wrapped[v0:v0 + rows], size_approx[v0:v0 + rows] = _wrapped_sums(table, size)
+    del dist, parent, size
+
+    # links[u, v]: u's neighbours earlier in v's BFS order.
+    links = np.zeros((n, n), np.min_scalar_type(width[0]))
+    for j, c in enumerate(have):
+        links[:c] += place.take(nbr[start[:c] + j], axis=0) < place[:c]
+
+    scores = np.empty(n)
+    log_n_factorial = math.lgamma(n + 1)
+    for v0 in range(0, n, rows):
+        r = min(rows, n - v0)
+        count = links[:, v0:v0 + r]
+        top = log_n_factorial + _rounded(*_wrapped_sums(table, count.T))
+        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
+        bounds = np.empty((r, n), dtype=np.int64)
+        step = deg[:, None] - count
+        step -= count
+        bounds.ravel()[place[:, v0:v0 + r] + np.arange(0, r * n, n)] = step
+        np.cumsum(bounds, axis=1, out=bounds)
+        wrapped, approx = _wrapped_sums(table, bounds[:, :-1])
+        scores[v0:v0 + r] = top - _rounded(wrapped + size_wrapped[v0:v0 + r], approx + size_approx[v0:v0 + r])
+    return scores[label]
+
+
+def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances over the neighbour table (``nbr``, runs at
+    ``start`` of lengths ``width``), as an (n, n) array: one BFS from every
+    node at once, over bitsets of 64 roots to a word (Then et al., "The
+    More the Merrier", VLDB 2015).  Bit v of ``seen[u]`` is set once u is
+    within the current distance of v.  Raises :class:`InvalidInputError`
+    unless every node reaches every other."""
+    n = start.size
+    words = -(-n // 64)
+    node = np.arange(n)
+    seen = np.zeros((n, words), dtype="<u8")
+    seen[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
+    front, new = seen.copy(), np.zeros_like(seen)
+    # Node ranges whose gathered frontier words number at most
+    # _DENSE_CELLS (or one node's); none without entries (n = 1: no level).
+    end = np.append(start, nbr.size)
+    cuts, a = [], 0
+    while a < n and nbr.size:
+        b = max(a + 1, int(np.searchsorted(end, end[a] + _DENSE_CELLS // words, "right")) - 1)
+        cuts.append((a, b))
+        a = b
+    dist = np.zeros((n, n), dtype=np.uint8)
+    for d in range(1, n + 1):  # the last level is at most n - 1
+        for a, b in cuts:
+            np.bitwise_or.reduceat(front.take(nbr[end[a]:end[b]], axis=0), start[a:b] - end[a], axis=0,
+                                   out=new[a:b])
+        new &= ~seen
+        if not new.any():
+            break
+        if d > np.iinfo(dist.dtype).max:
+            dist = dist.astype(np.uint16)
+        dist += np.unpackbits((~seen).view(np.uint8), axis=1, count=n, bitorder="little")
+        seen |= new
+        front, new = new, front
+    if not np.unpackbits(seen[0].view(np.uint8), count=n, bitorder="little").all():
+        raise InvalidInputError("infected set is disconnected")
+    return dist
+
+
+#: The (root, node) cells in a chunk of the dense path's root rows, and
+#: the words of a chunk of its gathered bitset frontier: this bounds its
+#: temporaries (about 0.6 MB at 2**14) besides its n² arrays.
+_DENSE_CELLS = 1 << 14
 
 
 def _positions(snapshot: Snapshot, nodes: Iterable[int] | None) -> list[int]:

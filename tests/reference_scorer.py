@@ -608,12 +608,11 @@ def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | No
     rows = max(1, centrality.BLOCK_ENTRIES // max(nbr.size, 1))
     if targets and n > 1 and not width.all():  # a node with no infected neighbour
         raise InvalidInputError("infected set is disconnected")
-    id_rank = np.argsort(np.argsort(ids))
 
     scores: dict[int, float] = {}
     for b in range(0, len(targets), rows):
         roots = targets[b:b + rows]
-        order, size = centrality._bfs_block(np.array(roots, dtype=np.int64), start, width, nbr, owner, id_rank)
+        order, size = centrality._bfs_block(np.array(roots, dtype=np.int64), start, width, nbr, owner)
         links = centrality._earlier_neighbours(order, start, owner, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.

@@ -4,8 +4,9 @@
 first written: it ranks each BFS level's new nodes, finds parents by
 search and counts earlier neighbours level by level.
 ``reference_scorer.stamp_general_graph_scores`` is its successor: it
-orders by discovery stamps, may find a level bottom-up and counts earlier
-neighbours once per block, but allocates every block array afresh.  The
+orders by discovery stamps, may find a level bottom-up (the scorer's BFS
+is top-down only) and counts earlier neighbours once per block, but
+allocates every block array afresh.  The
 scorer now writes the large block arrays into a per-thread workspace that
 every block of every score reuses; its scores and key order are equal
 (``==``) to both oracles'.  ``reference_scorer.all_roots_general_graph_scores``
@@ -30,7 +31,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reference_scorer
 from conftest import graph_from_edges, snapshot_of, star_graph
 from reference_scorer import all_roots_general_graph_scores as all_roots_scores
 from reference_scorer import big_int_rounded
@@ -47,7 +49,7 @@ from reference_scorer import per_root_general_graph_scores as per_root_scores
 from reference_scorer import stamp_general_graph_scores as stamp_scores
 from rqsim import centrality
 from rqsim.centrality import _ROW_LIMIT, _log_table, _rounded, _wrapped_sums, general_graph_scores
-from rqsim.diffusion import Snapshot, simulate_si
+from rqsim.diffusion import Snapshot, breadth_first, simulate_si
 from rqsim.errors import GenerationFailureError, InvalidInputError
 from rqsim.graphs import make_erdos_renyi, make_regular_tree, make_scale_free
 
@@ -119,9 +121,17 @@ def test_single_node_scores_zero():
     assert general_graph_scores(snap) == {snap.source: 0.0}
 
 
+def on_path(dense: bool):
+    """Make the scorer take the dense path (``True``) or the block path
+    (``False``) on every snapshot."""
+    return mock.patch.object(centrality, "_is_dense", lambda n, entries: dense)
+
+
+@contextmanager
 def block_rows(snap: Snapshot, rows: int):
-    """Make the block scorer take ``rows`` roots per block on ``snap``."""
-    return mock.patch.object(centrality, "BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count)
+    """Make the scorer take the block path with ``rows`` roots per block on ``snap``."""
+    with on_path(dense=False), mock.patch.object(centrality, "BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count):
+        yield
 
 
 #: ``centrality.BLOCK_ENTRIES`` values that the scorer used before its
@@ -129,11 +139,12 @@ def block_rows(snap: Snapshot, rows: int):
 EARLIER_WIDTHS = pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16], ids=["2^15", "2^16"])
 
 
-#: ``centrality._BOTTOM_UP`` values that make every BFS level bottom-up,
-#: mix the directions as the scorer does by default, or keep every level
-#: top-down.
-DIRECTIONS = pytest.mark.parametrize("bottom_up", [0, centrality._BOTTOM_UP, 1 << 40],
-                                     ids=["bottom-up", "default", "top-down"])
+#: ``reference_scorer._BOTTOM_UP`` values that make every BFS level of the
+#: stamp oracle bottom-up, mix the directions as it does by default, or
+#: keep every level top-down.  The scorer's BFS is top-down only, so these
+#: check its orders against a bottom-up BFS's as well.
+ORACLE_DIRECTIONS = pytest.mark.parametrize("bottom_up", [0, reference_scorer._BOTTOM_UP, 1 << 40],
+                                            ids=["bottom-up", "default", "top-down"])
 
 
 def assert_equals_per_root(snap: Snapshot, nodes=None) -> None:
@@ -167,12 +178,15 @@ def test_blocks_equal_per_root_scorer(family, size, density, n_infected, seed, d
 @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
                          ids=["er:2000:4", "sf:4039:22"])
 def test_n400_snapshot_equals_per_root_scorer(family, size, density):
-    """The benchmark's graphs at the default block size, all roots and every
-    seventh one (a subset that crosses block boundaries)."""
+    """The benchmark's graphs at the default settings, all roots and every
+    seventh one: er:2000:4 takes the block path (a subset that crosses
+    block boundaries), sf:4039:22 the dense path."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
     assert snap.n == 400 and not snap.is_tree
+    dense = centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+    assert dense == (family == "sf")
     rows = centrality.BLOCK_ENTRIES // (2 * snap.induced_edge_count)
-    assert 1 < rows < snap.n
+    assert dense or 1 < rows < snap.n
     assert_equals_per_root(snap)
     assert_equals_per_root(snap, sorted(snap.infected)[::7])
 
@@ -373,14 +387,15 @@ class TestInvalidInputs:
         with pytest.raises(InvalidInputError):
             scorer(snap)
 
-    @DIRECTIONS
+    @ORACLE_DIRECTIONS
     def test_disconnected_in_both_directions(self, bottom_up, monkeypatch):
         # Two components with edges: 0-1-2 and 4-5, on a path graph.
         path = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         snap = snapshot_of(path, 0, [0, 1, 2, 4, 5], {1: 0, 2: 1, 4: 2, 5: 4})
-        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
-        with pytest.raises(InvalidInputError):
-            general_graph_scores(snap)
+        monkeypatch.setattr(reference_scorer, "_BOTTOM_UP", bottom_up)
+        for scorer in (general_graph_scores, stamp_scores):
+            with pytest.raises(InvalidInputError):
+                scorer(snap)
 
 
 def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
@@ -393,11 +408,17 @@ def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
 
 
 class TestAgainstFirstBlockScorer:
-    """Blocks in either BFS direction give the scores of the first block
-    scorer, of the stamp-ordered one and of the all-roots one bit for bit,
-    in the same key order."""
+    """Blocks give the scores of the first block scorer, of the
+    stamp-ordered one (in either BFS direction) and of the all-roots one
+    bit for bit, in the same key order.  Every snapshot here takes the
+    block path."""
 
-    @DIRECTIONS
+    @pytest.fixture(autouse=True)
+    def block_path(self):
+        with on_path(dense=False):
+            yield
+
+    @ORACLE_DIRECTIONS
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.sampled_from(["sf", "er"]),
@@ -411,24 +432,24 @@ class TestAgainstFirstBlockScorer:
     @example(family="sf", size=300, density=22.0, n_infected=150, seed=1, rows=5, step=2)
     def test_dense_draws(self, bottom_up, family, size, density, n_infected, seed, rows, step):
         """Dense scale-free draws (ratios up to 22: few BFS levels, so
-        bottom-up levels at the default) with 1 to 5 roots per block, for
-        every root and for every ``step``-th one."""
+        bottom-up levels in the stamp oracle at its default) with 1 to 5
+        roots per block, for every root and for every ``step``-th one."""
         snap = _snapshot(family, size, density, n_infected, seed)
         assume(snap.n >= 3 and not snap.is_tree)
-        with mock.patch.object(centrality, "_BOTTOM_UP", bottom_up), block_rows(snap, rows):
+        with mock.patch.object(reference_scorer, "_BOTTOM_UP", bottom_up), block_rows(snap, rows):
             assert_equals_block_oracle(snap)
             assert_equals_block_oracle(snap, sorted(snap.infected)[seed % step::step])
 
-    @DIRECTIONS
+    @ORACLE_DIRECTIONS
     @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
                              ids=["er:2000:4", "sf:4039:22"])
     def test_benchmark_graphs_at_n400(self, bottom_up, family, size, density, monkeypatch):
         snap = _snapshot(family, size, density, 400, seed=20240817)
-        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        monkeypatch.setattr(reference_scorer, "_BOTTOM_UP", bottom_up)
         assert_equals_block_oracle(snap)
         assert_equals_block_oracle(snap, sorted(snap.infected)[::7])
 
-    @DIRECTIONS
+    @ORACLE_DIRECTIONS
     @EARLIER_WIDTHS
     @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
                              ids=["er:2000:4", "sf:4039:22"])
@@ -438,22 +459,22 @@ class TestAgainstFirstBlockScorer:
         monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
         self.test_benchmark_graphs_at_n400(bottom_up, family, size, density, monkeypatch)
 
-    @DIRECTIONS
+    @ORACLE_DIRECTIONS
     @pytest.mark.parametrize("rows", ["1", "2", "n-1"])
     def test_rows_per_block(self, bottom_up, rows, monkeypatch):
         snap = _snapshot("sf", 600, 8.0, 60, seed=7)
         assert not snap.is_tree
-        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        monkeypatch.setattr(reference_scorer, "_BOTTOM_UP", bottom_up)
         with block_rows(snap, snap.n - 1 if rows == "n-1" else int(rows)):
             assert_equals_block_oracle(snap)
 
-    @DIRECTIONS
+    @ORACLE_DIRECTIONS
     @pytest.mark.parametrize("n_infected", [1, 2])
     def test_one_and_two_nodes(self, bottom_up, n_infected, monkeypatch):
         # One node has E_induced = 0: no entries at all.
         snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
         assert snap.n == n_infected
-        monkeypatch.setattr(centrality, "_BOTTOM_UP", bottom_up)
+        monkeypatch.setattr(reference_scorer, "_BOTTOM_UP", bottom_up)
         assert_equals_block_oracle(snap)
 
 
@@ -470,9 +491,11 @@ class TestWorkspace:
 
     @pytest.fixture
     def workspace(self, monkeypatch):
-        """A fresh workspace for this thread, put back afterwards."""
+        """A fresh workspace for this thread, put back afterwards; every
+        snapshot takes the block path, which scores in it."""
         fresh = centrality._Workspace()
         monkeypatch.setattr(centrality, "_WORKSPACE", fresh)
+        monkeypatch.setattr(centrality, "_is_dense", lambda n, entries: False)
         return fresh
 
     @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16, centrality.BLOCK_ENTRIES],
@@ -535,6 +558,18 @@ class TestWorkspace:
                 assert table == want[name]
 
 
+def warm_score_peak(snap: Snapshot) -> int:
+    """The tracemalloc peak of one full table on ``snap``, after a first
+    score has filled the snapshot's caches and the log table."""
+    general_graph_scores(snap)
+    tracemalloc.start()
+    try:
+        general_graph_scores(snap)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
                          ids=["er:2000:4", "sf:4039:22"])
 def test_n400_score_peak_memory(family, size, density):
@@ -543,16 +578,19 @@ def test_n400_score_peak_memory(family, size, density):
     keeps the per-process RSS of a loopy sweep close to where it was.
     tracemalloc peaks measured on these snapshots: er:2000:4 0.70 MB with
     the first block scorer, 1.40 MB at 3 * 2**15 entries per block;
-    sf:4039:22 0.86 and 0.93 MB."""
+    sf:4039:22 0.86 and 0.93 MB, and 1.56 MB on the dense path."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
-    general_graph_scores(snap)  # fills the snapshot's caches and the log table
-    tracemalloc.start()
-    try:
-        general_graph_scores(snap)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 2**20
+    assert warm_score_peak(snap) <= 2 * 2**20
+
+
+def test_densest_snapshot_score_peak_memory():
+    """The same bound on er:300:250 at N = 250 (2E/n about 208), where a
+    block holds one root: the dense path gathers the bitset frontier of
+    its 52k induced entries a chunk at a time (1.31 MB peak measured, and
+    0.85 MB on the block path)."""
+    snap = _snapshot("er", 300, 250.0, 250, seed=20240817)
+    assert snap.n == 250 and centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+    assert warm_score_peak(snap) <= 2 * 2**20
 
 
 def bfs_snapshot(graph, source: int, members) -> Snapshot:
@@ -680,3 +718,161 @@ class TestLeavesFromTheirNeighbour:
             got, bfs_ids, _ = score(snap, leaves)
         assert list(got) == leaves
         assert bfs_ids == sorted(hubs)
+
+
+def path_scores(snap: Snapshot, nodes=None, *, dense: bool) -> dict[int, float]:
+    """The scorer's table with the dense path or the block path forced."""
+    with on_path(dense):
+        return general_graph_scores(snap, nodes)
+
+
+def assert_paths_agree(snap: Snapshot, nodes=None) -> None:
+    """The dense path, the block path and the per-root scorer give equal
+    tables, in values and key order."""
+    want = per_root_scores(snap, nodes)
+    for dense in (True, False):
+        got = path_scores(snap, nodes, dense=dense)
+        assert list(got) == list(want)
+        assert got == want
+
+
+def circulant(n: int, steps, drop=(), add=()) -> Snapshot:
+    """Every node of the circulant graph C_n(steps), less the edges
+    ``drop`` and plus the edges ``add``, infected in BFS order from 0."""
+    edges = {(i, (i + s) % n) for i in range(n) for s in steps} - set(drop) | set(add)
+    return bfs_snapshot(graph_from_edges(n, sorted(edges)), 0, range(n))
+
+
+class TestDensePath:
+    """The dense path finds every root's BFS order at once from all-pairs
+    distances and first hops; its tables equal the block path's and the
+    per-root scorer's bit for bit, in the same key order."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The paths that each score took, by name, in order."""
+        names = []
+        for name in ("_dense_scores", "_block_scores"):
+            def spy(*args, _name=name, _path=getattr(centrality, name)):
+                names.append(_name)
+                return _path(*args)
+            monkeypatch.setattr(centrality, name, spy)
+        return names
+
+    @pytest.mark.parametrize("drop,add,dense", [([(0, 1)], [], False), ([], [], True), ([], [(0, 6)], True)],
+                             ids=["below", "at", "above"])
+    def test_mean_degree_threshold(self, ran, drop, add, dense):
+        """C_12(1, 2) has 2E/n = 4, the threshold, exactly; one edge less
+        puts it below and one chord more above."""
+        snap = circulant(12, (1, 2), drop, add)
+        assert centrality._DENSE_DEGREE == 4
+        assert 2 * snap.induced_edge_count == 4 * 12 + 2 * len(add) - 2 * len(drop)
+        got = general_graph_scores(snap)
+        assert ran == ["_dense_scores" if dense else "_block_scores"]
+        assert list(got) == list(per_root_scores(snap)) and got == per_root_scores(snap)
+        assert_paths_agree(snap)
+
+    @pytest.mark.parametrize("block_entries,dense", [(72, True), (71, False)], ids=["fits", "too-large"])
+    def test_memory_bound(self, ran, block_entries, dense, monkeypatch):
+        """A dense snapshot of n = 12 takes the dense path only while its
+        n² = 144 cells are at most 2 * BLOCK_ENTRIES."""
+        snap = circulant(12, (1, 2, 3))
+        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        assert general_graph_scores(snap) == per_root_scores(snap)
+        assert ran == ["_dense_scores" if dense else "_block_scores"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["sf", "er"]),
+        size=st.integers(min_value=20, max_value=300),
+        density=st.floats(min_value=3.0, max_value=22.0),
+        n_infected=st.integers(min_value=3, max_value=120),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_draws_with_subsets(self, family, size, density, n_infected, seed, data):
+        """Draws on both sides of the threshold, every root and a subset:
+        the dense path scores every root and returns the asked ones."""
+        snap = _snapshot(family, size, density, n_infected, seed)
+        assume(snap.n >= 3 and not snap.is_tree)
+        subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, subset)
+
+    @pytest.mark.parametrize("family,size,density,n_infected", [("sf", 4039, 22.0, 400), ("er", 300, 250.0, 250)],
+                             ids=["sf:4039:22", "er:300:250"])
+    def test_dense_benchmark_snapshots(self, family, size, density, n_infected):
+        snap = _snapshot(family, size, density, n_infected, seed=20240817)
+        assert centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, sorted(snap.infected)[::7])
+
+    @pytest.mark.parametrize("n_infected", [1, 2])
+    def test_one_and_two_nodes(self, n_infected):
+        snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
+        assert snap.n == n_infected
+        assert_paths_agree(snap)
+
+    def test_distances_past_255(self):
+        """A clique of 26 with a path of 260 nodes hanging off it: 2E/n is
+        above the threshold and the farthest pair is 261 hops apart, past
+        the uint8 distances the dense path starts with."""
+        clique = [(u, v) for u in range(26) for v in range(u + 1, 26)]
+        tail = [(u, u + 1) for u in range(25, 285)]
+        snap = bfs_snapshot(graph_from_edges(286, clique + tail), 0, range(286))
+        assert centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, [0, 100, 285])
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "block"])
+    def test_dense_disconnected_set(self, dense):
+        """Two infected K5s joined only through an uninfected node: no
+        infected node is isolated, 2E/n = 4, and both paths raise."""
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        edges = k5 + [(u + 6, v + 6) for u, v in k5] + [(4, 5), (5, 6)]
+        order = [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
+        snap = snapshot_of(graph_from_edges(11, edges), 0, order, {v: 0 if v < 6 else 4 for v in order[1:]})
+        assert 2 * snap.induced_edge_count == 4 * snap.n
+        with pytest.raises(InvalidInputError):
+            general_graph_scores(snap)
+        with pytest.raises(InvalidInputError):
+            path_scores(snap, dense=dense)
+        with pytest.raises(InvalidInputError):
+            per_root_scores(snap)
+
+
+@st.composite
+def connected_graphs(draw) -> dict[int, list[int]]:
+    """A connected graph of 2 to 12 nodes, each node's neighbours by
+    ascending id: a random tree plus random extra edges."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n)))
+    return {u: sorted({v for e in edges if u in e for v in e} - {u}) for u in range(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(adj=connected_graphs())
+def test_first_hop_lemma(adj):
+    """The fact the dense path rests on, checked on sequential BFS runs
+    (neighbour ties by ascending id): for d(v, u) >= 2 the BFS parent of u
+    from v is its parent from a = NH[v, u], the lowest-id neighbour of v
+    one step nearer to u, and level d of v's order lists its nodes by (a,
+    place of u in a's order)."""
+    place, parent, dist = {}, {}, {}
+    for v in adj:
+        order, parent_place = breadth_first(adj, v)
+        place[v] = {u: i for i, u in enumerate(order)}
+        parent[v] = {u: order[p] for u, p in zip(order[1:], parent_place[1:])}
+        dist[v] = {v: 0}
+        for u in order[1:]:
+            dist[v][u] = dist[v][parent[v][u]] + 1
+    for v in adj:
+        hop = {u: min(a for a in adj[v] if dist[a][u] == dist[v][u] - 1) for u in adj if u != v}
+        for u in adj:
+            if dist[v][u] >= 2:
+                assert parent[v][u] == parent[hop[u]][u]
+        for d in range(1, max(dist[v].values()) + 1):
+            level = sorted((u for u in adj if dist[v][u] == d), key=place[v].get)
+            assert level == sorted(level, key=lambda u: (hop[u], place[hop[u]][u]))
