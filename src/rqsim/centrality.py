@@ -133,20 +133,24 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     boundary edges of the prefix in the underlying graph).  Reads only the
     induced subgraph and degrees.
 
-    Two paths give the same scores (``==``).  A sparse snapshot takes
-    :func:`_block_scores`, one level-synchronous BFS per block of roots.
-    A dense one, whose mean induced degree 2E/n is at least
-    ``_DENSE_DEGREE`` and whose n² cells fit the block's memory budget
-    (:func:`_is_dense`), takes :func:`_dense_scores`, which finds every
-    root's BFS order at once from all-pairs distances.  It rests on one
-    fact: with ties by ascending id, the BFS path from ``v`` to ``u`` is
-    the lexicographically smallest shortest path, so it starts at
-    ``a = NH[v, u]``, the lowest-id neighbour of ``v`` one step closer to
-    ``u``, and goes on as ``a``'s own path.  So for d(v, u) >= 2 the BFS
-    parent of ``u`` from ``v`` is its parent from ``a``, and level d of
-    ``v``'s order lists its nodes ``u`` by (``a``, place of ``u`` in
-    ``a``'s order).  Each root's two sums of logarithms are exact and
-    rounded once (:func:`_wrapped_sums`, :func:`_rounded`) on both paths,
+    Two paths give the same scores (``==``).  Most snapshots take
+    :func:`_dense_scores`, which finds every root's BFS order at once from
+    all-pairs distances.  It rests on one fact: with ties by ascending id,
+    the BFS path from ``v`` to ``u`` is the lexicographically smallest
+    shortest path, so it starts at ``a = NH[v, u]``, the lowest-id
+    neighbour of ``v`` one step closer to ``u``, and goes on as ``a``'s
+    own path.  So for d(v, u) >= 2 the BFS parent of ``u`` from ``v`` is
+    its parent from ``a``.  When N > 2 the leaves (one infected
+    neighbour) are folded into their hubs: a leaf is never ``NH[v, u]``
+    for any ``u`` but itself, as a path through it could not leave it, so
+    the distances, first hops and parents are found over the n_r other
+    nodes alone, and each leaf is placed among its hub's children by id.
+    A snapshot whose n_r * N cells do not fit the block's memory budget,
+    or whose leafless subgraph is too small for the all-pairs passes to
+    pay (:func:`_is_dense`), takes :func:`_block_scores`, one
+    level-synchronous BFS per block of roots.  On both paths a leaf root
+    is scored from its hub's row, and each root's two sums of logarithms
+    are exact and rounded once (:func:`_wrapped_sums`, :func:`_rounded`),
     so roots with equal counts tie exactly and the lowest id wins.
     """
     graph = snapshot.require_graph("general-graph scoring")
@@ -164,28 +168,31 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
-    if _is_dense(n, nbr.size):
+    leaves = int(np.count_nonzero(np.diff(ptr) == 1)) if n > 2 else 0
+    if _is_dense(n, leaves, nbr.size):
         scores = _dense_scores(ptr, nbr, deg, table)
     else:
         scores = _block_scores(targets, by_id, ptr, nbr, deg, table)
     return dict(zip(map(ids.__getitem__, targets.tolist()), scores[targets].tolist()))
 
 
-def _is_dense(n: int, entries: int) -> bool:
-    """Whether a snapshot of ``n`` infected nodes and ``entries`` = 2E
-    directed induced edges takes the dense path: its mean induced degree
-    is at least ``_DENSE_DEGREE`` and its n² cells, at most about 8 bytes
-    each, fit in the 16 bytes per entry of a block's two entry-sized
-    int64 arrays."""
-    return entries >= _DENSE_DEGREE * n and n * n <= 2 * BLOCK_ENTRIES
+def _is_dense(n: int, leaves: int, entries: int) -> bool:
+    """Whether a snapshot of ``n`` infected nodes, ``leaves`` of them
+    leaves, and ``entries`` = 2E directed induced edges takes the dense
+    path: its leafless subgraph has at least ``_DENSE_ENTRIES`` entries,
+    and its (non-leaf root, node) cells, at most about 8 bytes each, fit
+    in the 16 bytes per entry of a block's two entry-sized int64 arrays."""
+    return entries - 2 * leaves >= _DENSE_ENTRIES and (n - leaves) * n <= 2 * BLOCK_ENTRIES
 
 
-#: The mean induced degree 2E/n from which the dense path is the faster.
-#: On 104 er and sf snapshots of N = 100 to 400 (2 vCPUs) it took 1.1-2.3
-#: times the block path's time at 2E/n below 3, 0.8-1.7 from 3 to 3.7,
-#: 0.8-1.03 from 3.7 to 4, 0.73-0.98 from 4 to 5 and 0.32-0.99 above 5
-#: (0.40 on N = 400 sf:4039:22 snapshots).
-_DENSE_DEGREE = 4
+#: The leafless subgraph's entries 2E - 2 * leaves from which the dense
+#: path is the faster.  On 104 er and sf snapshots of N = 100 to 400 (2E/n
+#: 2.0 to 16.2, 2 vCPUs) it took 1.10-1.57 times the block path's time
+#: below 384 entries, 0.91-1.19 from 384 to 512, 0.79-0.96 from 512 to 640
+#: and 0.36-1.07 above; its fixed passes weigh on small snapshots, so the
+#: mean degree alone does not separate the two (at N >= 300 every snapshot
+#: took 0.36-0.75, from 2E/n 2.0 up).
+_DENSE_ENTRIES = 512
 
 
 def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: np.ndarray,
@@ -474,120 +481,222 @@ def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray,
 
 def _dense_scores(ptr: np.ndarray, nbr: np.ndarray, deg: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Every root's score, by position, from every BFS order found at once
-    (the lemma of :func:`general_graph_scores`).  Over (root, node) cells,
-    whole rows of n at a time: the distances (:func:`_distances`); each
-    root's first hop towards each node; then, level by level, each node's
-    BFS place and parent, read off its first hop's; then each node's count
-    of earlier neighbours.  Per chunk of roots, the subtree sizes and the
-    sums are those of :func:`_block_scores`.  The n² arrays are uint8 or
-    uint16, and the temporaries are bounded by ``_DENSE_CELLS``.
+    (the lemma of :func:`general_graph_scores`), with the leaves folded
+    into their hubs.
 
-    The nodes are renumbered by falling induced degree, each keeping its
-    neighbours in id order, so that the nodes with a j-th neighbour are
-    the first rows: each pass over j-th neighbours reads row slices."""
+    The dynamic program runs over the n_r non-leaf nodes: their distances
+    (:func:`_distances`), each root's first hop towards each node, and,
+    level by level, each node's BFS parent, carried from the first hop's
+    as the entry of the parent's neighbour run that reaches it.  Level d
+    of a root's order lists its nodes by (parent's place, id), and a leaf
+    sits one level below its hub: so one sort puts each level's non-leaf
+    cells and the leaves of the level above in order, which places every
+    node among all n.  Subtree sizes start at 1 plus the node's leaves
+    and are summed level by level, deepest first; a leaf's subtree size
+    and count of earlier neighbours are 1, so neither adds a logarithm.
+    A leaf root is scored from its hub's row (:func:`_leaf_shifts`).
+
+    The (root, node) cells are sorted by level once, and each level is
+    taken in root ranges of at most ``_DENSE_CELLS`` cells.  Columns are
+    the non-leaves by falling count of non-leaf neighbours, each keeping
+    its neighbours in id order, then the leaves, so that the nodes with a
+    j-th non-leaf neighbour are the first rows: each pass over j-th
+    neighbours reads row slices.  Node and entry tables are kept in the
+    narrowest unsigned type."""
     n = ptr.size - 1
-    by_width = np.argsort(-np.diff(ptr), kind="stable")
-    label = np.empty(n, dtype=np.int64)
-    label[by_width] = np.arange(n)
-    width, deg = np.diff(ptr)[by_width], deg[by_width]
+    width = np.diff(ptr)
+    leaf = (width == 1) & (n > 2)
+    hub = nbr[ptr[:-1][leaf]]  # each leaf's one neighbour, by position
+    if leaf[hub].any():  # two leaves joined: a component of two nodes
+        raise InvalidInputError("infected set is disconnected")
+    hung = np.bincount(hub, minlength=n)  # each node's leaves
+    inner = np.flatnonzero(~leaf)
+    col = np.concatenate((inner[np.argsort(hung[inner] - width[inner], kind="stable")], np.flatnonzero(leaf)))
+    n_r = inner.size
+    node, edge = np.min_scalar_type(n), np.min_scalar_type(nbr.size)
+    label = np.empty(n, dtype=node)
+    label[col] = np.arange(n)
+    width, deg, hung = width[col], deg[col], hung[col[:n_r]]
     start = np.cumsum(width) - width
-    nbr = label[nbr[np.repeat(ptr[by_width] - start, width) + np.arange(nbr.size)]]  # still by id
-    have = (n - np.cumsum(np.bincount(width))[:-1]).tolist()  # have[j]: nodes with a j-th (from 0)
-    dist = _distances(start, width, nbr)
-    levels = int(dist.max())
-    rows = max(1, _DENSE_CELLS // n)  # roots at a time
+    at = np.repeat(ptr[col] - start, width)
+    at += np.arange(nbr.size)
+    nbr = label.take(nbr.take(at))  # still by id
+    del at
+    owner = np.repeat(np.arange(n, dtype=node), width)
+    hub = nbr.take(start[n_r:]).astype(np.int64)  # by column
+    r_width = width[:n_r] - hung
+    r_start = np.cumsum(r_width) - r_width
+    runs = nbr[:width[:n_r].sum()]  # the non-leaves' neighbour runs
+    near = np.flatnonzero(runs < n_r).astype(edge)  # entries between non-leaves
+    r_nbr = nbr.take(near)
+    have = (n_r - np.cumsum(np.bincount(r_width))[:-1]).tolist()  # have[j]: nodes with a j-th (from 0)
+    dist = _distances(r_start, r_width, r_nbr)
 
     # hop[v, u] = j: v's first hop towards u, NH[v, u], is its j-th
-    # neighbour, so j counts the neighbours before it, none of them nearer.
-    hop = np.zeros((n, n), np.min_scalar_type(width[0]))
-    unfound = np.ones((n, n), dtype=bool)
-    farther = np.empty((n, n), dtype=bool)
+    # non-leaf neighbour, so j counts the neighbours before it, none of
+    # them nearer.
+    hop = np.zeros((n_r, n_r), np.min_scalar_type(r_width[0]))
+    unfound = np.ones((n_r, n_r), dtype=bool)
+    farther = np.empty((n_r, n_r), dtype=bool)
     for j, c in enumerate(have):
-        np.greater_equal(dist.take(nbr[start[:c] + j], axis=0), dist[:c], out=farther[:c])
+        np.greater_equal(dist.take(r_nbr[r_start[:c] + j], axis=0), dist[:c], out=farther[:c])
         unfound[:c] &= farther[:c]
         hop[:c] += unfound[:c]
     del unfound, farther
 
-    # place[u, v]: u's place in v's BFS order; parent[v, u]: u's BFS parent.
-    kind = np.min_scalar_type(n)
-    place, parent = np.zeros((n, n), kind), np.zeros((n, n), kind)
-    placed = np.ones(n, dtype=np.int64)  # per root: the nodes placed so far
-    low = (n * n - 1).bit_length()  # key bits below the sort order, for u * n + v
+    # The cells (v, w) sorted by (level, leaf or not, v, w), packed in 32
+    # bits: a leaf is one level below its hub, and the n_r * n cells fit
+    # (:func:`_is_dense`), so v and w take at most 19 bits and a level 9.
+    # cols keeps each cell's w; count[d, k, v] is root v's cells of level
+    # d and kind k (1 for leaves), and first[d] where level d starts.
+    w_bits, v_bits = (n - 1).bit_length(), (n_r - 1).bit_length()
+    cells = np.empty((n_r, n), dtype=np.uint32)
+    np.left_shift(dist, w_bits + v_bits + 1, out=cells[:, :n_r], dtype=np.uint32)
+    np.left_shift(dist.take(hub, axis=1), w_bits + v_bits + 1, out=cells[:, n_r:], dtype=np.uint32)
+    del dist
+    cells[:, n_r:] += 3 << w_bits + v_bits
+    cells += np.arange(n_r, dtype=np.uint32)[:, None] << w_bits
+    cells += np.arange(n, dtype=np.uint32)
+    cells = cells.ravel()
+    cells.sort()
+    levels = int(cells[-1]) >> w_bits + v_bits + 1
+    first = np.searchsorted(cells, np.arange(levels + 2, dtype=np.uint32) << w_bits + v_bits + 1)
+    count = np.zeros((levels + 1, 2 << v_bits), dtype=node)
+    for d in range(levels + 1):
+        for i in range(first[d], first[d + 1], _DENSE_CELLS):
+            part = cells[i:min(i + _DENSE_CELLS, first[d + 1])] >> w_bits
+            part &= (2 << v_bits) - 1
+            count[d] += np.bincount(part, minlength=count.shape[1]).astype(node)
+    count = count.reshape(levels + 1, 2, -1)[:, :, :n_r]
+    cells &= (1 << w_bits) - 1
+    cols = cells.astype(node)
+    del cells, part
+
+    # place[v, w]: w's place in v's BFS order; parent[v, u]: the entry
+    # from u's BFS parent to u.  A level's sort key is (root, parent's
+    # place, entry) over the cell v * n + w: below 2**18 * 2**20 * 2**18,
+    # as the n_r * n cells fit and 2E < 2n + n_r**2.
+    place = np.zeros((n_r, n), dtype=node)
+    parent = np.zeros((n_r, n_r), dtype=edge)
+    placed = np.ones(n_r, dtype=np.int64)  # per root: the nodes placed so far
+    low = (n_r * n - 1).bit_length()
+    leaf_entry = np.zeros(n, dtype=edge)  # by column: the entry from a leaf's hub to it
+    hanging = np.flatnonzero(runs >= n_r)
+    leaf_entry[nbr.take(hanging)] = hanging
+    ranges = {d: _root_ranges(count[d], first[d]) for d in range(1, levels + 1)}
+    rows = np.arange(n_r)
     for d in range(1, levels + 1):
-        for v0 in range(0, n, rows):
-            at_d = dist[v0:v0 + rows] == d
-            count = np.count_nonzero(at_d, axis=1)
-            cell = np.flatnonzero(at_d)
-            v = np.repeat(np.arange(v0, v0 + count.size), count)
-            u = cell - np.repeat(np.arange(0, count.size * n, n), count)
-            cell += v0 * n  # v * n + u
-            j = hop.ravel().take(cell)
-            a = start.take(v)
-            a += j
-            a = nbr.take(a)  # v's first hop towards u: u itself at d = 1
-            if d == 1:
-                parent.ravel()[cell] = v
-            else:
-                at = a * n
-                at += u
-                parent.ravel()[cell] = parent.ravel().take(at)
-                del at
-            del cell
-            # Level d of v's order lists u by (j, u's place in a's order);
-            # the key's low bits carry the place's cell, u * n + v.
-            u *= n
-            a += u
-            key = v * n
-            key += j
-            key *= n
-            key += place.ravel().take(a)
-            del a
+        for v0, v1, a, m, la, k in ranges[d]:
+            kinds = count[d, :, v0:v1]
+            cell = np.repeat(rows[v0:v1] * n_r, kinds[0])
+            cell += cols[a:a + m]
+            e = np.repeat(r_start[v0:v1], kinds[0])
+            e += hop.ravel().take(cell)
+            entry = np.empty(m + k, dtype=edge)
+            if d == 1:  # v's own neighbour
+                near.take(e, out=entry[:m])
+            else:  # u's parent from NH[v, u]
+                e = np.multiply(r_nbr.take(e), n_r, dtype=np.int64)
+                e += cols[a:a + m]
+                parent.ravel().take(e, out=entry[:m])
+            parent.ravel()[cell] = entry[:m]
+            del cell, e
+            # With the leaves hung on the level above, sorted by (root,
+            # parent's place, entry): each root's level d in BFS order.
+            leaf_entry.take(cols[la:la + k], out=entry[m:])
+            v = np.repeat(np.tile(rows[v0:v1] * n, 2), kinds.ravel())
+            step = kinds.sum(axis=0, dtype=np.int64)  # each root's cells
+            pay = nbr.take(entry) + v
+            key = owner.take(entry) + v
+            key = np.add(place.ravel().take(key), v, out=key)
+            del v
+            key *= nbr.size
+            key += entry
             key <<= low
-            u += v
-            key |= u
-            del u
+            key |= pay
+            del pay, entry
             key.sort()
             key &= (1 << low) - 1
-            first = placed[v0:v0 + rows] - np.cumsum(count) + count  # each root's place minus its first cell
-            place.ravel()[key] = np.arange(key.size) + np.repeat(first, count)
-            placed[v0:v0 + rows] += count
+            at = np.cumsum(step)
+            at -= step
+            at = np.repeat(placed[v0:v1] - at, step)  # each root's place less its first cell's
+            at += np.arange(at.size)
+            place.ravel()[key] = at
+            placed[v0:v1] += step
+            del key, at
     del hop
 
-    # Per root, the exact sum of its log subtree sizes, summed per chunk
-    # of roots level by level, deepest first; summed before the
-    # earlier-neighbour pass so that the distances and parents are freed
-    # first (a warm N = 400 sf:4039:22 score peaks at 1.56 MB, not 1.74).
-    size_wrapped, size_approx = np.empty(n, dtype=np.int64), np.empty(n)
-    for v0 in range(0, n, rows):
-        size = np.ones((min(rows, n - v0), n), dtype=np.int64)
-        for d in range(levels, 0, -1):
-            at_d = dist[v0:v0 + rows] == d
-            cell = np.flatnonzero(at_d)
-            base = np.repeat(np.arange(0, at_d.size, n), np.count_nonzero(at_d, axis=1))  # each cell's row
-            np.add.at(size.ravel(), base + parent[v0:v0 + rows].ravel().take(cell), size.ravel().take(cell))
-        size_wrapped[v0:v0 + rows], size_approx[v0:v0 + rows] = _wrapped_sums(table, size)
-    del dist, parent, size
+    # size[v, u]: u's subtree from v, its leaves included, summed level
+    # by level, deepest first.
+    size = np.empty((n_r, n_r), dtype=node)
+    size[:] = hung + 1
+    for d in range(levels, 0, -1):
+        for v0, v1, a, m, _, _ in ranges[d]:
+            v = np.repeat(rows[v0:v1] * n_r, count[d, 0, v0:v1])
+            cell = cols[a:a + m] + v
+            v += owner.take(parent.ravel().take(cell))
+            np.add.at(size.ravel(), v, size.ravel().take(cell))
+    del parent, cols
 
-    # links[u, v]: u's neighbours earlier in v's BFS order.
-    links = np.zeros((n, n), np.min_scalar_type(width[0]))
+    # links[u, v]: u's non-leaf neighbours earlier in v's BFS order (a
+    # node's leaves come after it), over rows of places by node.
+    links = np.zeros((n_r, n_r), np.min_scalar_type(r_width[0]))
+    by_node = np.ascontiguousarray(place[:, :n_r].T)
     for j, c in enumerate(have):
-        links[:c] += place.take(nbr[start[:c] + j], axis=0) < place[:c]
+        links[:c] += by_node.take(r_nbr[r_start[:c] + j], axis=0) < by_node[:c]
+    del by_node
 
     scores = np.empty(n)
     log_n_factorial = math.lgamma(n + 1)
-    for v0 in range(0, n, rows):
-        r = min(rows, n - v0)
-        count = links[:, v0:v0 + r]
-        top = log_n_factorial + _rounded(*_wrapped_sums(table, count.T))
+    span = max(1, _DENSE_CELLS // n)  # roots at a time, and leaves at a time
+    leaf_place = leaf_entry[n_r:] - start.take(hub) + 1  # each leaf's place in its hub's order
+    by_hub = np.argsort(hub, kind="stable")
+    hubs = hub[by_hub]
+    for v0 in range(0, n_r, span):
+        r = min(span, n_r - v0)
+        earlier = links[:, v0:v0 + r].T
+        top = log_n_factorial + _rounded(*_wrapped_sums(table, earlier))
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
+        step = np.empty((r, n), dtype=np.int64)
+        np.subtract(deg[:n_r], earlier, out=step[:, :n_r])
+        step[:, :n_r] -= earlier
+        step[:, n_r:] = deg[n_r:] - 2
         bounds = np.empty((r, n), dtype=np.int64)
-        step = deg[:, None] - count
-        step -= count
-        bounds.ravel()[place[:, v0:v0 + r] + np.arange(0, r * n, n)] = step
+        at = np.add(place[v0:v0 + r], np.arange(0, r * n, n)[:, None])
+        bounds.ravel()[at] = step
+        del at, step
         np.cumsum(bounds, axis=1, out=bounds)
-        wrapped, approx = _wrapped_sums(table, bounds[:, :-1])
-        scores[v0:v0 + r] = top - _rounded(wrapped + size_wrapped[v0:v0 + r], approx + size_approx[v0:v0 + r])
+        den = _wrapped_sums(table, bounds[:, :-1], size[v0:v0 + r])
+        scores[v0:v0 + r] = top - _rounded(*den)
+        lo, hi = np.searchsorted(hubs, (v0, v0 + r))
+        for a in range(lo, hi, span):
+            w = by_hub[a:min(a + span, hi)]
+            row = hub[w] - v0
+            shifts = _leaf_shifts(table, bounds, row, leaf_place[w], deg[w + n_r])
+            scores[w + n_r] = top[row] - _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
     return scores[label]
+
+
+def _root_ranges(count: np.ndarray, first: int) -> list[tuple[int, int, int, int, int, int]]:
+    """Ranges [v0, v1) of roots that hold at most ``_DENSE_CELLS`` cells of
+    a level each (or one root's, if that is more), from the level's
+    ``count`` of cells of each kind per root and where the level starts in
+    the sorted cells, ``first``; each with where its non-leaf cells start
+    there and how many there are, and the same for its leaves."""
+    n = count.shape[1]
+    inner, outer = count.sum(axis=1, dtype=np.int64).tolist()
+    if inner + outer <= _DENSE_CELLS:
+        return [(0, n, first, inner, first + inner, outer)]
+    run = np.zeros((2, n + 1), dtype=np.int64)
+    np.cumsum(count, axis=1, out=run[:, 1:])
+    total = run.sum(axis=0)
+    cuts = [0]
+    while cuts[-1] < n:
+        a = cuts[-1]
+        cuts.append(max(a + 1, int(np.searchsorted(total, total[a] + _DENSE_CELLS, "right")) - 1))
+    run = run.tolist()
+    return [(a, b, first + run[0][a], run[0][b] - run[0][a], first + inner + run[1][a], run[1][b] - run[1][a])
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -629,9 +738,10 @@ def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndar
     return dist
 
 
-#: The (root, node) cells in a chunk of the dense path's root rows, and
-#: the words of a chunk of its gathered bitset frontier: this bounds its
-#: temporaries (about 0.6 MB at 2**14) besides its n² arrays.
+#: The (root, node) cells of a range of the dense path's roots (a
+#: level's cells in its level loop, whole rows in its sums), and the words
+#: of a chunk of its gathered bitset frontier: this bounds its temporaries
+#: (about 0.5 MB at 2**14) besides its n_r * n arrays.
 _DENSE_CELLS = 1 << 14
 
 

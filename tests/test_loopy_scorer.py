@@ -124,7 +124,19 @@ def test_single_node_scores_zero():
 def on_path(dense: bool):
     """Make the scorer take the dense path (``True``) or the block path
     (``False``) on every snapshot."""
-    return mock.patch.object(centrality, "_is_dense", lambda n, entries: dense)
+    return mock.patch.object(centrality, "_is_dense", lambda n, leaves, entries: dense)
+
+
+def leaves_of(snap: Snapshot) -> list[int]:
+    """The leaves of ``snap``'s infected subgraph (one infected neighbour)
+    when N > 2, by ascending id."""
+    width = np.diff(snap.local_csr[0])
+    return sorted(v for v, w in zip(snap.infected, width.tolist()) if w == 1) if snap.n > 2 else []
+
+
+def takes_dense_path(snap: Snapshot) -> bool:
+    """Whether the scorer's own rule sends ``snap`` to the dense path."""
+    return centrality._is_dense(snap.n, len(leaves_of(snap)), 2 * snap.induced_edge_count)
 
 
 @contextmanager
@@ -179,16 +191,15 @@ def test_blocks_equal_per_root_scorer(family, size, density, n_infected, seed, d
                          ids=["er:2000:4", "sf:4039:22"])
 def test_n400_snapshot_equals_per_root_scorer(family, size, density):
     """The benchmark's graphs at the default settings, all roots and every
-    seventh one: er:2000:4 takes the block path (a subset that crosses
-    block boundaries), sf:4039:22 the dense path."""
+    seventh one, on both paths: both snapshots take the dense path, and on
+    the forced block path er:2000:4's subset crosses block boundaries."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
     assert snap.n == 400 and not snap.is_tree
-    dense = centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
-    assert dense == (family == "sf")
+    assert takes_dense_path(snap)
     rows = centrality.BLOCK_ENTRIES // (2 * snap.induced_edge_count)
-    assert dense or 1 < rows < snap.n
-    assert_equals_per_root(snap)
-    assert_equals_per_root(snap, sorted(snap.infected)[::7])
+    assert family == "sf" or 1 < rows < snap.n
+    assert_paths_agree(snap)
+    assert_paths_agree(snap, sorted(snap.infected)[::7])
 
 
 @pytest.mark.parametrize("n_infected", [1, 2])
@@ -495,7 +506,7 @@ class TestWorkspace:
         snapshot takes the block path, which scores in it."""
         fresh = centrality._Workspace()
         monkeypatch.setattr(centrality, "_WORKSPACE", fresh)
-        monkeypatch.setattr(centrality, "_is_dense", lambda n, entries: False)
+        monkeypatch.setattr(centrality, "_is_dense", lambda n, leaves, entries: False)
         return fresh
 
     @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16, centrality.BLOCK_ENTRIES],
@@ -570,26 +581,29 @@ def warm_score_peak(snap: Snapshot) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
-                         ids=["er:2000:4", "sf:4039:22"])
+@pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0), ("sf", 2000, 1.5)],
+                         ids=["er:2000:4", "sf:4039:22", "sf:2000:1.5"])
 def test_n400_score_peak_memory(family, size, density):
     """The Python-heap peak of one full table on the N = 400 snapshots of
-    ``test_n400_snapshot_equals_per_root_scorer`` stays under 2 MB, which
-    keeps the per-process RSS of a loopy sweep close to where it was.
-    tracemalloc peaks measured on these snapshots: er:2000:4 0.70 MB with
-    the first block scorer, 1.40 MB at 3 * 2**15 entries per block;
-    sf:4039:22 0.86 and 0.93 MB, and 1.56 MB on the dense path."""
+    ``test_n400_snapshot_equals_per_root_scorer``, and on the leafy
+    sf:2000:1.5 one, stays under 2 MB, which keeps the per-process RSS of
+    a loopy sweep close to where it was.  tracemalloc peaks measured on
+    these snapshots: er:2000:4 0.70 MB with the first block scorer, 1.40
+    MB at 3 * 2**15 entries per block; sf:4039:22 0.86 and 0.93 MB, and
+    1.56 MB on the dense path before leaves were folded.  All three take
+    the dense path now."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
+    assert takes_dense_path(snap)
     assert warm_score_peak(snap) <= 2 * 2**20
 
 
 def test_densest_snapshot_score_peak_memory():
     """The same bound on er:300:250 at N = 250 (2E/n about 208), where a
     block holds one root: the dense path gathers the bitset frontier of
-    its 52k induced entries a chunk at a time (1.31 MB peak measured, and
-    0.85 MB on the block path)."""
+    its 52k induced entries a chunk at a time (1.06 MB peak measured, 1.31
+    MB before leaves were folded, and 0.85 MB on the block path)."""
     snap = _snapshot("er", 300, 250.0, 250, seed=20240817)
-    assert snap.n == 250 and centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+    assert snap.n == 250 and takes_dense_path(snap)
     assert warm_score_peak(snap) <= 2 * 2**20
 
 
@@ -607,16 +621,19 @@ def bfs_snapshot(graph, source: int, members) -> Snapshot:
 
 
 class TestLeavesFromTheirNeighbour:
-    """A leaf of the infected subgraph (one infected neighbour, N > 2) is
-    scored from its neighbour's BFS row: ``_bfs_block`` runs only from the
-    other roots, and the scores equal the per-root scorer's and the
-    all-roots block scorer's bit for bit, in the same key order."""
+    """On the block path, a leaf of the infected subgraph (one infected
+    neighbour, N > 2) is scored from its neighbour's BFS row:
+    ``_bfs_block`` runs only from the other roots, and the scores equal
+    the per-root scorer's and the all-roots block scorer's bit for bit, in
+    the same key order.  Every snapshot here takes the block path."""
 
     @pytest.fixture
     def score(self, monkeypatch):
-        """``score(snap, nodes)``: the scorer's table, checked against both
-        oracles, and the sorted ids of the roots that its ``_bfs_block``
-        calls got, recorded by a counting wrapper (one list per call)."""
+        """``score(snap, nodes)``: the block path's table, checked against
+        both oracles, and the sorted ids of the roots that its
+        ``_bfs_block`` calls got, recorded by a counting wrapper (one list
+        per call)."""
+        monkeypatch.setattr(centrality, "_is_dense", lambda n, leaves, entries: False)
         calls = []
 
         def counting(roots, *args):
@@ -636,11 +653,6 @@ class TestLeavesFromTheirNeighbour:
         bfs_block = centrality._bfs_block
         monkeypatch.setattr(centrality, "_bfs_block", counting)
         return score
-
-    @staticmethod
-    def leaves(snap: Snapshot) -> list[int]:
-        width = np.diff(snap.local_csr[0])
-        return sorted(v for v, w in zip(snap.infected, width.tolist()) if w == 1)
 
     def test_star_takes_one_bfs(self, score):
         # The last leaf, 6, sits at its centre's last BFS place (p = n - 1).
@@ -667,7 +679,7 @@ class TestLeavesFromTheirNeighbour:
         neighbours 7 and 8, so its degree is not 1."""
         edges = [(0, i) for i in range(1, 7)] + [(i, i % 5 + 1) for i in range(1, 6)] + [(6, 7), (6, 8)]
         snap = bfs_snapshot(graph_from_edges(9, edges), 3, range(7))
-        assert not snap.is_tree and self.leaves(snap) == [6]
+        assert not snap.is_tree and leaves_of(snap) == [6]
         with block_rows(snap, rows):
             assert score(snap)[1] == list(range(6))
             assert score(snap, [6])[1] == [0]
@@ -681,7 +693,7 @@ class TestLeavesFromTheirNeighbour:
         ring = [(0, 1), (1, 3), (3, 4), (4, 6), (6, 8), (8, 0), (1, 6)]
         edges = ring + [(4, 2), (4, 5), (4, 9), (4, 10), (1, 7), (9, 11), (7, 12)]
         snap = bfs_snapshot(graph_from_edges(13, edges), 0, range(11))
-        assert not snap.is_tree and self.leaves(snap) == [2, 5, 7, 9, 10]
+        assert not snap.is_tree and leaves_of(snap) == [2, 5, 7, 9, 10]
         with block_rows(snap, rows):
             _, bfs_ids, bfs_rows = score(snap)
             assert bfs_ids == [0, 1, 3, 4, 6, 8]
@@ -693,7 +705,7 @@ class TestLeavesFromTheirNeighbour:
                              ids=["er:2000:4", "sf:2000:1.5"])
     def test_n400_bfs_only_from_non_leaves(self, score, family, size, density):
         snap = _snapshot(family, size, density, 400, seed=20240817)
-        leaves = self.leaves(snap)
+        leaves = leaves_of(snap)
         assert 0.2 * snap.n < len(leaves) < 0.5 * snap.n
         assert score(snap)[1] == sorted(set(snap.infected) - set(leaves))
 
@@ -710,7 +722,7 @@ class TestLeavesFromTheirNeighbour:
         """Every leaf of an N = 400 snapshot and none of their neighbours:
         each neighbour gets one BFS row and is not returned."""
         snap = _snapshot("er", 2000, 4.0, 400, seed=20240817)
-        leaves = self.leaves(snap)
+        leaves = leaves_of(snap)
         ptr, nbr = snap.local_csr
         hubs = {snap.infected[nbr[ptr[snap.position_of(v)]]] for v in leaves}
         assert not hubs & set(leaves)
@@ -762,21 +774,37 @@ class TestDensePath:
     @pytest.mark.parametrize("drop,add,dense", [([(0, 1)], [], False), ([], [], True), ([], [(0, 6)], True)],
                              ids=["below", "at", "above"])
     def test_mean_degree_threshold(self, ran, drop, add, dense):
-        """C_12(1, 2) has 2E/n = 4, the threshold, exactly; one edge less
-        puts it below and one chord more above."""
-        snap = circulant(12, (1, 2), drop, add)
-        assert centrality._DENSE_DEGREE == 4
-        assert 2 * snap.induced_edge_count == 4 * 12 + 2 * len(add) - 2 * len(drop)
+        """The threshold is on the leafless subgraph's entries 2E, not on
+        its mean degree: C_128(1, 2), of mean degree 4, has 2E = 512 =
+        ``_DENSE_ENTRIES`` exactly; one edge less puts it below and one
+        chord more above."""
+        snap = circulant(128, (1, 2), drop, add)
+        assert centrality._DENSE_ENTRIES == 512 and not leaves_of(snap)
+        assert 2 * snap.induced_edge_count == 4 * 128 + 2 * len(add) - 2 * len(drop)
         got = general_graph_scores(snap)
         assert ran == ["_dense_scores" if dense else "_block_scores"]
         assert list(got) == list(per_root_scores(snap)) and got == per_root_scores(snap)
         assert_paths_agree(snap)
 
-    @pytest.mark.parametrize("block_entries,dense", [(72, True), (71, False)], ids=["fits", "too-large"])
+    @pytest.mark.parametrize("drop,dense", [([], True), ([(5, 6)], False)], ids=["at", "below"])
+    def test_leaves_do_not_count_towards_the_threshold(self, ran, drop, dense):
+        """C_128(1, 2) with a leaf hung on node 0: the leaf's two entries
+        do not count, so the snapshot takes the dense path only while its
+        leafless subgraph keeps 2E = 512; with one ring edge less, 2E is
+        512 only with the leaf's entries."""
+        edges = {(i, (i + s) % 128) for i in range(128) for s in (1, 2)} - set(drop) | {(0, 128)}
+        snap = bfs_snapshot(graph_from_edges(129, sorted(edges)), 0, range(129))
+        assert leaves_of(snap) == [128]
+        assert 2 * snap.induced_edge_count == 514 - 2 * len(drop)
+        assert general_graph_scores(snap) == per_root_scores(snap)
+        assert ran == ["_dense_scores" if dense else "_block_scores"]
+
+    @pytest.mark.parametrize("block_entries,dense", [(8192, True), (8191, False)], ids=["fits", "too-large"])
     def test_memory_bound(self, ran, block_entries, dense, monkeypatch):
-        """A dense snapshot of n = 12 takes the dense path only while its
-        n² = 144 cells are at most 2 * BLOCK_ENTRIES."""
-        snap = circulant(12, (1, 2, 3))
+        """A snapshot of n = 128 above the threshold (C_128(1, 2, 3), 2E =
+        768) takes the dense path only while its n_r * n = 16384 cells are
+        at most 2 * BLOCK_ENTRIES."""
+        snap = circulant(128, (1, 2, 3))
         monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
         assert general_graph_scores(snap) == per_root_scores(snap)
         assert ran == ["_dense_scores" if dense else "_block_scores"]
@@ -803,7 +831,7 @@ class TestDensePath:
                              ids=["sf:4039:22", "er:300:250"])
     def test_dense_benchmark_snapshots(self, family, size, density, n_infected):
         snap = _snapshot(family, size, density, n_infected, seed=20240817)
-        assert centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+        assert takes_dense_path(snap)
         assert_paths_agree(snap)
         assert_paths_agree(snap, sorted(snap.infected)[::7])
 
@@ -814,13 +842,14 @@ class TestDensePath:
         assert_paths_agree(snap)
 
     def test_distances_past_255(self):
-        """A clique of 26 with a path of 260 nodes hanging off it: 2E/n is
-        above the threshold and the farthest pair is 261 hops apart, past
-        the uint8 distances the dense path starts with."""
+        """A clique of 26 with a path of 260 nodes hanging off it: its
+        leafless subgraph is above the threshold and the farthest pair is
+        261 hops apart, past the uint8 distances the dense path starts
+        with."""
         clique = [(u, v) for u in range(26) for v in range(u + 1, 26)]
         tail = [(u, u + 1) for u in range(25, 285)]
         snap = bfs_snapshot(graph_from_edges(286, clique + tail), 0, range(286))
-        assert centrality._is_dense(snap.n, 2 * snap.induced_edge_count)
+        assert takes_dense_path(snap) and leaves_of(snap) == [285]
         assert_paths_agree(snap)
         assert_paths_agree(snap, [0, 100, 285])
 
@@ -858,8 +887,8 @@ def test_first_hop_lemma(adj):
     """The fact the dense path rests on, checked on sequential BFS runs
     (neighbour ties by ascending id): for d(v, u) >= 2 the BFS parent of u
     from v is its parent from a = NH[v, u], the lowest-id neighbour of v
-    one step nearer to u, and level d of v's order lists its nodes by (a,
-    place of u in a's order)."""
+    one step nearer to u.  The same runs show that level d of v's order
+    lists its nodes by (a, place of u in a's order)."""
     place, parent, dist = {}, {}, {}
     for v in adj:
         order, parent_place = breadth_first(adj, v)
@@ -876,3 +905,109 @@ def test_first_hop_lemma(adj):
         for d in range(1, max(dist[v].values()) + 1):
             level = sorted((u for u in adj if dist[v][u] == d), key=place[v].get)
             assert level == sorted(level, key=lambda u: (hop[u], place[hop[u]][u]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(adj=connected_graphs())
+def test_no_leaf_is_a_first_hop(adj):
+    """Why the dense path may fold leaves into their hubs: when n > 2, a
+    leaf (one neighbour) is NH[v, u], v's first hop towards u, for no u
+    but itself, as a shortest path that enters a leaf cannot leave it."""
+    assume(len(adj) > 2)
+    dist = {}
+    for v in adj:
+        order, parent_place = breadth_first(adj, v)
+        dist[v] = {v: 0}
+        for u, p in zip(order[1:], parent_place[1:]):
+            dist[v][u] = dist[v][order[p]] + 1
+    for v in adj:
+        for u in adj:
+            if u != v:
+                hop = min(a for a in adj[v] if dist[a][u] == dist[v][u] - 1)
+                assert len(adj[hop]) > 1 or hop == u
+
+
+class TestFoldedLeaves:
+    """The dense path folds the leaves (one infected neighbour, N > 2) into
+    their hubs: its tables equal the block path's and the per-root
+    scorer's bit for bit, in the same key order, on snapshots built so
+    that the folding's corner cases occur, and on sparse draws."""
+
+    def test_star(self):
+        """One non-leaf node: the dynamic program has one root and no
+        level, and its leaves are placed by id; 6 is at the centre's last
+        place."""
+        snap = bfs_snapshot(star_graph(6), 0, range(7))
+        assert leaves_of(snap) == list(range(1, 7))
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, [3, 6])
+
+    def test_three_node_path(self):
+        snap = bfs_snapshot(graph_from_edges(3, [(0, 1), (1, 2)]), 2, range(3))
+        assert leaves_of(snap) == [0, 2]
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, [0])
+
+    def test_leaf_at_its_hubs_last_place(self):
+        """A wheel (hub 0, rim 1..5 in a cycle) with leaf 6 on the hub, the
+        last of the hub's children; 6 has uninfected neighbours 7 and 8,
+        so its degree is 3."""
+        edges = [(0, i) for i in range(1, 7)] + [(i, i % 5 + 1) for i in range(1, 6)] + [(6, 7), (6, 8)]
+        snap = bfs_snapshot(graph_from_edges(9, edges), 3, range(7))
+        assert leaves_of(snap) == [6]
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, [6])
+
+    def test_leaves_interleaved_with_their_hubs_children(self):
+        """Leaves 2, 5, 9 and 10 on node 4, whose non-leaf neighbours are 3
+        and 6, so by id its children from most roots are leaf 2, 3, leaf
+        5, 6 (or the one of them that is its parent), then leaves 9 and
+        10; leaf 7 on node 1; a ring with a chord, 0-1-3-4-6-8-0 and 1-6,
+        so that leaves hang at several levels."""
+        ring = [(0, 1), (1, 3), (3, 4), (4, 6), (6, 8), (8, 0), (1, 6)]
+        edges = ring + [(4, 2), (4, 5), (4, 9), (4, 10), (1, 7), (9, 11), (7, 12)]
+        snap = bfs_snapshot(graph_from_edges(13, edges), 0, range(11))
+        assert leaves_of(snap) == [2, 5, 7, 9, 10]
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, [2, 3, 8])
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "block"])
+    def test_two_joined_leaves_are_disconnected(self, dense):
+        """A triangle and an infected edge, joined only through an
+        uninfected node: each end of the edge is a leaf whose one neighbour
+        is a leaf, which no connected set of more than two nodes has, and
+        both paths refuse the set."""
+        edges = [(0, 1), (1, 2), (0, 2), (2, 5), (5, 3), (3, 4)]
+        snap = snapshot_of(graph_from_edges(6, edges), 0, [0, 1, 2, 3, 4], {1: 0, 2: 0, 3: 2, 4: 3})
+        assert leaves_of(snap) == [3, 4]
+        with pytest.raises(InvalidInputError):
+            path_scores(snap, dense=dense)
+
+    @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
+                             ids=["er:2000:4", "sf:2000:1.5"])
+    def test_subsets_of_leaves_only(self, family, size, density):
+        """Only leaves asked for: their hubs' rows are scored and not
+        returned.  Every leaf of an N = 100 snapshot, and every third."""
+        snap = _snapshot(family, size, density, 100, seed=20240817)
+        leaves = leaves_of(snap)
+        assert leaves and not snap.is_tree
+        assert_paths_agree(snap, leaves)
+        assert_paths_agree(snap, leaves[::3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["er", "sf"]),
+        size=st.integers(min_value=4, max_value=400),
+        density=st.floats(min_value=1.5, max_value=4.0),
+        n_infected=st.integers(min_value=3, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_sparse_draws_with_subsets(self, family, size, density, n_infected, seed, data):
+        """Sparse draws, graph mean degree 1.5 to 4 (an sf ratio of half
+        that), where leaves are common: every root and a subset."""
+        snap = _snapshot(family, size, density if family == "er" else density / 2, n_infected, seed)
+        assume(snap.n >= 3)
+        subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
+        assert_paths_agree(snap)
+        assert_paths_agree(snap, subset)
