@@ -332,7 +332,6 @@ def h_t_upper_bound(hop_distances: Sequence[int]) -> float:
     """
     total = 0.0
     for h in hop_distances:
-        if h < 1:
-            raise InvalidParameterError(f"hop distances must be >= 1, got {h}")
+        check_int("hop distances", h, 1)
         total += math.lgamma(h) + h
     return total

@@ -15,7 +15,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -133,61 +133,96 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     boundary edges of the prefix in the underlying graph).  Reads only the
     induced subgraph and degrees.
 
-    Two paths give the same scores (``==``).  Most snapshots take
-    :func:`_dense_scores`, which finds every root's BFS order at once from
-    all-pairs distances.  It rests on one fact: with ties by ascending id,
-    the BFS path from ``v`` to ``u`` is the lexicographically smallest
-    shortest path, so it starts at ``a = NH[v, u]``, the lowest-id
-    neighbour of ``v`` one step closer to ``u``, and goes on as ``a``'s
-    own path.  So for d(v, u) >= 2 the BFS parent of ``u`` from ``v`` is
-    its parent from ``a``.  When N > 2 the leaves (one infected
-    neighbour) are folded into their hubs: a leaf is never ``NH[v, u]``
-    for any ``u`` but itself, as a path through it could not leave it, so
-    the distances, first hops and parents are found over the n_r other
-    nodes alone, and each leaf is placed among its hub's children by id.
-    A snapshot whose n_r * N cells do not fit the block's memory budget,
-    or whose leafless subgraph is too small for the all-pairs passes to
-    pay (:func:`_is_dense`), takes :func:`_block_scores`, one
-    level-synchronous BFS per block of roots.  On both paths a leaf root
-    is scored from its hub's row, and each root's two sums of logarithms
-    are exact and rounded once (:func:`_wrapped_sums`, :func:`_rounded`),
-    so roots with equal counts tie exactly and the lowest id wins.
+    One preparation, two finders of BFS orders and one tail.  The
+    preparation folds the leaves (one infected neighbour, when N > 2) into
+    their hubs: a leaf's BFS order is its hub's with the leaf moved to the
+    front, so only the n_r other nodes are BFS roots, and a leaf is never
+    the first hop ``NH[v, u]`` (below) for any ``u`` but itself, as a path
+    through it could not leave it.  The nodes become columns: the
+    non-leaves by falling count of non-leaf neighbours, each keeping its
+    neighbours in id order, then the leaves.  Each range of non-leaf roots
+    then gets its BFS places, subtree sizes and counts of earlier non-leaf
+    neighbours from one of two finders:
+
+    * :func:`_dense_orders`, when :func:`_is_dense` holds: every root's
+      BFS order at once from all-pairs distances.  It rests on one fact:
+      with ties by ascending id, the BFS path from ``v`` to ``u`` is the
+      lexicographically smallest shortest path, so it starts at ``a =
+      NH[v, u]``, the lowest-id neighbour of ``v`` one step closer to
+      ``u``, and goes on as ``a``'s own path.  So for d(v, u) >= 2 the BFS
+      parent of ``u`` from ``v`` is its parent from ``a``.
+    * :func:`_block_orders` otherwise, when the n_r * N cells do not fit
+      the block's memory budget or the leafless subgraph is too small for
+      the all-pairs passes to pay: one level-synchronous BFS per block of
+      roots.
+
+    The tail (:func:`_sum_scores`) turns each range into its prefix
+    boundaries and its two sums of logarithms per root, exact and rounded
+    once (:func:`_wrapped_sums`, :func:`_rounded`), so roots with equal
+    counts tie exactly and the lowest id wins, and scores each leaf from
+    its hub's row (:func:`_leaf_shifts`).  Every root is scored; ``nodes``
+    selects from the table.
     """
     graph = snapshot.require_graph("general-graph scoring")
     ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
     n = len(ids)
     if 2 * n > _ROW_LIMIT:  # a denominator row holds 2n - 1 logarithms
         raise InvalidInputError(f"{n} infected nodes: too many to score exactly")
-    by_id = np.argsort(ids)
-    targets = by_id if nodes is None else np.array(_positions(snapshot, nodes), dtype=np.int64)
+    targets = np.argsort(ids) if nodes is None else np.array(_positions(snapshot, nodes), dtype=np.int64)
     if not targets.size:
         return {}
-    if n > 1 and not np.diff(ptr).all():  # a node with no infected neighbour
+    width = np.diff(ptr)
+    leaf = (width == 1) & (n > 2)
+    hub = nbr[ptr[:-1][leaf]]  # each leaf's one neighbour, by position
+    # A node with no infected neighbour, or two leaves joined (a component
+    # of two nodes).
+    if n > 1 and not width.all() or leaf[hub].any():
         raise InvalidInputError("infected set is disconnected")
     deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
     # A prefix's boundary edges leave the infected set or reach a later
     # infected node, so no count below runs past the table.
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
-    leaves = int(np.count_nonzero(np.diff(ptr) == 1)) if n > 2 else 0
-    if _is_dense(n, leaves, nbr.size):
-        scores = _dense_scores(ptr, nbr, deg, table)
+    hung = np.bincount(hub, minlength=n)  # each node's leaves
+    col = np.argsort(np.where(leaf, n, hung - width), kind="stable")  # leaves last, in infection order
+    n_r = n - hub.size
+    node, edge = np.min_scalar_type(n), np.min_scalar_type(nbr.size)
+    label = np.argsort(col).astype(node)  # each position's column
+    width, deg, hung = width[col], deg[col], hung[col[:n_r]]
+    start = np.cumsum(width) - width
+    at = np.repeat(ptr[col] - start, width)
+    at += np.arange(nbr.size)
+    nbr = label.take(nbr.take(at))  # still by id
+    del at
+    owner = np.repeat(np.arange(n, dtype=node), width)
+    hub = nbr.take(start[n_r:]).astype(np.int64)  # by column
+    r_width = width[:n_r] - hung
+    r_start = np.cumsum(r_width) - r_width
+    runs = nbr[:width[:n_r].sum()]  # the non-leaves' neighbour runs
+    near = np.flatnonzero(runs < n_r).astype(edge)  # entries between non-leaves
+    r_nbr = nbr.take(near)
+    leaf_entry = np.zeros(n, dtype=edge)  # by column: the entry from a leaf's hub to it
+    hanging = np.flatnonzero(runs >= n_r)
+    leaf_entry[nbr.take(hanging)] = hanging
+    if _is_dense(n, n - n_r, nbr.size):
+        orders = _dense_orders(nbr, owner, near, r_nbr, r_start, r_width, hub, hung, leaf_entry)
     else:
-        scores = _block_scores(targets, by_id, ptr, nbr, deg, table)
-    return dict(zip(map(ids.__getitem__, targets.tolist()), scores[targets].tolist()))
+        orders = _block_orders(start, width, nbr, owner, near, r_nbr, r_start)
+    scores = _sum_scores(orders, deg, hub, leaf_entry[n_r:] - start.take(hub) + 1, table)
+    return dict(zip(map(ids.__getitem__, targets.tolist()), scores[label[targets]].tolist()))
 
 
 def _is_dense(n: int, leaves: int, entries: int) -> bool:
     """Whether a snapshot of ``n`` infected nodes, ``leaves`` of them
     leaves, and ``entries`` = 2E directed induced edges takes the dense
-    path: its leafless subgraph has at least ``_DENSE_ENTRIES`` entries,
+    finder: its leafless subgraph has at least ``_DENSE_ENTRIES`` entries,
     and its (non-leaf root, node) cells, at most about 8 bytes each, fit
     in the 16 bytes per entry of a block's two entry-sized int64 arrays."""
     return entries - 2 * leaves >= _DENSE_ENTRIES and (n - leaves) * n <= 2 * BLOCK_ENTRIES
 
 
 #: The leafless subgraph's entries 2E - 2 * leaves from which the dense
-#: path is the faster.  On 104 er and sf snapshots of N = 100 to 400 (2E/n
-#: 2.0 to 16.2, 2 vCPUs) it took 1.10-1.57 times the block path's time
+#: finder is the faster.  On 104 er and sf snapshots of N = 100 to 400 (2E/n
+#: 2.0 to 16.2, 2 vCPUs) it took 1.10-1.57 times the block finder's time
 #: below 384 entries, 0.91-1.19 from 384 to 512, 0.79-0.96 from 512 to 640
 #: and 0.36-1.07 above; its fixed passes weigh on small snapshots, so the
 #: mean degree alone does not separate the two (at N >= 300 every snapshot
@@ -195,65 +230,43 @@ def _is_dense(n: int, leaves: int, entries: int) -> bool:
 _DENSE_ENTRIES = 512
 
 
-def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: np.ndarray,
-                  deg: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Scores of the roots at positions ``targets`` (and of some others), by
-    position, one BFS per block of roots.
+def _sum_scores(orders: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray]], deg: np.ndarray, hub: np.ndarray,
+                leaf_place: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Every node's score, by column, from what a finder gives for each
+    range of non-leaf roots in turn: the range's first root, the (roots,
+    n) BFS places of every node, and the (roots, n_r) subtree sizes and
+    counts of earlier neighbours of the non-leaves.  ``hub`` is each
+    leaf's hub and ``leaf_place`` its place in its hub's order.
 
-    A leaf (one induced neighbour ``w``, when N > 2) gets no BFS of its
-    own: its BFS order is ``w``'s with the leaf moved to the front, so its
-    score follows from ``w``'s row (:func:`_leaf_shifts`), and ``w`` is
-    scored, but not returned, when it is not asked for.  So a snapshot
-    costs O((N - leaves) * (N + E_induced)); a quarter of the nodes of an
-    N = 400 er:2000:4 snapshot are leaves.
-
-    The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
-    E_induced)``, and one level-synchronous BFS serves a whole block
-    (:func:`_bfs_block`) over the snapshot's own neighbour table.  The
-    block's large arrays live in this thread's :class:`_Workspace`.
-    """
-    n = ptr.size - 1
-    start, width = ptr[:-1], np.diff(ptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
-    log_n_factorial = math.lgamma(n + 1)
-    rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
-    is_leaf = (width[targets] == 1) & (n > 2)
-    leaf = targets[is_leaf]
-    hub = nbr[start[leaf]]
-    # Each leaf's place in its neighbour's BFS order: the neighbour's level
-    # 1 is its neighbours by ascending id.
-    into = np.flatnonzero(width[nbr] == 1)
-    place = np.zeros(n, dtype=np.int64)
-    place[nbr[into]] = into - start[owner[into]] + 1
-    # The roots that get a BFS, by ascending id (in infection order the
-    # sf:4039:22 scores took about 4% longer), and each leaf's row among them.
-    id_rank = np.argsort(by_id)
-    is_root = np.zeros(n, dtype=bool)
-    is_root[targets[~is_leaf]] = is_root[hub] = True
-    roots = by_id[is_root[by_id]]
-    hub_row = np.searchsorted(id_rank[roots], id_rank[hub])
-    chunk = max(1, BLOCK_ENTRIES // n)  # leaves at a time: fewer than BLOCK_ENTRIES boundaries
-
-    scores = np.empty(n)  # by position: (log n! + numerator) - denominator
-    for b in range(0, roots.size, rows):
-        block = roots[b:b + rows]
-        order, size = _bfs_block(block, start, width, nbr, owner)
-        links = _earlier_neighbours(order, start, owner, nbr)
-        top = log_n_factorial + _rounded(*_wrapped_sums(table, links))
-        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
-        links *= -2
-        links += deg
-        bounds = np.take(links, order).reshape(links.shape)
-        del links
+    A leaf comes after its hub in a non-leaf root's order, so a non-leaf's
+    earlier neighbours are non-leaves, and a leaf's subtree size and count
+    of earlier neighbours are 1, which adds no logarithm.  A leaf root is
+    scored from its hub's row (:func:`_leaf_shifts`)."""
+    n, n_r = deg.size, deg.size - hub.size
+    scores = np.empty(n)
+    span = max(1, _DENSE_CELLS // n)  # leaves at a time
+    by_hub = np.argsort(hub, kind="stable")
+    hubs = hub[by_hub]
+    for v0, place, size, earlier in orders:
+        r = place.shape[0]
+        top = math.lgamma(n + 1) + _rounded(*_wrapped_sums(table, earlier))
+        # Prefix boundaries: the running sum of deg - 2 * earlier in BFS order.
+        step = np.empty((r, n), dtype=np.int64)
+        np.subtract(deg[:n_r], earlier, out=step[:, :n_r])
+        step[:, :n_r] -= earlier
+        step[:, n_r:] = deg[n_r:] - 2
+        bounds = np.empty((r, n), dtype=np.int64)
+        bounds.ravel()[place + np.arange(0, r * n, n)[:, None]] = step
+        del step
         np.cumsum(bounds, axis=1, out=bounds)
         den = _wrapped_sums(table, bounds[:, :-1], size)
-        scores[block] = top - _rounded(*den)
-        ours = np.flatnonzero(hub_row // rows == b // rows)  # the leaves of this block's rows
-        for a in range(0, ours.size, chunk):
-            at = ours[a:a + chunk]
-            row, v = hub_row[at] - b, leaf[at]
-            shifts = _leaf_shifts(table, bounds, row, place[v], deg[v])
-            scores[v] = top[row] - _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
+        scores[v0:v0 + r] = top - _rounded(*den)
+        lo, hi = np.searchsorted(hubs, (v0, v0 + r))
+        for a in range(lo, hi, span):
+            w = by_hub[a:min(a + span, hi)]
+            row = hub[w] - v0
+            shifts = _leaf_shifts(table, bounds, row, leaf_place[w], deg[w + n_r])
+            scores[w + n_r] = top[row] - _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
     return scores
 
 
@@ -287,7 +300,7 @@ def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
 #: Roots scored together: a block expands at most this many (root,
 #: directed induced edge) entries, or one root's if that is more.  Larger
 #: blocks take fewer numpy calls per score; the workspace grows with them
-#: (1.27 MB after an N = 400 sf:4039:22 snapshot, 1.49 MB after er:2000:4).
+#: (1.30 MB after an N = 400 sf:4039:22 snapshot, 1.43 MB after er:2000:4).
 BLOCK_ENTRIES = 3 << 15
 
 _ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
@@ -346,7 +359,7 @@ def _rounded(wrapped: np.ndarray, approx: np.ndarray) -> np.ndarray:
 
 
 class _Workspace(threading.local):
-    """One thread's scratch arrays for the block scorer, by name.
+    """One thread's scratch arrays for the block finder, by name.
 
     Each buffer grows to the largest size asked of it and is then reused by
     every block of every score, so that blocks do not allocate, free and
@@ -425,8 +438,7 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
         e_at[0] = first[0]
         e_at[k_ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
         e_at.cumsum(out=e_at)
-        e_cell = nbr.take(e_at, out=_WORKSPACE.array("entries2", m), mode="clip")
-        e_cell += np.repeat(f_base, k)
+        e_cell = np.add(nbr.take(e_at, mode="clip"), np.repeat(f_base, k), out=_WORKSPACE.array("entries2", m))
         flags = _WORKSPACE.array("entry_flags", m, np.bool_)
         fresh = unreached.take(e_cell, out=flags, mode="clip").nonzero()[0]
         cand = e_cell[fresh]
@@ -458,77 +470,67 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
     return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)
 
 
-def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray) -> np.ndarray:
-    """Per (row, node), its count of neighbours earlier in the row's BFS
-    order, from ``order``, each row's cells in that order (as
-    :func:`_bfs_block` gives them): one pass over every (row, directed
-    induced edge) entry, comparing the BFS places of the entry's node
-    (``owner``) and neighbour, held in the narrowest unsigned type, as the
-    two entry-sized arrays are the block's largest."""
-    n = start.size
-    r = order.size // n
-    if not nbr.size:  # a lone node: reduceat needs at least one entry
-        return np.zeros((r, n), dtype=np.int64)
-    kind = np.min_scalar_type(n)
-    place = _WORKSPACE.array("place", (r, n), kind)
-    np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
-    shape = (r, nbr.size)
-    nbr_place = np.take(place, nbr, axis=1, out=_WORKSPACE.array("entries", shape, kind), mode="clip")
-    own_place = np.take(place, owner, axis=1, out=_WORKSPACE.array("entries2", shape, kind), mode="clip")
-    earlier = np.less(nbr_place, own_place, out=_WORKSPACE.array("entry_flags", shape, np.bool_))
-    return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
+def _block_orders(start: np.ndarray, width: np.ndarray, nbr: np.ndarray, owner: np.ndarray, near: np.ndarray,
+                  r_nbr: np.ndarray, r_start: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """For each block of the non-leaf roots (columns 0 to n_r - 1), their
+    BFS places, subtree sizes and counts of earlier non-leaf neighbours
+    (as :func:`_sum_scores` reads them), from one BFS per block
+    (:func:`_bfs_block`) over the relabelled neighbour table.
+
+    A block holds ``BLOCK_ENTRIES // (2 * E_induced)`` roots (at least
+    one), and its large arrays live in this thread's :class:`_Workspace`.
+    The earlier counts compare the BFS places of the two ends of every
+    (root, entry between non-leaves), held in the narrowest unsigned type
+    as these two arrays are the block's largest, and sum them per node by
+    one ``reduceat`` over the non-leaves' runs ``near``, ``r_nbr`` at
+    ``r_start``.  With no such entry there is one non-leaf node, which
+    has no earlier neighbour."""
+    n, n_r = start.size, r_start.size
+    rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
+    r_owner, kind = owner.take(near), owner.dtype
+    for v0 in range(0, n_r, rows):
+        r = min(rows, n_r - v0)
+        order, size = _bfs_block(np.arange(v0, v0 + r), start, width, nbr, owner)
+        place = _WORKSPACE.array("place", (r, n), kind)
+        np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
+        if near.size:
+            shape = (r, near.size)
+            nbr_place = np.take(place, r_nbr, axis=1, out=_WORKSPACE.array("entries", shape, kind), mode="clip")
+            own_place = np.take(place, r_owner, axis=1, out=_WORKSPACE.array("entries2", shape, kind), mode="clip")
+            earlier = np.less(nbr_place, own_place, out=_WORKSPACE.array("entry_flags", shape, np.bool_))
+            links = np.add.reduceat(earlier, r_start, axis=1, dtype=np.int64)
+        else:
+            links = np.zeros((r, 1), dtype=np.int64)
+        yield v0, place, size[:, :n_r], links
 
 
-def _dense_scores(ptr: np.ndarray, nbr: np.ndarray, deg: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Every root's score, by position, from every BFS order found at once
-    (the lemma of :func:`general_graph_scores`), with the leaves folded
-    into their hubs.
+def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: np.ndarray, r_start: np.ndarray,
+                  r_width: np.ndarray, hub: np.ndarray, hung: np.ndarray,
+                  leaf_entry: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every non-leaf root's BFS places, subtree sizes and counts of
+    earlier non-leaf neighbours (as :func:`_sum_scores` reads them), found
+    at once (the lemma of :func:`general_graph_scores`) and given in
+    ranges of at most ``_DENSE_CELLS`` cells.
 
     The dynamic program runs over the n_r non-leaf nodes: their distances
     (:func:`_distances`), each root's first hop towards each node, and,
     level by level, each node's BFS parent, carried from the first hop's
     as the entry of the parent's neighbour run that reaches it.  Level d
     of a root's order lists its nodes by (parent's place, id), and a leaf
-    sits one level below its hub: so one sort puts each level's non-leaf
-    cells and the leaves of the level above in order, which places every
-    node among all n.  Subtree sizes start at 1 plus the node's leaves
-    and are summed level by level, deepest first; a leaf's subtree size
-    and count of earlier neighbours are 1, so neither adds a logarithm.
-    A leaf root is scored from its hub's row (:func:`_leaf_shifts`).
+    (``hub`` and ``leaf_entry`` say where it hangs) sits one level below
+    its hub: so one sort puts each level's non-leaf cells and the leaves
+    of the level above in order, which places every node among all n.
+    Subtree sizes start at 1 plus the node's leaves (``hung``) and are
+    summed level by level, deepest first.
 
     The (root, node) cells are sorted by level once, and each level is
-    taken in root ranges of at most ``_DENSE_CELLS`` cells.  Columns are
-    the non-leaves by falling count of non-leaf neighbours, each keeping
-    its neighbours in id order, then the leaves, so that the nodes with a
-    j-th non-leaf neighbour are the first rows: each pass over j-th
-    neighbours reads row slices.  Node and entry tables are kept in the
-    narrowest unsigned type."""
-    n = ptr.size - 1
-    width = np.diff(ptr)
-    leaf = (width == 1) & (n > 2)
-    hub = nbr[ptr[:-1][leaf]]  # each leaf's one neighbour, by position
-    if leaf[hub].any():  # two leaves joined: a component of two nodes
-        raise InvalidInputError("infected set is disconnected")
-    hung = np.bincount(hub, minlength=n)  # each node's leaves
-    inner = np.flatnonzero(~leaf)
-    col = np.concatenate((inner[np.argsort(hung[inner] - width[inner], kind="stable")], np.flatnonzero(leaf)))
-    n_r = inner.size
-    node, edge = np.min_scalar_type(n), np.min_scalar_type(nbr.size)
-    label = np.empty(n, dtype=node)
-    label[col] = np.arange(n)
-    width, deg, hung = width[col], deg[col], hung[col[:n_r]]
-    start = np.cumsum(width) - width
-    at = np.repeat(ptr[col] - start, width)
-    at += np.arange(nbr.size)
-    nbr = label.take(nbr.take(at))  # still by id
-    del at
-    owner = np.repeat(np.arange(n, dtype=node), width)
-    hub = nbr.take(start[n_r:]).astype(np.int64)  # by column
-    r_width = width[:n_r] - hung
-    r_start = np.cumsum(r_width) - r_width
-    runs = nbr[:width[:n_r].sum()]  # the non-leaves' neighbour runs
-    near = np.flatnonzero(runs < n_r).astype(edge)  # entries between non-leaves
-    r_nbr = nbr.take(near)
+    taken in root ranges of at most ``_DENSE_CELLS`` cells.  The
+    non-leaves' order by falling count of non-leaf neighbours (``r_width``)
+    makes the nodes with a j-th non-leaf neighbour the first rows, so each
+    pass over j-th neighbours reads row slices.  Node and entry tables are
+    kept in the narrowest unsigned type."""
+    n, n_r = leaf_entry.size, r_start.size
+    node, edge = owner.dtype, near.dtype
     have = (n_r - np.cumsum(np.bincount(r_width))[:-1]).tolist()  # have[j]: nodes with a j-th (from 0)
     dist = _distances(r_start, r_width, r_nbr)
 
@@ -580,9 +582,6 @@ def _dense_scores(ptr: np.ndarray, nbr: np.ndarray, deg: np.ndarray, table: np.n
     parent = np.zeros((n_r, n_r), dtype=edge)
     placed = np.ones(n_r, dtype=np.int64)  # per root: the nodes placed so far
     low = (n_r * n - 1).bit_length()
-    leaf_entry = np.zeros(n, dtype=edge)  # by column: the entry from a leaf's hub to it
-    hanging = np.flatnonzero(runs >= n_r)
-    leaf_entry[nbr.take(hanging)] = hanging
     ranges = {d: _root_ranges(count[d], first[d]) for d in range(1, levels + 1)}
     rows = np.arange(n_r)
     for d in range(1, levels + 1):
@@ -646,35 +645,9 @@ def _dense_scores(ptr: np.ndarray, nbr: np.ndarray, deg: np.ndarray, table: np.n
         links[:c] += by_node.take(r_nbr[r_start[:c] + j], axis=0) < by_node[:c]
     del by_node
 
-    scores = np.empty(n)
-    log_n_factorial = math.lgamma(n + 1)
-    span = max(1, _DENSE_CELLS // n)  # roots at a time, and leaves at a time
-    leaf_place = leaf_entry[n_r:] - start.take(hub) + 1  # each leaf's place in its hub's order
-    by_hub = np.argsort(hub, kind="stable")
-    hubs = hub[by_hub]
+    span = max(1, _DENSE_CELLS // n)  # roots at a time
     for v0 in range(0, n_r, span):
-        r = min(span, n_r - v0)
-        earlier = links[:, v0:v0 + r].T
-        top = log_n_factorial + _rounded(*_wrapped_sums(table, earlier))
-        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
-        step = np.empty((r, n), dtype=np.int64)
-        np.subtract(deg[:n_r], earlier, out=step[:, :n_r])
-        step[:, :n_r] -= earlier
-        step[:, n_r:] = deg[n_r:] - 2
-        bounds = np.empty((r, n), dtype=np.int64)
-        at = np.add(place[v0:v0 + r], np.arange(0, r * n, n)[:, None])
-        bounds.ravel()[at] = step
-        del at, step
-        np.cumsum(bounds, axis=1, out=bounds)
-        den = _wrapped_sums(table, bounds[:, :-1], size[v0:v0 + r])
-        scores[v0:v0 + r] = top - _rounded(*den)
-        lo, hi = np.searchsorted(hubs, (v0, v0 + r))
-        for a in range(lo, hi, span):
-            w = by_hub[a:min(a + span, hi)]
-            row = hub[w] - v0
-            shifts = _leaf_shifts(table, bounds, row, leaf_place[w], deg[w + n_r])
-            scores[w + n_r] = top[row] - _rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
-    return scores[label]
+        yield v0, place[v0:v0 + span], size[v0:v0 + span], links[:, v0:v0 + span].T
 
 
 def _root_ranges(count: np.ndarray, first: int) -> list[tuple[int, int, int, int, int, int]]:
@@ -738,16 +711,23 @@ def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndar
     return dist
 
 
-#: The (root, node) cells of a range of the dense path's roots (a
-#: level's cells in its level loop, whole rows in its sums), and the words
-#: of a chunk of its gathered bitset frontier: this bounds its temporaries
-#: (about 0.5 MB at 2**14) besides its n_r * n arrays.
+#: The (root, node) cells of a range of the dense finder's roots (a
+#: level's cells in its level loop, whole rows in the ranges it gives),
+#: of a chunk of leaves in the tail, and the words of a chunk of its
+#: gathered bitset frontier: this bounds their temporaries (about 0.5 MB
+#: at 2**14) besides the finder's n_r * n arrays.
 _DENSE_CELLS = 1 << 14
 
 
 def _positions(snapshot: Snapshot, nodes: Iterable[int] | None) -> list[int]:
-    """Positions of ``nodes`` (default: every infected node) by ascending id."""
-    return [snapshot.position_of(v) for v in sorted(snapshot.infected if nodes is None else set(nodes))]
+    """Positions of ``nodes`` (default: every infected node) by ascending
+    id.  Each of ``nodes`` must be an ``int``, as a source must be for
+    :func:`~rqsim.diffusion.simulate_si`: not a bool, float or numpy integer."""
+    nodes = snapshot.infected if nodes is None else list(nodes)
+    for v in nodes:
+        if type(v) is not int:
+            raise InvalidInputError(f"node {v!r} is not an int node id")
+    return [snapshot.position_of(v) for v in sorted(set(nodes))]
 
 
 def likelihood_table(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:

@@ -20,7 +20,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleTargetError, InvalidInputError, InvalidParameterError, check_int
+from .errors import InfeasibleTargetError, InvalidInputError, check_int
 from .graphs import IntegerTape, RegularTree
 
 #: Each node's neighbours, by node id.
@@ -343,12 +343,11 @@ def distance_distribution(d: int, k: int, l: int) -> float:
 
     Exact closed form: the number of size-k infection topologies placing
     the k-th node at distance l, over the total number of topologies.
-    Returns 0.0 for l outside [1, k-1].
+    Returns 0.0 for an integer l outside [1, k-1].
     """
-    if d < 3:
-        raise InvalidParameterError(f"d must be >= 3, got {d}")
-    if k < 2:
-        raise InvalidParameterError(f"k must be >= 2, got {k}")
+    check_int("d", d, 3)
+    check_int("k", k, 2)
+    check_int("l", l)
     if not 1 <= l <= k - 1:
         return 0.0
     sums, den = _distance_tables(d, k)

@@ -11,11 +11,13 @@ class InvalidParameterError(RQSimError, ValueError):
     """A numeric or configuration parameter is outside its valid domain."""
 
 
-def check_int(name: str, value, low: int) -> None:
+def check_int(name: str, value, low: int | None = None) -> None:
     """Raise InvalidParameterError unless ``value`` is an integer (an
-    Integral, numpy's included, that is not a bool) of at least ``low``."""
-    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= low):
-        raise InvalidParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    Integral, numpy's included, that is not a bool) of at least ``low``,
+    if one is given."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 class InvalidInputError(RQSimError, ValueError):

@@ -39,7 +39,7 @@ from . import graphs as _graphs
 from .budget import choose_r_star
 from .centrality import likelihood_table, pick_best
 from .diffusion import simulate_si
-from .errors import InvalidParameterError, RQSimError, TrialError
+from .errors import InvalidParameterError, RQSimError, TrialError, check_int
 from .estimators import ADConfig, NAConfig, check_candidate_order, run_mvad, run_mvna
 from .respondent import TruthModel
 
@@ -56,9 +56,9 @@ _GW_SIZE_FACTOR = 4
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
+    check_int("trials", trials, 1)
+    check_int("successes", successes, 0)
+    if successes > trials:
         raise InvalidParameterError(f"successes must be in [0, {trials}], got {successes}")
     phat = successes / trials
     z2 = z * z

@@ -14,7 +14,11 @@ originals unchanged so the tests can compare old and new output:
   (``stamp_general_graph_scores``);
 * the workspace block scorer's loop as it was before leaves were scored
   from their neighbour's BFS: one BFS row for every requested root, over
-  ``rqsim.centrality``'s block helpers (``all_roots_general_graph_scores``);
+  ``rqsim.centrality``'s block BFS (``all_roots_general_graph_scores``);
+* its successor, the block path as it was before it shared the dense
+  path's leaf folding and sums: leaves scored from their neighbour's row,
+  and BFS rows only for the requested roots and the neighbours of the
+  requested leaves (``leaf_block_general_graph_scores``);
 * the global-id induced adjacency a snapshot used to cache
   (``induced_adjacency``), and the list view of ``local_csr`` it cached
   later (``local_adjacency``), which the oracles here read;
@@ -613,7 +617,7 @@ def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | No
     for b in range(0, len(targets), rows):
         roots = targets[b:b + rows]
         order, size = centrality._bfs_block(np.array(roots, dtype=np.int64), start, width, nbr, owner)
-        links = centrality._earlier_neighbours(order, start, owner, nbr)
+        links = _earlier_neighbours(order, start, owner, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
         links *= -2
@@ -624,4 +628,108 @@ def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | No
         log_den = _log_sums(table, bounds[:, :-1], size)
         for root, num, den in zip(roots, log_links, log_den):
             scores[ids[root]] = log_n_factorial + num - den
+    return scores
+
+
+def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Per (row, node), its count of neighbours earlier in the row's BFS
+    order, from ``order``, each row's cells in that order (as
+    :func:`rqsim.centrality._bfs_block` gives them): one pass over every
+    (row, directed induced edge) entry, comparing the BFS places of the
+    entry's node (``owner``) and neighbour, held in the narrowest unsigned
+    type, as the two entry-sized arrays are the block's largest."""
+    n = start.size
+    r = order.size // n
+    if not nbr.size:  # a lone node: reduceat needs at least one entry
+        return np.zeros((r, n), dtype=np.int64)
+    kind = np.min_scalar_type(n)
+    place = centrality._WORKSPACE.array("place", (r, n), kind)
+    np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
+    shape = (r, nbr.size)
+    nbr_place = np.take(place, nbr, axis=1, out=centrality._WORKSPACE.array("entries", shape, kind), mode="clip")
+    own_place = np.take(place, owner, axis=1, out=centrality._WORKSPACE.array("entries2", shape, kind), mode="clip")
+    earlier = np.less(nbr_place, own_place, out=centrality._WORKSPACE.array("entry_flags", shape, np.bool_))
+    return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
+
+
+def leaf_block_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None) -> dict[int, float]:
+    """Source scores for snapshots whose infected set may contain cycles,
+    as the block path gave them before it shared the dense path's leaf
+    folding and sums (:func:`_block_scores`).  Reads only the induced
+    subgraph and degrees."""
+    graph = snapshot.require_graph("general-graph scoring")
+    ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
+    n = len(ids)
+    by_id = np.argsort(ids)
+    targets = by_id if nodes is None else np.array(_positions(snapshot, nodes), dtype=np.int64)
+    if not targets.size:
+        return {}
+    if n > 1 and not np.diff(ptr).all():  # a node with no infected neighbour
+        raise InvalidInputError("infected set is disconnected")
+    deg = np.take(np.diff(graph.indptr), ids) if graph.is_finite else np.full(n, graph.max_degree())
+    table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
+    scores = _block_scores(targets, by_id, ptr, nbr, deg, table)
+    return dict(zip(map(ids.__getitem__, targets.tolist()), scores[targets].tolist()))
+
+
+def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: np.ndarray,
+                  deg: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Scores of the roots at positions ``targets`` (and of some others), by
+    position, one BFS per block of roots.
+
+    A leaf (one induced neighbour ``w``, when N > 2) gets no BFS of its
+    own: its BFS order is ``w``'s with the leaf moved to the front, so its
+    score follows from ``w``'s row (:func:`rqsim.centrality._leaf_shifts`),
+    and ``w`` is scored, but not returned, when it is not asked for.  So a
+    snapshot costs O((N - leaves) * (N + E_induced)); a quarter of the
+    nodes of an N = 400 er:2000:4 snapshot are leaves.
+
+    The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
+    E_induced)``, and one level-synchronous BFS serves a whole block
+    (:func:`rqsim.centrality._bfs_block`) over the snapshot's own
+    neighbour table.  The block's large arrays live in this thread's
+    workspace.
+    """
+    n = ptr.size - 1
+    start, width = ptr[:-1], np.diff(ptr)
+    owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
+    log_n_factorial = math.lgamma(n + 1)
+    rows = max(1, centrality.BLOCK_ENTRIES // max(nbr.size, 1))
+    is_leaf = (width[targets] == 1) & (n > 2)
+    leaf = targets[is_leaf]
+    hub = nbr[start[leaf]]
+    # Each leaf's place in its neighbour's BFS order: the neighbour's level
+    # 1 is its neighbours by ascending id.
+    into = np.flatnonzero(width[nbr] == 1)
+    place = np.zeros(n, dtype=np.int64)
+    place[nbr[into]] = into - start[owner[into]] + 1
+    # The roots that get a BFS, by ascending id (in infection order the
+    # sf:4039:22 scores took about 4% longer), and each leaf's row among them.
+    id_rank = np.argsort(by_id)
+    is_root = np.zeros(n, dtype=bool)
+    is_root[targets[~is_leaf]] = is_root[hub] = True
+    roots = by_id[is_root[by_id]]
+    hub_row = np.searchsorted(id_rank[roots], id_rank[hub])
+    chunk = max(1, centrality.BLOCK_ENTRIES // n)  # leaves at a time: fewer than BLOCK_ENTRIES boundaries
+
+    scores = np.empty(n)  # by position: (log n! + numerator) - denominator
+    for b in range(0, roots.size, rows):
+        block = roots[b:b + rows]
+        order, size = centrality._bfs_block(block, start, width, nbr, owner)
+        links = _earlier_neighbours(order, start, owner, nbr)
+        top = log_n_factorial + centrality._rounded(*_wrapped_sums(table, links))
+        # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
+        links *= -2
+        links += deg
+        bounds = np.take(links, order).reshape(links.shape)
+        del links
+        np.cumsum(bounds, axis=1, out=bounds)
+        den = _wrapped_sums(table, bounds[:, :-1], size)
+        scores[block] = top - centrality._rounded(*den)
+        ours = np.flatnonzero(hub_row // rows == b // rows)  # the leaves of this block's rows
+        for a in range(0, ours.size, chunk):
+            at = ours[a:a + chunk]
+            row, v = hub_row[at] - b, leaf[at]
+            shifts = centrality._leaf_shifts(table, bounds, row, place[v], deg[v])
+            scores[v] = top[row] - centrality._rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
     return scores

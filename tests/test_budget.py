@@ -287,6 +287,11 @@ class TestInfectionTimeEntropyBound:
         with pytest.raises(InvalidParameterError):
             h_t_upper_bound([1, 0])
 
+    @pytest.mark.parametrize("hops", [[1.5], [2.0], [True], [2, 3.5]], ids=repr)
+    def test_hop_counts_are_integers(self, hops):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            h_t_upper_bound(hops)
+
 
 class TestBudgetInputsValidation:
     def test_boundary_values_accepted(self):

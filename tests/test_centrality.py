@@ -186,6 +186,22 @@ class TestGeneralGraphScores:
         with pytest.raises(InvalidInputError):
             likelihood_table(snap, nodes=[outside])
 
+    @pytest.mark.parametrize("node", [True, False, 0.0, 1.0, np.int64(1)], ids=repr)
+    @pytest.mark.parametrize("loopy", [False, True], ids=["tree", "loopy"])
+    def test_rejects_ids_that_are_not_ints(self, loopy, node):
+        """An id equal to an infected one but not an ``int`` is refused on
+        the tree path and on the loopy path, alone or beside int ids."""
+        if loopy:
+            g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+            snap = snapshot_of(g, 0, [0, 1, 3, 2], {1: 0, 3: 0, 2: 1})
+        else:
+            snap = full_path_snapshot(4)
+        assert snap.is_tree != loopy and {0, 1} <= set(snap.infected)
+        for nodes in ([node], [1, node]):
+            with pytest.raises(InvalidInputError, match="is not an int node id"):
+                likelihood_table(snap, nodes=nodes)
+        assert list(likelihood_table(snap, nodes=[1, 0, 1])) == [0, 1]
+
 
 class TestLikelihoodTable:
     def test_dispatches_to_exact_on_trees(self):

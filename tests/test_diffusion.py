@@ -234,6 +234,19 @@ class TestDistanceDistribution:
         with pytest.raises(InvalidParameterError):
             distance_distribution(3, 1, 1)
 
+    @pytest.mark.parametrize("args", [(3.5, 5, 2), (3.0, 5, 2), (True, 5, 2), (3, 5.0, 2), (3, 5, 1.5),
+                                      (3, 5, 2.0), (3, 5, True), (3, 5, 9.5), (3, 5, None)], ids=repr)
+    def test_counts_are_integers(self, args):
+        """A fractional or float d, k or l, or a bool, is refused rather than
+        given a probability or a bare TypeError, inside l's range or not."""
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            distance_distribution(*args)
+
+    @pytest.mark.parametrize("l", [0, -3, 5, 10**6])
+    def test_integer_l_out_of_range_is_zero(self, l):
+        assert distance_distribution(3, 5, l) == 0.0
+        assert distance_distribution(np.int64(3), np.int64(5), np.int64(l)) == 0.0
+
     def test_empirical_agreement_small(self):
         # 3-sigma agreement at reduced scale; the full 1e5-trial sweep
         # lives in the acceptance suite.

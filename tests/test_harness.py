@@ -51,6 +51,15 @@ class TestWilsonInterval:
         with pytest.raises(InvalidParameterError):
             wilson_interval(6, 5)
 
+    @pytest.mark.parametrize("args", [(5.5, 10), (5.0, 10), (True, 10), (False, 10), (5, 10.0), (5, True)],
+                             ids=repr)
+    def test_counts_are_integers(self, args):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            wilson_interval(*args)
+
+    def test_numpy_integer_counts(self):
+        assert wilson_interval(np.int64(5), np.int64(10)) == wilson_interval(5, 10)
+
     @settings(max_examples=60, deadline=None)
     @given(trials=st.integers(min_value=1, max_value=500), frac=st.floats(min_value=0, max_value=1))
     def test_contains_point_estimate(self, trials, frac):

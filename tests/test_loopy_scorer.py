@@ -12,7 +12,10 @@ every block of every score reuses; its scores and key order are equal
 (``==``) to both oracles'.  ``reference_scorer.all_roots_general_graph_scores``
 is that workspace scorer's loop before leaves were scored from their
 neighbour's BFS row: it gives every requested root a BFS row of its own,
-over the same block helpers.
+over the same block BFS.  ``reference_scorer.leaf_block_general_graph_scores``
+is the block path as it was before it shared the dense path's leaf
+folding and sums, with BFS rows only for the requested roots and the
+neighbours of the requested leaves.
 
 ``reference_scorer.per_root_general_graph_scores`` is the scorer that the
 block scorers replaced: one sequential BFS and one ``math.fsum`` per root.
@@ -45,6 +48,7 @@ from reference_scorer import all_roots_general_graph_scores as all_roots_scores
 from reference_scorer import big_int_rounded
 from reference_scorer import block_general_graph_scores as block_scores
 from reference_scorer import general_graph_scores as reference_scores
+from reference_scorer import leaf_block_general_graph_scores as leaf_block_scores
 from reference_scorer import per_root_general_graph_scores as per_root_scores
 from reference_scorer import stamp_general_graph_scores as stamp_scores
 from rqsim import centrality
@@ -122,8 +126,8 @@ def test_single_node_scores_zero():
 
 
 def on_path(dense: bool):
-    """Make the scorer take the dense path (``True``) or the block path
-    (``False``) on every snapshot."""
+    """Make the scorer take the dense finder (``True``) or the block
+    finder (``False``) on every snapshot."""
     return mock.patch.object(centrality, "_is_dense", lambda n, leaves, entries: dense)
 
 
@@ -410,9 +414,9 @@ class TestInvalidInputs:
 
 
 def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
-    """The scorer's table equals the three block oracles', in values and key order."""
+    """The scorer's table equals the four block oracles', in values and key order."""
     got = general_graph_scores(snap, nodes)
-    for oracle in (block_scores, stamp_scores, all_roots_scores):
+    for oracle in (block_scores, stamp_scores, all_roots_scores, leaf_block_scores):
         want = oracle(snap, nodes)
         assert list(got) == list(want)
         assert got == want
@@ -621,34 +625,40 @@ def bfs_snapshot(graph, source: int, members) -> Snapshot:
 
 
 class TestLeavesFromTheirNeighbour:
-    """On the block path, a leaf of the infected subgraph (one infected
+    """On the block finder, a leaf of the infected subgraph (one infected
     neighbour, N > 2) is scored from its neighbour's BFS row:
-    ``_bfs_block`` runs only from the other roots, and the scores equal
-    the per-root scorer's and the all-roots block scorer's bit for bit, in
-    the same key order.  Every snapshot here takes the block path."""
+    ``_bfs_block`` runs once from every other root, whichever roots are
+    asked for, and the scores equal the per-root scorer's and two block
+    oracles' bit for bit, in the same key order.  Every snapshot here
+    takes the block finder."""
 
     @pytest.fixture
     def score(self, monkeypatch):
-        """``score(snap, nodes)``: the block path's table, checked against
-        both oracles, and the sorted ids of the roots that its
-        ``_bfs_block`` calls got, recorded by a counting wrapper (one list
-        per call)."""
+        """``score(snap, nodes)``: the block finder's table, checked against
+        three oracles, and the induced degree of each root that its
+        ``_bfs_block`` calls got, one list per call, recorded by a counting
+        wrapper.  The roots are columns of the relabelled neighbour table,
+        whose non-leaves come first, so the fixture also checks that the
+        calls' roots are 0 to n_r - 1, each once: every non-leaf gets one
+        BFS row and no leaf gets one."""
         monkeypatch.setattr(centrality, "_is_dense", lambda n, leaves, entries: False)
         calls = []
 
-        def counting(roots, *args):
-            calls.append(roots.tolist())
-            return bfs_block(roots, *args)
+        def counting(roots, start, width, *args):
+            calls.append((roots.tolist(), width[roots].tolist()))
+            return bfs_block(roots, start, width, *args)
 
         def score(snap: Snapshot, nodes=None):
             calls.clear()
             got = general_graph_scores(snap, nodes)
-            bfs_rows = list(calls)
-            for oracle in (per_root_scores, all_roots_scores):
+            bfs_calls = list(calls)
+            for oracle in (per_root_scores, all_roots_scores, leaf_block_scores):
                 want = oracle(snap, nodes)
                 assert list(got) == list(want)
                 assert got == want
-            return got, sorted(snap.infected[p] for roots in bfs_rows for p in roots), bfs_rows
+            roots = sorted(root for call, _ in bfs_calls for root in call)
+            assert roots == list(range(snap.n - len(leaves_of(snap))))
+            return got, [degrees for _, degrees in bfs_calls]
 
         bfs_block = centrality._bfs_block
         monkeypatch.setattr(centrality, "_bfs_block", counting)
@@ -657,49 +667,55 @@ class TestLeavesFromTheirNeighbour:
     def test_star_takes_one_bfs(self, score):
         # The last leaf, 6, sits at its centre's last BFS place (p = n - 1).
         snap = bfs_snapshot(star_graph(6), 0, range(7))
-        _, bfs_ids, bfs_rows = score(snap)
-        assert bfs_ids == [0] and len(bfs_rows) == 1
+        _, bfs_rows = score(snap)
+        assert bfs_rows == [[6]]
 
     def test_three_node_path(self, score):
         snap = bfs_snapshot(graph_from_edges(3, [(0, 1), (1, 2)]), 2, range(3))
-        got, bfs_ids, _ = score(snap)
+        got, bfs_rows = score(snap)
         assert got[0] == got[2]
-        assert bfs_ids == [1]
+        assert bfs_rows == [[2]]
 
     @pytest.mark.parametrize("n_infected", [1, 2])
     def test_one_and_two_nodes_take_a_bfs_each(self, score, n_infected):
         snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
         assert snap.n == n_infected
-        assert score(snap)[1] == sorted(snap.infected)
+        assert score(snap)[1] == [[n_infected - 1] * n_infected]
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_leaf_at_its_neighbours_last_place(self, score, rows):
         """A wheel (hub 0, rim 1..5 in a cycle) with leaf 6 on the hub: 6 is
         the hub's last BFS place, p = n - 1.  Leaf 6 also has uninfected
-        neighbours 7 and 8, so its degree is not 1."""
+        neighbours 7 and 8, so its degree is not 1.  The six non-leaves
+        (the hub of induced degree 6, the rim nodes of 3) get a row each,
+        also when only the leaf is asked for."""
         edges = [(0, i) for i in range(1, 7)] + [(i, i % 5 + 1) for i in range(1, 6)] + [(6, 7), (6, 8)]
         snap = bfs_snapshot(graph_from_edges(9, edges), 3, range(7))
         assert not snap.is_tree and leaves_of(snap) == [6]
         with block_rows(snap, rows):
-            assert score(snap)[1] == list(range(6))
-            assert score(snap, [6])[1] == [0]
+            for nodes in (None, [6]):
+                got, bfs_rows = score(snap, nodes)
+                assert sorted(itertools.chain(*bfs_rows)) == [3, 3, 3, 3, 3, 6]
+                assert max(map(len, bfs_rows)) == rows
+            assert list(got) == [6]
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_several_leaves_on_one_neighbour(self, score, rows):
         """Leaves 2, 5, 9 and 10 on node 4 and leaf 7 on node 1 of a ring
         with a chord (0-1-3-4-6-8-0, chord 1-6); 11 and 12 are uninfected
         neighbours of leaves 9 and 7.  Small blocks put the two neighbours'
-        rows in different blocks."""
+        rows in different blocks.  The non-leaves 0, 1, 3, 4, 6 and 8, of
+        induced degrees 2, 4, 2, 6, 3 and 2, get a row each."""
         ring = [(0, 1), (1, 3), (3, 4), (4, 6), (6, 8), (8, 0), (1, 6)]
         edges = ring + [(4, 2), (4, 5), (4, 9), (4, 10), (1, 7), (9, 11), (7, 12)]
         snap = bfs_snapshot(graph_from_edges(13, edges), 0, range(11))
         assert not snap.is_tree and leaves_of(snap) == [2, 5, 7, 9, 10]
         with block_rows(snap, rows):
-            _, bfs_ids, bfs_rows = score(snap)
-            assert bfs_ids == [0, 1, 3, 4, 6, 8]
+            _, bfs_rows = score(snap)
+            assert sorted(itertools.chain(*bfs_rows)) == [2, 2, 2, 3, 4, 6]
             assert max(map(len, bfs_rows)) == rows
-            got, bfs_ids, _ = score(snap, [2, 7, 8, 10])
-            assert list(got) == [2, 7, 8, 10] and bfs_ids == [1, 4, 8]
+            got, subset_rows = score(snap, [2, 7, 8, 10])
+            assert list(got) == [2, 7, 8, 10] and subset_rows == bfs_rows
 
     @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
                              ids=["er:2000:4", "sf:2000:1.5"])
@@ -707,7 +723,8 @@ class TestLeavesFromTheirNeighbour:
         snap = _snapshot(family, size, density, 400, seed=20240817)
         leaves = leaves_of(snap)
         assert 0.2 * snap.n < len(leaves) < 0.5 * snap.n
-        assert score(snap)[1] == sorted(set(snap.infected) - set(leaves))
+        _, bfs_rows = score(snap)
+        assert min(itertools.chain(*bfs_rows)) >= 2
 
     @EARLIER_WIDTHS
     @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
@@ -720,16 +737,17 @@ class TestLeavesFromTheirNeighbour:
     @pytest.mark.parametrize("rows", [1, 4, None])
     def test_leaves_without_their_neighbours(self, score, rows):
         """Every leaf of an N = 400 snapshot and none of their neighbours:
-        each neighbour gets one BFS row and is not returned."""
+        the table holds the leaves alone, and every non-leaf, the leaves'
+        neighbours among them, gets its one BFS row as for a full table."""
         snap = _snapshot("er", 2000, 4.0, 400, seed=20240817)
         leaves = leaves_of(snap)
         ptr, nbr = snap.local_csr
         hubs = {snap.infected[nbr[ptr[snap.position_of(v)]]] for v in leaves}
         assert not hubs & set(leaves)
         with block_rows(snap, rows) if rows else nullcontext():
-            got, bfs_ids, _ = score(snap, leaves)
+            got, bfs_rows = score(snap, leaves)
+            assert bfs_rows == score(snap)[1]
         assert list(got) == leaves
-        assert bfs_ids == sorted(hubs)
 
 
 def path_scores(snap: Snapshot, nodes=None, *, dense: bool) -> dict[int, float]:
@@ -762,9 +780,9 @@ class TestDensePath:
 
     @pytest.fixture
     def ran(self, monkeypatch):
-        """The paths that each score took, by name, in order."""
+        """The finders that each score took, by name, in order."""
         names = []
-        for name in ("_dense_scores", "_block_scores"):
+        for name in ("_dense_orders", "_block_orders"):
             def spy(*args, _name=name, _path=getattr(centrality, name)):
                 names.append(_name)
                 return _path(*args)
@@ -782,7 +800,7 @@ class TestDensePath:
         assert centrality._DENSE_ENTRIES == 512 and not leaves_of(snap)
         assert 2 * snap.induced_edge_count == 4 * 128 + 2 * len(add) - 2 * len(drop)
         got = general_graph_scores(snap)
-        assert ran == ["_dense_scores" if dense else "_block_scores"]
+        assert ran == ["_dense_orders" if dense else "_block_orders"]
         assert list(got) == list(per_root_scores(snap)) and got == per_root_scores(snap)
         assert_paths_agree(snap)
 
@@ -797,7 +815,7 @@ class TestDensePath:
         assert leaves_of(snap) == [128]
         assert 2 * snap.induced_edge_count == 514 - 2 * len(drop)
         assert general_graph_scores(snap) == per_root_scores(snap)
-        assert ran == ["_dense_scores" if dense else "_block_scores"]
+        assert ran == ["_dense_orders" if dense else "_block_orders"]
 
     @pytest.mark.parametrize("block_entries,dense", [(8192, True), (8191, False)], ids=["fits", "too-large"])
     def test_memory_bound(self, ran, block_entries, dense, monkeypatch):
@@ -807,7 +825,7 @@ class TestDensePath:
         snap = circulant(128, (1, 2, 3))
         monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
         assert general_graph_scores(snap) == per_root_scores(snap)
-        assert ran == ["_dense_scores" if dense else "_block_scores"]
+        assert ran == ["_dense_orders" if dense else "_block_orders"]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -928,10 +946,10 @@ def test_no_leaf_is_a_first_hop(adj):
 
 
 class TestFoldedLeaves:
-    """The dense path folds the leaves (one infected neighbour, N > 2) into
-    their hubs: its tables equal the block path's and the per-root
-    scorer's bit for bit, in the same key order, on snapshots built so
-    that the folding's corner cases occur, and on sparse draws."""
+    """Both finders work on the leaves (one infected neighbour, N > 2)
+    folded into their hubs: their tables equal each other's and the
+    per-root scorer's bit for bit, in the same key order, on snapshots
+    built so that the folding's corner cases occur, and on sparse draws."""
 
     def test_star(self):
         """One non-leaf node: the dynamic program has one root and no
@@ -1011,3 +1029,36 @@ class TestFoldedLeaves:
         subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
         assert_paths_agree(snap)
         assert_paths_agree(snap, subset)
+
+
+@st.composite
+def finder_draws(draw) -> Snapshot:
+    """A snapshot of a kind that both finders score: a leafy sf:2000:1.5
+    one (about 45% leaves), an er one, a dense sf one, one of one or two
+    nodes, or a star tree (one non-leaf node), which the scorer is then
+    called on directly rather than through ``likelihood_table``."""
+    kind = draw(st.sampled_from(["leafy_sf", "er", "dense_sf", "tiny", "star"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    if kind == "star":
+        leaves = draw(st.integers(min_value=2, max_value=12))
+        return bfs_snapshot(star_graph(leaves), 0, range(leaves + 1))
+    if kind == "tiny":
+        return _snapshot("er", 50, 3.0, draw(st.integers(min_value=1, max_value=2)), seed)
+    family, size, density = {"leafy_sf": ("sf", 2000, 1.5), "er": ("er", 300, 4.0), "dense_sf": ("sf", 600, 20.0)}[kind]
+    return _snapshot(family, size, density, draw(st.integers(min_value=3, max_value=150)), seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(snap=finder_draws(), data=st.data())
+def test_both_finders_equal_the_leaf_block_oracle(snap, data):
+    """Each finder, forced by patching ``_is_dense`` on the same draw, gives
+    the table of the block path as it was before the finders shared one
+    preparation and one tail, ``==`` with key order, for every root and
+    for a subset."""
+    subset = sorted(data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset"))
+    for nodes in (None, subset):
+        want = leaf_block_scores(snap, nodes)
+        for dense in (True, False):
+            got = path_scores(snap, nodes, dense=dense)
+            assert list(got) == list(want)
+            assert got == want
