@@ -241,7 +241,12 @@ def _sum_scores(orders: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     A leaf comes after its hub in a non-leaf root's order, so a non-leaf's
     earlier neighbours are non-leaves, and a leaf's subtree size and count
     of earlier neighbours are 1, which adds no logarithm.  A leaf root is
-    scored from its hub's row (:func:`_leaf_shifts`)."""
+    scored from its hub's row (:func:`_leaf_shifts`).
+
+    A row's prefix boundaries are the running sum of its boundary steps in
+    BFS order: each node's ``deg - 2 * earlier`` (``deg - 2`` for a leaf)
+    put at its place in the row, by one (row, place) index for the
+    non-leaves and one for the leaves."""
     n, n_r = deg.size, deg.size - hub.size
     scores = np.empty(n)
     span = max(1, _DENSE_CELLS // n)  # leaves at a time
@@ -250,14 +255,10 @@ def _sum_scores(orders: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     for v0, place, size, earlier in orders:
         r = place.shape[0]
         top = math.lgamma(n + 1) + _rounded(*_wrapped_sums(table, earlier))
-        # Prefix boundaries: the running sum of deg - 2 * earlier in BFS order.
-        step = np.empty((r, n), dtype=np.int64)
-        np.subtract(deg[:n_r], earlier, out=step[:, :n_r])
-        step[:, :n_r] -= earlier
-        step[:, n_r:] = deg[n_r:] - 2
         bounds = np.empty((r, n), dtype=np.int64)
-        bounds.ravel()[place + np.arange(0, r * n, n)[:, None]] = step
-        del step
+        rows = np.arange(r)[:, None]
+        bounds[rows, place[:, :n_r]] = deg[:n_r] - earlier - earlier  # 2 * earlier may wrap
+        bounds[rows, place[:, n_r:]] = deg[n_r:] - 2
         np.cumsum(bounds, axis=1, out=bounds)
         den = _wrapped_sums(table, bounds[:, :-1], size)
         scores[v0:v0 + r] = top - _rounded(*den)
@@ -523,8 +524,12 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     Subtree sizes start at 1 plus the node's leaves (``hung``) and are
     summed level by level, deepest first.
 
-    The (root, node) cells are sorted by level once, and each level is
-    taken in root ranges of at most ``_DENSE_CELLS`` cells.  The
+    The (root, node) cells are sorted by (level, kind, root, node) once,
+    and one ``searchsorted`` of those keys gives the boundary table
+    ``bound``: where each root's cells of each level and kind start, and
+    where each (level, kind) group ends.  Each level is taken in root
+    ranges of at most ``_DENSE_CELLS`` cells (:func:`_cuts`), whose
+    starts, lengths and per-root counts the table gives.  The
     non-leaves' order by falling count of non-leaf neighbours (``r_width``)
     makes the nodes with a j-th non-leaf neighbour the first rows, so each
     pass over j-th neighbours reads row slices.  Node and entry tables are
@@ -546,11 +551,13 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
         hop[:c] += unfound[:c]
     del unfound, farther
 
-    # The cells (v, w) sorted by (level, leaf or not, v, w), packed in 32
-    # bits: a leaf is one level below its hub, and the n_r * n cells fit
+    # The cells (v, w) sorted by their keys ((2d + k) << v_bits | v) <<
+    # w_bits | w, for level d and kind k (1 for leaves), packed in 32 bits:
+    # a leaf is one level below its hub, and the n_r * n cells fit
     # (:func:`_is_dense`), so v and w take at most 19 bits and a level 9.
-    # cols keeps each cell's w; count[d, k, v] is root v's cells of level
-    # d and kind k (1 for leaves), and first[d] where level d starts.
+    # cols keeps each cell's w; bound[d, k, v] is where root v's cells of
+    # level d and kind k start, and bound[d, k, n_r] where they end (when
+    # n_r = 2**v_bits, the next group's first key is that end's key).
     w_bits, v_bits = (n - 1).bit_length(), (n_r - 1).bit_length()
     cells = np.empty((n_r, n), dtype=np.uint32)
     np.left_shift(dist, w_bits + v_bits + 1, out=cells[:, :n_r], dtype=np.uint32)
@@ -562,17 +569,13 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     cells = cells.ravel()
     cells.sort()
     levels = int(cells[-1]) >> w_bits + v_bits + 1
-    first = np.searchsorted(cells, np.arange(levels + 2, dtype=np.uint32) << w_bits + v_bits + 1)
-    count = np.zeros((levels + 1, 2 << v_bits), dtype=node)
-    for d in range(levels + 1):
-        for i in range(first[d], first[d + 1], _DENSE_CELLS):
-            part = cells[i:min(i + _DENSE_CELLS, first[d + 1])] >> w_bits
-            part &= (2 << v_bits) - 1
-            count[d] += np.bincount(part, minlength=count.shape[1]).astype(node)
-    count = count.reshape(levels + 1, 2, -1)[:, :, :n_r]
+    keys = np.add.outer(np.arange(2 * levels + 2, dtype=np.uint32) << v_bits, np.arange(n_r + 1, dtype=np.uint32))
+    bound = np.searchsorted(cells, keys << w_bits).astype(np.min_scalar_type(cells.size)).reshape(-1, 2, n_r + 1)
     cells &= (1 << w_bits) - 1
     cols = cells.astype(node)
-    del cells, part
+    del cells, keys
+    # Each level's root ranges of at most _DENSE_CELLS cells (or one root's).
+    cuts = {d: _cuts(bound[d].sum(axis=0, dtype=np.int64), _DENSE_CELLS) for d in range(1, levels + 1)}
 
     # place[v, w]: w's place in v's BFS order; parent[v, u]: the entry
     # from u's BFS parent to u.  A level's sort key is (root, parent's
@@ -582,27 +585,28 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     parent = np.zeros((n_r, n_r), dtype=edge)
     placed = np.ones(n_r, dtype=np.int64)  # per root: the nodes placed so far
     low = (n_r * n - 1).bit_length()
-    ranges = {d: _root_ranges(count[d], first[d]) for d in range(1, levels + 1)}
     rows = np.arange(n_r)
     for d in range(1, levels + 1):
-        for v0, v1, a, m, la, k in ranges[d]:
-            kinds = count[d, :, v0:v1]
+        for v0, v1 in zip(cuts[d], cuts[d][1:]):
+            (a, la), (b, lb) = bound[d, :, v0].tolist(), bound[d, :, v1].tolist()
+            kinds = bound[d, :, v0 + 1:v1 + 1] - bound[d, :, v0:v1]  # each root's cells of each kind
             cell = np.repeat(rows[v0:v1] * n_r, kinds[0])
-            cell += cols[a:a + m]
+            cell += cols[a:b]
             e = np.repeat(r_start[v0:v1], kinds[0])
             e += hop.ravel().take(cell)
-            entry = np.empty(m + k, dtype=edge)
+            m = b - a
+            entry = np.empty(m + lb - la, dtype=edge)
             if d == 1:  # v's own neighbour
                 near.take(e, out=entry[:m])
             else:  # u's parent from NH[v, u]
                 e = np.multiply(r_nbr.take(e), n_r, dtype=np.int64)
-                e += cols[a:a + m]
+                e += cols[a:b]
                 parent.ravel().take(e, out=entry[:m])
             parent.ravel()[cell] = entry[:m]
             del cell, e
             # With the leaves hung on the level above, sorted by (root,
             # parent's place, entry): each root's level d in BFS order.
-            leaf_entry.take(cols[la:la + k], out=entry[m:])
+            leaf_entry.take(cols[la:lb], out=entry[m:])
             v = np.repeat(np.tile(rows[v0:v1] * n, 2), kinds.ravel())
             step = kinds.sum(axis=0, dtype=np.int64)  # each root's cells
             pay = nbr.take(entry) + v
@@ -630,9 +634,10 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     size = np.empty((n_r, n_r), dtype=node)
     size[:] = hung + 1
     for d in range(levels, 0, -1):
-        for v0, v1, a, m, _, _ in ranges[d]:
-            v = np.repeat(rows[v0:v1] * n_r, count[d, 0, v0:v1])
-            cell = cols[a:a + m] + v
+        for v0, v1 in zip(cuts[d], cuts[d][1:]):
+            a, b = int(bound[d, 0, v0]), int(bound[d, 0, v1])
+            v = np.repeat(rows[v0:v1] * n_r, bound[d, 0, v0 + 1:v1 + 1] - bound[d, 0, v0:v1])
+            cell = cols[a:b] + v
             v += owner.take(parent.ravel().take(cell))
             np.add.at(size.ravel(), v, size.ravel().take(cell))
     del parent, cols
@@ -645,31 +650,21 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
         links[:c] += by_node.take(r_nbr[r_start[:c] + j], axis=0) < by_node[:c]
     del by_node
 
-    span = max(1, _DENSE_CELLS // n)  # roots at a time
+    span = max(1, _DENSE_CELLS // n)  # roots at a time; each range's earlier counts as contiguous rows
     for v0 in range(0, n_r, span):
-        yield v0, place[v0:v0 + span], size[v0:v0 + span], links[:, v0:v0 + span].T
+        yield v0, place[v0:v0 + span], size[v0:v0 + span], np.ascontiguousarray(links[:, v0:v0 + span].T)
 
 
-def _root_ranges(count: np.ndarray, first: int) -> list[tuple[int, int, int, int, int, int]]:
-    """Ranges [v0, v1) of roots that hold at most ``_DENSE_CELLS`` cells of
-    a level each (or one root's, if that is more), from the level's
-    ``count`` of cells of each kind per root and where the level starts in
-    the sorted cells, ``first``; each with where its non-leaf cells start
-    there and how many there are, and the same for its leaves."""
-    n = count.shape[1]
-    inner, outer = count.sum(axis=1, dtype=np.int64).tolist()
-    if inner + outer <= _DENSE_CELLS:
-        return [(0, n, first, inner, first + inner, outer)]
-    run = np.zeros((2, n + 1), dtype=np.int64)
-    np.cumsum(count, axis=1, out=run[:, 1:])
-    total = run.sum(axis=0)
+def _cuts(total: np.ndarray, most: int) -> list[int]:
+    """Greedy cuts 0 = c_0 < c_1 < ... = len(total) - 1 of items whose
+    running total is ``total`` (item i holds ``total[i + 1] - total[i]``):
+    each range [c_j, c_{j+1}) holds at most ``most``, or one item if that
+    is more, and would hold more than ``most`` with the next item."""
     cuts = [0]
-    while cuts[-1] < n:
+    while cuts[-1] < total.size - 1:
         a = cuts[-1]
-        cuts.append(max(a + 1, int(np.searchsorted(total, total[a] + _DENSE_CELLS, "right")) - 1))
-    run = run.tolist()
-    return [(a, b, first + run[0][a], run[0][b] - run[0][a], first + inner + run[1][a], run[1][b] - run[1][a])
-            for a, b in zip(cuts, cuts[1:])]
+        cuts.append(max(a + 1, int(np.searchsorted(total, total[a] + most, "right")) - 1))
+    return cuts
 
 
 def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndarray:
@@ -686,16 +681,12 @@ def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndar
     seen[node, node >> 6] = np.left_shift(np.uint64(1), (node & 63).astype(np.uint64))
     front, new = seen.copy(), np.zeros_like(seen)
     # Node ranges whose gathered frontier words number at most
-    # _DENSE_CELLS (or one node's); none without entries (n = 1: no level).
+    # _DENSE_CELLS (or one node's).
     end = np.append(start, nbr.size)
-    cuts, a = [], 0
-    while a < n and nbr.size:
-        b = max(a + 1, int(np.searchsorted(end, end[a] + _DENSE_CELLS // words, "right")) - 1)
-        cuts.append((a, b))
-        a = b
+    cuts = _cuts(end, _DENSE_CELLS // words)
     dist = np.zeros((n, n), dtype=np.uint8)
-    for d in range(1, n + 1):  # the last level is at most n - 1
-        for a, b in cuts:
+    for d in range(1, n):  # the last level is at most n - 1
+        for a, b in zip(cuts, cuts[1:]):
             np.bitwise_or.reduceat(front.take(nbr[end[a]:end[b]], axis=0), start[a:b] - end[a], axis=0,
                                    out=new[a:b])
         new &= ~seen
@@ -713,9 +704,10 @@ def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndar
 
 #: The (root, node) cells of a range of the dense finder's roots (a
 #: level's cells in its level loop, whole rows in the ranges it gives),
-#: of a chunk of leaves in the tail, and the words of a chunk of its
+#: of a chunk of leaves in the tail, and the words of a node range of its
 #: gathered bitset frontier: this bounds their temporaries (about 0.5 MB
-#: at 2**14) besides the finder's n_r * n arrays.
+#: at 2**14) besides the finder's n_r * n arrays.  :func:`_cuts` cuts the
+#: level and frontier ranges from running totals.
 _DENSE_CELLS = 1 << 14
 
 

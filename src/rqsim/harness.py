@@ -55,7 +55,10 @@ _GW_SIZE_FACTOR = 4
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, at a finite real
+    ``z`` > 0 that is not a bool."""
+    if isinstance(z, bool) or not (isinstance(z, Real) and 0 < z < math.inf):  # a NaN fails too
+        raise InvalidParameterError(f"z must be a finite real > 0, got {z!r}")
     check_int("trials", trials, 1)
     check_int("successes", successes, 0)
     if successes > trials:

@@ -57,6 +57,18 @@ class TestWilsonInterval:
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             wilson_interval(*args)
 
+    @pytest.mark.parametrize("z", [-1.96, 0, 0.0, -0.0, math.inf, math.nan, True, False, "1.96", 1.96j, None],
+                             ids=repr)
+    def test_z_is_a_finite_real_above_zero(self, z):
+        """A negative z gave the inverted (0.763, 0.237) and a NaN (0.0, 1.0)."""
+        with pytest.raises(InvalidParameterError, match="z must be a finite real > 0"):
+            wilson_interval(5, 10, z=z)
+
+    @pytest.mark.parametrize("z", [1, 1.96, np.float64(2.576), np.int64(3)], ids=repr)
+    def test_real_z_above_zero(self, z):
+        lo, hi = wilson_interval(5, 10, z=z)
+        assert 0.0 < lo < 0.5 < hi < 1.0
+
     def test_numpy_integer_counts(self):
         assert wilson_interval(np.int64(5), np.int64(10)) == wilson_interval(5, 10)
 

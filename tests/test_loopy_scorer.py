@@ -871,6 +871,22 @@ class TestDensePath:
         assert_paths_agree(snap)
         assert_paths_agree(snap, [0, 100, 285])
 
+    @pytest.mark.parametrize("leaves", [0, 3])
+    def test_roots_fill_their_bits(self, ran, leaves):
+        """C_256(1, 2, 3), bare or with leaves 256, 257 and 258 hung on
+        nodes 0, 100 and 200: its n_r = 256 = 2**8 roots fill the root bits
+        of the dense finder's cell keys, so where each (level, kind) group
+        of cells ends is the next group's first key, a leaf group's
+        included."""
+        edges = {(i, (i + s) % 256) for i in range(256) for s in (1, 2, 3)}
+        edges |= {(100 * i, 256 + i) for i in range(leaves)}
+        snap = bfs_snapshot(graph_from_edges(256 + leaves, sorted(edges)), 0, range(256 + leaves))
+        assert leaves_of(snap) == list(range(256, 256 + leaves))
+        got = general_graph_scores(snap)
+        assert ran == ["_dense_orders"]
+        assert list(got) == list(per_root_scores(snap)) and got == per_root_scores(snap)
+        assert_paths_agree(snap, [0, 128, 255 + leaves])
+
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "block"])
     def test_dense_disconnected_set(self, dense):
         """Two infected K5s joined only through an uninfected node: no
@@ -886,6 +902,51 @@ class TestDensePath:
             path_scores(snap, dense=dense)
         with pytest.raises(InvalidInputError):
             per_root_scores(snap)
+
+
+@pytest.mark.parametrize("family,size,density,n_infected",
+                         [("er", 2000, 4.0, 400), ("sf", 4039, 22.0, 400), ("er", 300, 250.0, 250)],
+                         ids=["er:2000:4", "sf:4039:22", "er:300:250"])
+def test_dense_finder_in_small_ranges(family, size, density, n_infected, monkeypatch):
+    """``_DENSE_CELLS`` patched to 1, 64 and 2**10: the dense finder takes
+    levels in ranges of one root or a few, gathers bitset frontiers a few
+    nodes at a time (one at 1), and the tail scores leaves one or a few at
+    a time.  Each table equals the unpatched one and the leaf block
+    oracle's, for every root and for a subset, key order included.  No
+    production input reaches such ranges: the dense finder needs 512
+    leafless entries or more, so n_r >= 24 non-leaves, and n_r * n <=
+    2 * BLOCK_ENTRIES, so n <= 8192 < 2**14."""
+    snap = _snapshot(family, size, density, n_infected, seed=20240817)
+    assert takes_dense_path(snap)
+    subset = sorted(snap.infected)[::7]
+    want = {nodes: general_graph_scores(snap, nodes) for nodes in (None, tuple(subset))}
+    for nodes, table in want.items():
+        oracle = leaf_block_scores(snap, nodes)
+        assert list(table) == list(oracle) and table == oracle
+    for cells in (1, 64, 1 << 10):
+        monkeypatch.setattr(centrality, "_DENSE_CELLS", cells)
+        for nodes, table in want.items():
+            got = general_graph_scores(snap, nodes)
+            assert list(got) == list(table) and got == table
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=40),
+       offset=st.integers(min_value=0, max_value=1000), most=st.integers(min_value=0, max_value=120))
+@example(items=[7], offset=0, most=3)
+@example(items=[0], offset=0, most=0)
+def test_cuts(items, offset, most):
+    """The range cutter that both of the dense finder's cuts use, on the
+    running total of ``items`` (from any offset): its ranges tile the
+    items, each holds at most ``most`` or one item, and the next item
+    would overflow it."""
+    total = offset + np.cumsum([0] + items)
+    cuts = centrality._cuts(total, most)
+    assert cuts[0] == 0 and cuts[-1] == len(items)
+    for a, b in zip(cuts, cuts[1:]):
+        assert a < b
+        assert sum(items[a:b]) <= most or b == a + 1
+        assert b == len(items) or sum(items[a:b + 1]) > most
 
 
 @st.composite
