@@ -216,7 +216,8 @@ def _is_dense(n: int, leaves: int, entries: int) -> bool:
     leaves, and ``entries`` = 2E directed induced edges takes the dense
     finder: its leafless subgraph has at least ``_DENSE_ENTRIES`` entries,
     and its (non-leaf root, node) cells, at most about 8 bytes each, fit
-    in the 16 bytes per entry of a block's two entry-sized int64 arrays."""
+    in the 16 bytes per entry of the two entry-sized int64 arrays of the
+    block finder's largest BFS level."""
     return entries - 2 * leaves >= _DENSE_ENTRIES and (n - leaves) * n <= 2 * BLOCK_ENTRIES
 
 
@@ -300,8 +301,9 @@ def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
 
 #: Roots scored together: a block expands at most this many (root,
 #: directed induced edge) entries, or one root's if that is more.  Larger
-#: blocks take fewer numpy calls per score; the workspace grows with them
-#: (1.30 MB after an N = 400 sf:4039:22 snapshot, 1.43 MB after er:2000:4).
+#: blocks take fewer numpy calls per score, and a score's heap peak grows
+#: with them (2.2 MB on an N = 400 sf:4039:22 snapshot, 3.2 MB on
+#: er:2000:4, when the block finder scores them).
 BLOCK_ENTRIES = 3 << 15
 
 _ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
@@ -359,35 +361,6 @@ def _rounded(wrapped: np.ndarray, approx: np.ndarray) -> np.ndarray:
     return (hi * 2.0**30 + (wrapped & ((1 << 30) - 1))) / _ONE
 
 
-class _Workspace(threading.local):
-    """One thread's scratch arrays for the block finder, by name.
-
-    Each buffer grows to the largest size asked of it and is then reused by
-    every block of every score, so that blocks do not allocate, free and
-    page-fault their large arrays afresh.  A block holds at most
-    ``BLOCK_ENTRIES`` entries (or one root's) and ``n`` cells per root,
-    which bounds the buffers.  A block's BFS and its earlier-neighbour pass
-    run one after the other, so they share the entry-sized buffers
-    (``entries``, ``entries2``, ``entry_flags``)."""
-
-    def __init__(self) -> None:
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: int | tuple[int, ...], dtype: type = np.int64) -> np.ndarray:
-        """An uninitialised array of ``shape`` and ``dtype`` over the first
-        bytes of buffer ``name``.  It overwrites the last array of that
-        name, which must no longer be in use."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod((shape,) if isinstance(shape, int) else shape) * dtype.itemsize
-        buffer = self.buffers.get(name)
-        if buffer is None or buffer.size < nbytes:
-            buffer = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
-        return buffer[:nbytes].view(dtype).reshape(shape)
-
-
-_WORKSPACE = _Workspace()
-
-
 def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray,
                owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BFS from every root of a block at once, one level at a time over a
@@ -407,14 +380,12 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
     and the (rows, n) BFS subtree sizes.
     """
     n, r = start.size, len(roots)
-    stamp = _WORKSPACE.array("stamp", r * n)
-    stamp.fill(_UNREACHED)
-    unreached = _WORKSPACE.array("unreached", r * n, np.bool_)
-    unreached.fill(True)
+    stamp = np.full(r * n, _UNREACHED, dtype=np.int64)
+    unreached = np.ones(r * n, dtype=bool)
     # The found cells, level after level, and each one's BFS parent;
     # ends[i] is where level i ends in them (level 0 is the roots).
-    found = _WORKSPACE.array("found", r * n)
-    parent = _WORKSPACE.array("parent", r * n)
+    found = np.empty(r * n, dtype=np.int64)
+    parent = np.empty(r * n, dtype=np.int64)
     f_base = np.arange(0, r * n, n, dtype=np.int64)  # the frontier cells' row bases
     f_cell = np.add(f_base, roots, out=found[:r])
     stamp[f_cell] = np.arange(r, dtype=np.int64)
@@ -434,14 +405,13 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
         # order in which one root's sequential BFS scans these edges.  Each
         # entry's place in nbr steps by 1 within a run and jumps at each
         # run's first entry: one running sum of those steps.
-        e_at = _WORKSPACE.array("entries", m)
-        e_at.fill(1)
+        e_at = np.ones(m, dtype=np.int64)
         e_at[0] = first[0]
         e_at[k_ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
         e_at.cumsum(out=e_at)
-        e_cell = np.add(nbr.take(e_at, mode="clip"), np.repeat(f_base, k), out=_WORKSPACE.array("entries2", m))
-        flags = _WORKSPACE.array("entry_flags", m, np.bool_)
-        fresh = unreached.take(e_cell, out=flags, mode="clip").nonzero()[0]
+        e_cell = np.repeat(f_base, k)
+        e_cell += nbr.take(e_at, mode="clip")
+        fresh = unreached.take(e_cell, mode="clip").nonzero()[0]
         cand = e_cell[fresh]
         # An unreached cell's first entry, the one whose index is left as
         # its stamp, discovers it: that fixes its parent and its place, so
@@ -458,7 +428,8 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
         ends.append(at + new.size)
     if ends[-1] < r * n:
         raise InvalidInputError("infected set is disconnected")
-    # Subtree sizes, deepest level first, over the spent stamps.
+    # Subtree sizes, deepest level first, over the spent stamps (here and
+    # below, fresh arrays fault more pages per score).
     size = stamp
     size.fill(1)
     for a, b in zip(ends[-2::-1], ends[:0:-1]):
@@ -466,8 +437,7 @@ def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.
     # Each row's cells in BFS order, over the spent parents: level by level,
     # and within a level in discovery order, which a stable (radix) sort by
     # row keeps.
-    row = _WORKSPACE.array("row", r * n, np.min_scalar_type(r))
-    np.floor_divide(found, n, out=row, casting="unsafe")
+    row = (found // n).astype(np.min_scalar_type(r))
     return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)
 
 
@@ -479,7 +449,7 @@ def _block_orders(start: np.ndarray, width: np.ndarray, nbr: np.ndarray, owner: 
     (:func:`_bfs_block`) over the relabelled neighbour table.
 
     A block holds ``BLOCK_ENTRIES // (2 * E_induced)`` roots (at least
-    one), and its large arrays live in this thread's :class:`_Workspace`.
+    one), and its arrays are its own, so a score keeps none of them.
     The earlier counts compare the BFS places of the two ends of every
     (root, entry between non-leaves), held in the narrowest unsigned type
     as these two arrays are the block's largest, and sum them per node by
@@ -492,13 +462,10 @@ def _block_orders(start: np.ndarray, width: np.ndarray, nbr: np.ndarray, owner: 
     for v0 in range(0, n_r, rows):
         r = min(rows, n_r - v0)
         order, size = _bfs_block(np.arange(v0, v0 + r), start, width, nbr, owner)
-        place = _WORKSPACE.array("place", (r, n), kind)
+        place = np.empty((r, n), dtype=kind)
         np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
         if near.size:
-            shape = (r, near.size)
-            nbr_place = np.take(place, r_nbr, axis=1, out=_WORKSPACE.array("entries", shape, kind), mode="clip")
-            own_place = np.take(place, r_owner, axis=1, out=_WORKSPACE.array("entries2", shape, kind), mode="clip")
-            earlier = np.less(nbr_place, own_place, out=_WORKSPACE.array("entry_flags", shape, np.bool_))
+            earlier = place.take(r_nbr, axis=1, mode="clip") < place.take(r_owner, axis=1, mode="clip")
             links = np.add.reduceat(earlier, r_start, axis=1, dtype=np.int64)
         else:
             links = np.zeros((r, 1), dtype=np.int64)

@@ -12,7 +12,7 @@ originals unchanged so the tests can compare old and new output:
 * its successor, which orders each level by discovery stamps, may find a
   level bottom-up and allocates its block arrays afresh for every block
   (``stamp_general_graph_scores``);
-* the workspace block scorer's loop as it was before leaves were scored
+* the block scorer's loop as it was before leaves were scored
   from their neighbour's BFS: one BFS row for every requested root, over
   ``rqsim.centrality``'s block BFS (``all_roots_general_graph_scores``);
 * its successor, the block path as it was before it shared the dense
@@ -643,12 +643,9 @@ def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray,
     if not nbr.size:  # a lone node: reduceat needs at least one entry
         return np.zeros((r, n), dtype=np.int64)
     kind = np.min_scalar_type(n)
-    place = centrality._WORKSPACE.array("place", (r, n), kind)
+    place = np.empty((r, n), dtype=kind)
     np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
-    shape = (r, nbr.size)
-    nbr_place = np.take(place, nbr, axis=1, out=centrality._WORKSPACE.array("entries", shape, kind), mode="clip")
-    own_place = np.take(place, owner, axis=1, out=centrality._WORKSPACE.array("entries2", shape, kind), mode="clip")
-    earlier = np.less(nbr_place, own_place, out=centrality._WORKSPACE.array("entry_flags", shape, np.bool_))
+    earlier = place.take(nbr, axis=1, mode="clip") < place.take(owner, axis=1, mode="clip")
     return np.add.reduceat(earlier, start, axis=1, dtype=np.int64)
 
 
@@ -687,8 +684,7 @@ def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: 
     The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
     E_induced)``, and one level-synchronous BFS serves a whole block
     (:func:`rqsim.centrality._bfs_block`) over the snapshot's own
-    neighbour table.  The block's large arrays live in this thread's
-    workspace.
+    neighbour table.
     """
     n = ptr.size - 1
     start, width = ptr[:-1], np.diff(ptr)

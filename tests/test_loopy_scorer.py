@@ -5,12 +5,10 @@ first written: it ranks each BFS level's new nodes, finds parents by
 search and counts earlier neighbours level by level.
 ``reference_scorer.stamp_general_graph_scores`` is its successor: it
 orders by discovery stamps, may find a level bottom-up (the scorer's BFS
-is top-down only) and counts earlier neighbours once per block, but
-allocates every block array afresh.  The
-scorer now writes the large block arrays into a per-thread workspace that
-every block of every score reuses; its scores and key order are equal
+is top-down only) and counts earlier neighbours once per block.  The
+scorer's block finder descends from it; its scores and key order are equal
 (``==``) to both oracles'.  ``reference_scorer.all_roots_general_graph_scores``
-is that workspace scorer's loop before leaves were scored from their
+is the block scorer's loop before leaves were scored from their
 neighbour's BFS row: it gives every requested root a BFS row of its own,
 over the same block BFS.  ``reference_scorer.leaf_block_general_graph_scores``
 is the block path as it was before it shared the dense path's leaf
@@ -500,22 +498,20 @@ def n400():
             "er": _snapshot("er", 2000, 4.0, 400, seed=20240817)}
 
 
-class TestWorkspace:
-    """The block arrays live in one workspace per thread, which every block
-    of every score reuses and grows as snapshots need."""
+class TestBlockFinder:
+    """The block finder's arrays are its own for each block, so a score
+    keeps none of them: tables do not depend on the scores before them,
+    threads may score at once, and a score leaves no memory behind."""
 
     @pytest.fixture
-    def workspace(self, monkeypatch):
-        """A fresh workspace for this thread, put back afterwards; every
-        snapshot takes the block path, which scores in it."""
-        fresh = centrality._Workspace()
-        monkeypatch.setattr(centrality, "_WORKSPACE", fresh)
-        monkeypatch.setattr(centrality, "_is_dense", lambda n, leaves, entries: False)
-        return fresh
+    def block_path(self):
+        """Every snapshot takes the block finder."""
+        with on_path(dense=False):
+            yield
 
     @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16, centrality.BLOCK_ENTRIES],
                              ids=["2^15", "2^16", "default"])
-    def test_reused_across_snapshots(self, n400, workspace, block_entries, monkeypatch):
+    def test_reused_across_snapshots(self, n400, block_path, block_entries, monkeypatch):
         """Dense, then sparse, then tiny snapshots, a disconnected set that
         fails mid-BFS, then the sparse one again: each table, full and for a
         subset, equals the per-root scorer's."""
@@ -530,21 +526,32 @@ class TestWorkspace:
                 continue
             assert_equals_per_root(snap)
             assert_equals_per_root(snap, sorted(snap.infected)[1::7] or snap.infected)
-        assert workspace.buffers  # the scores above ran in this workspace
 
-    def test_retained_size(self, n400, workspace):
-        for name in ("sf", "er"):
-            general_graph_scores(n400[name])
-        assert sum(buffer.nbytes for buffer in workspace.buffers.values()) <= 2.5 * 2**20
+    def test_leaves_nothing_behind(self, n400, block_path):
+        """A block-finder score leaves traced memory within a few KB of
+        where it found it.  A first score fills the snapshot's caches, the
+        log table and numpy's own; the measured score runs in a thread of
+        its own, so that nothing earlier scores kept for this thread can
+        hide what it keeps (block arrays kept for reuse by each thread
+        would leave about 1.4-1.6 MB here)."""
+        snap = n400["er"]
+        general_graph_scores(snap)
+        left = []
 
-    @pytest.mark.parametrize("name,most", [("sf", 1.40), ("er", 1.69)])
-    def test_retained_size_at_the_default_width(self, n400, workspace, name, most):
-        """The workspace that one N = 400 score leaves at the default width
-        is no larger than the one the scorer left at 2**16, when it also
-        held a copy of the neighbour table for every row of a block (1.40
-        MB after sf:4039:22, 1.69 MB after er:2000:4)."""
-        general_graph_scores(n400[name])
-        assert sum(buffer.nbytes for buffer in workspace.buffers.values()) <= most * 2**20
+        def score():
+            before = tracemalloc.get_traced_memory()[0]
+            general_graph_scores(snap)
+            left.append(tracemalloc.get_traced_memory()[0] - before)
+
+        tracemalloc.start()
+        try:
+            thread = threading.Thread(target=score)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            tracemalloc.stop()
+        assert not thread.is_alive()
+        assert left and left[0] <= 8 * 2**10
 
     def test_threads_score_at_once(self, n400, monkeypatch):
         """Four threads, two per snapshot, score at the same time from an
@@ -571,6 +578,11 @@ class TestWorkspace:
             for table in got:
                 assert list(table) == list(want[name])
                 assert table == want[name]
+
+    def test_threads_score_at_once_on_the_block_finder(self, n400, block_path, monkeypatch):
+        """The test above with every snapshot on the block finder, whose
+        arrays each thread allocates for itself."""
+        self.test_threads_score_at_once(n400, monkeypatch)
 
 
 def warm_score_peak(snap: Snapshot) -> int:
