@@ -15,7 +15,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -133,35 +133,29 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     boundary edges of the prefix in the underlying graph).  Reads only the
     induced subgraph and degrees.
 
-    One preparation, two finders of BFS orders and one tail.  The
+    One preparation, one finder of BFS orders and one tail.  The
     preparation folds the leaves (one infected neighbour, when N > 2) into
     their hubs: a leaf's BFS order is its hub's with the leaf moved to the
     front, so only the n_r other nodes are BFS roots, and a leaf is never
     the first hop ``NH[v, u]`` (below) for any ``u`` but itself, as a path
     through it could not leave it.  The nodes become columns: the
     non-leaves by falling count of non-leaf neighbours, each keeping its
-    neighbours in id order, then the leaves.  Each range of non-leaf roots
-    then gets its BFS places, subtree sizes and counts of earlier non-leaf
-    neighbours from one of two finders:
+    neighbours in id order, then the leaves.  The finder
+    (:func:`_dense_orders`) gives every non-leaf root's BFS places,
+    subtree sizes and counts of earlier non-leaf neighbours at once from
+    all-pairs distances.  It rests on one fact: with ties by ascending id,
+    the BFS path from ``v`` to ``u`` is the lexicographically smallest
+    shortest path, so it starts at ``a = NH[v, u]``, the lowest-id
+    neighbour of ``v`` one step closer to ``u``, and goes on as ``a``'s
+    own path.  So for d(v, u) >= 2 the BFS parent of ``u`` from ``v`` is
+    its parent from ``a``.
 
-    * :func:`_dense_orders`, when :func:`_is_dense` holds: every root's
-      BFS order at once from all-pairs distances.  It rests on one fact:
-      with ties by ascending id, the BFS path from ``v`` to ``u`` is the
-      lexicographically smallest shortest path, so it starts at ``a =
-      NH[v, u]``, the lowest-id neighbour of ``v`` one step closer to
-      ``u``, and goes on as ``a``'s own path.  So for d(v, u) >= 2 the BFS
-      parent of ``u`` from ``v`` is its parent from ``a``.
-    * :func:`_block_orders` otherwise, when the n_r * N cells do not fit
-      the block's memory budget or the leafless subgraph is too small for
-      the all-pairs passes to pay: one level-synchronous BFS per block of
-      roots.
-
-    The tail (:func:`_sum_scores`) turns each range into its prefix
-    boundaries and its two sums of logarithms per root, exact and rounded
-    once (:func:`_wrapped_sums`, :func:`_rounded`), so roots with equal
-    counts tie exactly and the lowest id wins, and scores each leaf from
-    its hub's row (:func:`_leaf_shifts`).  Every root is scored; ``nodes``
-    selects from the table.
+    The tail (:func:`_sum_scores`) turns each range of roots into its
+    prefix boundaries and its two sums of logarithms per root, exact and
+    rounded once (:func:`_wrapped_sums`, :func:`_rounded`), so roots with
+    equal counts tie exactly and the lowest id wins, and scores each leaf
+    from its hub's row (:func:`_leaf_shifts`).  Every root is scored;
+    ``nodes`` selects from the table.
     """
     graph = snapshot.require_graph("general-graph scoring")
     ids, (ptr, nbr) = snapshot.infected, snapshot.local_csr  # neighbour ties by ascending id
@@ -203,41 +197,20 @@ def general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | None = None)
     leaf_entry = np.zeros(n, dtype=edge)  # by column: the entry from a leaf's hub to it
     hanging = np.flatnonzero(runs >= n_r)
     leaf_entry[nbr.take(hanging)] = hanging
-    if _is_dense(n, n - n_r, nbr.size):
-        orders = _dense_orders(nbr, owner, near, r_nbr, r_start, r_width, hub, hung, leaf_entry)
-    else:
-        orders = _block_orders(start, width, nbr, owner, near, r_nbr, r_start)
-    scores = _sum_scores(orders, deg, hub, leaf_entry[n_r:] - start.take(hub) + 1, table)
+    place, size, links = _dense_orders(nbr, owner, near, r_nbr, r_start, r_width, hub, hung, leaf_entry)
+    scores = _sum_scores(place, size, links, deg, hub, leaf_entry[n_r:] - start.take(hub) + 1, table)
     return dict(zip(map(ids.__getitem__, targets.tolist()), scores[label[targets]].tolist()))
 
 
-def _is_dense(n: int, leaves: int, entries: int) -> bool:
-    """Whether a snapshot of ``n`` infected nodes, ``leaves`` of them
-    leaves, and ``entries`` = 2E directed induced edges takes the dense
-    finder: its leafless subgraph has at least ``_DENSE_ENTRIES`` entries,
-    and its (non-leaf root, node) cells, at most about 8 bytes each, fit
-    in the 16 bytes per entry of the two entry-sized int64 arrays of the
-    block finder's largest BFS level."""
-    return entries - 2 * leaves >= _DENSE_ENTRIES and (n - leaves) * n <= 2 * BLOCK_ENTRIES
-
-
-#: The leafless subgraph's entries 2E - 2 * leaves from which the dense
-#: finder is the faster.  On 104 er and sf snapshots of N = 100 to 400 (2E/n
-#: 2.0 to 16.2, 2 vCPUs) it took 1.10-1.57 times the block finder's time
-#: below 384 entries, 0.91-1.19 from 384 to 512, 0.79-0.96 from 512 to 640
-#: and 0.36-1.07 above; its fixed passes weigh on small snapshots, so the
-#: mean degree alone does not separate the two (at N >= 300 every snapshot
-#: took 0.36-0.75, from 2E/n 2.0 up).
-_DENSE_ENTRIES = 512
-
-
-def _sum_scores(orders: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray]], deg: np.ndarray, hub: np.ndarray,
+def _sum_scores(place: np.ndarray, size: np.ndarray, links: np.ndarray, deg: np.ndarray, hub: np.ndarray,
                 leaf_place: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Every node's score, by column, from what a finder gives for each
-    range of non-leaf roots in turn: the range's first root, the (roots,
-    n) BFS places of every node, and the (roots, n_r) subtree sizes and
-    counts of earlier neighbours of the non-leaves.  ``hub`` is each
-    leaf's hub and ``leaf_place`` its place in its hub's order.
+    """Every node's score, by column, from what the finder gives: the
+    (n_r, n) BFS places of every node from each non-leaf root, the (n_r,
+    n_r) subtree sizes of the non-leaves by root, and their counts of
+    earlier neighbours by node (``links[u, v]``), taken a range of whole
+    rows of at most ``_DENSE_CELLS`` cells (or one row) at a time.
+    ``hub`` is each leaf's hub and ``leaf_place`` its place in its hub's
+    order.
 
     A leaf comes after its hub in a non-leaf root's order, so a non-leaf's
     earlier neighbours are non-leaves, and a leaf's subtree size and count
@@ -250,20 +223,21 @@ def _sum_scores(orders: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     non-leaves and one for the leaves."""
     n, n_r = deg.size, deg.size - hub.size
     scores = np.empty(n)
-    span = max(1, _DENSE_CELLS // n)  # leaves at a time
+    span = max(1, _DENSE_CELLS // n)  # roots, or leaves, at a time
     by_hub = np.argsort(hub, kind="stable")
     hubs = hub[by_hub]
-    for v0, place, size, earlier in orders:
-        r = place.shape[0]
+    for v0 in range(0, n_r, span):
+        v1 = min(v0 + span, n_r)
+        earlier = np.ascontiguousarray(links[:, v0:v1].T)
         top = math.lgamma(n + 1) + _rounded(*_wrapped_sums(table, earlier))
-        bounds = np.empty((r, n), dtype=np.int64)
-        rows = np.arange(r)[:, None]
-        bounds[rows, place[:, :n_r]] = deg[:n_r] - earlier - earlier  # 2 * earlier may wrap
-        bounds[rows, place[:, n_r:]] = deg[n_r:] - 2
+        bounds = np.empty((v1 - v0, n), dtype=np.int64)
+        rows = np.arange(v1 - v0)[:, None]
+        bounds[rows, place[v0:v1, :n_r]] = deg[:n_r] - earlier - earlier  # 2 * earlier may wrap
+        bounds[rows, place[v0:v1, n_r:]] = deg[n_r:] - 2
         np.cumsum(bounds, axis=1, out=bounds)
-        den = _wrapped_sums(table, bounds[:, :-1], size)
-        scores[v0:v0 + r] = top - _rounded(*den)
-        lo, hi = np.searchsorted(hubs, (v0, v0 + r))
+        den = _wrapped_sums(table, bounds[:, :-1], size[v0:v1])
+        scores[v0:v1] = top - _rounded(*den)
+        lo, hi = np.searchsorted(hubs, (v0, v1))
         for a in range(lo, hi, span):
             w = by_hub[a:min(a + span, hi)]
             row = hub[w] - v0
@@ -275,7 +249,7 @@ def _sum_scores(orders: Iterable[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
                  m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What to add to the (wrapped, float) denominator sums of rows ``row``
-    of a block (:func:`_wrapped_sums`) to get those of leaves hung on the
+    of a range (:func:`_wrapped_sums`) to get those of leaves hung on the
     rows' roots: ``bounds`` holds each row's prefix boundaries B_k (k =
     1..n, column k - 1), ``d`` is each leaf's degree and ``m`` its place in
     its neighbour's BFS order.
@@ -299,16 +273,8 @@ def _leaf_shifts(table: np.ndarray, bounds: np.ndarray, row: np.ndarray,
     return np.add.reduceat(gain, first) + rest, np.add.reduceat(gain, first, dtype=np.float64) + rest
 
 
-#: Roots scored together: a block expands at most this many (root,
-#: directed induced edge) entries, or one root's if that is more.  Larger
-#: blocks take fewer numpy calls per score, and a score's heap peak grows
-#: with them (2.2 MB on an N = 400 sf:4039:22 snapshot, 3.2 MB on
-#: er:2000:4, when the block finder scores them).
-BLOCK_ENTRIES = 3 << 15
-
 _ONE = 1 << 53  # log k >= log 2 > 1/2 for k >= 2, so it is a multiple of 1 / _ONE
 _ROW_LIMIT = 1 << 23  # rows of fewer table entries sum below 2**82: _rounded is exact
-_UNREACHED = 1 << 62
 
 
 def _log_table(size: int) -> np.ndarray:
@@ -361,124 +327,12 @@ def _rounded(wrapped: np.ndarray, approx: np.ndarray) -> np.ndarray:
     return (hi * 2.0**30 + (wrapped & ((1 << 30) - 1))) / _ONE
 
 
-def _bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray,
-               owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """BFS from every root of a block at once, one level at a time over a
-    flat frontier of cells ``row * n + node`` in (row, BFS place) order.
-    Every row reads the snapshot's one neighbour table: node ``u``'s
-    neighbours are ``nbr[start[u]:start[u] + width[u]]`` (ascending ids),
-    and a cell's neighbour cells are its node's neighbours plus its row
-    base, ``row * n``.  ``owner`` is the node of each entry of ``nbr``.
-
-    The frontier's discovery stamps rise along it, and a level lists its
-    new cells in the order that the stamps give them, so a row's levels,
-    one after another, are its BFS order, with the parents of a sequential
-    BFS with neighbour ties by ascending id.  Every node has an infected
-    neighbour when n > 1 (the caller checks), so every cell has entries.
-
-    Returns each row's cells in BFS order, row after row (rows · n cells),
-    and the (rows, n) BFS subtree sizes.
-    """
-    n, r = start.size, len(roots)
-    stamp = np.full(r * n, _UNREACHED, dtype=np.int64)
-    unreached = np.ones(r * n, dtype=bool)
-    # The found cells, level after level, and each one's BFS parent;
-    # ends[i] is where level i ends in them (level 0 is the roots).
-    found = np.empty(r * n, dtype=np.int64)
-    parent = np.empty(r * n, dtype=np.int64)
-    f_base = np.arange(0, r * n, n, dtype=np.int64)  # the frontier cells' row bases
-    f_cell = np.add(f_base, roots, out=found[:r])
-    stamp[f_cell] = np.arange(r, dtype=np.int64)
-    unreached[f_cell] = False
-    unseen = r * nbr.size  # entries of the cells not yet found
-    ends = [r]
-    while f_cell.size:
-        node = f_cell - f_base
-        first, k = start.take(node), width.take(node)
-        k_ends = k.cumsum()
-        m = int(k_ends[-1])
-        unseen -= m
-        if not unseen:  # every cell is found
-            break
-        at = ends[-1]
-        # Expand the frontier in (row, BFS place, neighbour id) order: the
-        # order in which one root's sequential BFS scans these edges.  Each
-        # entry's place in nbr steps by 1 within a run and jumps at each
-        # run's first entry: one running sum of those steps.
-        e_at = np.ones(m, dtype=np.int64)
-        e_at[0] = first[0]
-        e_at[k_ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
-        e_at.cumsum(out=e_at)
-        e_cell = np.repeat(f_base, k)
-        e_cell += nbr.take(e_at, mode="clip")
-        fresh = unreached.take(e_cell, mode="clip").nonzero()[0]
-        cand = e_cell[fresh]
-        # An unreached cell's first entry, the one whose index is left as
-        # its stamp, discovers it: that fixes its parent and its place, so
-        # ties go to the lowest id as in a sequential BFS.
-        np.minimum.at(stamp, cand, fresh)
-        won = fresh[stamp[cand] == fresh]
-        new = e_cell.take(won, out=found[at:at + won.size], mode="clip")
-        # A new cell's parent is the owner of the entry that found it, in
-        # the same row.
-        new_base = new // n * n  # floor division is several times faster than %
-        np.add(owner.take(e_at.take(won)), new_base, out=parent[at:at + new.size])
-        unreached[new] = False
-        f_cell, f_base = new, new_base
-        ends.append(at + new.size)
-    if ends[-1] < r * n:
-        raise InvalidInputError("infected set is disconnected")
-    # Subtree sizes, deepest level first, over the spent stamps (here and
-    # below, fresh arrays fault more pages per score).
-    size = stamp
-    size.fill(1)
-    for a, b in zip(ends[-2::-1], ends[:0:-1]):
-        np.add.at(size, parent[a:b], size[found[a:b]])
-    # Each row's cells in BFS order, over the spent parents: level by level,
-    # and within a level in discovery order, which a stable (radix) sort by
-    # row keeps.
-    row = (found // n).astype(np.min_scalar_type(r))
-    return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)
-
-
-def _block_orders(start: np.ndarray, width: np.ndarray, nbr: np.ndarray, owner: np.ndarray, near: np.ndarray,
-                  r_nbr: np.ndarray, r_start: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """For each block of the non-leaf roots (columns 0 to n_r - 1), their
-    BFS places, subtree sizes and counts of earlier non-leaf neighbours
-    (as :func:`_sum_scores` reads them), from one BFS per block
-    (:func:`_bfs_block`) over the relabelled neighbour table.
-
-    A block holds ``BLOCK_ENTRIES // (2 * E_induced)`` roots (at least
-    one), and its arrays are its own, so a score keeps none of them.
-    The earlier counts compare the BFS places of the two ends of every
-    (root, entry between non-leaves), held in the narrowest unsigned type
-    as these two arrays are the block's largest, and sum them per node by
-    one ``reduceat`` over the non-leaves' runs ``near``, ``r_nbr`` at
-    ``r_start``.  With no such entry there is one non-leaf node, which
-    has no earlier neighbour."""
-    n, n_r = start.size, r_start.size
-    rows = max(1, BLOCK_ENTRIES // max(nbr.size, 1))
-    r_owner, kind = owner.take(near), owner.dtype
-    for v0 in range(0, n_r, rows):
-        r = min(rows, n_r - v0)
-        order, size = _bfs_block(np.arange(v0, v0 + r), start, width, nbr, owner)
-        place = np.empty((r, n), dtype=kind)
-        np.put(place, order, np.arange(n, dtype=kind))  # repeated: each row's cells get 0..n-1
-        if near.size:
-            earlier = place.take(r_nbr, axis=1, mode="clip") < place.take(r_owner, axis=1, mode="clip")
-            links = np.add.reduceat(earlier, r_start, axis=1, dtype=np.int64)
-        else:
-            links = np.zeros((r, 1), dtype=np.int64)
-        yield v0, place, size[:, :n_r], links
-
-
 def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: np.ndarray, r_start: np.ndarray,
                   r_width: np.ndarray, hub: np.ndarray, hung: np.ndarray,
-                  leaf_entry: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+                  leaf_entry: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every non-leaf root's BFS places, subtree sizes and counts of
     earlier non-leaf neighbours (as :func:`_sum_scores` reads them), found
-    at once (the lemma of :func:`general_graph_scores`) and given in
-    ranges of at most ``_DENSE_CELLS`` cells.
+    at once (the lemma of :func:`general_graph_scores`).
 
     The dynamic program runs over the n_r non-leaf nodes: their distances
     (:func:`_distances`), each root's first hop towards each node, and,
@@ -495,12 +349,16 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     and one ``searchsorted`` of those keys gives the boundary table
     ``bound``: where each root's cells of each level and kind start, and
     where each (level, kind) group ends.  Each level is taken in root
-    ranges of at most ``_DENSE_CELLS`` cells (:func:`_cuts`), whose
-    starts, lengths and per-root counts the table gives.  The
+    ranges of at most ``_DENSE_CELLS`` cells, and of few enough roots for
+    the level's sort keys (:func:`_cuts`), whose starts, lengths and
+    per-root counts the table gives.  The
     non-leaves' order by falling count of non-leaf neighbours (``r_width``)
     makes the nodes with a j-th non-leaf neighbour the first rows, so each
     pass over j-th neighbours reads row slices.  Node and entry tables are
-    kept in the narrowest unsigned type."""
+    kept in the narrowest unsigned type, and the packed sort keys take
+    their width from the snapshot.  A snapshot whose keys no
+    ``_KEY_BITS``-bit key holds, far past any whose n_r * n cells fit in
+    memory, is refused."""
     n, n_r = leaf_entry.size, r_start.size
     node, edge = owner.dtype, near.dtype
     have = (n_r - np.cumsum(np.bincount(r_width))[:-1]).tolist()  # have[j]: nodes with a j-th (from 0)
@@ -519,47 +377,54 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     del unfound, farther
 
     # The cells (v, w) sorted by their keys ((2d + k) << v_bits | v) <<
-    # w_bits | w, for level d and kind k (1 for leaves), packed in 32 bits:
-    # a leaf is one level below its hub, and the n_r * n cells fit
-    # (:func:`_is_dense`), so v and w take at most 19 bits and a level 9.
-    # cols keeps each cell's w; bound[d, k, v] is where root v's cells of
-    # level d and kind k start, and bound[d, k, n_r] where they end (when
-    # n_r = 2**v_bits, the next group's first key is that end's key).
+    # w_bits | w, for level d and kind k (1 for leaves): a leaf is one
+    # level below its hub, so 2d + k < 2 * max(dist) + 4, which bounds
+    # every key below, the ends of the last group included.  The keys are
+    # 32 bits wide while they fit, else 64.  cols keeps each cell's w;
+    # bound[d, k, v] is where root v's cells of level d and kind k start,
+    # and bound[d, k, n_r] where they end (when n_r = 2**v_bits, the next
+    # group's first key is that end's key).
     w_bits, v_bits = (n - 1).bit_length(), (n_r - 1).bit_length()
-    cells = np.empty((n_r, n), dtype=np.uint32)
-    np.left_shift(dist, w_bits + v_bits + 1, out=cells[:, :n_r], dtype=np.uint32)
-    np.left_shift(dist.take(hub, axis=1), w_bits + v_bits + 1, out=cells[:, n_r:], dtype=np.uint32)
+    wide = np.uint32 if _key_bits((2 * int(dist.max()) + 4).bit_length() + v_bits + w_bits) <= 32 else np.uint64
+    cells = np.empty((n_r, n), dtype=wide)
+    np.left_shift(dist, w_bits + v_bits + 1, out=cells[:, :n_r], dtype=wide)
+    np.left_shift(dist.take(hub, axis=1), w_bits + v_bits + 1, out=cells[:, n_r:], dtype=wide)
     del dist
     cells[:, n_r:] += 3 << w_bits + v_bits
-    cells += np.arange(n_r, dtype=np.uint32)[:, None] << w_bits
-    cells += np.arange(n, dtype=np.uint32)
+    cells += np.arange(n_r, dtype=wide)[:, None] << w_bits
+    cells += np.arange(n, dtype=wide)
     cells = cells.ravel()
     cells.sort()
     levels = int(cells[-1]) >> w_bits + v_bits + 1
-    keys = np.add.outer(np.arange(2 * levels + 2, dtype=np.uint32) << v_bits, np.arange(n_r + 1, dtype=np.uint32))
-    bound = np.searchsorted(cells, keys << w_bits).astype(np.min_scalar_type(cells.size)).reshape(-1, 2, n_r + 1)
+    groups = np.arange(2 * levels + 2, dtype=wide) << v_bits + w_bits
+    bound = cells.searchsorted(np.add.outer(groups, np.arange(n_r + 1, dtype=wide) << w_bits)).reshape(-1, 2, n_r + 1)
     cells &= (1 << w_bits) - 1
     cols = cells.astype(node)
-    del cells, keys
-    # Each level's root ranges of at most _DENSE_CELLS cells (or one root's).
-    cuts = {d: _cuts(bound[d].sum(axis=0, dtype=np.int64), _DENSE_CELLS) for d in range(1, levels + 1)}
-
+    del cells
     # place[v, w]: w's place in v's BFS order; parent[v, u]: the entry
-    # from u's BFS parent to u.  A level's sort key is (root, parent's
-    # place, entry) over the cell v * n + w: below 2**18 * 2**20 * 2**18,
-    # as the n_r * n cells fit and 2E < 2n + n_r**2.
+    # from u's BFS parent to u.  A level's int64 sort key is (root,
+    # parent's place, entry) over the cell (v - v0) * n + w, the root
+    # counted from its range's first, v0: for r roots, 2 * bits(r * n) +
+    # bits(2E) bits and a sign bit.  So each level is taken in root ranges
+    # of at most _DENSE_CELLS cells and at most ``longest`` roots, whose
+    # keys fit in _KEY_BITS, or of one root, whose keys are checked.
+    e_bits = (nbr.size - 1).bit_length()
+    longest = max(1, (1 << (_KEY_BITS - 1 - e_bits) // 2) // n)
+    span = min(longest, n_r) * n  # the cells (v - v0) * n + w of a range
+    _key_bits((span * nbr.size - 1).bit_length() + (span - 1).bit_length() + 1)
+    cuts = {d: _cuts(total, _DENSE_CELLS, longest) for d, total in enumerate(bound[1:].sum(axis=1, dtype=np.int64), 1)}
     place = np.zeros((n_r, n), dtype=node)
     parent = np.zeros((n_r, n_r), dtype=edge)
     placed = np.ones(n_r, dtype=np.int64)  # per root: the nodes placed so far
-    low = (n_r * n - 1).bit_length()
-    rows = np.arange(n_r)
+    rows, offsets = np.arange(0, n_r * n_r, n_r), np.arange(0, n_r * n, n)  # row bases of (n_r, n_r) and (n_r, n)
     for d in range(1, levels + 1):
         for v0, v1 in zip(cuts[d], cuts[d][1:]):
+            low = ((v1 - v0) * n - 1).bit_length()
             (a, la), (b, lb) = bound[d, :, v0].tolist(), bound[d, :, v1].tolist()
             kinds = bound[d, :, v0 + 1:v1 + 1] - bound[d, :, v0:v1]  # each root's cells of each kind
-            cell = np.repeat(rows[v0:v1] * n_r, kinds[0])
+            cell = rows[v0:v1].repeat(kinds[0])
             cell += cols[a:b]
-            e = np.repeat(r_start[v0:v1], kinds[0])
+            e = r_start[v0:v1].repeat(kinds[0])
             e += hop.ravel().take(cell)
             m = b - a
             entry = np.empty(m + lb - la, dtype=edge)
@@ -574,11 +439,11 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
             # With the leaves hung on the level above, sorted by (root,
             # parent's place, entry): each root's level d in BFS order.
             leaf_entry.take(cols[la:lb], out=entry[m:])
-            v = np.repeat(np.tile(rows[v0:v1] * n, 2), kinds.ravel())
-            step = kinds.sum(axis=0, dtype=np.int64)  # each root's cells
+            v = np.concatenate((offsets[:v1 - v0],) * 2).repeat(kinds.ravel())
+            step = kinds[0] + kinds[1]  # each root's cells
             pay = nbr.take(entry) + v
             key = owner.take(entry) + v
-            key = np.add(place.ravel().take(key), v, out=key)
+            key = np.add(place[v0:v1].ravel().take(key), v, out=key)
             del v
             key *= nbr.size
             key += entry
@@ -587,11 +452,11 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
             del pay, entry
             key.sort()
             key &= (1 << low) - 1
-            at = np.cumsum(step)
+            at = step.cumsum()
             at -= step
-            at = np.repeat(placed[v0:v1] - at, step)  # each root's place less its first cell's
+            at = (placed[v0:v1] - at).repeat(step)  # each root's place less its first cell's
             at += np.arange(at.size)
-            place.ravel()[key] = at
+            place[v0:v1].ravel()[key] = at
             placed[v0:v1] += step
             del key, at
     del hop
@@ -603,7 +468,7 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     for d in range(levels, 0, -1):
         for v0, v1 in zip(cuts[d], cuts[d][1:]):
             a, b = int(bound[d, 0, v0]), int(bound[d, 0, v1])
-            v = np.repeat(rows[v0:v1] * n_r, bound[d, 0, v0 + 1:v1 + 1] - bound[d, 0, v0:v1])
+            v = rows[v0:v1].repeat(bound[d, 0, v0 + 1:v1 + 1] - bound[d, 0, v0:v1])
             cell = cols[a:b] + v
             v += owner.take(parent.ravel().take(cell))
             np.add.at(size.ravel(), v, size.ravel().take(cell))
@@ -615,22 +480,28 @@ def _dense_orders(nbr: np.ndarray, owner: np.ndarray, near: np.ndarray, r_nbr: n
     by_node = np.ascontiguousarray(place[:, :n_r].T)
     for j, c in enumerate(have):
         links[:c] += by_node.take(r_nbr[r_start[:c] + j], axis=0) < by_node[:c]
-    del by_node
-
-    span = max(1, _DENSE_CELLS // n)  # roots at a time; each range's earlier counts as contiguous rows
-    for v0 in range(0, n_r, span):
-        yield v0, place[v0:v0 + span], size[v0:v0 + span], np.ascontiguousarray(links[:, v0:v0 + span].T)
+    return place, size, links
 
 
-def _cuts(total: np.ndarray, most: int) -> list[int]:
+def _key_bits(bits: int) -> int:
+    """``bits``, the width of a packed sort key, once checked: past
+    ``_KEY_BITS`` the snapshot is refused."""
+    if bits > _KEY_BITS:
+        raise InvalidInputError(f"a {bits}-bit sort key: too many infected nodes to score")
+    return bits
+
+
+def _cuts(total: np.ndarray, most: int, longest: int | None = None) -> list[int]:
     """Greedy cuts 0 = c_0 < c_1 < ... = len(total) - 1 of items whose
     running total is ``total`` (item i holds ``total[i + 1] - total[i]``):
     each range [c_j, c_{j+1}) holds at most ``most``, or one item if that
-    is more, and would hold more than ``most`` with the next item."""
+    is more, and at most ``longest`` items, and would break one of the two
+    bounds with the next item."""
     cuts = [0]
     while cuts[-1] < total.size - 1:
         a = cuts[-1]
-        cuts.append(max(a + 1, int(np.searchsorted(total, total[a] + most, "right")) - 1))
+        b = max(a + 1, int(total.searchsorted(total[a] + most, "right")) - 1)
+        cuts.append(b if longest is None else min(b, a + longest))
     return cuts
 
 
@@ -659,7 +530,7 @@ def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndar
         new &= ~seen
         if not new.any():
             break
-        if d > np.iinfo(dist.dtype).max:
+        if d == 256:  # past uint8
             dist = dist.astype(np.uint16)
         dist += np.unpackbits((~seen).view(np.uint8), axis=1, count=n, bitorder="little")
         seen |= new
@@ -669,13 +540,17 @@ def _distances(start: np.ndarray, width: np.ndarray, nbr: np.ndarray) -> np.ndar
     return dist
 
 
-#: The (root, node) cells of a range of the dense finder's roots (a
-#: level's cells in its level loop, whole rows in the ranges it gives),
-#: of a chunk of leaves in the tail, and the words of a node range of its
-#: gathered bitset frontier: this bounds their temporaries (about 0.5 MB
-#: at 2**14) besides the finder's n_r * n arrays.  :func:`_cuts` cuts the
-#: level and frontier ranges from running totals.
+#: The (root, node) cells of a range of the finder's roots (a level's
+#: cells in its level loop, whole rows in the tail's ranges), of a chunk
+#: of leaves in the tail, and the words of a node range of its gathered
+#: bitset frontier: this bounds their temporaries (about 0.5 MB at 2**14)
+#: besides the finder's n_r * n arrays.  :func:`_cuts` cuts the level and
+#: frontier ranges from running totals.
 _DENSE_CELLS = 1 << 14
+
+#: The widest sort key the finder packs: 64-bit cell keys and int64 level
+#: keys.
+_KEY_BITS = 64
 
 
 def _positions(snapshot: Snapshot, nodes: Iterable[int] | None) -> list[int]:

@@ -14,7 +14,8 @@ originals unchanged so the tests can compare old and new output:
   (``stamp_general_graph_scores``);
 * the block scorer's loop as it was before leaves were scored
   from their neighbour's BFS: one BFS row for every requested root, over
-  ``rqsim.centrality``'s block BFS (``all_roots_general_graph_scores``);
+  the block BFS that ``rqsim.centrality`` had when its block finder was
+  deleted (``all_roots_general_graph_scores``, ``_final_bfs_block``);
 * its successor, the block path as it was before it shared the dense
   path's leaf folding and sums: leaves scored from their neighbour's row,
   and BFS rows only for the requested roots and the neighbours of the
@@ -591,9 +592,9 @@ def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | No
     boundary edges of the prefix in the underlying graph).  Costs
     O(N * (N + E_induced)); reads only the induced subgraph and degrees.
 
-    Roots are taken in blocks of ``centrality.BLOCK_ENTRIES // (2 *
+    Roots are taken in blocks of ``FINAL_BLOCK_ENTRIES // (2 *
     E_induced)``, and one level-synchronous BFS serves a whole block
-    (:func:`rqsim.centrality._bfs_block`), every root its own row.  Each
+    (:func:`_final_bfs_block`), every root its own row.  Each
     root's two sums of logarithms are exact and rounded once
     (:func:`_log_sums`), so roots with equal counts tie exactly and the
     lowest id wins.
@@ -609,14 +610,14 @@ def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | No
     # infected node, so no count below runs past the table.
     table = _log_table(max(n, int(deg.sum()) - nbr.size // 2) + 1)
     log_n_factorial = math.lgamma(n + 1)
-    rows = max(1, centrality.BLOCK_ENTRIES // max(nbr.size, 1))
+    rows = max(1, FINAL_BLOCK_ENTRIES // max(nbr.size, 1))
     if targets and n > 1 and not width.all():  # a node with no infected neighbour
         raise InvalidInputError("infected set is disconnected")
 
     scores: dict[int, float] = {}
     for b in range(0, len(targets), rows):
         roots = targets[b:b + rows]
-        order, size = centrality._bfs_block(np.array(roots, dtype=np.int64), start, width, nbr, owner)
+        order, size = _final_bfs_block(np.array(roots, dtype=np.int64), start, width, nbr, owner)
         links = _earlier_neighbours(order, start, owner, nbr)
         log_links = _log_sums(table, links)
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
@@ -634,7 +635,7 @@ def all_roots_general_graph_scores(snapshot: Snapshot, nodes: Iterable[int] | No
 def _earlier_neighbours(order: np.ndarray, start: np.ndarray, owner: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """Per (row, node), its count of neighbours earlier in the row's BFS
     order, from ``order``, each row's cells in that order (as
-    :func:`rqsim.centrality._bfs_block` gives them): one pass over every
+    :func:`_final_bfs_block` gives them): one pass over every
     (row, directed induced edge) entry, comparing the BFS places of the
     entry's node (``owner``) and neighbour, held in the narrowest unsigned
     type, as the two entry-sized arrays are the block's largest."""
@@ -681,16 +682,15 @@ def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: 
     snapshot costs O((N - leaves) * (N + E_induced)); a quarter of the
     nodes of an N = 400 er:2000:4 snapshot are leaves.
 
-    The other roots are taken in blocks of ``BLOCK_ENTRIES // (2 *
+    The other roots are taken in blocks of ``FINAL_BLOCK_ENTRIES // (2 *
     E_induced)``, and one level-synchronous BFS serves a whole block
-    (:func:`rqsim.centrality._bfs_block`) over the snapshot's own
-    neighbour table.
+    (:func:`_final_bfs_block`) over the snapshot's own neighbour table.
     """
     n = ptr.size - 1
     start, width = ptr[:-1], np.diff(ptr)
     owner = np.repeat(np.arange(n, dtype=np.int64), width)  # each entry's own node
     log_n_factorial = math.lgamma(n + 1)
-    rows = max(1, centrality.BLOCK_ENTRIES // max(nbr.size, 1))
+    rows = max(1, FINAL_BLOCK_ENTRIES // max(nbr.size, 1))
     is_leaf = (width[targets] == 1) & (n > 2)
     leaf = targets[is_leaf]
     hub = nbr[start[leaf]]
@@ -706,12 +706,12 @@ def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: 
     is_root[targets[~is_leaf]] = is_root[hub] = True
     roots = by_id[is_root[by_id]]
     hub_row = np.searchsorted(id_rank[roots], id_rank[hub])
-    chunk = max(1, centrality.BLOCK_ENTRIES // n)  # leaves at a time: fewer than BLOCK_ENTRIES boundaries
+    chunk = max(1, FINAL_BLOCK_ENTRIES // n)  # leaves at a time: fewer than FINAL_BLOCK_ENTRIES boundaries
 
     scores = np.empty(n)  # by position: (log n! + numerator) - denominator
     for b in range(0, roots.size, rows):
         block = roots[b:b + rows]
-        order, size = centrality._bfs_block(block, start, width, nbr, owner)
+        order, size = _final_bfs_block(block, start, width, nbr, owner)
         links = _earlier_neighbours(order, start, owner, nbr)
         top = log_n_factorial + centrality._rounded(*_wrapped_sums(table, links))
         # Prefix boundaries: the running sum of deg - 2 * links in BFS order.
@@ -729,3 +729,89 @@ def _block_scores(targets: np.ndarray, by_id: np.ndarray, ptr: np.ndarray, nbr: 
             shifts = centrality._leaf_shifts(table, bounds, row, place[v], deg[v])
             scores[v] = top[row] - centrality._rounded(*(total[row] + shift for total, shift in zip(den, shifts)))
     return scores
+
+
+#: The block width of ``all_roots_general_graph_scores`` and
+#: ``leaf_block_general_graph_scores``: ``rqsim.centrality.BLOCK_ENTRIES``
+#: when the block finder was deleted.
+FINAL_BLOCK_ENTRIES = 3 << 15
+
+
+def _final_bfs_block(roots: np.ndarray, start: np.ndarray, width: np.ndarray, nbr: np.ndarray,
+                     owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BFS from every root of a block at once, one level at a time over a
+    flat frontier of cells ``row * n + node`` in (row, BFS place) order.
+    Every row reads the snapshot's one neighbour table: node ``u``'s
+    neighbours are ``nbr[start[u]:start[u] + width[u]]`` (ascending ids),
+    and a cell's neighbour cells are its node's neighbours plus its row
+    base, ``row * n``.  ``owner`` is the node of each entry of ``nbr``.
+
+    The frontier's discovery stamps rise along it, and a level lists its
+    new cells in the order that the stamps give them, so a row's levels,
+    one after another, are its BFS order, with the parents of a sequential
+    BFS with neighbour ties by ascending id.  Every node has an infected
+    neighbour when n > 1 (the caller checks), so every cell has entries.
+
+    Returns each row's cells in BFS order, row after row (rows · n cells),
+    and the (rows, n) BFS subtree sizes.
+    """
+    n, r = start.size, len(roots)
+    stamp = np.full(r * n, _UNREACHED, dtype=np.int64)
+    unreached = np.ones(r * n, dtype=bool)
+    # The found cells, level after level, and each one's BFS parent;
+    # ends[i] is where level i ends in them (level 0 is the roots).
+    found = np.empty(r * n, dtype=np.int64)
+    parent = np.empty(r * n, dtype=np.int64)
+    f_base = np.arange(0, r * n, n, dtype=np.int64)  # the frontier cells' row bases
+    f_cell = np.add(f_base, roots, out=found[:r])
+    stamp[f_cell] = np.arange(r, dtype=np.int64)
+    unreached[f_cell] = False
+    unseen = r * nbr.size  # entries of the cells not yet found
+    ends = [r]
+    while f_cell.size:
+        node = f_cell - f_base
+        first, k = start.take(node), width.take(node)
+        k_ends = k.cumsum()
+        m = int(k_ends[-1])
+        unseen -= m
+        if not unseen:  # every cell is found
+            break
+        at = ends[-1]
+        # Expand the frontier in (row, BFS place, neighbour id) order: the
+        # order in which one root's sequential BFS scans these edges.  Each
+        # entry's place in nbr steps by 1 within a run and jumps at each
+        # run's first entry: one running sum of those steps.
+        e_at = np.ones(m, dtype=np.int64)
+        e_at[0] = first[0]
+        e_at[k_ends[:-1]] = first[1:] - first[:-1] - k[:-1] + 1
+        e_at.cumsum(out=e_at)
+        e_cell = np.repeat(f_base, k)
+        e_cell += nbr.take(e_at, mode="clip")
+        fresh = unreached.take(e_cell, mode="clip").nonzero()[0]
+        cand = e_cell[fresh]
+        # An unreached cell's first entry, the one whose index is left as
+        # its stamp, discovers it: that fixes its parent and its place, so
+        # ties go to the lowest id as in a sequential BFS.
+        np.minimum.at(stamp, cand, fresh)
+        won = fresh[stamp[cand] == fresh]
+        new = e_cell.take(won, out=found[at:at + won.size], mode="clip")
+        # A new cell's parent is the owner of the entry that found it, in
+        # the same row.
+        new_base = new // n * n  # floor division is several times faster than %
+        np.add(owner.take(e_at.take(won)), new_base, out=parent[at:at + new.size])
+        unreached[new] = False
+        f_cell, f_base = new, new_base
+        ends.append(at + new.size)
+    if ends[-1] < r * n:
+        raise InvalidInputError("infected set is disconnected")
+    # Subtree sizes, deepest level first, over the spent stamps (here and
+    # below, fresh arrays fault more pages per score).
+    size = stamp
+    size.fill(1)
+    for a, b in zip(ends[-2::-1], ends[:0:-1]):
+        np.add.at(size, parent[a:b], size[found[a:b]])
+    # Each row's cells in BFS order, over the spent parents: level by level,
+    # and within a level in discovery order, which a stable (radix) sort by
+    # row keeps.
+    row = (found // n).astype(np.min_scalar_type(r))
+    return found.take(np.argsort(row, kind="stable"), out=parent, mode="clip"), size.reshape(r, n)

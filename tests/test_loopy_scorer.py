@@ -1,31 +1,34 @@
-"""Differential tests: the block loopy scorer against its five predecessors.
+"""Differential tests: the loopy scorer against its six predecessors.
 
-``reference_scorer.block_general_graph_scores`` is the block scorer as
-first written: it ranks each BFS level's new nodes, finds parents by
-search and counts earlier neighbours level by level.
+The scorer finds every root's BFS order at once from all-pairs distances
+(its one finder, ``centrality._dense_orders``).  The block scorers it
+replaced are kept as oracles, and its scores and key order are equal
+(``==``) to theirs.  ``reference_scorer.block_general_graph_scores`` is
+the block scorer as first written: it ranks each BFS level's new nodes,
+finds parents by search and counts earlier neighbours level by level.
 ``reference_scorer.stamp_general_graph_scores`` is its successor: it
-orders by discovery stamps, may find a level bottom-up (the scorer's BFS
-is top-down only) and counts earlier neighbours once per block.  The
-scorer's block finder descends from it; its scores and key order are equal
-(``==``) to both oracles'.  ``reference_scorer.all_roots_general_graph_scores``
+orders by discovery stamps, may find a level bottom-up and counts earlier
+neighbours once per block.  ``reference_scorer.all_roots_general_graph_scores``
 is the block scorer's loop before leaves were scored from their
 neighbour's BFS row: it gives every requested root a BFS row of its own,
-over the same block BFS.  ``reference_scorer.leaf_block_general_graph_scores``
-is the block path as it was before it shared the dense path's leaf
-folding and sums, with BFS rows only for the requested roots and the
-neighbours of the requested leaves.
+over the block BFS that the scorer had last.
+``reference_scorer.leaf_block_general_graph_scores`` is the block path as
+it was before it shared the dense path's leaf folding and sums, with BFS
+rows only for the requested roots and the neighbours of the requested
+leaves.
 
 ``reference_scorer.per_root_general_graph_scores`` is the scorer that the
 block scorers replaced: one sequential BFS and one ``math.fsum`` per root.
-The block scorer sums the same logarithms exactly and rounds once, as
+The scorer sums the same logarithms exactly and rounds once, as
 ``math.fsum`` does, so its scores are equal (``==``) to that oracle's,
-however the roots fall into blocks.
+however the oracles' roots fall into blocks.
 
 ``reference_scorer.general_graph_scores`` is the older dict-based scorer.
 It adds the logarithms one at a time in another order, so scores agree
 with it to rounding, well inside ``TOLERANCE``.
 """
 
+import io
 import itertools
 import math
 import sys
@@ -53,7 +56,7 @@ from rqsim import centrality
 from rqsim.centrality import _ROW_LIMIT, _log_table, _rounded, _wrapped_sums, general_graph_scores
 from rqsim.diffusion import Snapshot, breadth_first, simulate_si
 from rqsim.errors import GenerationFailureError, InvalidInputError
-from rqsim.graphs import make_erdos_renyi, make_regular_tree, make_scale_free
+from rqsim.graphs import load_edge_list, make_erdos_renyi, make_regular_tree, make_scale_free
 
 TOLERANCE = 1e-9
 
@@ -123,12 +126,6 @@ def test_single_node_scores_zero():
     assert general_graph_scores(snap) == {snap.source: 0.0}
 
 
-def on_path(dense: bool):
-    """Make the scorer take the dense finder (``True``) or the block
-    finder (``False``) on every snapshot."""
-    return mock.patch.object(centrality, "_is_dense", lambda n, leaves, entries: dense)
-
-
 def leaves_of(snap: Snapshot) -> list[int]:
     """The leaves of ``snap``'s infected subgraph (one infected neighbour)
     when N > 2, by ascending id."""
@@ -136,20 +133,16 @@ def leaves_of(snap: Snapshot) -> list[int]:
     return sorted(v for v, w in zip(snap.infected, width.tolist()) if w == 1) if snap.n > 2 else []
 
 
-def takes_dense_path(snap: Snapshot) -> bool:
-    """Whether the scorer's own rule sends ``snap`` to the dense path."""
-    return centrality._is_dense(snap.n, len(leaves_of(snap)), 2 * snap.induced_edge_count)
-
-
 @contextmanager
-def block_rows(snap: Snapshot, rows: int):
-    """Make the scorer take the block path with ``rows`` roots per block on ``snap``."""
-    with on_path(dense=False), mock.patch.object(centrality, "BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count):
+def oracle_rows(snap: Snapshot, rows: int):
+    """Make the all-roots and leaf-block oracles take ``rows`` roots per
+    block on ``snap``."""
+    with mock.patch.object(reference_scorer, "FINAL_BLOCK_ENTRIES", rows * 2 * snap.induced_edge_count):
         yield
 
 
-#: ``centrality.BLOCK_ENTRIES`` values that the scorer used before its
-#: default.
+#: Block widths (``reference_scorer.FINAL_BLOCK_ENTRIES`` values) that the
+#: scorer's block finder used before its last.
 EARLIER_WIDTHS = pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16], ids=["2^15", "2^16"])
 
 
@@ -178,30 +171,30 @@ def assert_equals_per_root(snap: Snapshot, nodes=None) -> None:
     data=st.data(),
 )
 def test_blocks_equal_per_root_scorer(family, size, density, n_infected, seed, data):
-    """Several blocks, the last one short, give the per-root scores bit for
-    bit, for every root and for a subset of roots."""
+    """The scorer gives the per-root scores bit for bit, for every root and
+    for a subset of roots, and so does the leaf-block oracle in several
+    blocks, the last one short."""
     snap = _snapshot(family, size, density, n_infected, seed)
     assume(snap.n >= 3)
     rows = data.draw(st.integers(min_value=1, max_value=snap.n - 1).filter(lambda r: snap.n % r), label="rows")
     subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
-    with block_rows(snap, rows):
-        assert_equals_per_root(snap)
-        assert_equals_per_root(snap, subset)
+    with oracle_rows(snap, rows):
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, subset)
 
 
 @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 4039, 22.0)],
                          ids=["er:2000:4", "sf:4039:22"])
 def test_n400_snapshot_equals_per_root_scorer(family, size, density):
     """The benchmark's graphs at the default settings, all roots and every
-    seventh one, on both paths: both snapshots take the dense path, and on
-    the forced block path er:2000:4's subset crosses block boundaries."""
+    seventh one; the leaf-block oracle's er:2000:4 subset crosses its block
+    boundaries."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
     assert snap.n == 400 and not snap.is_tree
-    assert takes_dense_path(snap)
-    rows = centrality.BLOCK_ENTRIES // (2 * snap.induced_edge_count)
+    rows = reference_scorer.FINAL_BLOCK_ENTRIES // (2 * snap.induced_edge_count)
     assert family == "sf" or 1 < rows < snap.n
-    assert_paths_agree(snap)
-    assert_paths_agree(snap, sorted(snap.infected)[::7])
+    assert_equals_oracles(snap)
+    assert_equals_oracles(snap, sorted(snap.infected)[::7])
 
 
 @pytest.mark.parametrize("n_infected", [1, 2])
@@ -209,8 +202,8 @@ def test_n400_snapshot_equals_per_root_scorer(family, size, density):
 def test_tiny_snapshots_equal_per_root_scorer(n_infected, rows):
     snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
     assert snap.n == n_infected
-    with block_rows(snap, rows):
-        assert_equals_per_root(snap)
+    with oracle_rows(snap, rows):
+        assert_equals_oracles(snap)
 
 
 class TestExactLogSums:
@@ -386,10 +379,13 @@ class TestInvalidInputs:
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_disconnected_with_small_blocks(self, rows):
+        """The scorer and the block oracles with 1 or 2 roots per block."""
         path = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         snap = snapshot_of(path, 0, [0, 1, 3, 4], {1: 0, 3: 1, 4: 3})
-        with block_rows(snap, rows), pytest.raises(InvalidInputError):
-            general_graph_scores(snap)
+        with oracle_rows(snap, rows):
+            for scorer in (general_graph_scores, all_roots_scores, leaf_block_scores):
+                with pytest.raises(InvalidInputError):
+                    scorer(snap)
 
     @pytest.mark.parametrize("scorer", [general_graph_scores, block_scores, per_root_scores, stamp_scores])
     def test_no_induced_edges_between_two_nodes(self, scorer):
@@ -421,15 +417,10 @@ def assert_equals_block_oracle(snap: Snapshot, nodes=None) -> None:
 
 
 class TestAgainstFirstBlockScorer:
-    """Blocks give the scores of the first block scorer, of the
-    stamp-ordered one (in either BFS direction) and of the all-roots one
-    bit for bit, in the same key order.  Every snapshot here takes the
-    block path."""
-
-    @pytest.fixture(autouse=True)
-    def block_path(self):
-        with on_path(dense=False):
-            yield
+    """The scorer gives the scores of the first block scorer, of the
+    stamp-ordered one (in either BFS direction), of the all-roots one and
+    of the leaf-block one bit for bit, in the same key order, however the
+    last two take their roots in blocks."""
 
     @ORACLE_DIRECTIONS
     @settings(max_examples=60, deadline=None)
@@ -445,11 +436,12 @@ class TestAgainstFirstBlockScorer:
     @example(family="sf", size=300, density=22.0, n_infected=150, seed=1, rows=5, step=2)
     def test_dense_draws(self, bottom_up, family, size, density, n_infected, seed, rows, step):
         """Dense scale-free draws (ratios up to 22: few BFS levels, so
-        bottom-up levels in the stamp oracle at its default) with 1 to 5
-        roots per block, for every root and for every ``step``-th one."""
+        bottom-up levels in the stamp oracle at its default), with 1 to 5
+        roots per block in the oracles that take ``FINAL_BLOCK_ENTRIES``,
+        for every root and for every ``step``-th one."""
         snap = _snapshot(family, size, density, n_infected, seed)
         assume(snap.n >= 3 and not snap.is_tree)
-        with mock.patch.object(reference_scorer, "_BOTTOM_UP", bottom_up), block_rows(snap, rows):
+        with mock.patch.object(reference_scorer, "_BOTTOM_UP", bottom_up), oracle_rows(snap, rows):
             assert_equals_block_oracle(snap)
             assert_equals_block_oracle(snap, sorted(snap.infected)[seed % step::step])
 
@@ -468,8 +460,9 @@ class TestAgainstFirstBlockScorer:
                              ids=["er:2000:4", "sf:4039:22"])
     def test_benchmark_graphs_at_earlier_widths(self, bottom_up, block_entries, family, size, density,
                                                 monkeypatch):
-        """The test above at the block widths the scorer used before."""
-        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        """The test above with the oracles at the block widths the block
+        finder used before its last."""
+        monkeypatch.setattr(reference_scorer, "FINAL_BLOCK_ENTRIES", block_entries)
         self.test_benchmark_graphs_at_n400(bottom_up, family, size, density, monkeypatch)
 
     @ORACLE_DIRECTIONS
@@ -478,7 +471,7 @@ class TestAgainstFirstBlockScorer:
         snap = _snapshot("sf", 600, 8.0, 60, seed=7)
         assert not snap.is_tree
         monkeypatch.setattr(reference_scorer, "_BOTTOM_UP", bottom_up)
-        with block_rows(snap, snap.n - 1 if rows == "n-1" else int(rows)):
+        with oracle_rows(snap, snap.n - 1 if rows == "n-1" else int(rows)):
             assert_equals_block_oracle(snap)
 
     @ORACLE_DIRECTIONS
@@ -499,23 +492,19 @@ def n400():
 
 
 class TestBlockFinder:
-    """The block finder's arrays are its own for each block, so a score
-    keeps none of them: tables do not depend on the scores before them,
-    threads may score at once, and a score leaves no memory behind."""
+    """The finder's arrays are its own for each score, so a score keeps
+    none of them: tables do not depend on the scores before them, threads
+    may score at once, and a score leaves no memory behind.  (These checks
+    were first written for the block finder, which the one finder
+    replaced, and keep its name.)"""
 
-    @pytest.fixture
-    def block_path(self):
-        """Every snapshot takes the block finder."""
-        with on_path(dense=False):
-            yield
-
-    @pytest.mark.parametrize("block_entries", [1 << 15, 1 << 16, centrality.BLOCK_ENTRIES],
-                             ids=["2^15", "2^16", "default"])
-    def test_reused_across_snapshots(self, n400, block_path, block_entries, monkeypatch):
+    @pytest.mark.parametrize("cells", [1 << 15, 1 << 16, centrality._DENSE_CELLS], ids=["2^15", "2^16", "default"])
+    def test_reused_across_snapshots(self, n400, cells, monkeypatch):
         """Dense, then sparse, then tiny snapshots, a disconnected set that
-        fails mid-BFS, then the sparse one again: each table, full and for a
-        subset, equals the per-root scorer's."""
-        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        fails in the distances, then the sparse one again, with ranges of
+        ``cells`` cells: each table, full and for a subset, equals the
+        per-root scorer's."""
+        monkeypatch.setattr(centrality, "_DENSE_CELLS", cells)
         path = graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
         split = snapshot_of(path, 0, [0, 1, 2, 4, 5], {1: 0, 2: 1, 4: 2, 5: 4})
         tiny = [_snapshot("er", 50, 3.0, n_infected, seed=5) for n_infected in (1, 2)]
@@ -527,13 +516,13 @@ class TestBlockFinder:
             assert_equals_per_root(snap)
             assert_equals_per_root(snap, sorted(snap.infected)[1::7] or snap.infected)
 
-    def test_leaves_nothing_behind(self, n400, block_path):
-        """A block-finder score leaves traced memory within a few KB of
-        where it found it.  A first score fills the snapshot's caches, the
-        log table and numpy's own; the measured score runs in a thread of
-        its own, so that nothing earlier scores kept for this thread can
-        hide what it keeps (block arrays kept for reuse by each thread
-        would leave about 1.4-1.6 MB here)."""
+    def test_leaves_nothing_behind(self, n400):
+        """A score leaves traced memory within a few KB of where it found
+        it.  A first score fills the snapshot's caches, the log table and
+        numpy's own; the measured score runs in a thread of its own, so
+        that nothing earlier scores kept for this thread can hide what it
+        keeps (block arrays kept for reuse by each thread left about
+        1.4-1.6 MB here)."""
         snap = n400["er"]
         general_graph_scores(snap)
         left = []
@@ -579,11 +568,6 @@ class TestBlockFinder:
                 assert list(table) == list(want[name])
                 assert table == want[name]
 
-    def test_threads_score_at_once_on_the_block_finder(self, n400, block_path, monkeypatch):
-        """The test above with every snapshot on the block finder, whose
-        arrays each thread allocates for itself."""
-        self.test_threads_score_at_once(n400, monkeypatch)
-
 
 def warm_score_peak(snap: Snapshot) -> int:
     """The tracemalloc peak of one full table on ``snap``, after a first
@@ -606,21 +590,29 @@ def test_n400_score_peak_memory(family, size, density):
     a loopy sweep close to where it was.  tracemalloc peaks measured on
     these snapshots: er:2000:4 0.70 MB with the first block scorer, 1.40
     MB at 3 * 2**15 entries per block; sf:4039:22 0.86 and 0.93 MB, and
-    1.56 MB on the dense path before leaves were folded.  All three take
-    the dense path now."""
+    1.56 MB on the dense path before leaves were folded."""
     snap = _snapshot(family, size, density, 400, seed=20240817)
-    assert takes_dense_path(snap)
     assert warm_score_peak(snap) <= 2 * 2**20
 
 
 def test_densest_snapshot_score_peak_memory():
-    """The same bound on er:300:250 at N = 250 (2E/n about 208), where a
-    block holds one root: the dense path gathers the bitset frontier of
-    its 52k induced entries a chunk at a time (1.06 MB peak measured, 1.31
-    MB before leaves were folded, and 0.85 MB on the block path)."""
+    """The same bound on er:300:250 at N = 250 (2E/n about 208): the
+    finder gathers the bitset frontier of its 52k induced entries a chunk
+    at a time (1.06 MB peak measured, 1.31 MB before leaves were folded,
+    and 0.85 MB on the block finder)."""
     snap = _snapshot("er", 300, 250.0, 250, seed=20240817)
-    assert snap.n == 250 and takes_dense_path(snap)
+    assert snap.n == 250
     assert warm_score_peak(snap) <= 2 * 2**20
+
+
+def test_largest_snapshot_score_peak_memory():
+    """The finder's arrays grow with n_r * N cells: on er:3000:4 at N = 800,
+    the largest snapshot the tests score from a random graph, the peak of
+    one table stays under 5 MB (4.11 MB measured; 3.27 MB on the block
+    finder, whose peak grew with its block rather than with N)."""
+    snap = _snapshot("er", 3000, 4.0, 800, seed=20240817)
+    assert snap.n == 800 and not snap.is_tree
+    assert warm_score_peak(snap) <= 5 * 2**20
 
 
 def bfs_snapshot(graph, source: int, members) -> Snapshot:
@@ -637,43 +629,43 @@ def bfs_snapshot(graph, source: int, members) -> Snapshot:
 
 
 class TestLeavesFromTheirNeighbour:
-    """On the block finder, a leaf of the infected subgraph (one infected
-    neighbour, N > 2) is scored from its neighbour's BFS row:
-    ``_bfs_block`` runs once from every other root, whichever roots are
-    asked for, and the scores equal the per-root scorer's and two block
-    oracles' bit for bit, in the same key order.  Every snapshot here
-    takes the block finder."""
+    """A leaf of the infected subgraph (one infected neighbour, N > 2) is
+    scored from its neighbour's BFS row: the finder's one call takes every
+    other node as a root and no leaf, whichever roots are asked for, and
+    the scores equal the per-root scorer's and two block oracles' bit for
+    bit, in the same key order, with the oracles' roots in blocks of any
+    size."""
 
     @pytest.fixture
     def score(self, monkeypatch):
-        """``score(snap, nodes)``: the block finder's table, checked against
-        three oracles, and the induced degree of each root that its
-        ``_bfs_block`` calls got, one list per call, recorded by a counting
-        wrapper.  The roots are columns of the relabelled neighbour table,
-        whose non-leaves come first, so the fixture also checks that the
-        calls' roots are 0 to n_r - 1, each once: every non-leaf gets one
+        """``score(snap, nodes)``: the scorer's table, checked against
+        three oracles, and the induced degrees of the roots of each
+        ``_dense_orders`` call, one list per call, recorded by a counting
+        wrapper.  A root's induced degree is its count of non-leaf
+        neighbours plus its leaves (``r_width + hung``), and its rows are
+        the finder's (n_r, N) places, so the fixture also checks that they
+        are the snapshot's N - leaves non-leaves: every non-leaf gets one
         BFS row and no leaf gets one."""
-        monkeypatch.setattr(centrality, "_is_dense", lambda n, leaves, entries: False)
         calls = []
 
-        def counting(roots, start, width, *args):
-            calls.append((roots.tolist(), width[roots].tolist()))
-            return bfs_block(roots, start, width, *args)
+        def counting(nbr, owner, near, r_nbr, r_start, r_width, hub, hung, leaf_entry):
+            place, size, links = dense_orders(nbr, owner, near, r_nbr, r_start, r_width, hub, hung, leaf_entry)
+            calls.append((place.shape[0], (r_width + hung).tolist()))
+            return place, size, links
 
         def score(snap: Snapshot, nodes=None):
             calls.clear()
             got = general_graph_scores(snap, nodes)
-            bfs_calls = list(calls)
+            finder_calls = list(calls)
             for oracle in (per_root_scores, all_roots_scores, leaf_block_scores):
                 want = oracle(snap, nodes)
                 assert list(got) == list(want)
                 assert got == want
-            roots = sorted(root for call, _ in bfs_calls for root in call)
-            assert roots == list(range(snap.n - len(leaves_of(snap))))
-            return got, [degrees for _, degrees in bfs_calls]
+            assert [rows for rows, _ in finder_calls] == [snap.n - len(leaves_of(snap))]
+            return got, [degrees for _, degrees in finder_calls]
 
-        bfs_block = centrality._bfs_block
-        monkeypatch.setattr(centrality, "_bfs_block", counting)
+        dense_orders = centrality._dense_orders
+        monkeypatch.setattr(centrality, "_dense_orders", counting)
         return score
 
     def test_star_takes_one_bfs(self, score):
@@ -700,32 +692,31 @@ class TestLeavesFromTheirNeighbour:
         the hub's last BFS place, p = n - 1.  Leaf 6 also has uninfected
         neighbours 7 and 8, so its degree is not 1.  The six non-leaves
         (the hub of induced degree 6, the rim nodes of 3) get a row each,
-        also when only the leaf is asked for."""
+        also when only the leaf is asked for; the oracles take ``rows``
+        roots per block."""
         edges = [(0, i) for i in range(1, 7)] + [(i, i % 5 + 1) for i in range(1, 6)] + [(6, 7), (6, 8)]
         snap = bfs_snapshot(graph_from_edges(9, edges), 3, range(7))
         assert not snap.is_tree and leaves_of(snap) == [6]
-        with block_rows(snap, rows):
+        with oracle_rows(snap, rows):
             for nodes in (None, [6]):
                 got, bfs_rows = score(snap, nodes)
                 assert sorted(itertools.chain(*bfs_rows)) == [3, 3, 3, 3, 3, 6]
-                assert max(map(len, bfs_rows)) == rows
             assert list(got) == [6]
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_several_leaves_on_one_neighbour(self, score, rows):
         """Leaves 2, 5, 9 and 10 on node 4 and leaf 7 on node 1 of a ring
         with a chord (0-1-3-4-6-8-0, chord 1-6); 11 and 12 are uninfected
-        neighbours of leaves 9 and 7.  Small blocks put the two neighbours'
-        rows in different blocks.  The non-leaves 0, 1, 3, 4, 6 and 8, of
-        induced degrees 2, 4, 2, 6, 3 and 2, get a row each."""
+        neighbours of leaves 9 and 7.  Small oracle blocks put the two
+        neighbours' rows in different blocks.  The non-leaves 0, 1, 3, 4, 6
+        and 8, of induced degrees 2, 4, 2, 6, 3 and 2, get a row each."""
         ring = [(0, 1), (1, 3), (3, 4), (4, 6), (6, 8), (8, 0), (1, 6)]
         edges = ring + [(4, 2), (4, 5), (4, 9), (4, 10), (1, 7), (9, 11), (7, 12)]
         snap = bfs_snapshot(graph_from_edges(13, edges), 0, range(11))
         assert not snap.is_tree and leaves_of(snap) == [2, 5, 7, 9, 10]
-        with block_rows(snap, rows):
+        with oracle_rows(snap, rows):
             _, bfs_rows = score(snap)
             assert sorted(itertools.chain(*bfs_rows)) == [2, 2, 2, 3, 4, 6]
-            assert max(map(len, bfs_rows)) == rows
             got, subset_rows = score(snap, [2, 7, 8, 10])
             assert list(got) == [2, 7, 8, 10] and subset_rows == bfs_rows
 
@@ -742,38 +733,34 @@ class TestLeavesFromTheirNeighbour:
     @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
                              ids=["er:2000:4", "sf:2000:1.5"])
     def test_n400_at_earlier_widths(self, score, block_entries, family, size, density, monkeypatch):
-        """The test above at the block widths the scorer used before."""
-        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
+        """The test above with the oracles at the block widths the block
+        finder used before its last."""
+        monkeypatch.setattr(reference_scorer, "FINAL_BLOCK_ENTRIES", block_entries)
         self.test_n400_bfs_only_from_non_leaves(score, family, size, density)
 
     @pytest.mark.parametrize("rows", [1, 4, None])
     def test_leaves_without_their_neighbours(self, score, rows):
         """Every leaf of an N = 400 snapshot and none of their neighbours:
         the table holds the leaves alone, and every non-leaf, the leaves'
-        neighbours among them, gets its one BFS row as for a full table."""
+        neighbours among them, gets its one BFS row as for a full table;
+        the oracles take ``rows`` roots per block, or their default."""
         snap = _snapshot("er", 2000, 4.0, 400, seed=20240817)
         leaves = leaves_of(snap)
         ptr, nbr = snap.local_csr
         hubs = {snap.infected[nbr[ptr[snap.position_of(v)]]] for v in leaves}
         assert not hubs & set(leaves)
-        with block_rows(snap, rows) if rows else nullcontext():
+        with oracle_rows(snap, rows) if rows else nullcontext():
             got, bfs_rows = score(snap, leaves)
             assert bfs_rows == score(snap)[1]
         assert list(got) == leaves
 
 
-def path_scores(snap: Snapshot, nodes=None, *, dense: bool) -> dict[int, float]:
-    """The scorer's table with the dense path or the block path forced."""
-    with on_path(dense):
-        return general_graph_scores(snap, nodes)
-
-
-def assert_paths_agree(snap: Snapshot, nodes=None) -> None:
-    """The dense path, the block path and the per-root scorer give equal
+def assert_equals_oracles(snap: Snapshot, nodes=None) -> None:
+    """The scorer, the leaf-block oracle and the per-root scorer give equal
     tables, in values and key order."""
-    want = per_root_scores(snap, nodes)
-    for dense in (True, False):
-        got = path_scores(snap, nodes, dense=dense)
+    got = general_graph_scores(snap, nodes)
+    for oracle in (per_root_scores, leaf_block_scores):
+        want = oracle(snap, nodes)
         assert list(got) == list(want)
         assert got == want
 
@@ -786,58 +773,32 @@ def circulant(n: int, steps, drop=(), add=()) -> Snapshot:
 
 
 class TestDensePath:
-    """The dense path finds every root's BFS order at once from all-pairs
-    distances and first hops; its tables equal the block path's and the
-    per-root scorer's bit for bit, in the same key order."""
+    """The finder takes every root's BFS order at once from all-pairs
+    distances and first hops; its tables equal the leaf-block oracle's and
+    the per-root scorer's bit for bit, in the same key order."""
 
-    @pytest.fixture
-    def ran(self, monkeypatch):
-        """The finders that each score took, by name, in order."""
-        names = []
-        for name in ("_dense_orders", "_block_orders"):
-            def spy(*args, _name=name, _path=getattr(centrality, name)):
-                names.append(_name)
-                return _path(*args)
-            monkeypatch.setattr(centrality, name, spy)
-        return names
-
-    @pytest.mark.parametrize("drop,add,dense", [([(0, 1)], [], False), ([], [], True), ([], [(0, 6)], True)],
-                             ids=["below", "at", "above"])
-    def test_mean_degree_threshold(self, ran, drop, add, dense):
-        """The threshold is on the leafless subgraph's entries 2E, not on
-        its mean degree: C_128(1, 2), of mean degree 4, has 2E = 512 =
-        ``_DENSE_ENTRIES`` exactly; one edge less puts it below and one
-        chord more above."""
+    @pytest.mark.parametrize("drop,add", [([(0, 1)], []), ([], []), ([], [(0, 6)])], ids=["below", "at", "above"])
+    def test_mean_degree_threshold(self, drop, add):
+        """C_128(1, 2), of mean degree 4, with 2E = 512, one edge less and
+        one chord more: the snapshots on either side of the threshold
+        (512 leafless entries) below which a block finder once took over."""
         snap = circulant(128, (1, 2), drop, add)
-        assert centrality._DENSE_ENTRIES == 512 and not leaves_of(snap)
+        assert not leaves_of(snap)
         assert 2 * snap.induced_edge_count == 4 * 128 + 2 * len(add) - 2 * len(drop)
-        got = general_graph_scores(snap)
-        assert ran == ["_dense_orders" if dense else "_block_orders"]
-        assert list(got) == list(per_root_scores(snap)) and got == per_root_scores(snap)
-        assert_paths_agree(snap)
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [0, 1, 64, 127])
 
-    @pytest.mark.parametrize("drop,dense", [([], True), ([(5, 6)], False)], ids=["at", "below"])
-    def test_leaves_do_not_count_towards_the_threshold(self, ran, drop, dense):
-        """C_128(1, 2) with a leaf hung on node 0: the leaf's two entries
-        do not count, so the snapshot takes the dense path only while its
-        leafless subgraph keeps 2E = 512; with one ring edge less, 2E is
-        512 only with the leaf's entries."""
+    @pytest.mark.parametrize("drop", [[], [(5, 6)]], ids=["at", "below"])
+    def test_leaves_do_not_count_towards_the_threshold(self, drop):
+        """C_128(1, 2) with a leaf hung on node 0, and with one ring edge
+        less: 2E = 514 and 512, of which the leaf's two entries, so the
+        leafless subgraph sat at and below the same former threshold."""
         edges = {(i, (i + s) % 128) for i in range(128) for s in (1, 2)} - set(drop) | {(0, 128)}
         snap = bfs_snapshot(graph_from_edges(129, sorted(edges)), 0, range(129))
         assert leaves_of(snap) == [128]
         assert 2 * snap.induced_edge_count == 514 - 2 * len(drop)
-        assert general_graph_scores(snap) == per_root_scores(snap)
-        assert ran == ["_dense_orders" if dense else "_block_orders"]
-
-    @pytest.mark.parametrize("block_entries,dense", [(8192, True), (8191, False)], ids=["fits", "too-large"])
-    def test_memory_bound(self, ran, block_entries, dense, monkeypatch):
-        """A snapshot of n = 128 above the threshold (C_128(1, 2, 3), 2E =
-        768) takes the dense path only while its n_r * n = 16384 cells are
-        at most 2 * BLOCK_ENTRIES."""
-        snap = circulant(128, (1, 2, 3))
-        monkeypatch.setattr(centrality, "BLOCK_ENTRIES", block_entries)
-        assert general_graph_scores(snap) == per_root_scores(snap)
-        assert ran == ["_dense_orders" if dense else "_block_orders"]
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [0, 5, 128])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -849,71 +810,115 @@ class TestDensePath:
         data=st.data(),
     )
     def test_draws_with_subsets(self, family, size, density, n_infected, seed, data):
-        """Draws on both sides of the threshold, every root and a subset:
-        the dense path scores every root and returns the asked ones."""
+        """Draws from sparse to dense, every root and a subset: the finder
+        scores every root and returns the asked ones."""
         snap = _snapshot(family, size, density, n_infected, seed)
         assume(snap.n >= 3 and not snap.is_tree)
         subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, subset)
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, subset)
 
     @pytest.mark.parametrize("family,size,density,n_infected", [("sf", 4039, 22.0, 400), ("er", 300, 250.0, 250)],
                              ids=["sf:4039:22", "er:300:250"])
     def test_dense_benchmark_snapshots(self, family, size, density, n_infected):
         snap = _snapshot(family, size, density, n_infected, seed=20240817)
-        assert takes_dense_path(snap)
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, sorted(snap.infected)[::7])
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, sorted(snap.infected)[::7])
 
     @pytest.mark.parametrize("n_infected", [1, 2])
     def test_one_and_two_nodes(self, n_infected):
         snap = _snapshot("er", 50, 3.0, n_infected, seed=5)
         assert snap.n == n_infected
-        assert_paths_agree(snap)
+        assert_equals_oracles(snap)
 
     def test_distances_past_255(self):
-        """A clique of 26 with a path of 260 nodes hanging off it: its
-        leafless subgraph is above the threshold and the farthest pair is
-        261 hops apart, past the uint8 distances the dense path starts
-        with."""
+        """A clique of 26 with a path of 260 nodes hanging off it: the
+        farthest pair is 261 hops apart, past the uint8 distances the
+        finder starts with."""
         clique = [(u, v) for u in range(26) for v in range(u + 1, 26)]
         tail = [(u, u + 1) for u in range(25, 285)]
         snap = bfs_snapshot(graph_from_edges(286, clique + tail), 0, range(286))
-        assert takes_dense_path(snap) and leaves_of(snap) == [285]
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, [0, 100, 285])
+        assert leaves_of(snap) == [285]
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [0, 100, 285])
 
     @pytest.mark.parametrize("leaves", [0, 3])
-    def test_roots_fill_their_bits(self, ran, leaves):
+    def test_roots_fill_their_bits(self, leaves):
         """C_256(1, 2, 3), bare or with leaves 256, 257 and 258 hung on
         nodes 0, 100 and 200: its n_r = 256 = 2**8 roots fill the root bits
-        of the dense finder's cell keys, so where each (level, kind) group
-        of cells ends is the next group's first key, a leaf group's
+        of the finder's cell keys, so where each (level, kind) group of
+        cells ends is the next group's first key, a leaf group's
         included."""
         edges = {(i, (i + s) % 256) for i in range(256) for s in (1, 2, 3)}
         edges |= {(100 * i, 256 + i) for i in range(leaves)}
         snap = bfs_snapshot(graph_from_edges(256 + leaves, sorted(edges)), 0, range(256 + leaves))
         assert leaves_of(snap) == list(range(256, 256 + leaves))
-        got = general_graph_scores(snap)
-        assert ran == ["_dense_orders"]
-        assert list(got) == list(per_root_scores(snap)) and got == per_root_scores(snap)
-        assert_paths_agree(snap, [0, 128, 255 + leaves])
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [0, 128, 255 + leaves])
 
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "block"])
-    def test_dense_disconnected_set(self, dense):
+    @pytest.mark.parametrize("scorer", [general_graph_scores, leaf_block_scores], ids=["dense", "block"])
+    def test_dense_disconnected_set(self, scorer):
         """Two infected K5s joined only through an uninfected node: no
-        infected node is isolated, 2E/n = 4, and both paths raise."""
+        infected node is isolated, 2E/n = 4, and the scorer, the block
+        oracle and the per-root scorer raise."""
         k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
         edges = k5 + [(u + 6, v + 6) for u, v in k5] + [(4, 5), (5, 6)]
         order = [0, 1, 2, 3, 4, 6, 7, 8, 9, 10]
         snap = snapshot_of(graph_from_edges(11, edges), 0, order, {v: 0 if v < 6 else 4 for v in order[1:]})
         assert 2 * snap.induced_edge_count == 4 * snap.n
         with pytest.raises(InvalidInputError):
-            general_graph_scores(snap)
-        with pytest.raises(InvalidInputError):
-            path_scores(snap, dense=dense)
+            scorer(snap)
         with pytest.raises(InvalidInputError):
             per_root_scores(snap)
+
+
+def short_chord_ring(n: int) -> Snapshot:
+    """Every node of a ring of ``n`` nodes with a chord i -> i + 2 at every
+    50th node, read from an edge list, infected in BFS order from 0."""
+    text = "".join(f"{i} {(i + 1) % n}\n" for i in range(n)) + "".join(f"{i} {i + 2}\n" for i in range(0, n - 2, 50))
+    graph = load_edge_list(io.StringIO(text))
+    assert graph.n == n
+    return bfs_snapshot(graph, 0, range(n))
+
+
+class TestKeyWidths:
+    """The finder packs each cell's (level, kind, root, node) into one sort
+    key, 32 bits wide while it fits and 64 bits past that, and each
+    level's (root, parent's place, entry, cell) into an int64 key, with
+    the root counted from its range's first.  A level range holds few
+    enough roots for its keys to fit ``_KEY_BITS``, or one root; a
+    snapshot whose keys would not fit even so is refused."""
+
+    @pytest.mark.parametrize("n", [600, 1100, 1500])
+    def test_short_chord_rings(self, n):
+        """Rings of diameter 295, 540 and 736: their cell keys take 30, 33
+        and 33 bits (a level field of 2 * diameter + 4, then the root and
+        the node), so the last two take 64-bit keys.  Every table, full and
+        for every ninth node, equals the leaf-block oracle's, key order
+        included."""
+        snap = short_chord_ring(n)
+        assert not leaves_of(snap)
+        for nodes in (None, sorted(snap.infected)[::9]):
+            got, want = general_graph_scores(snap, nodes), leaf_block_scores(snap, nodes)
+            assert list(got) == list(want)
+            assert got == want
+
+    @pytest.mark.parametrize("budget,fits", [(31, True), (25, True), (24, False), (19, False)])
+    def test_past_the_key_budget(self, budget, fits, monkeypatch):
+        """C_128(1, 2, 3), 768 entries: its cell keys take 20 bits, and a
+        level key of a range of r roots takes 2 * bits(128 r) + 10 bits
+        and a sign bit, so its 128 roots, 768 cells to a level, fill one
+        range unpatched.  A budget of 31 bits cuts the levels into ranges
+        of 8 roots, and 25 bits into ranges of one; both score as the
+        oracles do.  At 24 bits one root's keys no longer fit, nor the
+        cell keys at 19, and the finder refuses the snapshot."""
+        snap = circulant(128, (1, 2, 3))
+        monkeypatch.setattr(centrality, "_KEY_BITS", budget)
+        if fits:
+            assert_equals_oracles(snap)
+        else:
+            with pytest.raises(InvalidInputError, match="sort key"):
+                general_graph_scores(snap)
 
 
 @pytest.mark.parametrize("family,size,density,n_infected",
@@ -924,12 +929,9 @@ def test_dense_finder_in_small_ranges(family, size, density, n_infected, monkeyp
     levels in ranges of one root or a few, gathers bitset frontiers a few
     nodes at a time (one at 1), and the tail scores leaves one or a few at
     a time.  Each table equals the unpatched one and the leaf block
-    oracle's, for every root and for a subset, key order included.  No
-    production input reaches such ranges: the dense finder needs 512
-    leafless entries or more, so n_r >= 24 non-leaves, and n_r * n <=
-    2 * BLOCK_ENTRIES, so n <= 8192 < 2**14."""
+    oracle's, for every root and for a subset, key order included.
+    Unpatched, the tail scores one root at a time only past N = 2**14."""
     snap = _snapshot(family, size, density, n_infected, seed=20240817)
-    assert takes_dense_path(snap)
     subset = sorted(snap.infected)[::7]
     want = {nodes: general_graph_scores(snap, nodes) for nodes in (None, tuple(subset))}
     for nodes, table in want.items():
@@ -944,21 +946,23 @@ def test_dense_finder_in_small_ranges(family, size, density, n_infected, monkeyp
 
 @settings(max_examples=200, deadline=None)
 @given(items=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=40),
-       offset=st.integers(min_value=0, max_value=1000), most=st.integers(min_value=0, max_value=120))
-@example(items=[7], offset=0, most=3)
-@example(items=[0], offset=0, most=0)
-def test_cuts(items, offset, most):
-    """The range cutter that both of the dense finder's cuts use, on the
-    running total of ``items`` (from any offset): its ranges tile the
-    items, each holds at most ``most`` or one item, and the next item
-    would overflow it."""
+       offset=st.integers(min_value=0, max_value=1000), most=st.integers(min_value=0, max_value=120),
+       longest=st.none() | st.integers(min_value=1, max_value=8))
+@example(items=[7], offset=0, most=3, longest=None)
+@example(items=[0], offset=0, most=0, longest=None)
+@example(items=[0] * 10, offset=0, most=5, longest=3)
+def test_cuts(items, offset, most, longest):
+    """The range cutter that both of the finder's cuts use, on the running
+    total of ``items`` (from any offset): its ranges tile the items, each
+    holds at most ``most`` or one item, and at most ``longest`` items,
+    and the next item would break one of the two bounds."""
     total = offset + np.cumsum([0] + items)
-    cuts = centrality._cuts(total, most)
+    cuts = centrality._cuts(total, most, longest)
     assert cuts[0] == 0 and cuts[-1] == len(items)
     for a, b in zip(cuts, cuts[1:]):
-        assert a < b
+        assert a < b and (longest is None or b - a <= longest)
         assert sum(items[a:b]) <= most or b == a + 1
-        assert b == len(items) or sum(items[a:b + 1]) > most
+        assert b == len(items) or sum(items[a:b + 1]) > most or b - a == longest
 
 
 @st.composite
@@ -1019,9 +1023,9 @@ def test_no_leaf_is_a_first_hop(adj):
 
 
 class TestFoldedLeaves:
-    """Both finders work on the leaves (one infected neighbour, N > 2)
-    folded into their hubs: their tables equal each other's and the
-    per-root scorer's bit for bit, in the same key order, on snapshots
+    """The finder works on the leaves (one infected neighbour, N > 2)
+    folded into their hubs: its tables equal the leaf-block oracle's and
+    the per-root scorer's bit for bit, in the same key order, on snapshots
     built so that the folding's corner cases occur, and on sparse draws."""
 
     def test_star(self):
@@ -1030,14 +1034,14 @@ class TestFoldedLeaves:
         place."""
         snap = bfs_snapshot(star_graph(6), 0, range(7))
         assert leaves_of(snap) == list(range(1, 7))
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, [3, 6])
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [3, 6])
 
     def test_three_node_path(self):
         snap = bfs_snapshot(graph_from_edges(3, [(0, 1), (1, 2)]), 2, range(3))
         assert leaves_of(snap) == [0, 2]
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, [0])
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [0])
 
     def test_leaf_at_its_hubs_last_place(self):
         """A wheel (hub 0, rim 1..5 in a cycle) with leaf 6 on the hub, the
@@ -1046,8 +1050,8 @@ class TestFoldedLeaves:
         edges = [(0, i) for i in range(1, 7)] + [(i, i % 5 + 1) for i in range(1, 6)] + [(6, 7), (6, 8)]
         snap = bfs_snapshot(graph_from_edges(9, edges), 3, range(7))
         assert leaves_of(snap) == [6]
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, [6])
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [6])
 
     def test_leaves_interleaved_with_their_hubs_children(self):
         """Leaves 2, 5, 9 and 10 on node 4, whose non-leaf neighbours are 3
@@ -1059,20 +1063,20 @@ class TestFoldedLeaves:
         edges = ring + [(4, 2), (4, 5), (4, 9), (4, 10), (1, 7), (9, 11), (7, 12)]
         snap = bfs_snapshot(graph_from_edges(13, edges), 0, range(11))
         assert leaves_of(snap) == [2, 5, 7, 9, 10]
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, [2, 3, 8])
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, [2, 3, 8])
 
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "block"])
-    def test_two_joined_leaves_are_disconnected(self, dense):
+    @pytest.mark.parametrize("scorer", [general_graph_scores, leaf_block_scores], ids=["dense", "block"])
+    def test_two_joined_leaves_are_disconnected(self, scorer):
         """A triangle and an infected edge, joined only through an
         uninfected node: each end of the edge is a leaf whose one neighbour
         is a leaf, which no connected set of more than two nodes has, and
-        both paths refuse the set."""
+        the scorer and the block oracle refuse the set."""
         edges = [(0, 1), (1, 2), (0, 2), (2, 5), (5, 3), (3, 4)]
         snap = snapshot_of(graph_from_edges(6, edges), 0, [0, 1, 2, 3, 4], {1: 0, 2: 0, 3: 2, 4: 3})
         assert leaves_of(snap) == [3, 4]
         with pytest.raises(InvalidInputError):
-            path_scores(snap, dense=dense)
+            scorer(snap)
 
     @pytest.mark.parametrize("family,size,density", [("er", 2000, 4.0), ("sf", 2000, 1.5)],
                              ids=["er:2000:4", "sf:2000:1.5"])
@@ -1082,8 +1086,8 @@ class TestFoldedLeaves:
         snap = _snapshot(family, size, density, 100, seed=20240817)
         leaves = leaves_of(snap)
         assert leaves and not snap.is_tree
-        assert_paths_agree(snap, leaves)
-        assert_paths_agree(snap, leaves[::3])
+        assert_equals_oracles(snap, leaves)
+        assert_equals_oracles(snap, leaves[::3])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1100,13 +1104,13 @@ class TestFoldedLeaves:
         snap = _snapshot(family, size, density if family == "er" else density / 2, n_infected, seed)
         assume(snap.n >= 3)
         subset = data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset")
-        assert_paths_agree(snap)
-        assert_paths_agree(snap, subset)
+        assert_equals_oracles(snap)
+        assert_equals_oracles(snap, subset)
 
 
 @st.composite
 def finder_draws(draw) -> Snapshot:
-    """A snapshot of a kind that both finders score: a leafy sf:2000:1.5
+    """A snapshot of a kind that the finder scores: a leafy sf:2000:1.5
     one (about 45% leaves), an er one, a dense sf one, one of one or two
     nodes, or a star tree (one non-leaf node), which the scorer is then
     called on directly rather than through ``likelihood_table``."""
@@ -1123,15 +1127,13 @@ def finder_draws(draw) -> Snapshot:
 
 @settings(max_examples=80, deadline=None)
 @given(snap=finder_draws(), data=st.data())
-def test_both_finders_equal_the_leaf_block_oracle(snap, data):
-    """Each finder, forced by patching ``_is_dense`` on the same draw, gives
-    the table of the block path as it was before the finders shared one
-    preparation and one tail, ``==`` with key order, for every root and
-    for a subset."""
+def test_finder_equals_the_leaf_block_oracle(snap, data):
+    """The finder gives the table of the block path as it was before the
+    two finders shared one preparation and one tail, ``==`` with key
+    order, for every root and for a subset."""
     subset = sorted(data.draw(st.sets(st.sampled_from(snap.infected), min_size=1), label="subset"))
     for nodes in (None, subset):
         want = leaf_block_scores(snap, nodes)
-        for dense in (True, False):
-            got = path_scores(snap, nodes, dense=dense)
-            assert list(got) == list(want)
-            assert got == want
+        got = general_graph_scores(snap, nodes)
+        assert list(got) == list(want)
+        assert got == want
